@@ -15,6 +15,11 @@ list and s(.,.) the merge signature:
     hodge         e_I^H       = D_II s(I, Ic) e_{Ic}
     inv. hodge    e_I^(H-1)   = D_IcIc s(Ic, I) e_{Ic}
 
+Internally blades are bitmasks (bit i set for each i in I): each row of
+the table is a rule (mask, mask) -> (sign, mask) run by one sparse
+kernel, with signs from popcounts.  At the API, in ``terms``, text and
+JSON, blades stay index tuples, converted at the kernel boundary.
+
 Coefficients are exact: int, Fraction, or PolyScalar.  Floats are
 rejected.  Values are immutable by convention; every operation returns
 a new multivector.
@@ -28,14 +33,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, Mapping
 
-from .indexes import (
-    MAX_DIM,
-    AlgebraError,
-    check_canonical,
-    complement,
-    merge_signature,
-    subtract,
-)
+from .indexes import MAX_DIM, AlgebraError, check_canonical
 from .poly import PolyScalar, monomial_text
 
 
@@ -51,6 +49,9 @@ class Metric:
     n: int
 
     def __post_init__(self):
+        for value in (self.k, self.n):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise AlgebraError(f"k and n must be integers, got {value!r}")
         if self.k < 0 or self.n < 0:
             raise AlgebraError("k and n must be nonnegative")
         if not 1 <= self.k + self.n <= MAX_DIM:
@@ -82,7 +83,7 @@ class Metric:
 
 def _check_coeff(value):
     """Coerce to an exact coefficient; reject floats and other approximations."""
-    if isinstance(value, PolyScalar):
+    if isinstance(value, PolyScalar) or type(value) is Fraction:
         return value
     if isinstance(value, bool):
         raise AlgebraError("bool is not a coefficient")
@@ -176,11 +177,8 @@ class Multivector:
         grade = self.grade if self.terms or not other.terms else other.grade
         out = dict(self.terms)
         for indices, coeff in other.terms.items():
-            s = out.get(indices, Fraction(0)) + coeff
-            if s:
-                out[indices] = s
-            else:
-                out.pop(indices, None)
+            acc = out.get(indices)
+            out[indices] = coeff if acc is None else acc + coeff
         return Multivector(self.metric, grade, out)
 
     def __sub__(self, other):
@@ -224,87 +222,44 @@ class Multivector:
         self._require_same_space(other)
         if self.grade != other.grade:
             raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
-        total = Fraction(0)
-        for indices, coeff in self.terms.items():
-            oc = other.terms.get(indices)
-            if oc is not None:
-                total = total + self.metric.sign_of(indices) * coeff * oc
-        return total
+        out = _accumulate({}, _left_rule, (1 << self.metric.k) - 1,
+                          _masked(self.terms), _masked(other.terms))
+        return out.get(0, Fraction(0))
+
+    def _product(self, rule, left, right, grade, flip=0) -> "Multivector":
+        out = _accumulate({}, rule, (1 << self.metric.k) - 1, left, right, flip)
+        return _from_masks(self.metric, grade, out)
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Exterior product; grade adds (zero past the top grade)."""
         self._require_same_space(other)
-        out: dict[tuple, object] = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                sign, merged = merge_signature(ia, ib)
-                if sign == 0:
-                    continue
-                term = sign * ca * cb
-                s = out.get(merged, Fraction(0)) + term
-                if s:
-                    out[merged] = s
-                else:
-                    out.pop(merged, None)
-        return Multivector(self.metric, self.grade + other.grade, out)
+        return self._product(_wedge_rule, _masked(self.terms), _masked(other.terms),
+                             self.grade + other.grade)
 
     def left_contract(self, other: "Multivector") -> "Multivector":
         """Left interior product self _| other; lowers other's grade by self's."""
         self._require_same_space(other)
-        out: dict[tuple, object] = {}
-        for ia, ca in self.terms.items():
-            delta = self.metric.sign_of(ia)
-            for ib, cb in other.terms.items():
-                rest = subtract(ib, ia)
-                if rest is None:
-                    continue
-                sign, _ = merge_signature(rest, ia)
-                term = delta * sign * ca * cb
-                s = out.get(rest, Fraction(0)) + term
-                if s:
-                    out[rest] = s
-                else:
-                    out.pop(rest, None)
-        return Multivector(self.metric, other.grade - self.grade, out)
+        return self._product(_left_rule, _masked(self.terms), _masked(other.terms),
+                             other.grade - self.grade)
 
     def right_contract(self, other: "Multivector") -> "Multivector":
         """Right interior product self |_ other; lowers self's grade by other's."""
         self._require_same_space(other)
-        out: dict[tuple, object] = {}
-        for ib, cb in other.terms.items():
-            delta = self.metric.sign_of(ib)
-            for ia, ca in self.terms.items():
-                rest = subtract(ia, ib)
-                if rest is None:
-                    continue
-                sign, _ = merge_signature(ib, rest)
-                term = delta * sign * ca * cb
-                s = out.get(rest, Fraction(0)) + term
-                if s:
-                    out[rest] = s
-                else:
-                    out.pop(rest, None)
-        return Multivector(self.metric, self.grade - other.grade, out)
+        return self._product(_right_rule, _masked(self.terms), _masked(other.terms),
+                             self.grade - other.grade)
 
     def hodge(self) -> "Multivector":
-        """Hodge complement, blade by blade."""
+        """Hodge complement, blade by blade: the pseudoscalar |_ self."""
         dim = self.metric.dim
-        out: dict[tuple, object] = {}
-        for indices, coeff in self.terms.items():
-            comp = complement(indices, dim)
-            sign, _ = merge_signature(indices, comp)
-            out[comp] = self.metric.sign_of(indices) * sign * coeff
-        return Multivector(self.metric, dim - self.grade, out)
+        return self._product(_right_rule, [((1 << dim) - 1, None)], _masked(self.terms),
+                             dim - self.grade)
 
     def inv_hodge(self) -> "Multivector":
         """Inverse Hodge complement: inv_hodge(hodge(a)) == a."""
+        # self _| pseudoscalar, flipped by D of the pseudoscalar: D_II -> D_IcIc
         dim = self.metric.dim
-        out: dict[tuple, object] = {}
-        for indices, coeff in self.terms.items():
-            comp = complement(indices, dim)
-            sign, _ = merge_signature(comp, indices)
-            out[comp] = self.metric.sign_of(comp) * sign * coeff
-        return Multivector(self.metric, dim - self.grade, out)
+        return self._product(_left_rule, _masked(self.terms), [((1 << dim) - 1, None)],
+                             dim - self.grade, flip=self.metric.k & 1)
 
     # -- canonical text -----------------------------------------------------
 
@@ -312,7 +267,7 @@ class Multivector:
         if not self.terms:
             return "0"
         if self.grade == 0:
-            return _coeff_text(self.terms[()])
+            return str(self.terms[()])
         pieces = []
         for pos, (indices, coeff) in enumerate(self.items()):
             sign, body = _blade_term_text(indices, coeff)
@@ -324,12 +279,6 @@ class Multivector:
 
     def __repr__(self) -> str:
         return f"<Multivector ({self.metric.k},{self.metric.n}) grade {self.grade}: {self}>"
-
-
-def _coeff_text(coeff) -> str:
-    if isinstance(coeff, PolyScalar):
-        return str(coeff)
-    return str(coeff)
 
 
 def _split_sign(coeff):
@@ -353,3 +302,83 @@ def _blade_term_text(indices: tuple, coeff) -> tuple[int, str]:
     blade = "e[" + ",".join(str(i) for i in indices) + "]"
     sign, pieces = _split_sign(coeff)
     return sign, " ^ ".join(pieces + [blade])
+
+
+# -- bitmask kernel -------------------------------------------------------------
+
+
+class _Memo(dict):
+    """A dict that computes and keeps a missing value on first lookup."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+# Lazy blade tables, each below 2^MAX_DIM entries.  _ABOVE[A] has bit j set
+# when an odd number of A's bits lie above j: the xor over shifts of A >> shift,
+# so s(A, B) = (-1)^popcount(_ABOVE[A] & B) = (-1)^sum_shift popcount((A >> shift) & B).
+_MASK = _Memo(lambda blade: sum(1 << i for i in blade))
+_BLADE = _Memo(lambda mask: tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
+_ABOVE = _Memo(lambda mask: mask and (mask >> 1) ^ _ABOVE[mask >> 1])
+
+
+def _masked(terms: Mapping[tuple, object]) -> list[tuple[int, object]]:
+    return [(_MASK[indices], coeff) for indices, coeff in terms.items()]
+
+
+def _from_masks(metric: Metric, grade: int, out: Mapping[int, object]) -> Multivector:
+    return Multivector(metric, grade, {_BLADE[mask]: coeff for mask, coeff in out.items()})
+
+
+# Rules (A, B, t) -> (odd, result mask), or None for no term.  The sign is
+# (-1)^odd, t masks the time-like axes and D_AA = (-1)^popcount(A & t).
+def _wedge_rule(a: int, b: int, t: int):
+    """e_A ^ e_B = s(A, B) e_{A+B}; no term when A and B share an axis."""
+    if a & b:
+        return None
+    return (_ABOVE[a] & b).bit_count() & 1, a | b
+
+
+def _left_rule(a: int, b: int, t: int):
+    """e_A _| e_B = D_AA s(B\\A, A) e_{B\\A}; no term unless A <= B."""
+    if a & b != a:
+        return None
+    rest = a ^ b
+    return ((_ABOVE[rest] & a).bit_count() + (a & t).bit_count()) & 1, rest
+
+
+def _right_rule(a: int, b: int, t: int):
+    """e_A |_ e_B = D_BB s(B, A\\B) e_{A\\B}; no term unless B <= A."""
+    if a & b != b:
+        return None
+    rest = a ^ b
+    return ((_ABOVE[b] & rest).bit_count() + (b & t).bit_count()) & 1, rest
+
+
+def _accumulate(out: dict, rule, t: int, left, right, flip: int = 0) -> dict:
+    """Add the rule's product of every (left, right) pair of (mask, coeff) into out.
+
+    A coeff of None is the unit and is not multiplied; ``flip=1`` negates
+    every product.  A negative product is subtracted, not multiplied by -1.
+    Cancelled sums stay as zeros for the Multivector constructor to drop.
+    """
+    for a, ca in left:
+        for b, cb in right:
+            hit = rule(a, b, t)
+            if hit is None:
+                continue
+            odd, mask = hit
+            term = cb if ca is None else ca if cb is None else ca * cb
+            acc = out.get(mask)
+            if acc is None:
+                out[mask] = -term if odd ^ flip else term
+            elif odd ^ flip:
+                out[mask] = acc - term
+            else:
+                out[mask] = acc + term
+    return out

@@ -26,14 +26,17 @@ derivatives split the Laplacian with a grade-dependent sign:
 
 (verified symbolically by the verification suite; wave-equation
 rewriting refuses to run unless this check passes for its shape).
+
+d^ and d_| run the bitmask blade kernel of ``blades``, e_i against d_i a;
+fields keep index-tuple blades at the API.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .blades import AlgebraError, GradeError, Metric, Multivector
-from .indexes import merge_signature
+from .blades import (AlgebraError, GradeError, Metric, Multivector, _accumulate,
+                     _from_masks, _left_rule, _masked, _wedge_rule)
 from .matrices import MvMatrix
 from .poly import PolyScalar
 
@@ -45,45 +48,31 @@ def _partial(coeff, index: int):
     return Fraction(0)
 
 
+def _vector_deriv(field: Multivector, rule, time_flip: bool, grade: int) -> Multivector:
+    """sum_i rule(e_i, d_i field), run with no time-like axes; D_ii if ``time_flip``.
+
+    Only terms that the rule keeps against e_i are differentiated along i.
+    """
+    metric = field.metric
+    terms = _masked(field.terms)
+    out: dict[int, object] = {}
+    for i in range(metric.dim):
+        unit = 1 << i
+        parts = [(mask, d) for mask, coeff in terms
+                 if rule(unit, mask, 0) is not None and (d := _partial(coeff, i))]
+        _accumulate(out, rule, 0, [(unit, None)], parts, flip=time_flip and i < metric.k)
+    return _from_masks(metric, grade, out)
+
+
 def ext_deriv(field: Multivector) -> Multivector:
     """Exterior derivative; raises the grade by one (zero at top grade)."""
-    metric = field.metric
-    out: dict[tuple, object] = {}
-    for indices, coeff in field.terms.items():
-        members = set(indices)
-        for i in range(metric.dim):
-            if i in members:
-                continue
-            d = _partial(coeff, i)
-            if not d:
-                continue
-            sign, merged = merge_signature((i,), indices)
-            term = metric.sign(i) * sign * d
-            s = out.get(merged, Fraction(0)) + term
-            if s:
-                out[merged] = s
-            else:
-                out.pop(merged, None)
-    return Multivector(metric, field.grade + 1, out)
+    return _vector_deriv(field, _wedge_rule, True, field.grade + 1)
 
 
 def int_deriv(field: Multivector) -> Multivector:
     """Interior derivative; lowers the grade by one (zero at grade 0)."""
-    metric = field.metric
-    out: dict[tuple, object] = {}
-    for indices, coeff in field.terms.items():
-        for pos, i in enumerate(indices):
-            d = _partial(coeff, i)
-            if not d:
-                continue
-            rest = indices[:pos] + indices[pos + 1:]
-            sign, _ = merge_signature(rest, (i,))
-            s = out.get(rest, Fraction(0)) + sign * d
-            if s:
-                out[rest] = s
-            else:
-                out.pop(rest, None)
-    return Multivector(metric, field.grade - 1, out)
+    # the contraction's D_ii cancels the D_ii of the reciprocal frame
+    return _vector_deriv(field, _left_rule, False, field.grade - 1)
 
 
 def right_int_deriv(field: Multivector) -> Multivector:
@@ -92,21 +81,8 @@ def right_int_deriv(field: Multivector) -> Multivector:
     Same index sums as ``int_deriv`` but with the removed axis merged in
     from the left, so the two differ by (-1)^(gr-1).
     """
-    metric = field.metric
-    out: dict[tuple, object] = {}
-    for indices, coeff in field.terms.items():
-        for pos, i in enumerate(indices):
-            d = _partial(coeff, i)
-            if not d:
-                continue
-            rest = indices[:pos] + indices[pos + 1:]
-            sign, _ = merge_signature((i,), rest)
-            s = out.get(rest, Fraction(0)) + sign * d
-            if s:
-                out[rest] = s
-            else:
-                out.pop(rest, None)
-    return Multivector(metric, field.grade - 1, out)
+    inner = int_deriv(field)
+    return inner if field.grade & 1 else -inner
 
 
 def tensor_deriv(field: Multivector) -> MvMatrix:
@@ -148,13 +124,9 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
     out: dict[tuple, object] = {}
     for (rows, cols), coeff in matrix.terms.items():
         d = _partial(coeff, rows[0])
-        if not d:
-            continue
-        s = out.get(cols, Fraction(0)) + d
-        if s:
-            out[cols] = s
-        else:
-            out.pop(cols, None)
+        if d:
+            acc = out.get(cols)
+            out[cols] = d if acc is None else acc + d
     return Multivector(matrix.metric, matrix.col_grade, out)
 
 

@@ -154,6 +154,10 @@ class PolyScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a constant compares equal to its rational value, so it must hash
+        # like that value too
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- calculus and queries -------------------------------------------

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator
 
 from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import (
+    _partial,
     check_laplacian_splitting,
     divergence_scalar,
     directional_deriv,
@@ -120,12 +121,6 @@ def _sign(parity: int) -> Fraction:
 
 def _scalar_eq(left, right) -> bool:
     return not (left - right)
-
-
-def _pd(coeff, index: int):
-    if isinstance(coeff, PolyScalar):
-        return coeff.partial(index)
-    return Fraction(0)
 
 
 def _rand_fraction(rng) -> Fraction:
@@ -396,9 +391,9 @@ def _prop_curl_forms_agree(rng, trials):
             metric,
             1,
             {
-                (0,): _pd(comps[2], 1) - _pd(comps[1], 2),
-                (1,): _pd(comps[0], 2) - _pd(comps[2], 0),
-                (2,): _pd(comps[1], 0) - _pd(comps[0], 1),
+                (0,): _partial(comps[2], 1) - _partial(comps[1], 2),
+                (1,): _partial(comps[0], 2) - _partial(comps[2], 0),
+                (2,): _partial(comps[1], 0) - _partial(comps[0], 1),
             },
         )
         ok = via_wedge == classical and via_left == classical and via_right == classical
@@ -419,7 +414,7 @@ def _prop_vector_divergence_routes(rng, trials):
             ok = _scalar_eq(int_deriv(v).scalar_value(), direct)
             manual = Fraction(0)
             for i in range(metric.dim):
-                manual = manual + _pd(v.coefficient((i,)), i)
+                manual = manual + _partial(v.coefficient((i,)), i)
             ok = ok and _scalar_eq(direct, manual)
             yield f"({metric.k},{metric.n}) case={case} v={v}", ok
 
@@ -592,7 +587,7 @@ def _prop_equation_components_match_difference_oracle(rng, trials):
                                 L.value(dict(assignment, a=a_value + slope))
                                 - L.value(dict(assignment, a=a_value - slope))
                             ) / 2 - ramp * d_field
-                            acc = acc - _pd(d_slot, i)
+                            acc = acc - _partial(d_slot, i)
                         got = metric.sign_of(I) * residual.coefficient(I)
                         ok = _scalar_eq(got, acc)
                         yield (

@@ -29,6 +29,13 @@ def test_metric_validation():
     Metric(8, 8)
 
 
+@pytest.mark.parametrize("k, n", [(True, 3), (1, False), (1.5, 2), (1, 2.0), ("1", 3),
+                                  (Fraction(1), 3)])
+def test_metric_rejects_non_integer_signature(k, n):
+    with pytest.raises(AlgebraError, match="integers"):
+        Metric(k, n)
+
+
 def test_blades_enumeration():
     assert list(E3.blades(2)) == [(0, 1), (0, 2), (1, 2)]
     assert list(E3.blades(0)) == [()]

@@ -102,6 +102,15 @@ def test_is_constant_and_value():
         x.constant_value()
 
 
+def test_constant_hashes_like_its_rational_value():
+    one = PolyScalar.constant(2, 1)
+    assert one == Fraction(1) and hash(one) == hash(Fraction(1))
+    assert {Fraction(1): "one"}[one] == "one"
+    assert one in {Fraction(1)}
+    assert PolyScalar(3) in {Fraction(0)}
+    assert PolyScalar.variable(2, 0) not in {Fraction(1), 0}
+
+
 def test_text_is_graded_lex_descending():
     x0 = PolyScalar.variable(3, 0)
     x1 = PolyScalar.variable(3, 1)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from mvcalc.blades import AlgebraError
@@ -54,3 +56,13 @@ def test_report_formatting_of_failures():
 def test_small_full_run_is_green():
     outcomes = run_suites("all", seed=9, trials=2)
     assert outcomes and all(item.ok for item in outcomes)
+
+
+# stdout of ``mvcalc verify --suite all --seed 42 --trials 50`` before the
+# blade products moved onto bitmasks; every later change must reproduce it
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_seed42_trials50.txt"
+
+
+def test_seed42_report_is_byte_identical_to_golden():
+    report = format_report(run_suites("all", 42, 50))
+    assert (report + "\n").encode() == GOLDEN_REPORT.read_bytes()
