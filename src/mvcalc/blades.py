@@ -20,21 +20,20 @@ the table is a rule (mask, mask) -> (sign, mask) run by one sparse
 kernel, with signs from popcounts.  At the API, in ``terms``, text and
 JSON, blades stay index tuples, converted at the kernel boundary.
 
-Coefficients are exact: int, Fraction, or PolyScalar.  Floats are
-rejected.  Values are immutable by convention; every operation returns
-a new multivector.
+Coefficients are exact: an integral rational is stored as an int, any
+other rational as a Fraction (see ``poly.exact``), and a polynomial as a
+PolyScalar.  Floats and bools are rejected.  Values are immutable by
+convention; every operation returns a new multivector.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational
 from typing import Iterator, Mapping
 
 from .indexes import MAX_DIM, AlgebraError, check_canonical
-from .poly import PolyScalar, monomial_text
+from .poly import PolyScalar, exact, monomial_text
 
 
 class GradeError(AlgebraError):
@@ -81,19 +80,6 @@ class Metric:
         return itertools.combinations(range(self.dim), grade)
 
 
-def _check_coeff(value):
-    """Coerce to an exact coefficient; reject floats and other approximations."""
-    if isinstance(value, PolyScalar) or type(value) is Fraction:
-        return value
-    if isinstance(value, bool):
-        raise AlgebraError("bool is not a coefficient")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (Fraction, Rational)):
-        return Fraction(value)
-    raise AlgebraError(f"exact coefficient required, got {type(value).__name__}")
-
-
 class Multivector:
     """Grade-homogeneous multivector with sparse exact coefficients.
 
@@ -111,7 +97,8 @@ class Multivector:
         for indices, coeff in (terms or {}).items():
             indices = tuple(indices)
             check_canonical(indices, metric.dim)
-            coeff = _check_coeff(coeff)
+            if not isinstance(coeff, PolyScalar):
+                coeff = exact(coeff)
             if coeff:
                 clean[indices] = coeff
         if clean:
@@ -151,12 +138,12 @@ class Multivector:
 
     def coefficient(self, indices):
         """Coefficient of one blade (0 when absent)."""
-        return self.terms.get(tuple(indices), Fraction(0))
+        return self.terms.get(tuple(indices), 0)
 
     def scalar_value(self):
         if self.grade != 0:
             raise GradeError("scalar_value needs a grade-0 multivector")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def items(self) -> list[tuple[tuple, object]]:
         """Terms sorted by index list; the iteration order for printing."""
@@ -188,10 +175,11 @@ class Multivector:
         return Multivector(self.metric, self.grade, {i: -c for i, c in self.terms.items()})
 
     def __mul__(self, scalar):
-        try:
-            scalar = _check_coeff(scalar)
-        except AlgebraError:
-            return NotImplemented
+        if not isinstance(scalar, PolyScalar):
+            try:
+                scalar = exact(scalar)
+            except AlgebraError:
+                return NotImplemented
         return Multivector(
             self.metric, self.grade, {i: scalar * c for i, c in self.terms.items()}
         )
@@ -224,7 +212,7 @@ class Multivector:
             raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
         out = _accumulate({}, _left_rule, (1 << self.metric.k) - 1,
                           _masked(self.terms), _masked(other.terms))
-        return out.get(0, Fraction(0))
+        return out.get(0, 0)
 
     def _product(self, rule, left, right, grade, flip=0) -> "Multivector":
         out = _accumulate({}, rule, (1 << self.metric.k) - 1, left, right, flip)

@@ -33,19 +33,10 @@ fields keep index-tuple blades at the API.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .blades import (AlgebraError, GradeError, Metric, Multivector, _accumulate,
                      _from_masks, _left_rule, _masked, _wedge_rule)
 from .matrices import MvMatrix
-from .poly import PolyScalar
-
-
-def _partial(coeff, index: int):
-    """Partial derivative of a coefficient; constants differentiate to zero."""
-    if isinstance(coeff, PolyScalar):
-        return coeff.partial(index)
-    return Fraction(0)
+from .poly import partial
 
 
 def _vector_deriv(field: Multivector, rule, time_flip: bool, grade: int) -> Multivector:
@@ -59,7 +50,7 @@ def _vector_deriv(field: Multivector, rule, time_flip: bool, grade: int) -> Mult
     for i in range(metric.dim):
         unit = 1 << i
         parts = [(mask, d) for mask, coeff in terms
-                 if rule(unit, mask, 0) is not None and (d := _partial(coeff, i))]
+                 if rule(unit, mask, 0) is not None and (d := partial(coeff, i))]
         _accumulate(out, rule, 0, [(unit, None)], parts, flip=time_flip and i < metric.k)
     return _from_masks(metric, grade, out)
 
@@ -91,7 +82,7 @@ def tensor_deriv(field: Multivector) -> MvMatrix:
     out: dict[tuple, object] = {}
     for indices, coeff in field.terms.items():
         for i in range(metric.dim):
-            d = _partial(coeff, i)
+            d = partial(coeff, i)
             if not d:
                 continue
             out[((i,), indices)] = metric.sign(i) * d
@@ -103,9 +94,9 @@ def laplacian(field: Multivector) -> Multivector:
     metric = field.metric
     out: dict[tuple, object] = {}
     for indices, coeff in field.terms.items():
-        total = Fraction(0)
+        total = 0
         for i in range(metric.dim):
-            d2 = _partial(_partial(coeff, i), i)
+            d2 = partial(partial(coeff, i), i)
             if d2:
                 total = total + metric.sign(i) * d2
         if total:
@@ -123,7 +114,7 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
         raise GradeError("matrix divergence needs row grade 1")
     out: dict[tuple, object] = {}
     for (rows, cols), coeff in matrix.terms.items():
-        d = _partial(coeff, rows[0])
+        d = partial(coeff, rows[0])
         if d:
             acc = out.get(cols)
             out[cols] = d if acc is None else acc + d
@@ -134,9 +125,9 @@ def divergence_scalar(field: Multivector):
     """Divergence of a 1-vector field as a plain scalar, sum_i d_i v_i."""
     if field.grade != 1 and field.terms:
         raise GradeError("scalar divergence needs a 1-vector field")
-    total = Fraction(0)
+    total = 0
     for indices, coeff in field.terms.items():
-        total = total + _partial(coeff, indices[0])
+        total = total + partial(coeff, indices[0])
     return total
 
 
@@ -148,9 +139,9 @@ def directional_deriv(direction: Multivector, field: Multivector) -> Multivector
         raise AlgebraError("mixed metrics")
     out: dict[tuple, object] = {}
     for indices, coeff in field.terms.items():
-        total = Fraction(0)
+        total = 0
         for dir_indices, v in direction.terms.items():
-            d = _partial(coeff, dir_indices[0])
+            d = partial(coeff, dir_indices[0])
             if d:
                 total = total + v * d
         if total:

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import check_laplacian_splitting, ext_deriv, int_deriv
-from .poly import PolyScalar, _as_fraction
+from .poly import PolyScalar, exact
 from .randgen import field_cases, rng_for
 from .variational import (
     DerivOp,
@@ -54,26 +54,26 @@ class MaxwellConfig:
 
     metric: Metric
     r: int
-    mass: Fraction = Fraction(0)
-    xi: Fraction | None = None
+    mass: int | Fraction = 0
+    xi: int | Fraction | None = None
 
     def __post_init__(self):
         if not 1 <= self.r <= self.metric.dim:
             raise GradeError(f"field grade r={self.r} not in [1, {self.metric.dim}]")
-        object.__setattr__(self, "mass", _as_fraction(self.mass))
+        object.__setattr__(self, "mass", exact(self.mass))
         if self.mass < 0:
             raise AlgebraError(f"mass must be nonnegative, got {self.mass}")
         if self.xi is not None:
-            object.__setattr__(self, "xi", _as_fraction(self.xi))
+            object.__setattr__(self, "xi", exact(self.xi))
             if self.xi <= 0:
                 raise AlgebraError(f"xi must be positive, got {self.xi}")
             if self.r == 1:
                 raise GradeError("gauge fixing needs a potential of grade >= 1 (r >= 2)")
 
 
-def _front_sign(grade_plus_one: int) -> Fraction:
-    """(-1)^(r-1) as a Fraction, r = grade_plus_one."""
-    return Fraction(-1 if (grade_plus_one - 1) & 1 else 1)
+def _front_sign(grade_plus_one: int) -> int:
+    """(-1)^(r-1), r = grade_plus_one."""
+    return -1 if (grade_plus_one - 1) & 1 else 1
 
 
 def field_from_potential(potential: Multivector) -> Multivector:
@@ -88,13 +88,13 @@ def build_lagrangian(cfg: MaxwellConfig, field_name: str = "A",
     J = FieldSymbol(source_name, cfg.r - 1, "source")
     sign = _front_sign(cfg.r)
     terms = [
-        (sign / 2, (DerivOp.EXT, A), (DerivOp.EXT, A)),
-        (Fraction(1), (DerivOp.ID, J), (DerivOp.ID, A)),
+        (Fraction(sign, 2), (DerivOp.EXT, A), (DerivOp.EXT, A)),
+        (1, (DerivOp.ID, J), (DerivOp.ID, A)),
     ]
     if cfg.mass:
-        terms.append((-cfg.mass * cfg.mass / 2, (DerivOp.ID, A), (DerivOp.ID, A)))
+        terms.append((Fraction(-cfg.mass * cfg.mass, 2), (DerivOp.ID, A), (DerivOp.ID, A)))
     if cfg.xi is not None:
-        terms.append((sign / (2 * cfg.xi), (DerivOp.INT, A), (DerivOp.INT, A)))
+        terms.append((Fraction(sign, 2 * cfg.xi), (DerivOp.INT, A), (DerivOp.INT, A)))
     return LagrangianDensity(terms)
 
 
@@ -147,8 +147,8 @@ def wave_form(cfg: MaxwellConfig, field_name: str = "A",
         ((), A, cfg.mass * cfg.mass),
     ])
     rhs = FormalExpr([
-        ((), J, Fraction(1)),
-        (("ext", "int"), A, 1 / cfg.xi - 1),
+        ((), J, 1),
+        (("ext", "int"), A, Fraction(1, cfg.xi) - 1),
     ])
     return FieldEquation(lhs, rhs, s)
 
@@ -198,8 +198,8 @@ def build_dual_lagrangian(s: int, potential_name: str = "Abar",
     Abar = FieldSymbol(potential_name, s, "dynamical")
     Jbar = FieldSymbol(source_name, s, "source")
     return LagrangianDensity([
-        (_front_sign(s) / 2, (DerivOp.INT, Abar), (DerivOp.INT, Abar)),
-        (Fraction(1), (DerivOp.ID, Jbar), (DerivOp.ID, Abar)),
+        (Fraction(_front_sign(s), 2), (DerivOp.INT, Abar), (DerivOp.INT, Abar)),
+        (1, (DerivOp.ID, Jbar), (DerivOp.ID, Abar)),
     ])
 
 

@@ -11,8 +11,10 @@ A document is a plain dict that survives a round trip losslessly:
                   "J": {"grade": 1, "role": "source"}}
     }
 
-Coefficients are exact rationals serialized as strings.  The ops list
-is outermost first, matching the rendered text.  The symbols table
+Coefficients are exact rationals serialized as strings such as
+``"-3/2"``; reading takes that form or a JSON integer, never a float or
+a bool.  Metric sizes and grades are JSON integers, not bools.  The ops
+list is outermost first, matching the rendered text.  The symbols table
 carries each field's grade and role so the equation can be rebuilt
 without any out-of-band context.  ``dumps`` emits a single line with
 sorted keys, so equal documents serialize to identical bytes.
@@ -21,12 +23,15 @@ sorted keys, so equal documents serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .blades import AlgebraError, Metric
+from .poly import exact
 from .variational import FieldEquation, FieldSymbol, FormalExpr, ROLES
 
 _ALLOWED_OPS = ("ext", "int", "lap")
+_COEFF_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _expr_to_terms(expr: FormalExpr) -> list[dict]:
@@ -67,41 +72,54 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
+def _coeff(value):
+    """A coefficient as ``dumps`` writes it (a string) or a JSON integer."""
+    try:
+        if isinstance(value, str) and _COEFF_RE.fullmatch(value):
+            value = Fraction(value)
+        return exact(value)  # any other string, float or bool is refused here
+    except (ValueError, ZeroDivisionError) as exc:  # AlgebraError is a ValueError
+        raise AlgebraError(f"bad coefficient {value!r}") from exc
+
+
+def _integer(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise AlgebraError(f"bad {what}: {value!r}")
+    return value
+
+
 def _terms_from_doc(entries, symbols: dict) -> FormalExpr:
     if not isinstance(entries, list):
         raise AlgebraError("term list must be a list")
     terms = []
     for entry in entries:
         name = _need(entry, "symbol")
-        if name not in symbols:
+        if not isinstance(name, str) or name not in symbols:
             raise AlgebraError(f"term references undeclared symbol {name!r}")
         ops = _need(entry, "ops")
         if not isinstance(ops, list) or any(op not in _ALLOWED_OPS for op in ops):
             raise AlgebraError(f"bad ops list {ops!r}")
-        try:
-            coeff = Fraction(_need(entry, "coeff"))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise AlgebraError(f"bad coefficient {entry.get('coeff')!r}") from exc
-        terms.append((tuple(ops), symbols[name], coeff))
+        terms.append((tuple(ops), symbols[name], _coeff(_need(entry, "coeff"))))
     return FormalExpr(terms)
 
 
 def doc_to_equation(doc: dict) -> tuple[FieldEquation, Metric]:
     metric_doc = _need(doc, "metric")
     try:
-        metric = Metric(int(_need(metric_doc, "k")), int(_need(metric_doc, "n")))
-    except (TypeError, ValueError) as exc:
-        raise AlgebraError(f"bad metric entry {metric_doc!r}") from exc
+        metric = Metric(_need(metric_doc, "k"), _need(metric_doc, "n"))
+    except AlgebraError as exc:
+        raise AlgebraError(f"bad metric entry {metric_doc!r}: {exc}") from exc
     symbol_doc = _need(doc, "symbols")
+    if not isinstance(symbol_doc, dict):
+        raise AlgebraError(f"symbols must be an object, got {symbol_doc!r}")
     symbols = {}
     for name, entry in symbol_doc.items():
         role = _need(entry, "role")
         if role not in ROLES:
             raise AlgebraError(f"bad role {role!r} for symbol {name!r}")
-        symbols[name] = FieldSymbol(name, int(_need(entry, "grade")), role)
-    grade = _need(doc, "grade")
-    if not isinstance(grade, int):
-        raise AlgebraError(f"bad grade {grade!r}")
+        grade = _integer(_need(entry, "grade"), f"grade for symbol {name!r}")
+        symbols[name] = FieldSymbol(name, grade, role)
+    grade = _integer(_need(doc, "grade"), "grade")
     eq = FieldEquation(
         _terms_from_doc(_need(doc, "lhs"), symbols),
         _terms_from_doc(_need(doc, "rhs"), symbols),
@@ -118,6 +136,7 @@ def dumps(eq: FieldEquation, metric: Metric) -> str:
 def loads(text: str) -> tuple[FieldEquation, Metric]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
         raise AlgebraError(f"not valid JSON: {exc}") from exc
     return doc_to_equation(doc)

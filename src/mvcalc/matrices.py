@@ -14,11 +14,11 @@ inverse here; only the products above are defined.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
-from .blades import AlgebraError, GradeError, Metric, Multivector, _check_coeff
+from .blades import AlgebraError, GradeError, Metric, Multivector
 from .indexes import check_canonical
+from .poly import PolyScalar, exact
 
 
 class MvMatrix:
@@ -39,7 +39,8 @@ class MvMatrix:
             rows, cols = tuple(rows), tuple(cols)
             check_canonical(rows, metric.dim)
             check_canonical(cols, metric.dim)
-            coeff = _check_coeff(coeff)
+            if not isinstance(coeff, PolyScalar):
+                coeff = exact(coeff)
             if coeff:
                 clean[(rows, cols)] = coeff
         if clean:
@@ -78,7 +79,7 @@ class MvMatrix:
         return not self.terms
 
     def entry(self, rows, cols):
-        return self.terms.get((tuple(rows), tuple(cols)), Fraction(0))
+        return self.terms.get((tuple(rows), tuple(cols)), 0)
 
     def _require_same_space(self, other: "MvMatrix") -> None:
         if not isinstance(other, MvMatrix):
@@ -97,11 +98,7 @@ class MvMatrix:
             row_grade, col_grade = other.row_grade, other.col_grade
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            s = out.get(key, Fraction(0)) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + coeff
         return MvMatrix(self.metric, row_grade, col_grade, out)
 
     def __sub__(self, other):
@@ -116,10 +113,11 @@ class MvMatrix:
         )
 
     def __mul__(self, scalar):
-        try:
-            scalar = _check_coeff(scalar)
-        except AlgebraError:
-            return NotImplemented
+        if not isinstance(scalar, PolyScalar):
+            try:
+                scalar = exact(scalar)
+            except AlgebraError:
+                return NotImplemented
         return MvMatrix(
             self.metric,
             self.row_grade,
@@ -157,7 +155,7 @@ class MvMatrix:
         self._require_same_space(other)
         if (self.row_grade, self.col_grade) != (other.row_grade, other.col_grade):
             raise GradeError("dot needs matching grade shapes")
-        total = Fraction(0)
+        total = 0
         for (rows, cols), coeff in self.terms.items():
             oc = other.terms.get((rows, cols))
             if oc is not None:
@@ -179,11 +177,7 @@ class MvMatrix:
                 if ca != rb:
                     continue
                 key = (ra, cb)
-                s = out.get(key, Fraction(0)) + delta * va * vb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + delta * va * vb
         return MvMatrix(self.metric, self.row_grade, other.col_grade, out)
 
     def __repr__(self) -> str:
@@ -210,11 +204,7 @@ def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
         vc = vector.terms.get(cols)
         if vc is None:
             continue
-        s = out.get(rows, Fraction(0)) + matrix.metric.sign_of(cols) * coeff * vc
-        if s:
-            out[rows] = s
-        else:
-            out.pop(rows, None)
+        out[rows] = out.get(rows, 0) + matrix.metric.sign_of(cols) * coeff * vc
     return Multivector(matrix.metric, matrix.row_grade, out)
 
 
@@ -234,9 +224,5 @@ def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
         vc = vector.terms.get(rows)
         if vc is None:
             continue
-        s = out.get(cols, Fraction(0)) + matrix.metric.sign_of(rows) * coeff * vc
-        if s:
-            out[cols] = s
-        else:
-            out.pop(cols, None)
+        out[cols] = out.get(cols, 0) + matrix.metric.sign_of(rows) * coeff * vc
     return Multivector(matrix.metric, matrix.col_grade, out)

@@ -18,6 +18,11 @@ field symbols:
     lterm  := [rational '*'] '(' slot '.' slot ')'
     slot   := ['d^' | 'd_|' | 'dX'] name
 
+Algebra expressions nest at most MAX_NESTING (100) deep, counting
+every unary '-', 'd^', 'd_|', parenthesis and hodge/invhodge call that
+encloses a factor; a deeper one raises ExprError at the offset of the
+first token past the cap.
+
 Every error carries the character offset it was raised at.  The
 canonical text printed for a multivector parses back to an equal value,
 which the round-trip property relies on.
@@ -33,6 +38,9 @@ from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import ext_deriv, int_deriv
 from .poly import PolyScalar
 from .variational import DerivOp, FieldSymbol, LagrangianDensity
+
+
+MAX_NESTING = 100  # each level costs at most 3 frames, far below the recursion limit
 
 
 class ExprError(AlgebraError):
@@ -123,6 +131,7 @@ class _ExprParser(_Parser):
     def __init__(self, text: str, metric: Metric):
         super().__init__(text)
         self.metric = metric
+        self.depth = 0
 
     def expr(self) -> Multivector:
         value = self.term()
@@ -164,30 +173,32 @@ class _ExprParser(_Parser):
         if tok.kind == "BLADE":
             self.advance()
             return self._blade(tok)
+        if tok.kind == "NAME" and tok.text not in ("hodge", "invhodge"):
+            raise ExprError(f"unknown name {tok.text!r}", tok.pos)
+        if tok.kind not in ("DEXT", "DINT", "-", "(", "NAME"):
+            found = tok.text or "end of input"
+            raise ExprError(f"expected a value, found {found!r}", tok.pos)
+        # every remaining form encloses another factor or expression
+        if self.depth == MAX_NESTING:
+            raise ExprError(f"expression nested deeper than {MAX_NESTING} levels", tok.pos)
+        self.depth += 1
+        self.advance()
         if tok.kind == "DEXT":
-            self.advance()
-            return ext_deriv(self.factor())
-        if tok.kind == "DINT":
-            self.advance()
-            return int_deriv(self.factor())
-        if tok.kind == "-":
-            self.advance()
-            return -self.factor()
-        if tok.kind == "(":
-            self.advance()
+            value = ext_deriv(self.factor())
+        elif tok.kind == "DINT":
+            value = int_deriv(self.factor())
+        elif tok.kind == "-":
+            value = -self.factor()
+        elif tok.kind == "(":
             value = self.expr()
             self.expect(")")
-            return value
-        if tok.kind == "NAME" and tok.text in ("hodge", "invhodge"):
-            self.advance()
+        else:
             self.expect("(")
             value = self.expr()
             self.expect(")")
-            return value.hodge() if tok.text == "hodge" else value.inv_hodge()
-        if tok.kind == "NAME":
-            raise ExprError(f"unknown name {tok.text!r}", tok.pos)
-        found = tok.text or "end of input"
-        raise ExprError(f"expected a value, found {found!r}", tok.pos)
+            value = value.hodge() if tok.text == "hodge" else value.inv_hodge()
+        self.depth -= 1
+        return value
 
     def _poly(self, tok: Token) -> PolyScalar:
         body = tok.text[1:]

@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Coefficient ring for multivector fields: polynomials in the coordinates
-x0..x(d-1) with Fraction coefficients, stored as a map from exponent
-tuples to coefficients.  No floats anywhere; arithmetic is exact.
+x0..x(d-1), stored as a map from exponent tuples to coefficients.  No
+floats anywhere; arithmetic is exact.  Every rational coefficient passes
+``exact``, which stores an integral value as an ``int`` and only a
+non-integral one as a ``Fraction``, so small integers never pay for
+Fraction arithmetic.
 
 Canonical text form (used by the CLI and the parser round-trip) orders
 monomials by graded lexicographic order, highest first, and spells
@@ -18,32 +21,39 @@ from typing import Mapping, Sequence
 from .indexes import AlgebraError
 
 
-def _as_fraction(value) -> Fraction:
-    # bool subclasses int and therefore registers as Rational; reject it
-    # before the Rational branch can quietly coerce True to 1
-    if isinstance(value, bool):
-        raise AlgebraError(f"exact rational coefficient required, got {value!r}")
-    if isinstance(value, Fraction):
+def exact(value) -> int | Fraction:
+    """The canonical exact form of a rational: an int when integral, else a Fraction.
+
+    Rejects bool (which registers as Rational), float, Decimal and every
+    other non-rational with AlgebraError.
+    """
+    kind = type(value)
+    if kind is int:
         return value
-    if isinstance(value, (int, Rational)):
-        return Fraction(value)
-    raise AlgebraError(f"exact rational coefficient required, got {value!r}")
+    if kind is not Fraction:
+        # bool subclasses int and therefore registers as Rational; reject it
+        # before the Rational branch can quietly coerce True to 1
+        if kind is bool or not isinstance(value, Rational):
+            raise AlgebraError(f"exact rational coefficient required, got {value!r}")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class PolyScalar:
-    """A polynomial in x0..x(nvars-1) with Fraction coefficients."""
+    """A polynomial in x0..x(nvars-1) with exact rational coefficients."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
         if nvars < 0:
             raise AlgebraError("nvars must be nonnegative")
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[tuple, int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            # exponents are plain nonnegative ints: no bool, no float
+            if len(exps) != nvars or not all(type(e) is int and e >= 0 for e in exps):
                 raise AlgebraError(f"bad exponent vector {exps!r} for {nvars} variables")
-            c = _as_fraction(coeff)
+            c = exact(coeff)
             if c:
                 clean[exps] = c
         self.nvars = nvars
@@ -51,8 +61,7 @@ class PolyScalar:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "PolyScalar":
-        c = _as_fraction(value)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int, power: int = 1) -> "PolyScalar":
@@ -61,7 +70,7 @@ class PolyScalar:
         if power < 0:
             raise AlgebraError("negative powers are not polynomials")
         exps = tuple(power if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls(nvars, {exps: 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff) -> "PolyScalar":
@@ -74,11 +83,10 @@ class PolyScalar:
             if other.nvars != self.nvars:
                 raise AlgebraError("mixed variable counts")
             return other
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, (int, Fraction, Rational)):
+        try:
             return PolyScalar.constant(self.nvars, other)
-        return None
+        except AlgebraError:
+            return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -86,11 +94,7 @@ class PolyScalar:
             return NotImplemented
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+            out[exps] = out.get(exps, 0) + c
         return PolyScalar(self.nvars, out)
 
     __radd__ = __add__
@@ -111,18 +115,19 @@ class PolyScalar:
         return other + (-self)
 
     def __mul__(self, other):
+        if not isinstance(other, PolyScalar):
+            # scaling by a rational needs no constant polynomial
+            try:
+                other = exact(other)
+            except AlgebraError:
+                return NotImplemented
+            return PolyScalar(self.nvars, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int | Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(exps, Fraction(0)) + ca * cb
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
+                out[exps] = out.get(exps, 0) + ca * cb
         return PolyScalar(self.nvars, out)
 
     __rmul__ = __mul__
@@ -131,12 +136,12 @@ class PolyScalar:
         # exact division by a nonzero rational only; polynomial division
         # is out of scope
         try:
-            other = _as_fraction(other)
+            other = exact(other)
         except AlgebraError:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero")
-        return self * (1 / other)
+        return self * Fraction(1, other)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -144,14 +149,11 @@ class PolyScalar:
     def __eq__(self, other) -> bool:
         if isinstance(other, PolyScalar):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, bool):
+        try:
+            value = exact(other)
+        except AlgebraError:
             return NotImplemented
-        if isinstance(other, (int, Fraction, Rational)):
-            value = Fraction(other)
-            if not value:
-                return not self.terms
-            return self.terms == {(0,) * self.nvars: value}
-        return NotImplemented
+        return self.terms == ({(0,) * self.nvars: value} if value else {})
 
     def __hash__(self):
         # a constant compares equal to its rational value, so it must hash
@@ -166,45 +168,40 @@ class PolyScalar:
         """Exact partial derivative with respect to x(index)."""
         if not 0 <= index < self.nvars:
             raise AlgebraError(f"variable index {index} out of range")
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int | Fraction] = {}
         for exps, c in self.terms.items():
             e = exps[index]
-            if e == 0:
-                continue
-            lowered = exps[:index] + (e - 1,) + exps[index + 1:]
-            s = out.get(lowered, Fraction(0)) + c * e
-            if s:
-                out[lowered] = s
-            else:
-                out.pop(lowered, None)
+            if e:
+                lowered = exps[:index] + (e - 1,) + exps[index + 1:]
+                out[lowered] = out.get(lowered, 0) + c * e
         return PolyScalar(self.nvars, out)
 
-    def evaluate(self, point: Sequence) -> Fraction:
+    def evaluate(self, point: Sequence) -> int | Fraction:
         if len(point) != self.nvars:
             raise AlgebraError("point has wrong length")
-        values = [_as_fraction(v) for v in point]
-        total = Fraction(0)
+        values = [exact(v) for v in point]
+        total = 0
         for exps, c in self.terms.items():
             term = c
             for v, e in zip(values, exps):
                 term *= v ** e
             total += term
-        return total
+        return exact(total)
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise AlgebraError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, 0)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
     # -- canonical text --------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple, int | Fraction]]:
         # graded lex, leading (highest) monomial first
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
@@ -225,7 +222,14 @@ class PolyScalar:
         return f"PolyScalar({self.nvars}, {self})"
 
 
-def monomial_text(exps: tuple, coeff: Fraction) -> str:
+def partial(coeff, index: int):
+    """Partial derivative of any coefficient; a rational constant gives 0."""
+    if isinstance(coeff, PolyScalar):
+        return coeff.partial(index)
+    return 0
+
+
+def monomial_text(exps: tuple, coeff: int | Fraction) -> str:
     """Grammar-compatible text of one monomial with nonnegative coefficient."""
     factors = []
     if coeff != 1 or not any(exps):

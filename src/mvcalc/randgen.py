@@ -14,7 +14,6 @@ while keeping exact arithmetic cheap.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .blades import Metric, Multivector
 from .matrices import MvMatrix
@@ -37,17 +36,13 @@ def rng_for(seed: int, name: str) -> random.Random:
 def random_poly(rng: random.Random, nvars: int, max_terms: int = 3,
                 max_degree: int = 3) -> PolyScalar:
     """Sparse random polynomial; may be zero."""
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, int] = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * nvars
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(nvars)] += 1
         key = tuple(exps)
-        c = terms.get(key, Fraction(0)) + rng.choice(_COEFFS)
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, 0) + rng.choice(_COEFFS)
     return PolyScalar(nvars, terms)
 
 
@@ -72,7 +67,7 @@ def random_constant_field(rng: random.Random, metric: Metric,
     for indices in metric.blades(grade):
         if rng.random() < 0.5:
             continue
-        terms[indices] = Fraction(rng.choice(_COEFFS))
+        terms[indices] = rng.choice(_COEFFS)
     return Multivector(metric, grade, terms)
 
 
@@ -107,7 +102,7 @@ def field_cases(rng: random.Random, metric: Metric, grade: int,
         indices = rng.choice(blades)
         exps = [0] * metric.dim
         exps[rng.randrange(metric.dim)] = 1
-        mono = PolyScalar(metric.dim, {tuple(exps): Fraction(rng.choice(_COEFFS))})
+        mono = PolyScalar(metric.dim, {tuple(exps): rng.choice(_COEFFS)})
         cases.append(Multivector(metric, grade, {indices: mono}))
     while len(cases) < count:
         cases.append(random_field(rng, metric, grade))

@@ -44,7 +44,7 @@ from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import ext_deriv, int_deriv, laplacian, matrix_divergence, tensor_deriv
 from .indexes import merge_signature
 from .matrices import MvMatrix, mat_vec
-from .poly import _as_fraction
+from .poly import exact
 
 ROLES = ("dynamical", "source")
 
@@ -134,7 +134,7 @@ class LagrangianDensity:
     def __init__(self, terms: Iterable[tuple]):
         clean = []
         for coeff, left, right in terms:
-            coeff = _as_fraction(coeff)
+            coeff = exact(coeff)
             left = (DerivOp(left[0]), left[1])
             right = (DerivOp(right[0]), right[1])
             if _slot_grade(left) != _slot_grade(right):
@@ -176,7 +176,7 @@ class LagrangianDensity:
 
     def __mul__(self, scalar):
         try:
-            scalar = _as_fraction(scalar)
+            scalar = exact(scalar)
         except AlgebraError:
             return NotImplemented
         return LagrangianDensity(tuple((scalar * c, l, r) for c, l, r in self.terms))
@@ -192,7 +192,7 @@ class LagrangianDensity:
 
     def value(self, assignment: Mapping):
         """Evaluate the density on concrete fields; a scalar, exact."""
-        total = Fraction(0)
+        total = 0
         for coeff, left, right in self.terms:
             total = total + coeff * _slot_value(left, assignment).dot(
                 _slot_value(right, assignment)
@@ -226,7 +226,7 @@ class FormalExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple] = ()):
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[tuple, int | Fraction] = {}
         for chain, symbol, coeff in terms:
             chain = tuple(chain)
             for op in chain:
@@ -234,14 +234,9 @@ class FormalExpr:
                     raise AlgebraError(f"unknown operator token {op!r}")
             if "tensor" in chain and chain != ("tensor",):
                 raise AlgebraError("dX may only appear as a standalone chain")
-            coeff = _as_fraction(coeff)
             key = (chain, symbol)
-            c = clean.get(key, Fraction(0)) + coeff
-            if c:
-                clean[key] = c
-            else:
-                clean.pop(key, None)
-        object.__setattr__(self, "terms", clean)
+            clean[key] = clean.get(key, 0) + exact(coeff)
+        object.__setattr__(self, "terms", {key: c for key, c in clean.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalExpr is immutable")
@@ -287,11 +282,11 @@ class FormalExpr:
         return self + (-other)
 
     def __neg__(self):
-        return self * Fraction(-1)
+        return self * -1
 
     def __mul__(self, scalar):
         try:
-            scalar = _as_fraction(scalar)
+            scalar = exact(scalar)
         except AlgebraError:
             return NotImplemented
         return FormalExpr([(ch, sym, scalar * c) for (ch, sym), c in self.terms.items()])
@@ -472,7 +467,7 @@ def euler_lagrange_exterior(L: LagrangianDensity) -> FieldEquation:
                 raise AlgebraError(
                     "exterior route cannot handle dX slots; use euler_lagrange_tensor"
                 )
-    sign = Fraction(-1 if a.grade & 1 else 1)
+    sign = -1 if a.grade & 1 else 1
     lhs = vderiv(L, (DerivOp.ID, a))
     rhs = (
         vderiv(L, (DerivOp.EXT, a)).apply("int") * sign
@@ -504,11 +499,7 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
     out: dict[tuple, object] = {}
 
     def add(rows, cols, c):
-        s = out.get((rows, cols), Fraction(0)) + c
-        if s:
-            out[(rows, cols)] = s
-        else:
-            out.pop((rows, cols), None)
+        out[(rows, cols)] = out.get((rows, cols), 0) + c
 
     for coeff, left, right in L.terms:
         for mine, other in ((left, right), (right, left)):

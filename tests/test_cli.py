@@ -108,6 +108,15 @@ def test_eval_reports_offsets():
     assert "(at offset 5)" in proc.stderr
 
 
+def test_deep_nesting_exits_2_without_a_traceback():
+    for text in ("-" * 5000 + "1", "(" * 3000 + "1" + ")" * 3000, "d^ " * 3000 + "x0"):
+        proc = mvcalc("eval", "--k", "1", "--n", "3", "--", text)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: expression nested deeper than")
+        assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_2():
     assert mvcalc("derive", "--k", "1", "--n", "3").returncode == 2  # missing --r
     assert mvcalc("derive", "--k", "1", "--n", "3", "--r", "0").returncode == 2

@@ -134,3 +134,73 @@ def test_rebuilt_equation_evaluates_like_original():
     rng = rng_for(107, "unit/eqdoc-eval")
     fields = {"A": random_field(rng, M13, 1), "J": random_field(rng, M13, 1)}
     assert back.residual(fields, metric) == eq.residual(fields, M13)
+
+
+def _good_doc():
+    return equation_to_doc(derive_equations(MaxwellConfig(M13, 2)), M13)
+
+
+@pytest.mark.parametrize("coeff", [0.1, 0.5, True, False, None, [1], "0.1", "1e3", "1/0", " 1"])
+def test_loads_rejects_inexact_or_malformed_coefficients(coeff):
+    doc = _good_doc()
+    doc["rhs"][0]["coeff"] = coeff
+    with pytest.raises(AlgebraError, match="bad coefficient"):
+        loads(json.dumps(doc))
+
+
+def test_loads_takes_coefficient_strings_and_integers():
+    doc = _good_doc()
+    doc["lhs"][0]["coeff"] = 2
+    doc["rhs"][0]["coeff"] = "-6/4"
+    eq, _ = loads(json.dumps(doc))
+    assert [type(c) for c in eq.lhs.terms.values()] == [int]
+    assert list(eq.rhs.terms.values()) == [Fraction(-3, 2)]
+    doc["rhs"][0]["coeff"] = "4/2"
+    eq, _ = loads(json.dumps(doc))
+    assert [type(c) for c in eq.rhs.terms.values()] == [int]
+
+
+@pytest.mark.parametrize("metric", [{"k": 1.9, "n": 3}, {"k": 1, "n": 3.0}, {"k": True, "n": 3},
+                                    {"k": "1", "n": 3}, [1, 3]])
+def test_loads_rejects_non_integer_metric(metric):
+    doc = _good_doc()
+    doc["metric"] = metric
+    with pytest.raises(AlgebraError, match="bad metric|missing"):
+        loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("grade", [True, 1.0, "1", None])
+def test_loads_rejects_non_integer_symbol_grade(grade):
+    doc = _good_doc()
+    doc["symbols"]["A"]["grade"] = grade
+    with pytest.raises(AlgebraError, match="bad grade"):
+        loads(json.dumps(doc))
+
+
+def test_loads_rejects_bool_equation_grade():
+    doc = _good_doc()
+    doc["grade"] = True
+    with pytest.raises(AlgebraError, match="bad grade"):
+        loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("symbols", [[], ["A"], "A", 3, None])
+def test_loads_rejects_symbols_that_are_not_an_object(symbols):
+    doc = _good_doc()
+    doc["symbols"] = symbols
+    with pytest.raises(AlgebraError, match="symbols"):
+        loads(json.dumps(doc))
+
+
+def test_loads_rejects_a_term_symbol_that_is_not_a_name():
+    doc = _good_doc()
+    doc["lhs"][0]["symbol"] = ["A"]
+    with pytest.raises(AlgebraError, match="undeclared symbol"):
+        loads(json.dumps(doc))
+
+
+def test_loads_rejects_pathological_json():
+    with pytest.raises(AlgebraError, match="not valid JSON"):
+        loads("[" * 100000 + "]" * 100000)
+    with pytest.raises(AlgebraError, match="not valid JSON"):
+        loads('{"grade": ' + "9" * 5000 + "}")

@@ -4,7 +4,7 @@ import pytest
 
 from mvcalc.blades import Metric, Multivector
 from mvcalc.em import MaxwellConfig, build_lagrangian
-from mvcalc.parser import ExprError, parse_expr, parse_lagrangian, tokenize
+from mvcalc.parser import MAX_NESTING, ExprError, parse_expr, parse_lagrangian, tokenize
 from mvcalc.poly import PolyScalar
 from mvcalc.randgen import random_field, rng_for
 from mvcalc.verify import BATTERY_METRICS
@@ -122,6 +122,31 @@ def test_unclosed_call():
     with pytest.raises(ExprError, match="expected '\\)'") as err:
         parse_expr("hodge(e[0]", M13)
     assert err.value.offset == 10
+
+
+DEEP = {
+    "unary minus": "-" * 5000 + "1",
+    "parentheses": "(" * 3000 + "e[1]" + ")" * 3000,
+    "d^ prefixes": "d^ " * 3000 + "x0",
+    "hodge calls": "hodge(" * 3000 + "e[1]" + ")" * 3000,
+}
+
+
+@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+def test_nesting_past_the_cap_is_a_parse_error(text):
+    with pytest.raises(ExprError, match=f"nested deeper than {MAX_NESTING}") as err:
+        parse_expr(text, M13)
+    assert 0 < err.value.offset < len(text)
+
+
+def test_nesting_at_the_cap_still_parses():
+    assert parse_expr("-" * MAX_NESTING + "1", M13) == Multivector.scalar(M13, 1)
+    assert parse_expr("(" * MAX_NESTING + "e[1]" + ")" * MAX_NESTING, M13) == b((1,))
+    assert parse_expr("d^ " * MAX_NESTING + "x0", M13).is_zero()
+    nested = "-(" * (MAX_NESTING // 2) + "e[1]" + ")" * (MAX_NESTING // 2)
+    assert parse_expr(nested, M13) == b((1,))
+    with pytest.raises(ExprError, match="nested deeper"):
+        parse_expr("-" + nested, M13)
 
 
 SYMBOLS = (

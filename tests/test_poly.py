@@ -119,3 +119,11 @@ def test_text_is_graded_lex_descending():
     assert str(p) == "3/2 ^ x0^2 + x0 ^ x1 + x2"
     assert str(PolyScalar.constant(3, 0)) == "0"
     assert str(-x1) == "-x1"
+
+
+@pytest.mark.parametrize("exps", [(0.5, 0), (True, 0), (1, False), (-1, 0), (1,), ("1", 0)])
+def test_rejects_bad_exponents(exps):
+    with pytest.raises(AlgebraError, match="bad exponent vector"):
+        PolyScalar(2, {exps: 1})
+    with pytest.raises(AlgebraError):
+        PolyScalar.monomial(2, exps, 1)
