@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .indexes import MAX_DIM, AlgebraError, check_canonical
-from .poly import PolyScalar, exact, monomial_text
+from .poly import PolyScalar, exact, monomial_text, number_text
 
 
 class GradeError(AlgebraError):
@@ -255,7 +255,7 @@ class Multivector:
         if not self.terms:
             return "0"
         if self.grade == 0:
-            return str(self.terms[()])
+            return number_text(self.terms[()])
         pieces = []
         for pos, (indices, coeff) in enumerate(self.items()):
             sign, body = _blade_term_text(indices, coeff)
@@ -283,7 +283,7 @@ def _split_sign(coeff):
         text = monomial_text(exps, abs(value))
         return (1 if value > 0 else -1), ([] if text == "1" else text.split(" ^ "))
     value = coeff
-    return (1 if value > 0 else -1), ([] if abs(value) == 1 else [str(abs(value))])
+    return (1 if value > 0 else -1), ([] if abs(value) == 1 else [number_text(abs(value))])
 
 
 def _blade_term_text(indices: tuple, coeff) -> tuple[int, str]:

@@ -16,7 +16,8 @@ fixed invocation is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from . import eqdoc
 from .blades import AlgebraError, GradeError, Metric
 from .em import MaxwellConfig, derive_equations, dual_theory
 from .parser import ExprError, parse_expr, parse_lagrangian
+from .poly import digit_limit
 from .variational import DerivOp, FieldSymbol, euler_lagrange_exterior, euler_lagrange_tensor
 from .verify import SUITES, format_report, run_suites
 
@@ -34,13 +36,34 @@ _PRESET_NAMES = {
 
 
 def _rational(text: str) -> Fraction:
+    """A --m/--xi value, refused past the digit limit of ``poly.digit_limit``.
+
+    ``Fraction`` already refuses a digit run past the limit, but an
+    exponent lets a short literal such as ``1e999999999`` stand for a
+    number of any size, so the exponent is bounded before the number is
+    built.
+    """
+    limit = digit_limit()
+    too_long = f"rational number longer than {limit} digits"
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*$", text)
+    if exponent is not None:
+        shift = exponent[1].replace("_", "").lstrip("0")
+        if len(shift) > len(str(limit)) or int(shift or 0) > limit:
+            raise argparse.ArgumentTypeError(too_long)
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        # int() inside Fraction refuses a digit run past the limit
+        message = too_long if len(text) > limit else f"not a rational number: {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+    big = max(abs(value.numerator), value.denominator)
+    if big.bit_length() > 3 * limit and big >= 10**limit:  # 2^(3 limit) < 10^limit
+        raise argparse.ArgumentTypeError(too_long)
+    return value
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """A new parser for the three subcommands (``run`` shares one)."""
     parser = argparse.ArgumentParser(
         prog="mvcalc",
         description="exterior-algebra field equations over flat space-times",
@@ -156,26 +179,24 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    metric = Metric(args.k, args.n)
-    value = parse_expr(args.expr, metric)
-    if args.format == "json":
-        doc = {
-            "metric": {"k": metric.k, "n": metric.n},
-            "grade": value.grade,
-            "terms": [
-                {"indices": list(indices), "coeff": str(coeff)}
-                for indices, coeff in value.items()
-            ],
-        }
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        print(str(value))
+    value = parse_expr(args.expr, Metric(args.k, args.n))
+    print(eqdoc.dumps_value(value) if args.format == "json" else str(value))
     return 0
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser every ``run`` call shares, built on the first call.
+
+    Sharing is safe: ``parse_args`` returns a new namespace each time and
+    never changes the parser, the defaults are immutable, and errors
+    leave through SystemExit without keeping state.
+    """
+    return build_arg_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     handlers = {"derive": _cmd_derive, "verify": _cmd_verify, "eval": _cmd_eval}
     try:
         return handlers[args.command](args)

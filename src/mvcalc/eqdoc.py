@@ -18,6 +18,14 @@ list is outermost first, matching the rendered text.  The symbols table
 carries each field's grade and role so the equation can be rebuilt
 without any out-of-band context.  ``dumps`` emits a single line with
 sorted keys, so equal documents serialize to identical bytes.
+
+``dumps_value`` writes an evaluated multivector (``mvcalc eval``) in
+the same single-line form, with the metric, the grade and one
+indices/coeff entry per term:
+
+    {"grade":2,"metric":{"k":1,"n":3},"terms":[{"coeff":"-1","indices":[0,1]}]}
+
+A coefficient there may also be a polynomial in its canonical text.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ import json
 import re
 from fractions import Fraction
 
-from .blades import AlgebraError, Metric
-from .poly import exact
+from .blades import AlgebraError, Metric, Multivector
+from .poly import exact, number_text
 from .variational import FieldEquation, FieldSymbol, FormalExpr, ROLES
 
 _ALLOWED_OPS = ("ext", "int", "lap")
@@ -39,7 +47,7 @@ def _expr_to_terms(expr: FormalExpr) -> list[dict]:
     for (chain, symbol), coeff in expr.terms.items():
         if any(op not in _ALLOWED_OPS for op in chain):
             raise AlgebraError("only ext/int/lap chains can be serialized")
-        out.append({"coeff": str(coeff), "ops": list(chain), "symbol": symbol.name})
+        out.append({"coeff": number_text(coeff), "ops": list(chain), "symbol": symbol.name})
     return out
 
 
@@ -128,9 +136,25 @@ def doc_to_equation(doc: dict) -> tuple[FieldEquation, Metric]:
     return eq, metric
 
 
+def _canonical(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def dumps(eq: FieldEquation, metric: Metric) -> str:
     """Single-line canonical JSON for an equation."""
-    return json.dumps(equation_to_doc(eq, metric), sort_keys=True, separators=(",", ":"))
+    return _canonical(equation_to_doc(eq, metric))
+
+
+def dumps_value(value: Multivector) -> str:
+    """Single-line canonical JSON for an evaluated multivector."""
+    return _canonical({
+        "metric": {"k": value.metric.k, "n": value.metric.n},
+        "grade": value.grade,
+        "terms": [
+            {"indices": list(indices), "coeff": number_text(coeff)}
+            for indices, coeff in value.items()
+        ],
+    })
 
 
 def loads(text: str) -> tuple[FieldEquation, Metric]:

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import ext_deriv, int_deriv
-from .poly import PolyScalar
+from .poly import PolyScalar, digit_limit
 from .variational import DerivOp, FieldSymbol, LagrangianDensity
 
 
@@ -96,6 +96,21 @@ def tokenize(text: str) -> list[Token]:
         pos = m.end()
     tokens.append(Token("EOF", "", len(text)))
     return tokens
+
+
+def _int(text: str, tok: Token) -> int:
+    try:
+        return int(text)
+    except ValueError:  # a digit run longer than Python's int-from-text limit
+        raise ExprError(f"number longer than {digit_limit()} digits", tok.pos) from None
+
+
+def _rational(tok: Token) -> Fraction:
+    num, _, den = tok.text.partition("/")
+    den = _int(den or "1", tok)
+    if den == 0:
+        raise ExprError("zero denominator", tok.pos)
+    return Fraction(_int(num, tok), den)
 
 
 class _Parser:
@@ -166,7 +181,7 @@ class _ExprParser(_Parser):
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Multivector.scalar(self.metric, Fraction(tok.text))
+            return Multivector.scalar(self.metric, _rational(tok))
         if tok.kind == "POLY":
             self.advance()
             return Multivector.scalar(self.metric, self._poly(tok))
@@ -204,10 +219,10 @@ class _ExprParser(_Parser):
         body = tok.text[1:]
         if "^" in body:
             index_text, power_text = body.split("^")
-            power = int(power_text)
+            power = _int(power_text, tok)
         else:
             index_text, power = body, 1
-        index = int(index_text)
+        index = _int(index_text, tok)
         if index >= self.metric.dim:
             raise ExprError(
                 f"coordinate x{index} out of range for dimension {self.metric.dim}", tok.pos
@@ -269,7 +284,7 @@ class _LagrangianParser(_Parser):
     def lterm(self, sign: Fraction) -> tuple:
         coeff = sign
         if self.peek().kind == "NUMBER":
-            coeff = sign * Fraction(self.advance().text)
+            coeff = sign * _rational(self.advance())
             self.expect("*")
         self.expect("(")
         left = self.slot()

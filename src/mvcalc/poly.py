@@ -14,6 +14,7 @@ products with the wedge token, e.g. ``3/2 ^ x0^2 ^ x1 + x2``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
@@ -222,6 +223,29 @@ class PolyScalar:
         return f"PolyScalar({self.nvars}, {self})"
 
 
+def digit_limit() -> int:
+    """Python's int/text digit limit, or its default 4,300 where it is off.
+
+    ``sys.get_int_max_str_digits`` exists from Python 3.10.7 on; before
+    that, and when the limit is set to 0, there is none, but the CLI
+    still bounds its inputs by the default.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def number_text(value) -> str:
+    """``str`` of an exact value, with AlgebraError past Python's int-to-text limit.
+
+    Exact arithmetic can outgrow that limit from small inputs (``--m
+    1e3000`` squares to 6,001 digits), and ``str`` then raises a plain
+    ValueError.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise AlgebraError(f"exact value too long to print (over {digit_limit()} digits)") from None
+
+
 def partial(coeff, index: int):
     """Partial derivative of any coefficient; a rational constant gives 0."""
     if isinstance(coeff, PolyScalar):
@@ -233,10 +257,10 @@ def monomial_text(exps: tuple, coeff: int | Fraction) -> str:
     """Grammar-compatible text of one monomial with nonnegative coefficient."""
     factors = []
     if coeff != 1 or not any(exps):
-        factors.append(str(coeff))
+        factors.append(number_text(coeff))
     for i, e in enumerate(exps):
         if e == 1:
             factors.append(f"x{i}")
         elif e > 1:
-            factors.append(f"x{i}^{e}")
+            factors.append(f"x{i}^{number_text(e)}")
     return " ^ ".join(factors)

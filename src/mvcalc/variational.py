@@ -44,7 +44,7 @@ from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import ext_deriv, int_deriv, laplacian, matrix_divergence, tensor_deriv
 from .indexes import merge_signature
 from .matrices import MvMatrix, mat_vec
-from .poly import exact
+from .poly import exact, number_text
 
 ROLES = ("dynamical", "source")
 
@@ -361,7 +361,7 @@ class FormalExpr:
                     body = f"( {body} )"
                 body = f"{_OP_TOKENS[op]} {body}"
             mag = abs(coeff)
-            text = body if mag == 1 else f"{mag} * {body}"
+            text = body if mag == 1 else f"{number_text(mag)} * {body}"
             if not pieces:
                 pieces.append(f"-{text}" if coeff < 0 else text)
             else:

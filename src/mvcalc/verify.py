@@ -841,7 +841,12 @@ SUITES: dict[str, dict[str, Callable]] = {
 
 def run_suites(suites: Iterable[str] | str, seed: int = 42,
                trials: int = 40) -> list[PropertyOutcome]:
-    """Run the named suites; "all" expands to every suite."""
+    """Run the named suites; "all" expands to every suite.
+
+    A property whose check raises stops at that case and is reported as
+    FAIL, the raising case counted as one failing case; the other
+    properties still run.
+    """
     if isinstance(suites, str):
         suites = [suites]
     if trials < 1:
@@ -859,13 +864,20 @@ def run_suites(suites: Iterable[str] | str, seed: int = 42,
         for name in sorted(SUITES[suite]):
             rng = rng_for(seed, f"{suite}/{name}")
             cases = failures = 0
-            first = None
-            for label, ok in SUITES[suite][name](rng, trials):
+            first = label = None
+            try:
+                for label, ok in SUITES[suite][name](rng, trials):
+                    cases += 1
+                    if not ok:
+                        failures += 1
+                        if first is None:
+                            first = label
+            except Exception as exc:  # a crashing check fails its property, not the report
                 cases += 1
-                if not ok:
-                    failures += 1
-                    if first is None:
-                        first = label
+                failures += 1
+                if first is None:
+                    after = "before the first case" if label is None else f"after case {label}"
+                    first = f"raised {type(exc).__name__}: {exc} ({after})"
             outcomes.append(PropertyOutcome(suite, name, cases, failures, first))
     return outcomes
 

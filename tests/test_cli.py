@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
+
+from mvcalc import cli
+from mvcalc.poly import digit_limit
 
 
 def mvcalc(*argv):
@@ -161,3 +169,148 @@ def test_verify_subcommand_report_shape():
     assert lines[-1].startswith("SUMMARY")
     again = mvcalc("verify", "--suite", "algebra", "--seed", "7", "--trials", "2")
     assert again.stdout == proc.stdout
+
+
+# -- in-process requests -----------------------------------------------------
+
+README_EXAMPLES = [
+    (["derive", "--k", "1", "--n", "3", "--r", "2"], "d_| ( d^ A ) = J\n"),
+    (["derive", "--k", "0", "--n", "3", "--r", "1", "--preset", "electrostatics"],
+     "d_| ( d^ phi ) = rho\n"),
+    (["derive", "--k", "1", "--n", "3", "--preset", "dual", "--r", "1"],
+     "Jbar = d^ ( d_| Abar )\n"),
+    (["derive", "--k", "1", "--n", "3", "--r", "2", "--m", "1", "--xi", "1/2"],
+     "d_| ( d^ A ) + A = J + 2 * d^ ( d_| A )\n"),
+    (["derive", "--k", "1", "--n", "3", "--lagrangian", "-1/2*(d^A . d^A) + (J . A)",
+      "--symbols", "A:1:dynamical,J:1:source"], "J = d_| ( d^ A )\n"),
+    (["derive", "--k", "0", "--n", "3", "--lagrangian", "1/2*(dX a . dX a) + (rho . a)",
+      "--symbols", "a:0:dynamical,rho:0:source"], "rho = lap a\n"),
+    (["eval", "e[0] ^ e[1] _| e[0,1,2]", "--k", "1", "--n", "3"], "-e[2]\n"),
+    (["eval", "d^ (x0 ^ e[1])", "--k", "1", "--n", "3", "--format", "json"],
+     '{"grade":2,"metric":{"k":1,"n":3},"terms":[{"coeff":"-1","indices":[0,1]}]}\n'),
+]
+
+MIXED_REQUESTS = [argv for argv, _ in README_EXAMPLES] + [
+    ["eval", "e[0] + e[0,1]", "--k", "1", "--n", "3"],
+    ["derive", "--k", "1", "--n", "3", "--r", "2", "--format", "xml"],
+    ["--help"],
+    ["derive", "--k", "1", "--n", "3", "--r", "2", "--format", "json"],
+    ["derive", "--k", "1", "--n", "3", "--r", "2", "--m", "3/2", "--xi", "1/2"],
+    ["derive", "--k", "1", "--n", "3", "--r", "2"],
+]
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of one in-process ``mvcalc`` request."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_leaks_no_state_between_requests():
+    def on_fresh_parser(argv):
+        cli._arg_parser.cache_clear()
+        return call(argv)
+
+    expected = [on_fresh_parser(argv) for argv in MIXED_REQUESTS]
+    assert expected[:8] == [(0, out, "") for _, out in README_EXAMPLES]
+    assert [code for code, _, _ in expected[8:]] == [2, 2, 0, 0, 0, 0]
+    cli._arg_parser.cache_clear()
+    forward = [call(argv) for argv in MIXED_REQUESTS]
+    backward = [call(argv) for argv in reversed(MIXED_REQUESTS)]
+    assert forward == expected
+    assert backward == expected[::-1]
+
+
+def test_run_builds_the_parser_once_per_process(monkeypatch):
+    build = cli.build_arg_parser
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_arg_parser", counting_build)
+    cli._arg_parser.cache_clear()
+    for argv in MIXED_REQUESTS * 3:
+        call(argv)
+    assert len(built) == 1
+    assert build() is not build()  # the public builder still hands out new parsers
+    # importing the CLI builds nothing; the first request does
+    probe = "import mvcalc.cli as c; print(c._arg_parser.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True).stdout == "0\n"
+
+
+def _derive_with(*flags):
+    return call(["derive", "--k", "1", "--n", "3", "--r", "2", *flags])
+
+
+@pytest.mark.parametrize("literal, mass_term", [
+    ("1e3", "1000000 * A"),
+    ("1E2", "10000 * A"),
+    ("0.5", "1/4 * A"),
+    (".5", "1/4 * A"),
+    ("2.5e-1", "1/16 * A"),
+    ("3/2", "9/4 * A"),
+    (" 2 ", "4 * A"),
+])
+def test_mass_literal_forms(literal, mass_term):
+    assert _derive_with("--m", literal) == (0, f"d_| ( d^ A ) + {mass_term} = J\n", "")
+
+
+def test_mass_literal_reads_underscores_where_fraction_does():
+    try:
+        Fraction("1_000")  # Python 3.11 and later
+    except ValueError:
+        assert _derive_with("--m", "1_000")[0] == 2
+    else:
+        assert _derive_with("--m", "1_000") == (0, "d_| ( d^ A ) + 1000000 * A = J\n", "")
+
+
+def test_rational_literals_are_sized_before_they_are_built():
+    limit = digit_limit()
+    # 1/xi has as many digits as xi: the largest printable literal still works
+    code, out, err = _derive_with("--xi", f"1e{limit - 1}")
+    assert code == 0 and err == ""
+    assert out == f"d_| ( d^ A ) = J + 1/1{'0' * (limit - 1)} * d^ ( d_| A )\n"
+    for flag, literal in [("--xi", f"1e{limit}"), ("--m", "1e999999999"),
+                          ("--m", "1e-999999999"), ("--xi", "0e99999"),
+                          ("--m", f"1/{'9' * (limit + 1)}"), ("--m", f"1e{'9' * 5000}")]:
+        code, out, err = _derive_with(flag, literal)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"rational number longer than {limit} digits")
+
+
+def test_huge_integers_exit_2_without_a_traceback():
+    nines = "9" * 5000
+    half = "9" * 3000
+    for argv in (
+        ["eval", "--k", "1", "--n", "3", nines],
+        ["eval", "--k", "1", "--n", "3", f"x{nines} ^ e[1]"],
+        ["eval", "--k", "1", "--n", "3", "1/0"],
+        ["eval", "--k", "1", "--n", "3", f"{half} ^ {half}"],
+        ["eval", "--k", "1", "--n", "3", "--format", "json", f"{half} ^ {half} ^ e[0]"],
+        ["eval", "--k", "1", "--n", "3", f"x0^{half} ^ x0^{half} ^ x0^{nines[:4300]}"],
+        ["derive", "--k", "1", "--n", "3", "--r", "2", "--m", "1e3000"],
+        ["derive", "--k", "1", "--n", "3", "--r", "2", "--m", "1e3000", "--format", "json"],
+        ["derive", "--k", "1", "--n", "3", "--lagrangian", f"{nines}*(A . A)",
+         "--symbols", "A:1:dynamical"],
+    ):
+        code, out, err = call(argv)
+        assert (code, out) == (2, ""), argv[:6]
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_literals_are_sized_where_python_has_no_digit_limit(monkeypatch):
+    # before Python 3.10.7 there is no limit to read, and 0 switches it off
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert digit_limit() == 4300
+    assert _derive_with("--m", "1e999999999")[:2] == (2, "")
+    assert _derive_with("--m", "1e3") == (0, "d_| ( d^ A ) + 1000000 * A = J\n", "")
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    assert digit_limit() == 4300

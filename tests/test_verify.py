@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from mvcalc import verify
 from mvcalc.blades import AlgebraError
 from mvcalc.verify import (
     PropertyOutcome,
@@ -66,3 +67,34 @@ GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_seed42_trials50.txt"
 def test_seed42_report_is_byte_identical_to_golden():
     report = format_report(run_suites("all", 42, 50))
     assert (report + "\n").encode() == GOLDEN_REPORT.read_bytes()
+
+
+def test_raising_property_is_reported_as_fail(monkeypatch):
+    def crashes(rng, trials):
+        yield "metric=(1,3) r=1", True
+        yield "metric=(1,3) r=2", True
+        raise ZeroDivisionError("boom")
+
+    def crashes_on_entry(rng, trials):
+        raise KeyError("setup")
+
+    real_names = set(verify.SUITES["em"])
+    suites = {suite: dict(props) for suite, props in verify.SUITES.items()}
+    suites["em"]["a_crashes"] = crashes
+    suites["em"]["z_crashes_on_entry"] = crashes_on_entry
+    monkeypatch.setattr(verify, "SUITES", suites)
+    outcomes = {item.name: item for item in run_suites("em", seed=3, trials=1)}
+    assert outcomes["a_crashes"] == PropertyOutcome(
+        "em", "a_crashes", 3, 1,
+        "raised ZeroDivisionError: boom (after case metric=(1,3) r=2)",
+    )
+    assert outcomes["z_crashes_on_entry"] == PropertyOutcome(
+        "em", "z_crashes_on_entry", 1, 1,
+        "raised KeyError: 'setup' (before the first case)",
+    )
+    # the real properties before and after both crashes still ran and passed
+    real = [item for name, item in outcomes.items() if name in real_names]
+    assert len(real) == len(real_names) and all(item.ok and item.cases for item in real)
+    lines = format_report(outcomes.values()).splitlines()
+    assert "FAIL em/a_crashes: cases=3 failures=1" in lines
+    assert lines[-1].startswith(f"SUMMARY: properties={len(suites['em'])} passed={len(real)} failed=2")
