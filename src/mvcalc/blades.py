@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .indexes import MAX_DIM, AlgebraError, check_canonical
+from .indexes import MAX_DIM, AlgebraError, check_canonical, integer
 from .poly import PolyScalar, exact, monomial_text, number_text
 
 
@@ -48,10 +48,7 @@ class Metric:
     n: int
 
     def __post_init__(self):
-        for value in (self.k, self.n):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise AlgebraError(f"k and n must be integers, got {value!r}")
-        if self.k < 0 or self.n < 0:
+        if integer(self.k, "k") < 0 or integer(self.n, "n") < 0:
             raise AlgebraError("k and n must be nonnegative")
         if not 1 <= self.k + self.n <= MAX_DIM:
             raise AlgebraError(f"dimension k+n must lie in [1, {MAX_DIM}]")
@@ -93,6 +90,8 @@ class Multivector:
     __slots__ = ("metric", "grade", "terms")
 
     def __init__(self, metric: Metric, grade: int, terms: Mapping[tuple, object] | None = None):
+        if type(grade) is not int:
+            integer(grade, "grade")
         clean: dict[tuple, object] = {}
         for indices, coeff in (terms or {}).items():
             indices = tuple(indices)

@@ -26,7 +26,7 @@ from .blades import AlgebraError, GradeError, Metric
 from .em import MaxwellConfig, derive_equations, dual_theory
 from .parser import ExprError, parse_expr, parse_lagrangian
 from .poly import digit_limit
-from .variational import DerivOp, FieldSymbol, euler_lagrange_exterior, euler_lagrange_tensor
+from .variational import FieldSymbol, euler_lagrange
 from .verify import SUITES, format_report, run_suites
 
 _PRESET_NAMES = {
@@ -142,19 +142,9 @@ def _cmd_derive(args) -> int:
         symbols = _parse_symbol_decls(args.symbols or "")
         density = parse_lagrangian(args.lagrangian, symbols)
         dynamical = density.dynamical
-        if dynamical is None:
-            raise AlgebraError("the density has no dynamical symbol to vary")
-        if dynamical.grade > metric.dim:
-            raise GradeError(
-                f"dynamical grade {dynamical.grade} exceeds dimension {metric.dim}"
-            )
-        uses_tensor = any(
-            op is DerivOp.TENSOR
-            for _, left, right in density.terms
-            for op, _ in (left, right)
-        )
-        route = euler_lagrange_tensor if uses_tensor else euler_lagrange_exterior
-        eq = route(density)
+        if dynamical is not None and dynamical.grade > metric.dim:
+            raise GradeError(f"dynamical grade {dynamical.grade} exceeds dimension {metric.dim}")
+        eq = euler_lagrange(density)
     else:
         if args.r is None:
             raise AlgebraError("--r is required when using a preset")

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import check_laplacian_splitting, ext_deriv, int_deriv
+from .indexes import integer
 from .poly import PolyScalar, exact
 from .randgen import field_cases, rng_for
 from .variational import (
@@ -58,7 +59,7 @@ class MaxwellConfig:
     xi: int | Fraction | None = None
 
     def __post_init__(self):
-        if not 1 <= self.r <= self.metric.dim:
+        if not 1 <= integer(self.r, "field grade r") <= self.metric.dim:
             raise GradeError(f"field grade r={self.r} not in [1, {self.metric.dim}]")
         object.__setattr__(self, "mass", exact(self.mass))
         if self.mass < 0:
@@ -232,8 +233,8 @@ def dual_gauge_check(Abar: Multivector) -> bool:
 
 def polarization_count(k: int, n: int, r: int) -> int:
     """Independent polarizations of a grade-r field in (k,n) space-time."""
-    if k < 1 or n < 1:
+    if integer(k, "k") < 1 or integer(n, "n") < 1:
         raise AlgebraError("polarization counting needs k >= 1 and n >= 1")
-    if not 1 <= r <= k + n:
+    if not 1 <= integer(r, "field grade r") <= k + n:
         raise GradeError(f"field grade r={r} not in [1, {k + n}]")
     return math.comb(k + n - 2, r - 1)

@@ -35,18 +35,18 @@ import re
 from fractions import Fraction
 
 from .blades import AlgebraError, Metric, Multivector
+from .indexes import integer
 from .poly import exact, number_text
-from .variational import FieldEquation, FieldSymbol, FormalExpr, ROLES
+from .variational import ROLES, VECTOR_OPS, FieldEquation, FieldSymbol, FormalExpr
 
-_ALLOWED_OPS = ("ext", "int", "lap")
 _COEFF_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _expr_to_terms(expr: FormalExpr) -> list[dict]:
     out = []
     for (chain, symbol), coeff in expr.terms.items():
-        if any(op not in _ALLOWED_OPS for op in chain):
-            raise AlgebraError("only ext/int/lap chains can be serialized")
+        if any(op not in VECTOR_OPS for op in chain):
+            raise AlgebraError(f"only {'/'.join(VECTOR_OPS)} chains can be serialized")
         out.append({"coeff": number_text(coeff), "ops": list(chain), "symbol": symbol.name})
     return out
 
@@ -90,12 +90,6 @@ def _coeff(value):
         raise AlgebraError(f"bad coefficient {value!r}") from exc
 
 
-def _integer(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise AlgebraError(f"bad {what}: {value!r}")
-    return value
-
-
 def _terms_from_doc(entries, symbols: dict) -> FormalExpr:
     if not isinstance(entries, list):
         raise AlgebraError("term list must be a list")
@@ -105,7 +99,7 @@ def _terms_from_doc(entries, symbols: dict) -> FormalExpr:
         if not isinstance(name, str) or name not in symbols:
             raise AlgebraError(f"term references undeclared symbol {name!r}")
         ops = _need(entry, "ops")
-        if not isinstance(ops, list) or any(op not in _ALLOWED_OPS for op in ops):
+        if not isinstance(ops, list) or any(op not in VECTOR_OPS for op in ops):
             raise AlgebraError(f"bad ops list {ops!r}")
         terms.append((tuple(ops), symbols[name], _coeff(_need(entry, "coeff"))))
     return FormalExpr(terms)
@@ -125,9 +119,8 @@ def doc_to_equation(doc: dict) -> tuple[FieldEquation, Metric]:
         role = _need(entry, "role")
         if role not in ROLES:
             raise AlgebraError(f"bad role {role!r} for symbol {name!r}")
-        grade = _integer(_need(entry, "grade"), f"grade for symbol {name!r}")
-        symbols[name] = FieldSymbol(name, grade, role)
-    grade = _integer(_need(doc, "grade"), "grade")
+        symbols[name] = FieldSymbol(name, _need(entry, "grade"), role)
+    grade = integer(_need(doc, "grade"), "grade")
     eq = FieldEquation(
         _terms_from_doc(_need(doc, "lhs"), symbols),
         _terms_from_doc(_need(doc, "rhs"), symbols),

@@ -25,10 +25,17 @@ class AlgebraError(ValueError):
     """Domain error in an algebraic operation (bad index, grade mismatch)."""
 
 
+def integer(value, what: str) -> int:
+    """``value`` if a plain int, else AlgebraError (hot loops test the type first)."""
+    if type(value) is not int:
+        raise AlgebraError(f"bad {what}: integers only, got {value!r}")
+    return value
+
+
 def check_index_range(indices: Iterable[int], dim: int) -> None:
     for i in indices:
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise AlgebraError(f"index {i!r} is not an integer")
+        if type(i) is not int:
+            integer(i, "index")
         if not 0 <= i < dim:
             raise AlgebraError(f"index {i} out of range for dimension {dim}")
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
 
-from .indexes import AlgebraError
+from .indexes import AlgebraError, integer
 
 
 def exact(value) -> int | Fraction:
@@ -46,6 +46,8 @@ class PolyScalar:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
+        if type(nvars) is not int:
+            integer(nvars, "nvars")
         if nvars < 0:
             raise AlgebraError("nvars must be nonnegative")
         clean: dict[tuple, int | Fraction] = {}
@@ -79,22 +81,25 @@ class PolyScalar:
 
     # -- ring structure -------------------------------------------------
 
-    def _coerce(self, other) -> "PolyScalar | None":
+    def _operand(self, other):
+        """A PolyScalar of the same variables or an exact rational; None otherwise."""
         if isinstance(other, PolyScalar):
             if other.nvars != self.nvars:
                 raise AlgebraError("mixed variable counts")
             return other
         try:
-            return PolyScalar.constant(self.nvars, other)
+            return exact(other)
         except AlgebraError:
             return None
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
+        # a rational adds into the constant term; no constant polynomial is built
+        terms = other.terms if isinstance(other, PolyScalar) else {(0,) * self.nvars: other}
         out = dict(self.terms)
-        for exps, c in other.terms.items():
+        for exps, c in terms.items():
             out[exps] = out.get(exps, 0) + c
         return PolyScalar(self.nvars, out)
 
@@ -104,26 +109,21 @@ class PolyScalar:
         return PolyScalar(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         if not isinstance(other, PolyScalar):
             # scaling by a rational needs no constant polynomial
-            try:
-                other = exact(other)
-            except AlgebraError:
-                return NotImplemented
             return PolyScalar(self.nvars, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
         out: dict[tuple, int | Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():

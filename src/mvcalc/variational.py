@@ -15,6 +15,12 @@ out as formal expressions: rational combinations of operator chains
 applied to symbols, which can be rendered as text, serialized, or
 evaluated on concrete polynomial fields.
 
+Each chain token (ext, int, lap, tensor) has one ``CHAIN_OPS`` entry
+giving its text (d^, d_|, lap, dX), its grade shift (none for the
+matrix-valued dX, which stands alone) and its ``calculus`` function.
+Slot and chain grades, rendering, evaluation and ``eqdoc`` read that
+table, so a new derivative is one new entry.
+
 Two independent routes produce the equations of motion for the single
 dynamical symbol a (grade s):
 
@@ -38,15 +44,35 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import calculus
 from .blades import AlgebraError, GradeError, Metric, Multivector
-from .calculus import ext_deriv, int_deriv, laplacian, matrix_divergence, tensor_deriv
-from .indexes import merge_signature
+from .calculus import matrix_divergence
+from .indexes import integer, merge_signature
 from .matrices import MvMatrix, mat_vec
 from .poly import exact, number_text
 
 ROLES = ("dynamical", "source")
+
+
+class ChainOp(NamedTuple):
+    """One operator-chain token: rendered text, grade shift, calculus function."""
+
+    text: str
+    shift: int | None  # None: the value is a matrix, not a field
+    function: str  # looked up on calculus per call, so wrappers put there see it
+
+
+CHAIN_OPS = {
+    "ext": ChainOp("d^", 1, "ext_deriv"),
+    "int": ChainOp("d_|", -1, "int_deriv"),
+    "lap": ChainOp("lap", 0, "laplacian"),
+    "tensor": ChainOp("dX", None, "tensor_deriv"),
+}
+
+# the tokens whose value is again a field, so they may nest
+VECTOR_OPS = tuple(token for token, op in CHAIN_OPS.items() if op.shift is not None)
 
 
 class DerivOp(enum.Enum):
@@ -80,7 +106,7 @@ class FieldSymbol:
             ch.isalnum() or ch == "_" for ch in self.name
         ):
             raise AlgebraError(f"bad field symbol name {self.name!r}")
-        if self.grade < 0:
+        if integer(self.grade, f"grade for symbol {self.name!r}") < 0:
             raise GradeError(f"field symbol grade must be nonnegative, got {self.grade}")
         if self.role not in ROLES:
             raise AlgebraError(f"role must be one of {ROLES}, got {self.role!r}")
@@ -89,22 +115,35 @@ class FieldSymbol:
 Slot = tuple  # (DerivOp, FieldSymbol)
 
 
+def _slot(slot) -> Slot:
+    """A (DerivOp, FieldSymbol) pair; the op may also be given by its token."""
+    op, sym = slot
+    try:
+        return DerivOp(op), sym
+    except ValueError:
+        raise AlgebraError(f"unknown slot operator {op!r}") from None
+
+
+def _chain_grade(chain: tuple, grade: int):
+    """Grade after a chain; a dX chain gets its matrix shape tag instead."""
+    for token in chain:
+        shift = CHAIN_OPS[token].shift
+        if shift is None:
+            return ("matrix", 1, grade)
+        grade += shift
+    return grade
+
+
 def _slot_grade(slot: Slot):
-    """Grade of the slot expression; a tensor slot gets a shape tag instead."""
     op, sym = slot
-    if op is DerivOp.ID:
-        return sym.grade
-    if op is DerivOp.EXT:
-        return sym.grade + 1
-    if op is DerivOp.INT:
-        if sym.grade < 1:
-            raise GradeError(f"interior slot needs grade >= 1, got {sym.name} of grade 0")
-        return sym.grade - 1
-    return ("matrix", 1, sym.grade)
+    grade = _chain_grade(op.chain, sym.grade)
+    if grade == -1:
+        raise GradeError(f"interior slot needs grade >= 1, got {sym.name} of grade 0")
+    return grade
 
 
-def _slot_value(slot: Slot, assignment: Mapping):
-    op, sym = slot
+def _chain_value(chain: tuple, sym: FieldSymbol, assignment: Mapping):
+    """Run a chain (outermost first) on the field bound to sym, innermost op first."""
     try:
         value = assignment[sym.name]
     except KeyError:
@@ -113,13 +152,9 @@ def _slot_value(slot: Slot, assignment: Mapping):
         raise GradeError(
             f"symbol {sym.name} has grade {sym.grade}, got a grade {value.grade} field"
         )
-    if op is DerivOp.ID:
-        return value
-    if op is DerivOp.EXT:
-        return ext_deriv(value)
-    if op is DerivOp.INT:
-        return int_deriv(value)
-    return tensor_deriv(value)
+    for token in reversed(chain):
+        value = getattr(calculus, CHAIN_OPS[token].function)(value)
+    return value
 
 
 class LagrangianDensity:
@@ -135,13 +170,10 @@ class LagrangianDensity:
         clean = []
         for coeff, left, right in terms:
             coeff = exact(coeff)
-            left = (DerivOp(left[0]), left[1])
-            right = (DerivOp(right[0]), right[1])
-            if _slot_grade(left) != _slot_grade(right):
-                raise GradeError(
-                    f"dot product of unequal slot grades: "
-                    f"{_slot_grade(left)} vs {_slot_grade(right)}"
-                )
+            left, right = _slot(left), _slot(right)
+            grades = _slot_grade(left), _slot_grade(right)
+            if grades[0] != grades[1]:
+                raise GradeError(f"dot product of unequal slot grades: {grades[0]} vs {grades[1]}")
             if coeff:
                 clean.append((coeff, left, right))
         object.__setattr__(self, "terms", tuple(clean))
@@ -155,11 +187,7 @@ class LagrangianDensity:
 
     @property
     def dynamical(self) -> FieldSymbol | None:
-        for _, left, right in self.terms:
-            for _, sym in (left, right):
-                if sym.role == "dynamical":
-                    return sym
-        return None
+        return next((s for _, l, r in self.terms for _, s in (l, r) if s.role == "dynamical"), None)
 
     def symbols(self) -> dict:
         out: dict[str, FieldSymbol] = {}
@@ -193,10 +221,9 @@ class LagrangianDensity:
     def value(self, assignment: Mapping):
         """Evaluate the density on concrete fields; a scalar, exact."""
         total = 0
-        for coeff, left, right in self.terms:
-            total = total + coeff * _slot_value(left, assignment).dot(
-                _slot_value(right, assignment)
-            )
+        for coeff, (lop, lsym), (rop, rsym) in self.terms:
+            left = _chain_value(lop.chain, lsym, assignment)
+            total = total + coeff * left.dot(_chain_value(rop.chain, rsym, assignment))
         return total
 
     def __repr__(self):
@@ -208,19 +235,13 @@ class LagrangianDensity:
         return f"<LagrangianDensity {' + '.join(parts) or '0'}>"
 
 
-_OP_TOKENS = {"ext": "d^", "int": "d_|", "lap": "lap", "tensor": "dX"}
-
-# grade shift per chain element; "tensor" handled separately (matrix-valued)
-_CHAIN_SHIFT = {"ext": 1, "int": -1, "lap": 0}
-
-
 class FormalExpr:
     """Rational combination of operator chains applied to field symbols.
 
     Terms are kept in insertion order for stable rendering; equality is
-    order-insensitive.  A chain is a tuple of op tokens, outermost first,
-    drawn from {"ext", "int", "lap"} plus the standalone "tensor" (which
-    may only appear alone, since dX produces a matrix).
+    order-insensitive.  A chain is a tuple of ``CHAIN_OPS`` tokens,
+    outermost first; a matrix-valued token ("tensor") may only appear
+    alone.
     """
 
     __slots__ = ("terms",)
@@ -230,10 +251,10 @@ class FormalExpr:
         for chain, symbol, coeff in terms:
             chain = tuple(chain)
             for op in chain:
-                if op not in _OP_TOKENS:
+                if op not in CHAIN_OPS:
                     raise AlgebraError(f"unknown operator token {op!r}")
-            if "tensor" in chain and chain != ("tensor",):
-                raise AlgebraError("dX may only appear as a standalone chain")
+                if op not in VECTOR_OPS and len(chain) > 1:
+                    raise AlgebraError(f"{CHAIN_OPS[op].text} may only appear as a standalone chain")
             key = (chain, symbol)
             clean[key] = clean.get(key, 0) + exact(coeff)
         object.__setattr__(self, "terms", {key: c for key, c in clean.items() if c})
@@ -254,17 +275,12 @@ class FormalExpr:
 
     @property
     def is_matrix(self) -> bool:
-        return any(chain == ("tensor",) for chain, _ in self.terms)
+        return any(chain and chain[0] not in VECTOR_OPS for chain, _ in self.terms)
 
     @property
     def grade(self):
         """Common grade of all terms; None when the expression is zero."""
-        grades = set()
-        for (chain, symbol) in self.terms:
-            if chain == ("tensor",):
-                grades.add(("matrix", 1, symbol.grade))
-            else:
-                grades.add(symbol.grade + sum(_CHAIN_SHIFT[op] for op in chain))
+        grades = {_chain_grade(chain, symbol.grade) for chain, symbol in self.terms}
         if not grades:
             return None
         if len(grades) > 1:
@@ -302,7 +318,7 @@ class FormalExpr:
 
     def apply(self, op: str) -> "FormalExpr":
         """Prepend a derivative operator to every chain (outermost position)."""
-        if op not in ("ext", "int", "lap"):
+        if op not in VECTOR_OPS:
             raise AlgebraError(f"cannot apply operator {op!r} to a formal expression")
         if self.is_matrix:
             raise AlgebraError("cannot apply a vector operator to a matrix expression")
@@ -334,14 +350,7 @@ class FormalExpr:
             raise AlgebraError("matrix expression does not evaluate to a field")
         total = None
         for (chain, sym), coeff in self.terms.items():
-            value = _slot_value((DerivOp.ID, sym), assignment)
-            for op in reversed(chain):
-                if op == "ext":
-                    value = ext_deriv(value)
-                elif op == "int":
-                    value = int_deriv(value)
-                else:
-                    value = laplacian(value)
+            value = _chain_value(chain, sym, assignment)
             total = value * coeff if total is None else total + value * coeff
         if total is None:
             if metric is None:
@@ -359,7 +368,7 @@ class FormalExpr:
             for op in reversed(chain):
                 if " " in body:
                     body = f"( {body} )"
-                body = f"{_OP_TOKENS[op]} {body}"
+                body = f"{CHAIN_OPS[op].text} {body}"
             mag = abs(coeff)
             text = body if mag == 1 else f"{number_text(mag)} * {body}"
             if not pieces:
@@ -409,7 +418,7 @@ def vderiv(L: LagrangianDensity, wrt: Slot) -> FormalExpr:
     matched mixed term); slots that do not mention the wrt expression
     contribute nothing.  Only the dynamical symbol may be differentiated.
     """
-    op, sym = (DerivOp(wrt[0]), wrt[1])
+    op, sym = _slot(wrt)
     if sym.role != "dynamical":
         raise AlgebraError(f"cannot vary source symbol {sym.name!r}")
     out = []
@@ -427,11 +436,20 @@ def vderiv(L: LagrangianDensity, wrt: Slot) -> FormalExpr:
     return FormalExpr(out)
 
 
-def _dynamical_or_raise(L: LagrangianDensity) -> FieldSymbol:
+def _dynamical_ops(L: LagrangianDensity) -> tuple[FieldSymbol, set]:
+    """The dynamical symbol and the slot operators L applies to it."""
     a = L.dynamical
     if a is None:
-        raise AlgebraError("Lagrangian has no dynamical symbol to vary")
-    return a
+        raise AlgebraError("the density has no dynamical symbol to vary")
+    return a, {op for _, left, right in L.terms for op, sym in (left, right) if sym == a}
+
+
+def euler_lagrange(L: LagrangianDensity) -> FieldEquation:
+    """Equation of motion by the tensor route exactly when the dynamical
+    symbol has a dX slot (a source's dX is never varied), else the exterior one."""
+    _, ops = _dynamical_ops(L)
+    route = euler_lagrange_tensor if DerivOp.TENSOR in ops else euler_lagrange_exterior
+    return route(L)
 
 
 def euler_lagrange_tensor(L: LagrangianDensity) -> FieldEquation:
@@ -441,13 +459,9 @@ def euler_lagrange_tensor(L: LagrangianDensity) -> FieldEquation:
     of the dX-slot derivative.  Only identity and dX slots are allowed;
     densities written with d^ / d_| slots take the exterior route.
     """
-    a = _dynamical_or_raise(L)
-    for _, left, right in L.terms:
-        for op, sym in (left, right):
-            if sym == a and op in (DerivOp.EXT, DerivOp.INT):
-                raise AlgebraError(
-                    "tensor route needs identity/dX slots; use euler_lagrange_exterior"
-                )
+    a, ops = _dynamical_ops(L)
+    if ops & {DerivOp.EXT, DerivOp.INT}:
+        raise AlgebraError("tensor route needs identity/dX slots; use euler_lagrange_exterior")
     lhs = vderiv(L, (DerivOp.ID, a))
     rhs = vderiv(L, (DerivOp.TENSOR, a)).divergence()
     return FieldEquation(lhs, rhs, a.grade)
@@ -460,13 +474,9 @@ def euler_lagrange_exterior(L: LagrangianDensity) -> FieldEquation:
 
         vderiv(L, a) = (-1)^s d_| vderiv(L, d^ a) - (-1)^s d^ vderiv(L, d_| a)
     """
-    a = _dynamical_or_raise(L)
-    for _, left, right in L.terms:
-        for op, sym in (left, right):
-            if sym == a and op is DerivOp.TENSOR:
-                raise AlgebraError(
-                    "exterior route cannot handle dX slots; use euler_lagrange_tensor"
-                )
+    a, ops = _dynamical_ops(L)
+    if DerivOp.TENSOR in ops:
+        raise AlgebraError("exterior route cannot handle dX slots; use euler_lagrange_tensor")
     sign = -1 if a.grade & 1 else 1
     lhs = vderiv(L, (DerivOp.ID, a))
     rhs = (
@@ -491,11 +501,8 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
     Used by the first-variation decomposition and as the tensor side of
     the two-route identity check.
     """
-    a = _dynamical_or_raise(L)
-    value = assignment.get(a.name)
-    if value is None:
-        raise AlgebraError(f"no field value bound to symbol {a.name!r}")
-    metric = value.metric
+    a, _ = _dynamical_ops(L)
+    metric = _chain_value((), a, assignment).metric
     out: dict[tuple, object] = {}
 
     def add(rows, cols, c):
@@ -506,7 +513,7 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
             op, sym = mine
             if sym != a or op is DerivOp.ID:
                 continue
-            other_val = _slot_value(other, assignment)
+            other_val = _chain_value(other[0].chain, other[1], assignment)
             if op is DerivOp.EXT:
                 for K, vK in other_val.terms.items():
                     for pos, i in enumerate(K):
@@ -537,7 +544,7 @@ def first_variation(L: LagrangianDensity, a_value: Multivector,
 
         bulk + int_deriv(boundary) == d/dt L(a + t*eps) at t=0, exactly.
     """
-    a = _dynamical_or_raise(L)
+    a, _ = _dynamical_ops(L)
     if a_value.metric != eps.metric:
         raise AlgebraError("mixed metrics")
     if eps.grade != a_value.grade and eps.terms:
@@ -574,7 +581,7 @@ def verify_tensor_exterior_identity(L: LagrangianDensity, metric: Metric,
     the tensor side goes through tensor_slot_matrix and the concrete
     matrix divergence.  Disagreements are reported as (k, n, s, index).
     """
-    a = _dynamical_or_raise(L)
+    a, _ = _dynamical_ops(L)
     rhs = euler_lagrange_exterior(L).rhs
     bad = []
     for idx, assignment in enumerate(fields):

@@ -3,9 +3,10 @@
 Every test prints one ``ACCEPTANCE NN PASS/FAIL`` line (run with ``-s``
 to see them) before asserting, so a failing gate still reports the full
 scoreboard.  The property suites execute once at seed 42 with 50 trials
-per sweep point; individual criteria then inspect the outcomes they
-depend on.  All comparisons in the engine are exact, so there are no
-tolerances anywhere in this file.
+per sweep point (the session's ``full_run``, shared with the golden-report
+test); individual criteria then inspect the outcomes they depend on.
+All comparisons in the engine are exact, so there are no tolerances
+anywhere in this file.
 """
 
 import json
@@ -15,16 +16,14 @@ import sys
 import pytest
 
 from mvcalc.em import polarization_count
-from mvcalc.verify import run_suites
 
 SEED = 42
 TRIALS = 50
 
 
 @pytest.fixture(scope="module")
-def results():
-    outcomes = run_suites("all", seed=SEED, trials=TRIALS)
-    return {(item.suite, item.name): item for item in outcomes}
+def results(full_run):
+    return {(item.suite, item.name): item for item in full_run(SEED, TRIALS)}
 
 
 def report(num: int, text: str, ok: bool):

@@ -36,6 +36,13 @@ def test_metric_rejects_non_integer_signature(k, n):
         Metric(k, n)
 
 
+@pytest.mark.parametrize("grade", [1.0, True, "1", Fraction(1)])
+def test_multivector_grade_must_be_an_int(grade):
+    # a float grade used to pass the length check and print as "grade":2.0 after a wedge
+    with pytest.raises(AlgebraError, match="bad grade"):
+        Multivector(M13, grade, {(0,): 1})
+
+
 def test_blades_enumeration():
     assert list(E3.blades(2)) == [(0, 1), (0, 2), (1, 2)]
     assert list(E3.blades(0)) == [()]

@@ -151,6 +151,15 @@ def test_custom_lagrangian_needs_a_dynamical_symbol():
     assert "dynamical" in proc.stderr
 
 
+def test_dx_slot_on_a_source_keeps_the_exterior_route():
+    code, out, err = call([
+        "derive", "--k", "1", "--n", "3",
+        "--lagrangian", "(dX J . dX J) + 1/2*(d^A . d^A) + (J . A)",
+        "--symbols", "A:1:dynamical,J:1:source",
+    ])
+    assert (code, out, err) == (0, "J = -d_| ( d^ A )\n", "")
+
+
 def test_bad_symbol_declaration():
     proc = mvcalc(
         "derive", "--k", "1", "--n", "3",

@@ -39,6 +39,12 @@ def test_config_validation():
     MaxwellConfig(M13, 4)  # top-grade field strength is fine
 
 
+@pytest.mark.parametrize("r", [2.0, True, "2"])
+def test_config_field_grade_must_be_an_int(r):
+    with pytest.raises(AlgebraError, match="field grade r"):
+        MaxwellConfig(M13, r)
+
+
 def test_lagrangian_coefficients_alternate_with_grade():
     # front sign (-1)^(r-1): positive for odd r, negative for even r
     L2 = build_lagrangian(MaxwellConfig(M13, 2))
@@ -232,3 +238,9 @@ def test_polarization_counts():
         polarization_count(1, 3, 0)
     with pytest.raises(GradeError):
         polarization_count(1, 3, 5)
+
+
+@pytest.mark.parametrize("k, n, r", [(True, 3, 1), (1, 3.0, 1), (1, 3, True), (1, 3, "2")])
+def test_polarization_count_takes_only_ints(k, n, r):
+    with pytest.raises(AlgebraError, match="integers only"):
+        polarization_count(k, n, r)

@@ -1,5 +1,5 @@
 """Fuzz properties for every text input: expressions, densities, equation
-documents and ``derive``/``eval`` command lines.
+documents and ``derive``/``eval``/``verify`` command lines.
 
 Outside text either works or fails in the documented way: the library
 raises only ``AlgebraError`` (``ExprError`` is one) and the CLI exits 0
@@ -199,6 +199,23 @@ def eval_argv(draw):
 @FUZZ
 @given(argv=st.one_of(derive_argv(), eval_argv()))
 def test_cli_requests_exit_0_or_2_without_a_traceback(argv):
+    code, err = _call(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+# a verify request runs whole suites, so its argv keeps to the two fast
+# suites at one or two trials, and far fewer examples run
+verify_argv = st.tuples(
+    _mostly(st.sampled_from(["calculus", "em"]), st.sampled_from(["bogus", "", "ALL", "em,calculus"])),
+    _mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "1.5", "x", "", HUGE])),
+    _mostly(st.integers(-10**6, 10**6).map(str), st.sampled_from(["x", "", "1e3", "0x10", HUGE])),
+).map(lambda t: ["verify", "--suite", t[0], "--trials", t[1], "--seed", t[2]])
+
+
+@settings(FUZZ, max_examples=25)
+@given(argv=verify_argv)
+def test_cli_verify_requests_exit_0_or_2_without_a_traceback(argv):
     code, err = _call(argv)
     assert code in (0, 2)
     assert "Traceback" not in err

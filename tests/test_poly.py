@@ -121,6 +121,28 @@ def test_text_is_graded_lex_descending():
     assert str(-x1) == "-x1"
 
 
+@pytest.mark.parametrize("nvars", [1.5, True, "2"])
+def test_variable_count_must_be_an_int(nvars):
+    with pytest.raises(AlgebraError, match="nvars"):
+        PolyScalar(nvars, {})
+
+
+def test_rational_operand_adds_into_the_constant_term(monkeypatch):
+    x = PolyScalar.variable(2, 0) + 3
+    built = []
+    init = PolyScalar.__init__
+    monkeypatch.setattr(PolyScalar, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    results = [x + 1, 1 + x, x - Fraction(1, 2), 5 - x, x + (-3)]
+    # one PolyScalar per result, none for a constant operand (5 - x also negates x)
+    assert len(built) == 6
+    assert [str(p) for p in results] == ["x0 + 4", "x0 + 4", "x0 + 5/2", "-x0 + 2", "x0"]
+    with pytest.raises(TypeError):
+        x - 0.5
+    with pytest.raises(TypeError):
+        0.5 - x
+
+
 @pytest.mark.parametrize("exps", [(0.5, 0), (True, 0), (1, False), (-1, 0), (1,), ("1", 0)])
 def test_rejects_bad_exponents(exps):
     with pytest.raises(AlgebraError, match="bad exponent vector"):

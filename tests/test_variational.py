@@ -2,15 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+import mvcalc
+from mvcalc import eqdoc
 from mvcalc.blades import AlgebraError, GradeError, Metric, Multivector
-from mvcalc.calculus import divergence_scalar
+from mvcalc.calculus import divergence_scalar, ext_deriv, int_deriv, laplacian, tensor_deriv
 from mvcalc.randgen import random_field, rng_for
 from mvcalc.variational import (
+    CHAIN_OPS,
     DerivOp,
     FieldEquation,
     FieldSymbol,
     FormalExpr,
     LagrangianDensity,
+    euler_lagrange,
     euler_lagrange_exterior,
     euler_lagrange_tensor,
     first_variation,
@@ -45,6 +49,24 @@ def test_field_symbol_validation():
         FieldSymbol("ok", -1, "source")
     with pytest.raises(AlgebraError):
         FieldSymbol("ok", 1, "background")
+
+
+@pytest.mark.parametrize("grade", [1.5, True, "1"])
+def test_field_symbol_grade_must_be_an_int(grade):
+    with pytest.raises(AlgebraError, match="bad grade for symbol 'a'"):
+        FieldSymbol("a", grade)
+
+
+def test_unknown_slot_operator_raises_algebra_error():
+    a = FieldSymbol("a", 1)
+    with pytest.raises(AlgebraError, match="unknown slot operator 'bogus'"):
+        LagrangianDensity([(1, ("bogus", a), (DerivOp.ID, a))])
+    L = LagrangianDensity([(1, ("ext", a), (DerivOp.EXT, a))])  # tokens name ops too
+    assert L.terms[0][1] == (DerivOp.EXT, a)
+    with pytest.raises(AlgebraError, match="unknown slot operator 'bogus'"):
+        vderiv(L, ("bogus", a))
+    with pytest.raises(AlgebraError, match="unknown slot operator 'lap'"):
+        vderiv(L, ("lap", a))
 
 
 def test_density_requires_matching_slot_grades():
@@ -215,3 +237,68 @@ def test_identity_report_counterexamples():
     L = maxwell_density()
     report = verify_tensor_exterior_identity(L, M13, [])
     assert report.ok and report.trials == 0
+
+
+# the operator table spelled out independently of CHAIN_OPS:
+# token -> (text, grade of the chain on A, calculus function)
+EXPECTED_OPS = {
+    "ext": ("d^", 2, ext_deriv),
+    "int": ("d_|", 0, int_deriv),
+    "lap": ("lap", 1, laplacian),
+    "tensor": ("dX", ("matrix", 1, 1), tensor_deriv),
+}
+
+
+def test_chain_op_table_matches_calculus():
+    assert set(CHAIN_OPS) == set(EXPECTED_OPS)
+    rng = rng_for(67, "unit/chain-table")
+    a = random_field(rng, M13, 1)
+    for token, (text, grade, function) in EXPECTED_OPS.items():
+        expr = FormalExpr.single((token,), A, 3)
+        assert expr.render() == f"3 * {text} A"
+        assert expr.grade == grade
+        if grade == ("matrix", 1, 1):
+            assert expr.is_matrix
+            with pytest.raises(AlgebraError):
+                expr.evaluate({"A": a})
+            with pytest.raises(AlgebraError, match="serialized"):
+                eqdoc.dumps(FieldEquation(expr, FormalExpr.zero(), grade), M13)
+            L = LagrangianDensity([(1, (DerivOp(token), A), (DerivOp(token), A))])
+            assert L.value({"A": a}) == function(a).dot(function(a))
+            continue
+        assert expr.evaluate({"A": a}) == function(a) * 3
+        # nested under d^, the chain still runs innermost first
+        assert expr.apply("ext").evaluate({"A": a}) == ext_deriv(function(a)) * 3
+        eq = FieldEquation(expr, FormalExpr.zero(), grade)
+        assert eqdoc.loads(eqdoc.dumps(eq, M13)) == (eq, M13)
+
+
+def test_matrix_op_only_stands_alone():
+    with pytest.raises(AlgebraError, match="dX may only appear as a standalone chain"):
+        FormalExpr.single(("ext", "tensor"), A)
+    with pytest.raises(AlgebraError, match="cannot apply operator 'tensor'"):
+        FormalExpr.single((), A).apply("tensor")
+
+
+def test_euler_lagrange_route_follows_the_dynamical_slots():
+    # a dX slot on a source does not select the tensor route
+    with_source_dx = LagrangianDensity([
+        (1, (DerivOp.TENSOR, J), (DerivOp.TENSOR, J)),
+        (Fraction(1, 2), (DerivOp.EXT, A), (DerivOp.EXT, A)),
+        (1, (DerivOp.ID, J), (DerivOp.ID, A)),
+    ])
+    eq = euler_lagrange(with_source_dx)
+    assert eq == euler_lagrange_exterior(with_source_dx)
+    assert eq.render() == "J = -d_| ( d^ A )"
+    tensor_L = LagrangianDensity([
+        (Fraction(1, 2), (DerivOp.TENSOR, A), (DerivOp.TENSOR, A)),
+        (1, (DerivOp.ID, J), (DerivOp.ID, A)),
+    ])
+    assert euler_lagrange(tensor_L) == euler_lagrange_tensor(tensor_L)
+    assert euler_lagrange(maxwell_density()) == euler_lagrange_exterior(maxwell_density())
+    mixed = tensor_L + LagrangianDensity([(1, (DerivOp.INT, A), (DerivOp.INT, A))])
+    with pytest.raises(AlgebraError, match="tensor route needs identity/dX slots"):
+        euler_lagrange(mixed)
+    with pytest.raises(AlgebraError, match="no dynamical symbol"):
+        euler_lagrange(LagrangianDensity([(1, (DerivOp.ID, J), (DerivOp.ID, J))]))
+    assert "euler_lagrange" not in mvcalc.__all__

@@ -64,8 +64,8 @@ def test_small_full_run_is_green():
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_seed42_trials50.txt"
 
 
-def test_seed42_report_is_byte_identical_to_golden():
-    report = format_report(run_suites("all", 42, 50))
+def test_seed42_report_is_byte_identical_to_golden(full_run):
+    report = format_report(full_run(42, 50))
     assert (report + "\n").encode() == GOLDEN_REPORT.read_bytes()
 
 
