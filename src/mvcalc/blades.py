@@ -24,6 +24,9 @@ Coefficients are exact: an integral rational is stored as an int, any
 other rational as a Fraction (see ``poly.exact``), and a polynomial as a
 PolyScalar.  Floats and bools are rejected.  Values are immutable by
 convention; every operation returns a new multivector.
+
+Public constructors validate; results of valid operands go through the
+trusted builder ``Multivector._make``, with the same canonical form.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .indexes import MAX_DIM, AlgebraError, check_canonical, integer
-from .poly import PolyScalar, exact, monomial_text, number_text
+from .poly import PolyScalar, _exact_terms, exact, monomial_text, number_text
 
 
 class GradeError(AlgebraError):
@@ -115,6 +118,15 @@ class Multivector:
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
+    @classmethod
+    def _make(cls, metric: Metric, grade: int, items) -> "Multivector":
+        """Trusted builder from (canonical indices of ``grade``, coeff) pairs built here."""
+        mv = object.__new__(cls)
+        object.__setattr__(mv, "metric", metric)
+        object.__setattr__(mv, "grade", grade)
+        object.__setattr__(mv, "terms", _exact_terms(items))
+        return mv
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -165,13 +177,14 @@ class Multivector:
         for indices, coeff in other.terms.items():
             acc = out.get(indices)
             out[indices] = coeff if acc is None else acc + coeff
-        return Multivector(self.metric, grade, out)
+        return Multivector._make(self.metric, grade, out.items())
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Multivector(self.metric, self.grade, {i: -c for i, c in self.terms.items()})
+        return Multivector._make(self.metric, self.grade,
+                                 ((i, -c) for i, c in self.terms.items()))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, PolyScalar):
@@ -179,8 +192,8 @@ class Multivector:
                 scalar = exact(scalar)
             except AlgebraError:
                 return NotImplemented
-        return Multivector(
-            self.metric, self.grade, {i: scalar * c for i, c in self.terms.items()}
+        return Multivector._make(
+            self.metric, self.grade, ((i, scalar * c) for i, c in self.terms.items())
         )
 
     __rmul__ = __mul__
@@ -319,7 +332,7 @@ def _masked(terms: Mapping[tuple, object]) -> list[tuple[int, object]]:
 
 
 def _from_masks(metric: Metric, grade: int, out: Mapping[int, object]) -> Multivector:
-    return Multivector(metric, grade, {_BLADE[mask]: coeff for mask, coeff in out.items()})
+    return Multivector._make(metric, grade, ((_BLADE[mask], c) for mask, c in out.items()))
 
 
 # Rules (A, B, t) -> (odd, result mask), or None for no term.  The sign is
@@ -352,7 +365,7 @@ def _accumulate(out: dict, rule, t: int, left, right, flip: int = 0) -> dict:
 
     A coeff of None is the unit and is not multiplied; ``flip=1`` negates
     every product.  A negative product is subtracted, not multiplied by -1.
-    Cancelled sums stay as zeros for the Multivector constructor to drop.
+    Cancelled sums stay as zeros for ``Multivector._make`` to drop.
     """
     for a, ca in left:
         for b, cb in right:

@@ -86,22 +86,16 @@ def tensor_deriv(field: Multivector) -> MvMatrix:
             if not d:
                 continue
             out[((i,), indices)] = metric.sign(i) * d
-    return MvMatrix(metric, 1, field.grade, out)
+    return MvMatrix._make(metric, 1, field.grade, out.items())
 
 
 def laplacian(field: Multivector) -> Multivector:
     """Component-wise d'Alembertian sum_i D_ii d_i^2, grade unchanged."""
     metric = field.metric
-    out: dict[tuple, object] = {}
-    for indices, coeff in field.terms.items():
-        total = 0
-        for i in range(metric.dim):
-            d2 = partial(partial(coeff, i), i)
-            if d2:
-                total = total + metric.sign(i) * d2
-        if total:
-            out[indices] = total
-    return Multivector(metric, field.grade, out)
+    return Multivector._make(metric, field.grade, (
+        (indices, sum(metric.sign(i) * d2 for i in range(metric.dim)
+                      if (d2 := partial(partial(coeff, i), i))))
+        for indices, coeff in field.terms.items()))
 
 
 def matrix_divergence(matrix: MvMatrix) -> Multivector:
@@ -118,7 +112,7 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
         if d:
             acc = out.get(cols)
             out[cols] = d if acc is None else acc + d
-    return Multivector(matrix.metric, matrix.col_grade, out)
+    return Multivector._make(matrix.metric, matrix.col_grade, out.items())
 
 
 def divergence_scalar(field: Multivector):
@@ -137,16 +131,9 @@ def directional_deriv(direction: Multivector, field: Multivector) -> Multivector
         raise GradeError("direction must be a 1-vector field")
     if direction.metric != field.metric:
         raise AlgebraError("mixed metrics")
-    out: dict[tuple, object] = {}
-    for indices, coeff in field.terms.items():
-        total = 0
-        for dir_indices, v in direction.terms.items():
-            d = partial(coeff, dir_indices[0])
-            if d:
-                total = total + v * d
-        if total:
-            out[indices] = total
-    return Multivector(field.metric, field.grade, out)
+    return Multivector._make(field.metric, field.grade, (
+        (indices, sum(v * d for (i,), v in direction.terms.items() if (d := partial(coeff, i))))
+        for indices, coeff in field.terms.items()))
 
 
 def check_laplacian_splitting(metric: Metric, grade: int, fields) -> bool:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from .blades import AlgebraError, GradeError, Metric, Multivector
-from .indexes import check_canonical
-from .poly import PolyScalar, exact
+from .indexes import check_canonical, integer
+from .poly import PolyScalar, _exact_terms, exact
 
 
 class MvMatrix:
@@ -33,6 +33,8 @@ class MvMatrix:
         col_grade: int,
         terms: Mapping[tuple, object] | None = None,
     ):
+        integer(row_grade, "row grade")
+        integer(col_grade, "column grade")
         clean: dict[tuple, object] = {}
         for key, coeff in (terms or {}).items():
             rows, cols = key
@@ -60,6 +62,16 @@ class MvMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("MvMatrix is immutable")
+
+    @classmethod
+    def _make(cls, metric: Metric, row_grade: int, col_grade: int, items) -> "MvMatrix":
+        """Trusted builder from ((rows, cols), coeff) pairs of the given grades built here."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "metric", metric)
+        object.__setattr__(matrix, "row_grade", row_grade)
+        object.__setattr__(matrix, "col_grade", col_grade)
+        object.__setattr__(matrix, "terms", _exact_terms(items))
+        return matrix
 
     @classmethod
     def zero(cls, metric: Metric, row_grade: int, col_grade: int) -> "MvMatrix":
@@ -99,18 +111,14 @@ class MvMatrix:
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, 0) + coeff
-        return MvMatrix(self.metric, row_grade, col_grade, out)
+        return MvMatrix._make(self.metric, row_grade, col_grade, out.items())
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return MvMatrix(
-            self.metric,
-            self.row_grade,
-            self.col_grade,
-            {k: -c for k, c in self.terms.items()},
-        )
+        return MvMatrix._make(self.metric, self.row_grade, self.col_grade,
+                              ((k, -c) for k, c in self.terms.items()))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, PolyScalar):
@@ -118,12 +126,8 @@ class MvMatrix:
                 scalar = exact(scalar)
             except AlgebraError:
                 return NotImplemented
-        return MvMatrix(
-            self.metric,
-            self.row_grade,
-            self.col_grade,
-            {k: scalar * c for k, c in self.terms.items()},
-        )
+        return MvMatrix._make(self.metric, self.row_grade, self.col_grade,
+                              ((k, scalar * c) for k, c in self.terms.items()))
 
     __rmul__ = __mul__
 
@@ -143,12 +147,8 @@ class MvMatrix:
     __hash__ = None
 
     def transpose(self) -> "MvMatrix":
-        return MvMatrix(
-            self.metric,
-            self.col_grade,
-            self.row_grade,
-            {(cols, rows): coeff for (rows, cols), coeff in self.terms.items()},
-        )
+        return MvMatrix._make(self.metric, self.col_grade, self.row_grade,
+                              (((cols, rows), c) for (rows, cols), c in self.terms.items()))
 
     def dot(self, other: "MvMatrix"):
         """Frobenius scalar product; requires matching grade shapes."""
@@ -178,7 +178,7 @@ class MvMatrix:
                     continue
                 key = (ra, cb)
                 out[key] = out.get(key, 0) + delta * va * vb
-        return MvMatrix(self.metric, self.row_grade, other.col_grade, out)
+        return MvMatrix._make(self.metric, self.row_grade, other.col_grade, out.items())
 
     def __repr__(self) -> str:
         entries = ", ".join(
@@ -205,7 +205,7 @@ def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
         if vc is None:
             continue
         out[rows] = out.get(rows, 0) + matrix.metric.sign_of(cols) * coeff * vc
-    return Multivector(matrix.metric, matrix.row_grade, out)
+    return Multivector._make(matrix.metric, matrix.row_grade, out.items())
 
 
 def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
@@ -225,4 +225,4 @@ def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
         if vc is None:
             continue
         out[cols] = out.get(cols, 0) + matrix.metric.sign_of(rows) * coeff * vc
-    return Multivector(matrix.metric, matrix.col_grade, out)
+    return Multivector._make(matrix.metric, matrix.col_grade, out.items())

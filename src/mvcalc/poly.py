@@ -7,6 +7,9 @@ floats anywhere; arithmetic is exact.  Every rational coefficient passes
 non-integral one as a ``Fraction``, so small integers never pay for
 Fraction arithmetic.
 
+Public constructors validate; results of valid operands go through the
+trusted builder ``PolyScalar._make``, with the same canonical form.
+
 Canonical text form (used by the CLI and the parser round-trip) orders
 monomials by graded lexicographic order, highest first, and spells
 products with the wedge token, e.g. ``3/2 ^ x0^2 ^ x1 + x2``.
@@ -40,6 +43,12 @@ def exact(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+def _exact_terms(items) -> dict:
+    """Trusted (key, coeff) pairs as terms: zeros dropped, integral Fractions made ints."""
+    return {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for key, c in items if c}
+
+
 class PolyScalar:
     """A polynomial in x0..x(nvars-1) with exact rational coefficients."""
 
@@ -61,6 +70,14 @@ class PolyScalar:
                 clean[exps] = c
         self.nvars = nvars
         self.terms = clean
+
+    @classmethod
+    def _make(cls, nvars: int, items) -> "PolyScalar":
+        """Trusted builder from (exponents, coeff) pairs computed from valid operands."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = _exact_terms(items)
+        return poly
 
     @classmethod
     def constant(cls, nvars: int, value) -> "PolyScalar":
@@ -101,12 +118,12 @@ class PolyScalar:
         out = dict(self.terms)
         for exps, c in terms.items():
             out[exps] = out.get(exps, 0) + c
-        return PolyScalar(self.nvars, out)
+        return PolyScalar._make(self.nvars, out.items())
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyScalar(self.nvars, {e: -c for e, c in self.terms.items()})
+        return PolyScalar._make(self.nvars, ((e, -c) for e, c in self.terms.items()))
 
     def __sub__(self, other):
         other = self._operand(other)
@@ -123,13 +140,13 @@ class PolyScalar:
             return NotImplemented
         if not isinstance(other, PolyScalar):
             # scaling by a rational needs no constant polynomial
-            return PolyScalar(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return PolyScalar._make(self.nvars, ((e, c * other) for e, c in self.terms.items()))
         out: dict[tuple, int | Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
                 out[exps] = out.get(exps, 0) + ca * cb
-        return PolyScalar(self.nvars, out)
+        return PolyScalar._make(self.nvars, out.items())
 
     __rmul__ = __mul__
 
@@ -175,7 +192,7 @@ class PolyScalar:
             if e:
                 lowered = exps[:index] + (e - 1,) + exps[index + 1:]
                 out[lowered] = out.get(lowered, 0) + c * e
-        return PolyScalar(self.nvars, out)
+        return PolyScalar._make(self.nvars, out.items())
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         if len(point) != self.nvars:

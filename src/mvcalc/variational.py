@@ -102,7 +102,7 @@ class FieldSymbol:
     role: str = "dynamical"
 
     def __post_init__(self):
-        if not self.name or not self.name[0].isalpha() or not all(
+        if type(self.name) is not str or not self.name or not self.name[0].isalpha() or not all(
             ch.isalnum() or ch == "_" for ch in self.name
         ):
             raise AlgebraError(f"bad field symbol name {self.name!r}")
@@ -461,7 +461,10 @@ def euler_lagrange_tensor(L: LagrangianDensity) -> FieldEquation:
     """
     a, ops = _dynamical_ops(L)
     if ops & {DerivOp.EXT, DerivOp.INT}:
-        raise AlgebraError("tensor route needs identity/dX slots; use euler_lagrange_exterior")
+        raise AlgebraError(
+            "the density mixes the dX slots of the tensor route with the d^/d_| slots of the "
+            "exterior route" if DerivOp.TENSOR in ops
+            else "tensor route needs identity/dX slots; use euler_lagrange_exterior")
     lhs = vderiv(L, (DerivOp.ID, a))
     rhs = vderiv(L, (DerivOp.TENSOR, a)).divergence()
     return FieldEquation(lhs, rhs, a.grade)
@@ -514,6 +517,8 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
             if sym != a or op is DerivOp.ID:
                 continue
             other_val = _chain_value(other[0].chain, other[1], assignment)
+            if other_val.metric != metric:
+                raise AlgebraError("mixed metrics")
             if op is DerivOp.EXT:
                 for K, vK in other_val.terms.items():
                     for pos, i in enumerate(K):
@@ -531,7 +536,7 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
             else:
                 for (rows, cols), v in other_val.terms.items():
                     add(rows, cols, coeff * v)
-    return MvMatrix(metric, 1, a.grade, out)
+    return MvMatrix._make(metric, 1, a.grade, out.items())
 
 
 def first_variation(L: LagrangianDensity, a_value: Multivector,

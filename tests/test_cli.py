@@ -160,6 +160,17 @@ def test_dx_slot_on_a_source_keeps_the_exterior_route():
     assert (code, out, err) == (0, "J = -d_| ( d^ A )\n", "")
 
 
+def test_mixed_route_slots_name_the_mix_not_a_library_function():
+    code, out, err = call([
+        "derive", "--k", "1", "--n", "3",
+        "--lagrangian", "(dX A . dX A) + (d^A . d^A)",
+        "--symbols", "A:1:dynamical",
+    ])
+    assert (code, out) == (2, "")
+    assert err == ("error: the density mixes the dX slots of the tensor route "
+                   "with the d^/d_| slots of the exterior route\n")
+
+
 def test_bad_symbol_declaration():
     proc = mvcalc(
         "derive", "--k", "1", "--n", "3",

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mvcalc.blades import GradeError, Metric, Multivector
+from mvcalc.blades import AlgebraError, GradeError, Metric, Multivector
 from mvcalc.matrices import MvMatrix, mat_vec, vec_mat
 from mvcalc.randgen import random_field, random_matrix_field, rng_for
 
@@ -81,3 +81,11 @@ def test_transpose_swaps_grades():
     assert T.row_grade == 2 and T.col_grade == 1
     assert T.entry((1, 2), (0,)) == 7
     assert T.transpose() == A
+
+
+@pytest.mark.parametrize("grades", [(True, 1), (1.0, 1), (1, True), (1, 1.0), ("1", 1)])
+def test_matrix_grades_must_be_ints(grades):
+    with pytest.raises(AlgebraError, match="grade: integers only"):
+        MvMatrix(M13, *grades, {((0,), (1,)): 1})
+    with pytest.raises(AlgebraError, match="grade: integers only"):
+        MvMatrix.zero(M13, *grades)

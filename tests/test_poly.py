@@ -130,9 +130,11 @@ def test_variable_count_must_be_an_int(nvars):
 def test_rational_operand_adds_into_the_constant_term(monkeypatch):
     x = PolyScalar.variable(2, 0) + 3
     built = []
-    init = PolyScalar.__init__
+    init, make = PolyScalar.__init__, PolyScalar._make
+    # count both builders: results use the trusted one, and neither may run for a constant
     monkeypatch.setattr(PolyScalar, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
+    monkeypatch.setattr(PolyScalar, "_make", lambda *args: built.append(args) or make(*args))
     results = [x + 1, 1 + x, x - Fraction(1, 2), 5 - x, x + (-3)]
     # one PolyScalar per result, none for a constant operand (5 - x also negates x)
     assert len(built) == 6

@@ -51,6 +51,12 @@ def test_field_symbol_validation():
         FieldSymbol("ok", 1, "background")
 
 
+@pytest.mark.parametrize("name", [5, None, b"A", ("A",)])
+def test_field_symbol_name_must_be_a_string(name):
+    with pytest.raises(AlgebraError, match="bad field symbol name"):
+        FieldSymbol(name, 1)
+
+
 @pytest.mark.parametrize("grade", [1.5, True, "1"])
 def test_field_symbol_grade_must_be_an_int(grade):
     with pytest.raises(AlgebraError, match="bad grade for symbol 'a'"):
@@ -166,6 +172,14 @@ def test_exterior_route_rejects_tensor_slots():
     L = LagrangianDensity([(1, (DerivOp.TENSOR, A), (DerivOp.TENSOR, A))])
     with pytest.raises(AlgebraError):
         euler_lagrange_exterior(L)
+
+
+def test_tensor_slot_matrix_refuses_mixed_metrics():
+    L = LagrangianDensity([(1, (DerivOp.EXT, A), (DerivOp.EXT, J))])
+    fields = {"A": random_field(rng_for(5, "unit/slot-metrics"), M13, 1),
+              "J": Multivector.blade(Metric(0, 4), (0,))}
+    with pytest.raises(AlgebraError, match="mixed metrics"):
+        tensor_slot_matrix(L, fields)
 
 
 def test_two_routes_agree_on_concrete_fields():
@@ -297,7 +311,7 @@ def test_euler_lagrange_route_follows_the_dynamical_slots():
     assert euler_lagrange(tensor_L) == euler_lagrange_tensor(tensor_L)
     assert euler_lagrange(maxwell_density()) == euler_lagrange_exterior(maxwell_density())
     mixed = tensor_L + LagrangianDensity([(1, (DerivOp.INT, A), (DerivOp.INT, A))])
-    with pytest.raises(AlgebraError, match="tensor route needs identity/dX slots"):
+    with pytest.raises(AlgebraError, match="the density mixes the dX slots"):
         euler_lagrange(mixed)
     with pytest.raises(AlgebraError, match="no dynamical symbol"):
         euler_lagrange(LagrangianDensity([(1, (DerivOp.ID, J), (DerivOp.ID, J))]))
