@@ -22,8 +22,9 @@ JSON, blades stay index tuples, converted at the kernel boundary.
 
 Coefficients are exact: an integral rational is stored as an int, any
 other rational as a Fraction (see ``poly.exact``), and a polynomial as a
-PolyScalar.  Floats and bools are rejected.  Values are immutable by
-convention; every operation returns a new multivector.
+PolyScalar in the metric's k+n coordinates (see ``poly.coefficient``).
+Floats, bools and polynomials in other variables are rejected.  Values
+are immutable by convention; every operation returns a new multivector.
 
 Public constructors validate; results of valid operands go through the
 trusted builder ``Multivector._make``, with the same canonical form.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .indexes import MAX_DIM, AlgebraError, check_canonical, integer
-from .poly import PolyScalar, _exact_terms, exact, monomial_text, number_text
+from .poly import PolyScalar, _exact_terms, coefficient, monomial_text, number_text
 
 
 class GradeError(AlgebraError):
@@ -62,6 +63,8 @@ class Metric:
 
     def sign(self, index: int) -> int:
         """Metric sign of one axis: -1 time-like, +1 space-like."""
+        if type(index) is not int:
+            integer(index, "index")
         if not 0 <= index < self.dim:
             raise AlgebraError(f"index {index} out of range for dimension {self.dim}")
         return -1 if index < self.k else 1
@@ -75,7 +78,7 @@ class Metric:
 
     def blades(self, grade: int) -> Iterator[tuple]:
         """All canonical index lists of one grade, in lexicographic order."""
-        if not 0 <= grade <= self.dim:
+        if not 0 <= integer(grade, "grade") <= self.dim:
             return iter(())
         return itertools.combinations(range(self.dim), grade)
 
@@ -99,8 +102,7 @@ class Multivector:
         for indices, coeff in (terms or {}).items():
             indices = tuple(indices)
             check_canonical(indices, metric.dim)
-            if not isinstance(coeff, PolyScalar):
-                coeff = exact(coeff)
+            coeff = coefficient(coeff, metric.dim)
             if coeff:
                 clean[indices] = coeff
         if clean:
@@ -187,11 +189,12 @@ class Multivector:
                                  ((i, -c) for i, c in self.terms.items()))
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, PolyScalar):
-            try:
-                scalar = exact(scalar)
-            except AlgebraError:
-                return NotImplemented
+        try:
+            scalar = coefficient(scalar, self.metric.dim)
+        except AlgebraError:
+            if isinstance(scalar, PolyScalar):
+                raise
+            return NotImplemented
         return Multivector._make(
             self.metric, self.grade, ((i, scalar * c) for i, c in self.terms.items())
         )

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .blades import AlgebraError, GradeError, Metric, Multivector
 from .indexes import check_canonical, integer
-from .poly import PolyScalar, _exact_terms, exact
+from .poly import PolyScalar, _exact_terms, coefficient
 
 
 class MvMatrix:
@@ -41,8 +41,7 @@ class MvMatrix:
             rows, cols = tuple(rows), tuple(cols)
             check_canonical(rows, metric.dim)
             check_canonical(cols, metric.dim)
-            if not isinstance(coeff, PolyScalar):
-                coeff = exact(coeff)
+            coeff = coefficient(coeff, metric.dim)
             if coeff:
                 clean[(rows, cols)] = coeff
         if clean:
@@ -121,11 +120,12 @@ class MvMatrix:
                               ((k, -c) for k, c in self.terms.items()))
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, PolyScalar):
-            try:
-                scalar = exact(scalar)
-            except AlgebraError:
-                return NotImplemented
+        try:
+            scalar = coefficient(scalar, self.metric.dim)
+        except AlgebraError:
+            if isinstance(scalar, PolyScalar):
+                raise
+            return NotImplemented
         return MvMatrix._make(self.metric, self.row_grade, self.col_grade,
                               ((k, scalar * c) for k, c in self.terms.items()))
 

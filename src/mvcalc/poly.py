@@ -43,6 +43,19 @@ def exact(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+def coefficient(value, nvars: int):
+    """``value`` as a coefficient of fields in ``nvars`` coordinates.
+
+    A PolyScalar must have exactly ``nvars`` variables; a rational goes
+    through ``exact``; anything else raises AlgebraError.
+    """
+    if isinstance(value, PolyScalar):
+        if value.nvars != nvars:
+            raise AlgebraError(f"polynomial in {value.nvars} variables, expected {nvars}")
+        return value
+    return exact(value)
+
+
 def _exact_terms(items) -> dict:
     """Trusted (key, coeff) pairs as terms: zeros dropped, integral Fractions made ints."""
     return {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
@@ -81,13 +94,14 @@ class PolyScalar:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "PolyScalar":
-        return cls(nvars, {(0,) * nvars: value})
+        return cls(nvars, {(0,) * integer(nvars, "nvars"): value})
 
     @classmethod
     def variable(cls, nvars: int, index: int, power: int = 1) -> "PolyScalar":
-        if not 0 <= index < nvars:
+        integer(nvars, "nvars")
+        if not 0 <= integer(index, "variable index") < nvars:
             raise AlgebraError(f"variable index {index} out of range for {nvars} variables")
-        if power < 0:
+        if integer(power, "power") < 0:
             raise AlgebraError("negative powers are not polynomials")
         exps = tuple(power if i == index else 0 for i in range(nvars))
         return cls(nvars, {exps: 1})
@@ -184,6 +198,8 @@ class PolyScalar:
 
     def partial(self, index: int) -> "PolyScalar":
         """Exact partial derivative with respect to x(index)."""
+        if type(index) is not int:
+            integer(index, "variable index")
         if not 0 <= index < self.nvars:
             raise AlgebraError(f"variable index {index} out of range")
         out: dict[tuple, int | Fraction] = {}

@@ -6,6 +6,13 @@ come in two flavours: exhaustive sweeps over small dimensions, and
 randomized sweeps driven by a generator keyed to (seed, suite/name),
 so a report is reproducible from its seed alone.
 
+The exhaustive sweeps share their loops: ``_unit_blades`` yields each
+metric split with its unit blades, each built once per split;
+``_blade_pairs`` yields every ordered pair of them with its case label;
+``_index_partitions`` yields every way to deal range(dim) into index
+lists.  The identities over the random battery fields are each one
+predicate, turned into a property by ``_field_identity``.
+
 The reference implementations here are deliberately independent of the
 code under test: permutation signs are recomputed by explicit swap
 counting, and variational derivatives are recomputed from symmetric
@@ -42,7 +49,7 @@ from .em import (
     polarization_count,
     wave_form,
 )
-from .indexes import complement, merge_signature, sort_signature
+from .indexes import complement, integer, merge_signature, sort_signature
 from .matrices import MvMatrix, mat_vec, vec_mat
 from .poly import PolyScalar, partial
 from .randgen import (
@@ -114,6 +121,27 @@ def _subsets(dim: int) -> list[tuple]:
     ]
 
 
+def _unit_blades(max_dim: int) -> Iterator[tuple[Metric, list[tuple[tuple, Multivector]]]]:
+    """Each metric split up to ``max_dim`` with its (I, e_I) pairs, each blade built once."""
+    for metric in _metric_splits(max_dim):
+        yield metric, [(I, Multivector.blade(metric, I)) for I in _subsets(metric.dim)]
+
+
+def _blade_pairs(max_dim: int) -> Iterator[tuple[str, Multivector, Multivector]]:
+    """(label, e_I, e_J) for every ordered pair of unit blades of every split."""
+    for metric, blades in _unit_blades(max_dim):
+        for I, a in blades:
+            for J, b in blades:
+                yield f"({metric.k},{metric.n}) I={I} J={J}", a, b
+
+
+def _index_partitions(max_dim: int, parts: int) -> Iterator[tuple[int, list[tuple]]]:
+    """(dim, lists): every way to put each of range(dim) in one of ``parts`` lists or none."""
+    for dim in range(1, max_dim + 1):
+        for assign in itertools.product(range(parts + 1), repeat=dim):
+            yield dim, [tuple(i for i, a in enumerate(assign) if a == p) for p in range(parts)]
+
+
 def _sign(parity: int) -> int:
     return -1 if parity & 1 else 1
 
@@ -140,26 +168,19 @@ def _prop_signature_matches_swap_count(rng, trials):
 
 
 def _prop_merge_matches_concatenation(rng, trials):
-    for dim in range(1, 6):
-        for assign in itertools.product(range(3), repeat=dim):
-            left = tuple(i for i, a in enumerate(assign) if a == 0)
-            right = tuple(i for i, a in enumerate(assign) if a == 1)
-            ok = merge_signature(left, right) == sort_signature(left + right)
-            yield f"dim={dim} I={left} J={right}", ok
+    for dim, (left, right) in _index_partitions(5, 2):
+        ok = merge_signature(left, right) == sort_signature(left + right)
+        yield f"dim={dim} I={left} J={right}", ok
 
 
 def _prop_merge_associative(rng, trials):
-    for dim in range(1, 6):
-        for assign in itertools.product(range(4), repeat=dim):
-            one = tuple(i for i, a in enumerate(assign) if a == 0)
-            two = tuple(i for i, a in enumerate(assign) if a == 1)
-            three = tuple(i for i, a in enumerate(assign) if a == 2)
-            s1, merged = merge_signature(one, two)
-            s2, left_way = merge_signature(merged, three)
-            t1, tail = merge_signature(two, three)
-            t2, right_way = merge_signature(one, tail)
-            ok = (s1 * s2, left_way) == (t1 * t2, right_way)
-            yield f"dim={dim} I={one} J={two} K={three}", ok
+    for dim, (one, two, three) in _index_partitions(5, 3):
+        s1, merged = merge_signature(one, two)
+        s2, left_way = merge_signature(merged, three)
+        t1, tail = merge_signature(two, three)
+        t2, right_way = merge_signature(one, tail)
+        ok = (s1 * s2, left_way) == (t1 * t2, right_way)
+        yield f"dim={dim} I={one} J={two} K={three}", ok
 
 
 def _prop_empty_merge_identity(rng, trials):
@@ -183,74 +204,40 @@ def _prop_complement_merge_parity(rng, trials):
 
 
 def _prop_left_contraction_via_hodge(rng, trials):
-    for metric in _metric_splits(5):
-        subsets = _subsets(metric.dim)
-        for I in subsets:
-            for J in subsets:
-                a = Multivector.blade(metric, I)
-                b = Multivector.blade(metric, J)
-                lhs = a.left_contract(b)
-                rhs = a.wedge(b.hodge()).inv_hodge()
-                yield f"({metric.k},{metric.n}) I={I} J={J}", lhs == rhs
+    for label, a, b in _blade_pairs(5):
+        yield label, a.left_contract(b) == a.wedge(b.hodge()).inv_hodge()
 
 
 def _prop_right_contraction_via_hodge(rng, trials):
-    for metric in _metric_splits(5):
-        subsets = _subsets(metric.dim)
-        for I in subsets:
-            for J in subsets:
-                a = Multivector.blade(metric, I)
-                b = Multivector.blade(metric, J)
-                lhs = b.right_contract(a)
-                rhs = b.inv_hodge().wedge(a).hodge()
-                yield f"({metric.k},{metric.n}) I={I} J={J}", lhs == rhs
+    for label, a, b in _blade_pairs(5):
+        yield label, b.right_contract(a) == b.inv_hodge().wedge(a).hodge()
 
 
 def _prop_hodge_round_trip(rng, trials):
-    for metric in _metric_splits(6):
-        for I in _subsets(metric.dim):
-            e = Multivector.blade(metric, I)
+    for metric, blades in _unit_blades(6):
+        for I, e in blades:
             ok = e.hodge().inv_hodge() == e and e.inv_hodge().hodge() == e
             yield f"({metric.k},{metric.n}) I={I}", ok
 
 
 def _prop_equal_grade_contraction_collapse(rng, trials):
-    for metric in _metric_splits(5):
-        for grade in range(metric.dim + 1):
-            blades = list(metric.blades(grade))
-            for I in blades:
-                for J in blades:
-                    a = Multivector.blade(metric, I)
-                    b = Multivector.blade(metric, J)
-                    scalar = Multivector.scalar(metric, a.dot(b))
-                    ok = (
-                        a.left_contract(b) == scalar
-                        and b.right_contract(a) == scalar
-                    )
-                    yield f"({metric.k},{metric.n}) I={I} J={J}", ok
+    for label, a, b in _blade_pairs(5):
+        if a.grade == b.grade:
+            scalar = Multivector.scalar(a.metric, a.dot(b))
+            yield label, a.left_contract(b) == scalar and b.right_contract(a) == scalar
 
 
 def _prop_wedge_graded_commutativity(rng, trials):
-    for metric in _metric_splits(5):
-        subsets = _subsets(metric.dim)
-        for I in subsets:
-            for J in subsets:
-                a = Multivector.blade(metric, I)
-                b = Multivector.blade(metric, J)
-                ok = a.wedge(b) == b.wedge(a) * _sign(len(I) * len(J))
-                yield f"({metric.k},{metric.n}) I={I} J={J}", ok
+    for label, a, b in _blade_pairs(5):
+        yield label, a.wedge(b) == b.wedge(a) * _sign(a.grade * b.grade)
 
 
 def _prop_wedge_associative(rng, trials):
-    for metric in _metric_splits(4):
-        subsets = _subsets(metric.dim)
-        for I in subsets:
-            a = Multivector.blade(metric, I)
-            for J in subsets:
-                b = Multivector.blade(metric, J)
+    for metric, blades in _unit_blades(4):
+        for I, a in blades:
+            for J, b in blades:
                 ab = a.wedge(b)
-                for K in subsets:
-                    c = Multivector.blade(metric, K)
+                for K, c in blades:
                     ok = ab.wedge(c) == a.wedge(b.wedge(c))
                     yield f"({metric.k},{metric.n}) I={I} J={J} K={K}", ok
 
@@ -311,23 +298,16 @@ def _prop_matrix_algebra(rng, trials):
 # -- calculus ---------------------------------------------------------------
 
 
-def _battery_fields(rng, trials) -> Iterator[tuple[Metric, int, Multivector]]:
-    for metric in BATTERY_METRICS:
-        for grade in range(metric.dim + 1):
-            for field in field_cases(rng, metric, grade, trials):
-                yield metric, grade, field
+def _field_identity(check: Callable[[Multivector], bool]) -> Callable:
+    """The property that ``check(a)`` holds for the battery fields a of every grade."""
 
+    def prop(rng, trials):
+        for metric in BATTERY_METRICS:
+            for grade in range(metric.dim + 1):
+                for field in field_cases(rng, metric, grade, trials):
+                    yield f"({metric.k},{metric.n}) grade={grade} a={field}", check(field)
 
-def _prop_exterior_derivative_nilpotent(rng, trials):
-    for metric, grade, field in _battery_fields(rng, trials):
-        ok = ext_deriv(ext_deriv(field)).is_zero()
-        yield f"({metric.k},{metric.n}) grade={grade} a={field}", ok
-
-
-def _prop_interior_derivative_nilpotent(rng, trials):
-    for metric, grade, field in _battery_fields(rng, trials):
-        ok = int_deriv(int_deriv(field)).is_zero()
-        yield f"({metric.k},{metric.n}) grade={grade} a={field}", ok
+    return prop
 
 
 def _prop_interior_of_vector_wedge(rng, trials):
@@ -369,18 +349,6 @@ def _prop_matrix_divergence_leibniz(rng, trials):
                 yield f"({metric.k},{metric.n}) grade={grade} case={case}", ok
 
 
-def _prop_laplacian_splitting_sign(rng, trials):
-    for metric, grade, field in _battery_fields(rng, trials):
-        ok = check_laplacian_splitting(metric, grade, [field])
-        yield f"({metric.k},{metric.n}) grade={grade} a={field}", ok
-
-
-def _prop_tensor_divergence_is_laplacian(rng, trials):
-    for metric, grade, field in _battery_fields(rng, trials):
-        ok = matrix_divergence(tensor_deriv(field)) == laplacian(field)
-        yield f"({metric.k},{metric.n}) grade={grade} a={field}", ok
-
-
 def _prop_curl_forms_agree(rng, trials):
     metric = Metric(0, 3)
     for case in range(trials):
@@ -400,12 +368,6 @@ def _prop_curl_forms_agree(rng, trials):
         )
         ok = via_wedge == classical and via_left == classical and via_right == classical
         yield f"case={case} v={v}", ok
-
-
-def _prop_interior_orientation_sign(rng, trials):
-    for metric, grade, field in _battery_fields(rng, trials):
-        ok = int_deriv(field) == right_int_deriv(field) * _sign(grade + 1)
-        yield f"({metric.k},{metric.n}) grade={grade} a={field}", ok
 
 
 def _prop_vector_divergence_routes(rng, trials):
@@ -808,15 +770,20 @@ SUITES: dict[str, dict[str, Callable]] = {
         "matrix_algebra": _prop_matrix_algebra,
     },
     "calculus": {
-        "exterior_derivative_nilpotent": _prop_exterior_derivative_nilpotent,
-        "interior_derivative_nilpotent": _prop_interior_derivative_nilpotent,
+        "exterior_derivative_nilpotent": _field_identity(
+            lambda a: ext_deriv(ext_deriv(a)).is_zero()),
+        "interior_derivative_nilpotent": _field_identity(
+            lambda a: int_deriv(int_deriv(a)).is_zero()),
         "interior_of_vector_wedge": _prop_interior_of_vector_wedge,
         "divergence_of_contraction": _prop_divergence_of_contraction,
         "matrix_divergence_leibniz": _prop_matrix_divergence_leibniz,
-        "laplacian_splitting_sign": _prop_laplacian_splitting_sign,
-        "tensor_divergence_is_laplacian": _prop_tensor_divergence_is_laplacian,
+        "laplacian_splitting_sign": _field_identity(
+            lambda a: check_laplacian_splitting(a.metric, a.grade, [a])),
+        "tensor_divergence_is_laplacian": _field_identity(
+            lambda a: matrix_divergence(tensor_deriv(a)) == laplacian(a)),
         "curl_forms_agree": _prop_curl_forms_agree,
-        "interior_orientation_sign": _prop_interior_orientation_sign,
+        "interior_orientation_sign": _field_identity(
+            lambda a: int_deriv(a) == right_int_deriv(a) * _sign(a.grade + 1)),
         "vector_divergence_routes": _prop_vector_divergence_routes,
     },
     "variational": {
@@ -849,7 +816,8 @@ def run_suites(suites: Iterable[str] | str, seed: int = 42,
     """
     if isinstance(suites, str):
         suites = [suites]
-    if trials < 1:
+    integer(seed, "seed")
+    if integer(trials, "trials") < 1:
         raise AlgebraError("trials must be at least 1")
     picked: list[str] = []
     for name in suites:

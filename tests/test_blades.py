@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mvcalc.blades import AlgebraError, GradeError, Metric, Multivector
+from mvcalc.matrices import MvMatrix
 from mvcalc.poly import PolyScalar
 from mvcalc.randgen import random_field, rng_for
 
@@ -188,3 +189,23 @@ def test_immutability():
         a.grade = 2
     with pytest.raises(TypeError):
         hash(a)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: PolyScalar.variable(3, 1.5), id="variable-index-float"),
+    pytest.param(lambda: PolyScalar.variable(3, True), id="variable-index-bool"),
+    pytest.param(lambda: PolyScalar.variable(1.5, 0), id="variable-nvars-float"),
+    pytest.param(lambda: PolyScalar.variable(3, 0, 1.0), id="variable-power-float"),
+    pytest.param(lambda: PolyScalar.constant(1.5, 0), id="constant-nvars-float"),
+    pytest.param(lambda: PolyScalar.variable(3, 0).partial(True), id="partial-bool"),
+    pytest.param(lambda: PolyScalar.variable(3, 0).partial(0.0), id="partial-float"),
+    pytest.param(lambda: M13.sign(1.5), id="sign-float"),
+    pytest.param(lambda: M13.sign(True), id="sign-bool"),
+    pytest.param(lambda: M13.sign_of((0.5,)), id="sign-of-float"),
+    pytest.param(lambda: list(M13.blades(1.0)), id="blades-float"),
+    pytest.param(lambda: MvMatrix.identity(M13, 1.0), id="identity-float"),
+    pytest.param(lambda: random_field(rng_for(1, "grade"), M13, 1.0), id="random-field-float"),
+])
+def test_integer_arguments_are_not_coerced(call):
+    with pytest.raises(AlgebraError, match="integers only"):
+        call()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvcalc import poly
 from mvcalc.blades import AlgebraError, Metric, Multivector
 from mvcalc.calculus import ext_deriv, int_deriv, laplacian
 from mvcalc.em import MaxwellConfig, build_lagrangian
@@ -47,6 +48,40 @@ def test_exact_normalises_integral_rationals_to_int():
 def test_exact_rejects_non_rationals(bad):
     with pytest.raises(AlgebraError):
         exact(bad)
+
+
+@pytest.mark.parametrize("nvars", [6, 2])
+def test_polynomial_coefficients_must_use_the_field_variables(nvars):
+    # a field's coordinates are the metric's k+n axes: a polynomial in more
+    # variables would have d^ skip them, one in fewer would fail mid-derivative
+    bad = PolyScalar.monomial(nvars, [0] * (nvars - 1) + [1], 1)
+    metric = Metric(1, 3)
+    unit = Multivector.blade(metric, (0,))
+    eye = MvMatrix.identity(metric, 1)
+    for build in (
+        lambda: Multivector(metric, 0, {(): bad}),
+        lambda: Multivector.blade(metric, (0, 1), bad),
+        lambda: MvMatrix.basis(metric, (0,), (1,), bad),
+        lambda: unit * bad,
+        lambda: bad * unit,
+        lambda: eye * bad,
+        lambda: bad * eye,
+    ):
+        with pytest.raises(AlgebraError, match=f"polynomial in {nvars} variables, expected 4"):
+            build()
+
+
+def test_coefficient_takes_field_polynomials_and_exact_rationals():
+    x = PolyScalar.variable(4, 1)
+    assert poly.coefficient(x, 4) is x
+    two = poly.coefficient(Fraction(6, 3), 4)
+    assert two == 2 and type(two) is int
+    assert poly.coefficient(Fraction(1, 3), 4) == Fraction(1, 3)
+    with pytest.raises(AlgebraError, match="expected 3"):
+        poly.coefficient(x, 3)
+    for bad in (True, 0.5, "1", None):
+        with pytest.raises(AlgebraError, match="exact rational"):
+            poly.coefficient(bad, 4)
 
 
 def test_partial_of_a_constant_is_int_zero():

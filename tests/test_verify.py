@@ -1,9 +1,11 @@
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from mvcalc import verify
-from mvcalc.blades import AlgebraError
+from mvcalc.blades import AlgebraError, Multivector
+from mvcalc.randgen import rng_for
 from mvcalc.verify import (
     PropertyOutcome,
     format_report,
@@ -38,6 +40,12 @@ def test_unknown_suite_and_bad_trials_rejected():
         run_suites("algebraic")
     with pytest.raises(AlgebraError, match="trials"):
         run_suites("algebra", trials=0)
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": 2.5}, {"trials": True}, {"seed": 1.5}, {"seed": "42"}])
+def test_non_integer_trials_and_seed_rejected(kwargs):
+    with pytest.raises(AlgebraError, match="integers only"):
+        run_suites("em", **kwargs)
 
 
 def test_report_formatting_of_failures():
@@ -98,3 +106,44 @@ def test_raising_property_is_reported_as_fail(monkeypatch):
     lines = format_report(outcomes.values()).splitlines()
     assert "FAIL em/a_crashes: cases=3 failures=1" in lines
     assert lines[-1].startswith(f"SUMMARY: properties={len(suites['em'])} passed={len(real)} failed=2")
+
+
+# sha256 over every ``suite/name|label|ok`` line of every property at seed
+# 42, trials 2, taken before the exhaustive sweeps shared their iterators
+LABEL_STREAM = Path(__file__).parent / "golden" / "verify_labels_seed42_trials2.sha256"
+
+
+def test_seed42_label_stream_matches_golden_hash():
+    digest = hashlib.sha256()
+    lines = 0
+    for suite in sorted(verify.SUITES):
+        for name in sorted(verify.SUITES[suite]):
+            prop = verify.SUITES[suite][name]
+            for label, ok in prop(rng_for(42, f"{suite}/{name}"), 2):
+                digest.update(f"{suite}/{name}|{label}|{ok}\n".encode())
+                lines += 1
+    assert f"sha256={digest.hexdigest()} lines={lines}\n" == LABEL_STREAM.read_text()
+
+
+def _failing_cases(name):
+    prop = verify.SUITES["algebra"][name]
+    return sum(not ok for _, ok in prop(rng_for(1, name), 1))
+
+
+def test_blade_sweeps_catch_a_wrong_hodge_sign(monkeypatch):
+    hodge = Multivector.hodge
+    monkeypatch.setattr(Multivector, "hodge",
+                        lambda self: -hodge(self) if self.grade == 2 else hodge(self))
+    for name in ("hodge_round_trip", "left_contraction_via_hodge", "right_contraction_via_hodge"):
+        assert _failing_cases(name), name
+
+
+def test_blade_sweeps_catch_a_wrong_wedge_sign(monkeypatch):
+    # flipping only vector ^ bivector keeps wedge linear but breaks both laws
+    wedge = Multivector.wedge
+    monkeypatch.setattr(
+        Multivector, "wedge",
+        lambda self, other: -wedge(self, other) if (self.grade, other.grade) == (1, 2)
+        else wedge(self, other))
+    for name in ("wedge_graded_commutativity", "wedge_associative"):
+        assert _failing_cases(name), name
