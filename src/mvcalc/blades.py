@@ -15,10 +15,10 @@ list and s(.,.) the merge signature:
     hodge         e_I^H       = D_II s(I, Ic) e_{Ic}
     inv. hodge    e_I^(H-1)   = D_IcIc s(Ic, I) e_{Ic}
 
-Internally blades are bitmasks (bit i set for each i in I): each row of
-the table is a rule (mask, mask) -> (sign, mask) run by one sparse
-kernel, with signs from popcounts.  At the API, in ``terms``, text and
-JSON, blades stay index tuples, converted at the kernel boundary.
+Terms are stored by blade bitmask (bit i set for each i in I), and each
+row of the table is a rule (mask, mask) -> (sign, mask) run by one sparse
+kernel, with signs from popcounts.  Index tuples appear only at the API;
+``terms`` is a tuple-keyed view of the masks built on each access.
 
 Coefficients are exact: an integral rational is stored as an int, any
 other rational as a Fraction (see ``poly.exact``), and a polynomial as a
@@ -86,47 +86,46 @@ class Metric:
 class Multivector:
     """Grade-homogeneous multivector with sparse exact coefficients.
 
-    ``terms`` maps canonical index lists to nonzero coefficients.  The
-    grade annotation survives on the zero multivector, and only the zero
-    multivector may carry a grade outside [0, k+n] (such grades arise as
-    stated results of wedge overflow and of interior derivatives of
-    grade 0).
+    Stored by blade mask; ``terms`` is a new dict of index lists on each
+    access.  The grade annotation survives on the zero multivector, and
+    only the zero multivector may carry a grade outside [0, k+n] (such
+    grades arise as stated results of wedge overflow and of interior
+    derivatives of grade 0).
     """
 
-    __slots__ = ("metric", "grade", "terms")
+    __slots__ = ("metric", "grade", "_masks")
 
     def __init__(self, metric: Metric, grade: int, terms: Mapping[tuple, object] | None = None):
         if type(grade) is not int:
             integer(grade, "grade")
-        clean: dict[tuple, object] = {}
+        clean: dict[int, object] = {}
         for indices, coeff in (terms or {}).items():
             indices = tuple(indices)
             check_canonical(indices, metric.dim)
             coeff = coefficient(coeff, metric.dim)
             if coeff:
-                clean[indices] = coeff
+                clean[_MASK[indices]] = coeff
         if clean:
             if not 0 <= grade <= metric.dim:
                 raise GradeError(f"grade {grade} out of range for dimension {metric.dim}")
-            for indices in clean:
-                if len(indices) != grade:
-                    raise GradeError(
-                        f"index list {indices!r} has grade {len(indices)}, expected {grade}"
-                    )
+            for mask in clean:
+                if mask.bit_count() != grade:
+                    raise GradeError(f"index list {_BLADE[mask]!r} has grade "
+                                     f"{mask.bit_count()}, expected {grade}")
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_masks", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
     @classmethod
     def _make(cls, metric: Metric, grade: int, items) -> "Multivector":
-        """Trusted builder from (canonical indices of ``grade``, coeff) pairs built here."""
+        """Trusted builder from (blade mask of ``grade``, coeff) pairs built here."""
         mv = object.__new__(cls)
         object.__setattr__(mv, "metric", metric)
         object.__setattr__(mv, "grade", grade)
-        object.__setattr__(mv, "terms", _exact_terms(items))
+        object.__setattr__(mv, "_masks", _exact_terms(items))
         return mv
 
     # -- constructors ----------------------------------------------------
@@ -146,21 +145,28 @@ class Multivector:
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple, object]:
+        """A new dict of canonical index lists to nonzero coefficients."""
+        return {_BLADE[mask]: c for mask, c in self._masks.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._masks
 
     def coefficient(self, indices):
         """Coefficient of one blade (0 when absent)."""
-        return self.terms.get(tuple(indices), 0)
+        indices = tuple(indices)
+        check_canonical(indices, self.metric.dim)
+        return self._masks.get(_MASK[indices], 0)
 
     def scalar_value(self):
         if self.grade != 0:
             raise GradeError("scalar_value needs a grade-0 multivector")
-        return self.terms.get((), 0)
+        return self._masks.get(0, 0)
 
     def items(self) -> list[tuple[tuple, object]]:
         """Terms sorted by index list; the iteration order for printing."""
-        return sorted(self.terms.items())
+        return sorted((_BLADE[mask], c) for mask, c in self._masks.items())
 
     def _require_same_space(self, other: "Multivector") -> None:
         if not isinstance(other, Multivector):
@@ -172,13 +178,13 @@ class Multivector:
 
     def __add__(self, other):
         self._require_same_space(other)
-        if self.grade != other.grade and self.terms and other.terms:
+        if self.grade != other.grade and self._masks and other._masks:
             raise GradeError(f"cannot add grades {self.grade} and {other.grade}")
-        grade = self.grade if self.terms or not other.terms else other.grade
-        out = dict(self.terms)
-        for indices, coeff in other.terms.items():
-            acc = out.get(indices)
-            out[indices] = coeff if acc is None else acc + coeff
+        grade = self.grade if self._masks or not other._masks else other.grade
+        out = dict(self._masks)
+        for mask, coeff in other._masks.items():
+            acc = out.get(mask)
+            out[mask] = coeff if acc is None else acc + coeff
         return Multivector._make(self.metric, grade, out.items())
 
     def __sub__(self, other):
@@ -186,7 +192,7 @@ class Multivector:
 
     def __neg__(self):
         return Multivector._make(self.metric, self.grade,
-                                 ((i, -c) for i, c in self.terms.items()))
+                                 ((m, -c) for m, c in self._masks.items()))
 
     def __mul__(self, scalar):
         try:
@@ -196,7 +202,7 @@ class Multivector:
                 raise
             return NotImplemented
         return Multivector._make(
-            self.metric, self.grade, ((i, scalar * c) for i, c in self.terms.items())
+            self.metric, self.grade, ((m, scalar * c) for m, c in self._masks.items())
         )
 
     __rmul__ = __mul__
@@ -208,9 +214,9 @@ class Multivector:
             return False
         # zeros of every grade are the same value; the annotation only
         # records intent
-        if not self.terms and not other.terms:
+        if not self._masks and not other._masks:
             return True
-        return self.grade == other.grade and self.terms == other.terms
+        return self.grade == other.grade and self._masks == other._masks
 
     __hash__ = None
 
@@ -226,51 +232,51 @@ class Multivector:
         if self.grade != other.grade:
             raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
         out = _accumulate({}, _left_rule, (1 << self.metric.k) - 1,
-                          _masked(self.terms), _masked(other.terms))
+                          self._masks.items(), other._masks.items())
         return out.get(0, 0)
 
     def _product(self, rule, left, right, grade, flip=0) -> "Multivector":
         out = _accumulate({}, rule, (1 << self.metric.k) - 1, left, right, flip)
-        return _from_masks(self.metric, grade, out)
+        return Multivector._make(self.metric, grade, out.items())
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Exterior product; grade adds (zero past the top grade)."""
         self._require_same_space(other)
-        return self._product(_wedge_rule, _masked(self.terms), _masked(other.terms),
+        return self._product(_wedge_rule, self._masks.items(), other._masks.items(),
                              self.grade + other.grade)
 
     def left_contract(self, other: "Multivector") -> "Multivector":
         """Left interior product self _| other; lowers other's grade by self's."""
         self._require_same_space(other)
-        return self._product(_left_rule, _masked(self.terms), _masked(other.terms),
+        return self._product(_left_rule, self._masks.items(), other._masks.items(),
                              other.grade - self.grade)
 
     def right_contract(self, other: "Multivector") -> "Multivector":
         """Right interior product self |_ other; lowers self's grade by other's."""
         self._require_same_space(other)
-        return self._product(_right_rule, _masked(self.terms), _masked(other.terms),
+        return self._product(_right_rule, self._masks.items(), other._masks.items(),
                              self.grade - other.grade)
 
     def hodge(self) -> "Multivector":
         """Hodge complement, blade by blade: the pseudoscalar |_ self."""
         dim = self.metric.dim
-        return self._product(_right_rule, [((1 << dim) - 1, None)], _masked(self.terms),
+        return self._product(_right_rule, [((1 << dim) - 1, None)], self._masks.items(),
                              dim - self.grade)
 
     def inv_hodge(self) -> "Multivector":
         """Inverse Hodge complement: inv_hodge(hodge(a)) == a."""
         # self _| pseudoscalar, flipped by D of the pseudoscalar: D_II -> D_IcIc
         dim = self.metric.dim
-        return self._product(_left_rule, _masked(self.terms), [((1 << dim) - 1, None)],
+        return self._product(_left_rule, self._masks.items(), [((1 << dim) - 1, None)],
                              dim - self.grade, flip=self.metric.k & 1)
 
     # -- canonical text -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._masks:
             return "0"
         if self.grade == 0:
-            return number_text(self.terms[()])
+            return number_text(self._masks[0])
         pieces = []
         for pos, (indices, coeff) in enumerate(self.items()):
             sign, body = _blade_term_text(indices, coeff)
@@ -328,14 +334,6 @@ class _Memo(dict):
 _MASK = _Memo(lambda blade: sum(1 << i for i in blade))
 _BLADE = _Memo(lambda mask: tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
 _ABOVE = _Memo(lambda mask: mask and (mask >> 1) ^ _ABOVE[mask >> 1])
-
-
-def _masked(terms: Mapping[tuple, object]) -> list[tuple[int, object]]:
-    return [(_MASK[indices], coeff) for indices, coeff in terms.items()]
-
-
-def _from_masks(metric: Metric, grade: int, out: Mapping[int, object]) -> Multivector:
-    return Multivector._make(metric, grade, ((_BLADE[mask], c) for mask, c in out.items()))
 
 
 # Rules (A, B, t) -> (odd, result mask), or None for no term.  The sign is

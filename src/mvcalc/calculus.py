@@ -27,14 +27,15 @@ derivatives split the Laplacian with a grade-dependent sign:
 (verified symbolically by the verification suite; wave-equation
 rewriting refuses to run unless this check passes for its shape).
 
-d^ and d_| run the bitmask blade kernel of ``blades``, e_i against d_i a;
-fields keep index-tuple blades at the API.
+Fields are read and built as blade-mask dicts, d^ and d_| by the bitmask
+kernel of ``blades`` (e_i against d_i a); masks become index tuples only
+where a tuple-keyed MvMatrix is read or written.
 """
 
 from __future__ import annotations
 
-from .blades import (AlgebraError, GradeError, Metric, Multivector, _accumulate,
-                     _from_masks, _left_rule, _masked, _wedge_rule)
+from .blades import (_BLADE, _MASK, AlgebraError, GradeError, Metric, Multivector,
+                     _accumulate, _left_rule, _wedge_rule)
 from .matrices import MvMatrix
 from .poly import partial
 
@@ -45,14 +46,13 @@ def _vector_deriv(field: Multivector, rule, time_flip: bool, grade: int) -> Mult
     Only terms that the rule keeps against e_i are differentiated along i.
     """
     metric = field.metric
-    terms = _masked(field.terms)
     out: dict[int, object] = {}
     for i in range(metric.dim):
         unit = 1 << i
-        parts = [(mask, d) for mask, coeff in terms
+        parts = [(mask, d) for mask, coeff in field._masks.items()
                  if rule(unit, mask, 0) is not None and (d := partial(coeff, i))]
         _accumulate(out, rule, 0, [(unit, None)], parts, flip=time_flip and i < metric.k)
-    return _from_masks(metric, grade, out)
+    return Multivector._make(metric, grade, out.items())
 
 
 def ext_deriv(field: Multivector) -> Multivector:
@@ -80,12 +80,12 @@ def tensor_deriv(field: Multivector) -> MvMatrix:
     """Tensor derivative: row grade 1 matrix of all first partials."""
     metric = field.metric
     out: dict[tuple, object] = {}
-    for indices, coeff in field.terms.items():
+    for mask, coeff in field._masks.items():
         for i in range(metric.dim):
             d = partial(coeff, i)
             if not d:
                 continue
-            out[((i,), indices)] = metric.sign(i) * d
+            out[((i,), _BLADE[mask])] = metric.sign(i) * d
     return MvMatrix._make(metric, 1, field.grade, out.items())
 
 
@@ -93,9 +93,9 @@ def laplacian(field: Multivector) -> Multivector:
     """Component-wise d'Alembertian sum_i D_ii d_i^2, grade unchanged."""
     metric = field.metric
     return Multivector._make(metric, field.grade, (
-        (indices, sum(metric.sign(i) * d2 for i in range(metric.dim)
-                      if (d2 := partial(partial(coeff, i), i))))
-        for indices, coeff in field.terms.items()))
+        (mask, sum(metric.sign(i) * d2 for i in range(metric.dim)
+                   if (d2 := partial(partial(coeff, i), i))))
+        for mask, coeff in field._masks.items()))
 
 
 def matrix_divergence(matrix: MvMatrix) -> Multivector:
@@ -106,34 +106,36 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
     """
     if matrix.row_grade != 1 and matrix.terms:
         raise GradeError("matrix divergence needs row grade 1")
-    out: dict[tuple, object] = {}
+    out: dict[int, object] = {}
     for (rows, cols), coeff in matrix.terms.items():
         d = partial(coeff, rows[0])
         if d:
-            acc = out.get(cols)
-            out[cols] = d if acc is None else acc + d
+            mask = _MASK[cols]
+            acc = out.get(mask)
+            out[mask] = d if acc is None else acc + d
     return Multivector._make(matrix.metric, matrix.col_grade, out.items())
 
 
 def divergence_scalar(field: Multivector):
     """Divergence of a 1-vector field as a plain scalar, sum_i d_i v_i."""
-    if field.grade != 1 and field.terms:
+    if field.grade != 1 and field._masks:
         raise GradeError("scalar divergence needs a 1-vector field")
     total = 0
-    for indices, coeff in field.terms.items():
-        total = total + partial(coeff, indices[0])
+    for mask, coeff in field._masks.items():
+        total = total + partial(coeff, mask.bit_length() - 1)
     return total
 
 
 def directional_deriv(direction: Multivector, field: Multivector) -> Multivector:
     """Convective derivative (v . d) a, component-wise sum_i v_i d_i a_I."""
-    if direction.grade != 1 and direction.terms:
+    if direction.grade != 1 and direction._masks:
         raise GradeError("direction must be a 1-vector field")
     if direction.metric != field.metric:
         raise AlgebraError("mixed metrics")
     return Multivector._make(field.metric, field.grade, (
-        (indices, sum(v * d for (i,), v in direction.terms.items() if (d := partial(coeff, i))))
-        for indices, coeff in field.terms.items()))
+        (mask, sum(v * d for unit, v in direction._masks.items()
+                   if (d := partial(coeff, unit.bit_length() - 1))))
+        for mask, coeff in field._masks.items()))
 
 
 def check_laplacian_splitting(metric: Metric, grade: int, fields) -> bool:

@@ -155,7 +155,7 @@ def wave_form(cfg: MaxwellConfig, field_name: str = "A",
 
 
 def _is_constant(field: Multivector) -> bool:
-    for coeff in field.terms.values():
+    for coeff in field._masks.values():
         if isinstance(coeff, PolyScalar) and not coeff.is_constant():
             return False
     return True
@@ -170,7 +170,7 @@ def gauge_transform(A: Multivector, Abar: Multivector,
     """
     if Abar.metric != A.metric:
         raise AlgebraError("mixed metrics")
-    if Abar.grade != A.grade and Abar.terms:
+    if Abar.grade != A.grade and Abar._masks:
         raise GradeError(f"offset grade {Abar.grade} does not match potential grade {A.grade}")
     if not _is_constant(Abar):
         raise AlgebraError("gauge offset must be a constant field")
@@ -180,7 +180,7 @@ def gauge_transform(A: Multivector, Abar: Multivector,
             raise GradeError("grade-0 potentials admit no d^ G term")
         if G.metric != A.metric:
             raise AlgebraError("mixed metrics")
-        if G.grade != A.grade - 1 and G.terms:
+        if G.grade != A.grade - 1 and G._masks:
             raise GradeError(f"gauge function grade {G.grade}, expected {A.grade - 1}")
         out = out + ext_deriv(G)
     return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .blades import AlgebraError, GradeError, Metric, Multivector
+from .blades import _MASK, AlgebraError, GradeError, Metric, Multivector
 from .indexes import check_canonical, integer
 from .poly import PolyScalar, _exact_terms, coefficient
 
@@ -90,7 +90,10 @@ class MvMatrix:
         return not self.terms
 
     def entry(self, rows, cols):
-        return self.terms.get((tuple(rows), tuple(cols)), 0)
+        rows, cols = tuple(rows), tuple(cols)
+        check_canonical(rows, self.metric.dim)
+        check_canonical(cols, self.metric.dim)
+        return self.terms.get((rows, cols), 0)
 
     def _require_same_space(self, other: "MvMatrix") -> None:
         if not isinstance(other, MvMatrix):
@@ -195,16 +198,16 @@ def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
     """matrix x vector: contracts columns against the vector's blades."""
     if matrix.metric != vector.metric:
         raise AlgebraError("mixed metrics")
-    if matrix.col_grade != vector.grade and matrix.terms and vector.terms:
+    if matrix.col_grade != vector.grade and matrix.terms and vector._masks:
         raise GradeError(
             f"cannot contract column grade {matrix.col_grade} with grade {vector.grade}"
         )
-    out: dict[tuple, object] = {}
+    out: dict[int, object] = {}
     for (rows, cols), coeff in matrix.terms.items():
-        vc = vector.terms.get(cols)
+        vc = vector._masks.get(_MASK[cols])
         if vc is None:
             continue
-        out[rows] = out.get(rows, 0) + matrix.metric.sign_of(cols) * coeff * vc
+        out[_MASK[rows]] = out.get(_MASK[rows], 0) + matrix.metric.sign_of(cols) * coeff * vc
     return Multivector._make(matrix.metric, matrix.row_grade, out.items())
 
 
@@ -215,14 +218,14 @@ def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
     """
     if matrix.metric != vector.metric:
         raise AlgebraError("mixed metrics")
-    if matrix.row_grade != vector.grade and matrix.terms and vector.terms:
+    if matrix.row_grade != vector.grade and matrix.terms and vector._masks:
         raise GradeError(
             f"cannot contract row grade {matrix.row_grade} with grade {vector.grade}"
         )
-    out: dict[tuple, object] = {}
+    out: dict[int, object] = {}
     for (rows, cols), coeff in matrix.terms.items():
-        vc = vector.terms.get(rows)
+        vc = vector._masks.get(_MASK[rows])
         if vc is None:
             continue
-        out[cols] = out.get(cols, 0) + matrix.metric.sign_of(rows) * coeff * vc
+        out[_MASK[cols]] = out.get(_MASK[cols], 0) + matrix.metric.sign_of(rows) * coeff * vc
     return Multivector._make(matrix.metric, matrix.col_grade, out.items())

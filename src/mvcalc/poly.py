@@ -283,6 +283,8 @@ def partial(coeff, index: int):
     """Partial derivative of any coefficient; a rational constant gives 0."""
     if isinstance(coeff, PolyScalar):
         return coeff.partial(index)
+    if type(index) is not int:
+        integer(index, "variable index")
     return 0
 
 

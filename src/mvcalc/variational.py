@@ -47,9 +47,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import calculus
-from .blades import AlgebraError, GradeError, Metric, Multivector
+from .blades import _BLADE, AlgebraError, GradeError, Metric, Multivector, _right_rule, _wedge_rule
 from .calculus import matrix_divergence
-from .indexes import integer, merge_signature
+from .indexes import integer
 from .matrices import MvMatrix, mat_vec
 from .poly import exact, number_text
 
@@ -148,7 +148,7 @@ def _chain_value(chain: tuple, sym: FieldSymbol, assignment: Mapping):
         value = assignment[sym.name]
     except KeyError:
         raise AlgebraError(f"no field value bound to symbol {sym.name!r}") from None
-    if value.grade != sym.grade and value.terms:
+    if value.grade != sym.grade and value._masks:
         raise GradeError(
             f"symbol {sym.name} has grade {sym.grade}, got a grade {value.grade} field"
         )
@@ -519,23 +519,17 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
             other_val = _chain_value(other[0].chain, other[1], assignment)
             if other_val.metric != metric:
                 raise AlgebraError("mixed metrics")
-            if op is DerivOp.EXT:
-                for K, vK in other_val.terms.items():
-                    for pos, i in enumerate(K):
-                        I = K[:pos] + K[pos + 1:]
-                        sig, _ = merge_signature((i,), I)
-                        add((i,), I, coeff * sig * vK)
-            elif op is DerivOp.INT:
-                for K, vK in other_val.terms.items():
-                    members = set(K)
-                    for i in range(metric.dim):
-                        if i in members:
-                            continue
-                        sig, I = merge_signature(K, (i,))
-                        add((i,), I, coeff * metric.sign(i) * sig * vK)
-            else:
+            if op is DerivOp.TENSOR:
                 for (rows, cols), v in other_val.terms.items():
                     add(rows, cols, coeff * v)
+                continue
+            # ext: e_K |_ e_i = s(i, K\i) e_{K\i}; int: e_K ^ e_i = s(K, i) e_{K+i}
+            rule = _right_rule if op is DerivOp.EXT else _wedge_rule
+            for K, vK in other_val._masks.items():
+                for i in range(metric.dim):
+                    if (hit := rule(K, 1 << i, 0)) is not None:
+                        sig = metric.sign(i) if op is DerivOp.INT else 1
+                        add((i,), _BLADE[hit[1]], coeff * (-sig if hit[0] else sig) * vK)
     return MvMatrix._make(metric, 1, a.grade, out.items())
 
 
@@ -552,7 +546,7 @@ def first_variation(L: LagrangianDensity, a_value: Multivector,
     a, _ = _dynamical_ops(L)
     if a_value.metric != eps.metric:
         raise AlgebraError("mixed metrics")
-    if eps.grade != a_value.grade and eps.terms:
+    if eps.grade != a_value.grade and eps._masks:
         raise GradeError(f"variation grade {eps.grade} does not match field grade {a_value.grade}")
     assignment = dict(sources or {})
     assignment[a.name] = a_value

@@ -209,3 +209,27 @@ def test_immutability():
 def test_integer_arguments_are_not_coerced(call):
     with pytest.raises(AlgebraError, match="integers only"):
         call()
+
+
+def test_terms_is_a_view_that_cannot_change_the_value():
+    b = Multivector.blade(M13, (0,))
+    view = b.terms
+    view[(1,)] = 0.5
+    del view[(0,)]
+    assert b.terms == {(0,): 1} and b.terms is not b.terms
+    assert b == Multivector.blade(M13, (0,)) and str(b) == "e[0]"
+
+
+@pytest.mark.parametrize("indices, message", [
+    ((0.0,), "integers only"), ((True,), "integers only"), ((1, 0), "not strictly increasing"),
+    ((0, 0), "not strictly increasing"), ((4,), "out of range"), ((-1,), "out of range"),
+])
+def test_coefficient_and_entry_check_their_index_lists(indices, message):
+    # unchecked, (0.0,) found the (0,) coefficient and (1, 0) silently read 0
+    with pytest.raises(AlgebraError, match=message):
+        Multivector.blade(M13, (0,)).coefficient(indices)
+    w = MvMatrix.basis(M13, (0,), (0,))
+    with pytest.raises(AlgebraError, match=message):
+        w.entry(indices, (0,))
+    with pytest.raises(AlgebraError, match=message):
+        w.entry((0,), indices)

@@ -90,6 +90,14 @@ def test_partial_of_a_constant_is_int_zero():
     assert partial(x0 * x0, 0) == 2 * x0
 
 
+@pytest.mark.parametrize("coeff", [3, Fraction(3, 2), PolyScalar.variable(2, 0)])
+@pytest.mark.parametrize("index", [1.5, True, "0", None])
+def test_partial_refuses_a_non_int_index(coeff, index):
+    # a rational coefficient used to give 0 whatever the index
+    with pytest.raises(AlgebraError, match="bad variable index: integers only"):
+        partial(coeff, index)
+
+
 def test_division_builds_a_fraction():
     half = PolyScalar.constant(2, 1) / 2
     assert half.terms == {(0, 0): Fraction(1, 2)}

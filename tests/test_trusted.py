@@ -6,6 +6,9 @@ that public constructor: on ``randgen`` fields over every (k, n) with
 k+n <= 5, with rational and polynomial coefficients, each result must
 equal its own terms passed back through it, hold no zero coefficient and
 no integral Fraction, and key every term by index lists of its grade.
+A multivector's ``terms`` is a view built on each access: its keys must
+be canonical index tuples of the result's grade, ``items()`` must give
+them in sorted order, and the constructor must rebuild the same view.
 """
 
 from fractions import Fraction
@@ -16,6 +19,7 @@ import mvcalc
 from mvcalc.blades import Metric, Multivector
 from mvcalc.calculus import (directional_deriv, ext_deriv, int_deriv, laplacian,
                              matrix_divergence, tensor_deriv)
+from mvcalc.indexes import check_canonical
 from mvcalc.matrices import MvMatrix, mat_vec, vec_mat
 from mvcalc.poly import PolyScalar
 from mvcalc.randgen import (random_constant_field, random_field, random_matrix_field,
@@ -31,8 +35,13 @@ def check(value):
         rebuilt = PolyScalar(value.nvars, value.terms)
         assert all(len(exps) == value.nvars for exps in value.terms)
     elif isinstance(value, Multivector):
-        rebuilt = Multivector(value.metric, value.grade, value.terms)
-        assert all(len(indices) == value.grade for indices in value.terms)
+        view = value.terms
+        rebuilt = Multivector(value.metric, value.grade, view)
+        for indices in view:
+            assert type(indices) is tuple and len(indices) == value.grade
+            check_canonical(indices, value.metric.dim)
+        assert value.items() == sorted(view.items(), key=lambda item: item[0])
+        assert rebuilt.terms == view and value.terms is not view
     else:
         assert isinstance(value, MvMatrix)
         rebuilt = MvMatrix(value.metric, value.row_grade, value.col_grade, value.terms)
