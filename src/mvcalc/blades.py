@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .indexes import MAX_DIM, AlgebraError, check_canonical, integer
+from .indexes import MAX_DIM, AlgebraError, as_tuple, check_canonical, integer, term_items
 from .poly import PolyScalar, _exact_terms, coefficient, monomial_text, number_text
 
 
@@ -99,8 +99,8 @@ class Multivector:
         if type(grade) is not int:
             integer(grade, "grade")
         clean: dict[int, object] = {}
-        for indices, coeff in (terms or {}).items():
-            indices = tuple(indices)
+        for indices, coeff in term_items(terms):
+            indices = indices if type(indices) is tuple else as_tuple(indices, "index list")
             check_canonical(indices, metric.dim)
             coeff = coefficient(coeff, metric.dim)
             if coeff:
@@ -136,7 +136,7 @@ class Multivector:
 
     @classmethod
     def blade(cls, metric: Metric, indices, coeff=1) -> "Multivector":
-        indices = tuple(indices)
+        indices = as_tuple(indices, "index list")
         return cls(metric, len(indices), {indices: coeff})
 
     @classmethod
@@ -155,7 +155,7 @@ class Multivector:
 
     def coefficient(self, indices):
         """Coefficient of one blade (0 when absent)."""
-        indices = tuple(indices)
+        indices = as_tuple(indices, "index list")
         check_canonical(indices, self.metric.dim)
         return self._masks.get(_MASK[indices], 0)
 

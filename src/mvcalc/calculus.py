@@ -27,32 +27,34 @@ derivatives split the Laplacian with a grade-dependent sign:
 (verified symbolically by the verification suite; wave-equation
 rewriting refuses to run unless this check passes for its shape).
 
-Fields are read and built as blade-mask dicts, d^ and d_| by the bitmask
-kernel of ``blades`` (e_i against d_i a); masks become index tuples only
-where a tuple-keyed MvMatrix is read or written.
+Fields are blade-mask dicts.  Each operator lowers the monomials of every
+polynomial component (``poly._lower_into``) straight into the exponent
+dict of its output blade, and builds each output polynomial once.
 """
 
 from __future__ import annotations
 
 from .blades import (_BLADE, _MASK, AlgebraError, GradeError, Metric, Multivector,
-                     _accumulate, _left_rule, _wedge_rule)
+                     _left_rule, _wedge_rule)
 from .matrices import MvMatrix
-from .poly import partial
+from .poly import PolyScalar, _lower_into, partial
+
+
+def _polys(nvars: int, out: dict):
+    """(key, polynomial) pairs of a key -> exponent dict map; empty dicts give none."""
+    return ((key, PolyScalar._make(nvars, terms.items())) for key, terms in out.items() if terms)
 
 
 def _vector_deriv(field: Multivector, rule, time_flip: bool, grade: int) -> Multivector:
-    """sum_i rule(e_i, d_i field), run with no time-like axes; D_ii if ``time_flip``.
-
-    Only terms that the rule keeps against e_i are differentiated along i.
-    """
-    metric = field.metric
-    out: dict[int, object] = {}
-    for i in range(metric.dim):
-        unit = 1 << i
-        parts = [(mask, d) for mask, coeff in field._masks.items()
-                 if rule(unit, mask, 0) is not None and (d := partial(coeff, i))]
-        _accumulate(out, rule, 0, [(unit, None)], parts, flip=time_flip and i < metric.k)
-    return Multivector._make(metric, grade, out.items())
+    """sum_i rule(e_i, d_i field), run with no time-like axes; D_ii if ``time_flip``."""
+    metric, out = field.metric, {}
+    dim, k = metric.dim, metric.k if time_flip else 0
+    for mask, coeff in field._masks.items():
+        if isinstance(coeff, PolyScalar):
+            for i in range(dim):
+                if (hit := rule(1 << i, mask, 0)) is not None:
+                    _lower_into(out.setdefault(hit[1], {}), coeff._terms, i, hit[0] ^ (i < k))
+    return Multivector._make(metric, grade, _polys(dim, out))
 
 
 def ext_deriv(field: Multivector) -> Multivector:
@@ -78,24 +80,22 @@ def right_int_deriv(field: Multivector) -> Multivector:
 
 def tensor_deriv(field: Multivector) -> MvMatrix:
     """Tensor derivative: row grade 1 matrix of all first partials."""
-    metric = field.metric
-    out: dict[tuple, object] = {}
+    metric, out = field.metric, {}
     for mask, coeff in field._masks.items():
-        for i in range(metric.dim):
-            d = partial(coeff, i)
-            if not d:
-                continue
-            out[((i,), _BLADE[mask])] = metric.sign(i) * d
-    return MvMatrix._make(metric, 1, field.grade, out.items())
+        if isinstance(coeff, PolyScalar):
+            for i in range(metric.dim):
+                out[((i,), _BLADE[mask])] = _lower_into({}, coeff._terms, i, i < metric.k)
+    return MvMatrix._make(metric, 1, field.grade, _polys(metric.dim, out))
 
 
 def laplacian(field: Multivector) -> Multivector:
     """Component-wise d'Alembertian sum_i D_ii d_i^2, grade unchanged."""
-    metric = field.metric
-    return Multivector._make(metric, field.grade, (
-        (mask, sum(metric.sign(i) * d2 for i in range(metric.dim)
-                   if (d2 := partial(partial(coeff, i), i))))
-        for mask, coeff in field._masks.items()))
+    metric, out = field.metric, {}
+    for mask, c in field._masks.items():
+        if isinstance(c, PolyScalar):
+            for i in range(metric.dim):
+                _lower_into(out.setdefault(mask, {}), _lower_into({}, c._terms, i), i, i < metric.k)
+    return Multivector._make(metric, field.grade, _polys(metric.dim, out))
 
 
 def matrix_divergence(matrix: MvMatrix) -> Multivector:
@@ -104,26 +104,24 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
     Contracting the derivative against the row slot cancels the metric
     signs, leaving sum_{i,J} d_i b_{i,J} e_J.
     """
-    if matrix.row_grade != 1 and matrix.terms:
+    if matrix.row_grade != 1 and matrix._terms:
         raise GradeError("matrix divergence needs row grade 1")
-    out: dict[int, object] = {}
-    for (rows, cols), coeff in matrix.terms.items():
-        d = partial(coeff, rows[0])
-        if d:
-            mask = _MASK[cols]
-            acc = out.get(mask)
-            out[mask] = d if acc is None else acc + d
-    return Multivector._make(matrix.metric, matrix.col_grade, out.items())
+    out: dict[int, dict] = {}
+    for (rows, cols), coeff in matrix._terms.items():
+        if isinstance(coeff, PolyScalar):
+            _lower_into(out.setdefault(_MASK[cols], {}), coeff._terms, rows[0])
+    return Multivector._make(matrix.metric, matrix.col_grade, _polys(matrix.metric.dim, out))
 
 
 def divergence_scalar(field: Multivector):
-    """Divergence of a 1-vector field as a plain scalar, sum_i d_i v_i."""
+    """Divergence of a 1-vector field as a scalar, sum_i d_i v_i; int 0 with no polynomial."""
     if field.grade != 1 and field._masks:
         raise GradeError("scalar divergence needs a 1-vector field")
-    total = 0
+    terms = None
     for mask, coeff in field._masks.items():
-        total = total + partial(coeff, mask.bit_length() - 1)
-    return total
+        if isinstance(coeff, PolyScalar):
+            terms = _lower_into(terms or {}, coeff._terms, mask.bit_length() - 1)
+    return 0 if terms is None else PolyScalar._make(field.metric.dim, terms.items())
 
 
 def directional_deriv(direction: Multivector, field: Multivector) -> Multivector:

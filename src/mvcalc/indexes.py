@@ -32,6 +32,22 @@ def integer(value, what: str) -> int:
     return value
 
 
+def term_items(terms):
+    """The (key, coeff) pairs of a constructor's terms mapping; None gives none."""
+    try:
+        return (terms or {}).items()
+    except AttributeError:
+        raise AlgebraError(f"terms must be a mapping, got {type(terms).__name__}") from None
+
+
+def as_tuple(value, what: str) -> tuple:
+    """A term key as a tuple, or AlgebraError when it is not a sequence."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise AlgebraError(f"bad {what}: expected a sequence, got {value!r}") from None
+
+
 def check_index_range(indices: Iterable[int], dim: int) -> None:
     for i in indices:
         if type(i) is not int:

@@ -17,14 +17,14 @@ from __future__ import annotations
 from typing import Mapping
 
 from .blades import _MASK, AlgebraError, GradeError, Metric, Multivector
-from .indexes import check_canonical, integer
+from .indexes import as_tuple, check_canonical, integer, term_items
 from .poly import PolyScalar, _exact_terms, coefficient
 
 
 class MvMatrix:
-    """Sparse matrix over blade tensor bases, exact coefficients."""
+    """Sparse matrix over blade tensor bases, exact coefficients; ``terms`` is a view."""
 
-    __slots__ = ("metric", "row_grade", "col_grade", "terms")
+    __slots__ = ("metric", "row_grade", "col_grade", "_terms")
 
     def __init__(
         self,
@@ -36,9 +36,10 @@ class MvMatrix:
         integer(row_grade, "row grade")
         integer(col_grade, "column grade")
         clean: dict[tuple, object] = {}
-        for key, coeff in (terms or {}).items():
-            rows, cols = key
-            rows, cols = tuple(rows), tuple(cols)
+        for key, coeff in term_items(terms):
+            if type(key) is not tuple or len(key) != 2:
+                raise AlgebraError(f"bad matrix key {key!r}: expected a (rows, cols) pair")
+            rows, cols = as_tuple(key[0], "row index list"), as_tuple(key[1], "column index list")
             check_canonical(rows, metric.dim)
             check_canonical(cols, metric.dim)
             coeff = coefficient(coeff, metric.dim)
@@ -57,7 +58,7 @@ class MvMatrix:
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "row_grade", row_grade)
         object.__setattr__(self, "col_grade", col_grade)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("MvMatrix is immutable")
@@ -69,7 +70,7 @@ class MvMatrix:
         object.__setattr__(matrix, "metric", metric)
         object.__setattr__(matrix, "row_grade", row_grade)
         object.__setattr__(matrix, "col_grade", col_grade)
-        object.__setattr__(matrix, "terms", _exact_terms(items))
+        object.__setattr__(matrix, "_terms", _exact_terms(items))
         return matrix
 
     @classmethod
@@ -78,7 +79,7 @@ class MvMatrix:
 
     @classmethod
     def basis(cls, metric: Metric, rows, cols, coeff=1) -> "MvMatrix":
-        rows, cols = tuple(rows), tuple(cols)
+        rows, cols = as_tuple(rows, "row index list"), as_tuple(cols, "column index list")
         return cls(metric, len(rows), len(cols), {(rows, cols): coeff})
 
     @classmethod
@@ -86,14 +87,19 @@ class MvMatrix:
         terms = {(I, I): metric.sign_of(I) for I in metric.blades(grade)}
         return cls(metric, grade, grade, terms)
 
+    @property
+    def terms(self) -> dict[tuple, object]:
+        """A new dict of (rows, cols) index lists to nonzero coefficients."""
+        return dict(self._terms)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def entry(self, rows, cols):
-        rows, cols = tuple(rows), tuple(cols)
+        rows, cols = as_tuple(rows, "row index list"), as_tuple(cols, "column index list")
         check_canonical(rows, self.metric.dim)
         check_canonical(cols, self.metric.dim)
-        return self.terms.get((rows, cols), 0)
+        return self._terms.get((rows, cols), 0)
 
     def _require_same_space(self, other: "MvMatrix") -> None:
         if not isinstance(other, MvMatrix):
@@ -104,14 +110,14 @@ class MvMatrix:
     def __add__(self, other):
         self._require_same_space(other)
         shapes_differ = (self.row_grade, self.col_grade) != (other.row_grade, other.col_grade)
-        if shapes_differ and self.terms and other.terms:
+        if shapes_differ and self._terms and other._terms:
             raise GradeError("cannot add matrices of different grade shapes")
-        if self.terms or not other.terms:
+        if self._terms or not other._terms:
             row_grade, col_grade = self.row_grade, self.col_grade
         else:
             row_grade, col_grade = other.row_grade, other.col_grade
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
             out[key] = out.get(key, 0) + coeff
         return MvMatrix._make(self.metric, row_grade, col_grade, out.items())
 
@@ -120,7 +126,7 @@ class MvMatrix:
 
     def __neg__(self):
         return MvMatrix._make(self.metric, self.row_grade, self.col_grade,
-                              ((k, -c) for k, c in self.terms.items()))
+                              ((k, -c) for k, c in self._terms.items()))
 
     def __mul__(self, scalar):
         try:
@@ -130,7 +136,7 @@ class MvMatrix:
                 raise
             return NotImplemented
         return MvMatrix._make(self.metric, self.row_grade, self.col_grade,
-                              ((k, scalar * c) for k, c in self.terms.items()))
+                              ((k, scalar * c) for k, c in self._terms.items()))
 
     __rmul__ = __mul__
 
@@ -139,19 +145,19 @@ class MvMatrix:
             return NotImplemented
         if self.metric != other.metric:
             return False
-        if not self.terms and not other.terms:
+        if not self._terms and not other._terms:
             return True
         return (
             self.row_grade == other.row_grade
             and self.col_grade == other.col_grade
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     __hash__ = None
 
     def transpose(self) -> "MvMatrix":
         return MvMatrix._make(self.metric, self.col_grade, self.row_grade,
-                              (((cols, rows), c) for (rows, cols), c in self.terms.items()))
+                              (((cols, rows), c) for (rows, cols), c in self._terms.items()))
 
     def dot(self, other: "MvMatrix"):
         """Frobenius scalar product; requires matching grade shapes."""
@@ -159,8 +165,8 @@ class MvMatrix:
         if (self.row_grade, self.col_grade) != (other.row_grade, other.col_grade):
             raise GradeError("dot needs matching grade shapes")
         total = 0
-        for (rows, cols), coeff in self.terms.items():
-            oc = other.terms.get((rows, cols))
+        for (rows, cols), coeff in self._terms.items():
+            oc = other._terms.get((rows, cols))
             if oc is not None:
                 total = total + self.metric.sign_of(rows) * self.metric.sign_of(cols) * coeff * oc
         return total
@@ -174,9 +180,9 @@ class MvMatrix:
                 f"with row grade {other.row_grade}"
             )
         out: dict[tuple, object] = {}
-        for (ra, ca), va in self.terms.items():
+        for (ra, ca), va in self._terms.items():
             delta = self.metric.sign_of(ca)
-            for (rb, cb), vb in other.terms.items():
+            for (rb, cb), vb in other._terms.items():
                 if ca != rb:
                     continue
                 key = (ra, cb)
@@ -186,7 +192,7 @@ class MvMatrix:
     def __repr__(self) -> str:
         entries = ", ".join(
             f"w[{','.join(map(str, r))};{','.join(map(str, c))}]*{v}"
-            for (r, c), v in sorted(self.terms.items())
+            for (r, c), v in sorted(self._terms.items())
         )
         return (
             f"<MvMatrix ({self.metric.k},{self.metric.n}) "
@@ -198,12 +204,12 @@ def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
     """matrix x vector: contracts columns against the vector's blades."""
     if matrix.metric != vector.metric:
         raise AlgebraError("mixed metrics")
-    if matrix.col_grade != vector.grade and matrix.terms and vector._masks:
+    if matrix.col_grade != vector.grade and matrix._terms and vector._masks:
         raise GradeError(
             f"cannot contract column grade {matrix.col_grade} with grade {vector.grade}"
         )
     out: dict[int, object] = {}
-    for (rows, cols), coeff in matrix.terms.items():
+    for (rows, cols), coeff in matrix._terms.items():
         vc = vector._masks.get(_MASK[cols])
         if vc is None:
             continue
@@ -218,12 +224,12 @@ def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
     """
     if matrix.metric != vector.metric:
         raise AlgebraError("mixed metrics")
-    if matrix.row_grade != vector.grade and matrix.terms and vector._masks:
+    if matrix.row_grade != vector.grade and matrix._terms and vector._masks:
         raise GradeError(
             f"cannot contract row grade {matrix.row_grade} with grade {vector.grade}"
         )
     out: dict[int, object] = {}
-    for (rows, cols), coeff in matrix.terms.items():
+    for (rows, cols), coeff in matrix._terms.items():
         vc = vector._masks.get(_MASK[rows])
         if vc is None:
             continue

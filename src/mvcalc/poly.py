@@ -9,6 +9,7 @@ Fraction arithmetic.
 
 Public constructors validate; results of valid operands go through the
 trusted builder ``PolyScalar._make``, with the same canonical form.
+``terms`` is a view: a new copy of the private dict on each access.
 
 Canonical text form (used by the CLI and the parser round-trip) orders
 monomials by graded lexicographic order, highest first, and spells
@@ -22,7 +23,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
 
-from .indexes import AlgebraError, integer
+from .indexes import AlgebraError, as_tuple, integer, term_items
 
 
 def exact(value) -> int | Fraction:
@@ -62,10 +63,20 @@ def _exact_terms(items) -> dict:
             for key, c in items if c}
 
 
-class PolyScalar:
-    """A polynomial in x0..x(nvars-1) with exact rational coefficients."""
+def _lower_into(out: dict, terms: dict, index: int, negate: bool = False) -> dict:
+    """Add (or with ``negate`` subtract) d/dx(index) of ``terms`` into the exponent dict ``out``."""
+    for exps, c in terms.items():
+        if e := exps[index]:
+            lowered, d = exps[:index] + (e - 1,) + exps[index + 1:], c * (-e if negate else e)
+            acc = out.get(lowered)
+            out[lowered] = d if acc is None else acc + d
+    return out
 
-    __slots__ = ("nvars", "terms")
+
+class PolyScalar:
+    """A polynomial in x0..x(nvars-1) with exact rational coefficients; ``terms`` is a view."""
+
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
         if type(nvars) is not int:
@@ -73,8 +84,8 @@ class PolyScalar:
         if nvars < 0:
             raise AlgebraError("nvars must be nonnegative")
         clean: dict[tuple, int | Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
+        for exps, coeff in term_items(terms):
+            exps = exps if type(exps) is tuple else as_tuple(exps, "exponent vector")
             # exponents are plain nonnegative ints: no bool, no float
             if len(exps) != nvars or not all(type(e) is int and e >= 0 for e in exps):
                 raise AlgebraError(f"bad exponent vector {exps!r} for {nvars} variables")
@@ -82,14 +93,14 @@ class PolyScalar:
             if c:
                 clean[exps] = c
         self.nvars = nvars
-        self.terms = clean
+        self._terms = clean
 
     @classmethod
     def _make(cls, nvars: int, items) -> "PolyScalar":
         """Trusted builder from (exponents, coeff) pairs computed from valid operands."""
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly.terms = _exact_terms(items)
+        poly._terms = _exact_terms(items)
         return poly
 
     @classmethod
@@ -108,7 +119,12 @@ class PolyScalar:
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff) -> "PolyScalar":
-        return cls(nvars, {tuple(exps): coeff})
+        return cls(nvars, {as_tuple(exps, "exponent vector"): coeff})
+
+    @property
+    def terms(self) -> dict[tuple, int | Fraction]:
+        """A new dict of exponent tuples to nonzero coefficients."""
+        return dict(self._terms)
 
     # -- ring structure -------------------------------------------------
 
@@ -128,8 +144,8 @@ class PolyScalar:
         if other is None:
             return NotImplemented
         # a rational adds into the constant term; no constant polynomial is built
-        terms = other.terms if isinstance(other, PolyScalar) else {(0,) * self.nvars: other}
-        out = dict(self.terms)
+        terms = other._terms if isinstance(other, PolyScalar) else {(0,) * self.nvars: other}
+        out = dict(self._terms)
         for exps, c in terms.items():
             out[exps] = out.get(exps, 0) + c
         return PolyScalar._make(self.nvars, out.items())
@@ -137,7 +153,7 @@ class PolyScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyScalar._make(self.nvars, ((e, -c) for e, c in self.terms.items()))
+        return PolyScalar._make(self.nvars, ((e, -c) for e, c in self._terms.items()))
 
     def __sub__(self, other):
         other = self._operand(other)
@@ -154,10 +170,10 @@ class PolyScalar:
             return NotImplemented
         if not isinstance(other, PolyScalar):
             # scaling by a rational needs no constant polynomial
-            return PolyScalar._make(self.nvars, ((e, c * other) for e, c in self.terms.items()))
+            return PolyScalar._make(self.nvars, ((e, c * other) for e, c in self._terms.items()))
         out: dict[tuple, int | Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+        for ea, ca in self._terms.items():
+            for eb, cb in other._terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
                 out[exps] = out.get(exps, 0) + ca * cb
         return PolyScalar._make(self.nvars, out.items())
@@ -176,23 +192,23 @@ class PolyScalar:
         return self * Fraction(1, other)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PolyScalar):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self._terms == other._terms
         try:
             value = exact(other)
         except AlgebraError:
             return NotImplemented
-        return self.terms == ({(0,) * self.nvars: value} if value else {})
+        return self._terms == ({(0,) * self.nvars: value} if value else {})
 
     def __hash__(self):
         # a constant compares equal to its rational value, so it must hash
         # like that value too
         if self.is_constant():
             return hash(self.constant_value())
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     # -- calculus and queries -------------------------------------------
 
@@ -202,20 +218,14 @@ class PolyScalar:
             integer(index, "variable index")
         if not 0 <= index < self.nvars:
             raise AlgebraError(f"variable index {index} out of range")
-        out: dict[tuple, int | Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[index]
-            if e:
-                lowered = exps[:index] + (e - 1,) + exps[index + 1:]
-                out[lowered] = out.get(lowered, 0) + c * e
-        return PolyScalar._make(self.nvars, out.items())
+        return PolyScalar._make(self.nvars, _lower_into({}, self._terms, index).items())
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         if len(point) != self.nvars:
             raise AlgebraError("point has wrong length")
         values = [exact(v) for v in point]
         total = 0
-        for exps, c in self.terms.items():
+        for exps, c in self._terms.items():
             term = c
             for v, e in zip(values, exps):
                 term *= v ** e
@@ -223,24 +233,24 @@ class PolyScalar:
         return exact(total)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._terms)
 
     def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise AlgebraError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, 0)
+        return self._terms.get((0,) * self.nvars, 0)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._terms), default=0)
 
     # -- canonical text --------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, int | Fraction]]:
         # graded lex, leading (highest) monomial first
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces = []
         for pos, (exps, coeff) in enumerate(self.sorted_terms()):

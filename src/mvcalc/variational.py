@@ -520,7 +520,7 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
             if other_val.metric != metric:
                 raise AlgebraError("mixed metrics")
             if op is DerivOp.TENSOR:
-                for (rows, cols), v in other_val.terms.items():
+                for (rows, cols), v in other_val._terms.items():
                     add(rows, cols, coeff * v)
                 continue
             # ext: e_K |_ e_i = s(i, K\i) e_{K\i}; int: e_K ^ e_i = s(K, i) e_{K+i}

@@ -280,7 +280,7 @@ def _prop_matrix_algebra(rng, trials):
         v = random_field(rng, metric, g3, max_degree=1)
         w = random_field(rng, metric, g1, max_degree=1)
         frob = 0
-        for (rows, cols), val in A.terms.items():
+        for (rows, cols), val in A._terms.items():
             frob = metric.sign_of(rows) * metric.sign_of(cols) * val * val + frob
         ok = (
             MvMatrix.identity(metric, g1).matmul(A) == A

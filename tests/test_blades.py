@@ -220,6 +220,31 @@ def test_terms_is_a_view_that_cannot_change_the_value():
     assert b == Multivector.blade(M13, (0,)) and str(b) == "e[0]"
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Multivector(M13, 1, {5: 1}), "bad index list", id="multivector-int-key"),
+    pytest.param(lambda: PolyScalar(2, {5: 1}), "bad exponent vector", id="poly-int-key"),
+    pytest.param(lambda: MvMatrix(M13, 1, 1, {(0,): 1}), "bad matrix key", id="matrix-one-slot"),
+    pytest.param(lambda: MvMatrix(M13, 1, 1, {((0,), 1): 1}), "bad column index list",
+                 id="matrix-int-slot"),
+    pytest.param(lambda: Multivector(M13, 1, [((0,), 1)]), "must be a mapping",
+                 id="multivector-pairs"),
+    pytest.param(lambda: PolyScalar(2, [((0, 1), 1)]), "must be a mapping", id="poly-pairs"),
+    pytest.param(lambda: MvMatrix(M13, 1, 1, [(((0,), (1,)), 1)]), "must be a mapping",
+                 id="matrix-pairs"),
+    pytest.param(lambda: Multivector.blade(M13, 5), "bad index list", id="blade-int"),
+    pytest.param(lambda: PolyScalar.monomial(2, 5, 1), "bad exponent vector", id="monomial-int"),
+    pytest.param(lambda: MvMatrix.basis(M13, 0, (1,)), "bad row index list", id="basis-int"),
+    pytest.param(lambda: Multivector.blade(M13, (0,)).coefficient(5), "bad index list",
+                 id="coefficient-int"),
+    pytest.param(lambda: MvMatrix.basis(M13, (0,), (1,)).entry((0,), 1), "bad column index list",
+                 id="entry-int"),
+])
+def test_malformed_term_keys_raise_algebra_error(build, message):
+    # each raised a bare TypeError, ValueError or AttributeError before
+    with pytest.raises(AlgebraError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("indices, message", [
     ((0.0,), "integers only"), ((True,), "integers only"), ((1, 0), "not strictly increasing"),
     ((0, 0), "not strictly increasing"), ((4,), "out of range"), ((-1,), "out of range"),

@@ -89,3 +89,12 @@ def test_matrix_grades_must_be_ints(grades):
         MvMatrix(M13, *grades, {((0,), (1,)): 1})
     with pytest.raises(AlgebraError, match="grade: integers only"):
         MvMatrix.zero(M13, *grades)
+
+
+def test_terms_is_a_view_that_cannot_change_the_value():
+    w = MvMatrix.basis(M13, (0,), (1,))
+    view = w.terms
+    view[((1,), (2,))] = 0.5
+    del view[((0,), (1,))]
+    assert w.terms == {((0,), (1,)): 1} and w.terms is not w.terms
+    assert w == MvMatrix.basis(M13, (0,), (1,)) and "w[1;2]" not in repr(w)

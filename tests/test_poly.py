@@ -151,3 +151,12 @@ def test_rejects_bad_exponents(exps):
         PolyScalar(2, {exps: 1})
     with pytest.raises(AlgebraError):
         PolyScalar.monomial(2, exps, 1)
+
+
+def test_terms_is_a_view_that_cannot_change_the_value():
+    p = PolyScalar.variable(2, 0)
+    view = p.terms
+    view[(0, 1)] = 0.5
+    del view[(1, 0)]
+    assert p.terms == {(1, 0): 1} and p.terms is not p.terms
+    assert p == PolyScalar.variable(2, 0) and str(p) == "x0"

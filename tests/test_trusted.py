@@ -6,9 +6,10 @@ that public constructor: on ``randgen`` fields over every (k, n) with
 k+n <= 5, with rational and polynomial coefficients, each result must
 equal its own terms passed back through it, hold no zero coefficient and
 no integral Fraction, and key every term by index lists of its grade.
-A multivector's ``terms`` is a view built on each access: its keys must
-be canonical index tuples of the result's grade, ``items()`` must give
-them in sorted order, and the constructor must rebuild the same view.
+Every ``terms`` is a view built on each access, a new dict each time, and
+the constructor must rebuild the same view.  A multivector's keys must
+be canonical index tuples of the result's grade, and ``items()`` must
+give them in sorted order.
 """
 
 from fractions import Fraction
@@ -22,8 +23,7 @@ from mvcalc.calculus import (directional_deriv, ext_deriv, int_deriv, laplacian,
 from mvcalc.indexes import check_canonical
 from mvcalc.matrices import MvMatrix, mat_vec, vec_mat
 from mvcalc.poly import PolyScalar
-from mvcalc.randgen import (random_constant_field, random_field, random_matrix_field,
-                            random_poly, rng_for)
+from mvcalc.randgen import random_matrix_field, random_poly, rng_for
 from mvcalc.variational import DerivOp, FieldSymbol, LagrangianDensity, tensor_slot_matrix
 
 METRICS = [Metric(k, dim - k) for dim in range(1, 6) for k in range(dim + 1)]
@@ -31,22 +31,22 @@ METRICS = [Metric(k, dim - k) for dim in range(1, 6) for k in range(dim + 1)]
 
 def check(value):
     """Assert that ``value`` is what the validating constructor makes of its terms."""
+    view = value.terms
     if isinstance(value, PolyScalar):
-        rebuilt = PolyScalar(value.nvars, value.terms)
-        assert all(len(exps) == value.nvars for exps in value.terms)
+        rebuilt = PolyScalar(value.nvars, view)
+        assert all(len(exps) == value.nvars for exps in view)
     elif isinstance(value, Multivector):
-        view = value.terms
         rebuilt = Multivector(value.metric, value.grade, view)
         for indices in view:
             assert type(indices) is tuple and len(indices) == value.grade
             check_canonical(indices, value.metric.dim)
         assert value.items() == sorted(view.items(), key=lambda item: item[0])
-        assert rebuilt.terms == view and value.terms is not view
     else:
         assert isinstance(value, MvMatrix)
-        rebuilt = MvMatrix(value.metric, value.row_grade, value.col_grade, value.terms)
+        rebuilt = MvMatrix(value.metric, value.row_grade, value.col_grade, view)
         assert all(len(rows) == value.row_grade and len(cols) == value.col_grade
-                   for rows, cols in value.terms)
+                   for rows, cols in view)
+    assert rebuilt.terms == view and value.terms is not view
     # dict equality takes 2 == Fraction(2), so compare the coefficient types too
     assert rebuilt == value
     assert {k: type(c) for k, c in rebuilt.terms.items()} == {
@@ -59,28 +59,10 @@ def check(value):
     return value
 
 
-def over_denominators(rng, field):
-    """``field`` with its coefficients divided by 1, 2 or 3, through the public constructors."""
-    def divide(coeff):
-        d = rng.choice((1, 2, 3))
-        if isinstance(coeff, PolyScalar):
-            return PolyScalar(coeff.nvars, {e: Fraction(c, d) for e, c in coeff.terms.items()})
-        return Fraction(coeff, d)
-    return Multivector(field.metric, field.grade,
-                       {indices: divide(c) for indices, c in field.terms.items()})
-
-
-def fields(rng, metric, grade):
-    """Integer, rational, polynomial and rational-polynomial fields of one grade."""
-    ints = random_constant_field(rng, metric, grade)
-    polys = random_field(rng, metric, grade)
-    return [ints, over_denominators(rng, ints), polys, over_denominators(rng, polys)]
-
-
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: f"{m.k},{m.n}")
-def test_multivector_and_matrix_results_are_canonical(metric):
+def test_multivector_and_matrix_results_are_canonical(metric, coefficient_fields):
     rng = rng_for(6, f"unit/trusted/{metric.k},{metric.n}")
-    by_grade = {g: fields(rng, metric, g) for g in range(metric.dim + 1)}
+    by_grade = {g: coefficient_fields(rng, metric, g) for g in range(metric.dim + 1)}
     half = Fraction(1, 2)
     poly = random_poly(rng, metric.dim) or PolyScalar.constant(metric.dim, 3)
     for g, cases in by_grade.items():
@@ -106,7 +88,7 @@ def test_multivector_and_matrix_results_are_canonical(metric):
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: f"{m.k},{m.n}")
-def test_tensor_slot_matrix_is_canonical(metric):
+def test_tensor_slot_matrix_is_canonical(metric, coefficient_fields):
     rng = rng_for(6, f"unit/trusted-slots/{metric.k},{metric.n}")
     for grade in range(metric.dim + 1):
         a, j = FieldSymbol("A", grade), FieldSymbol("J", grade, "source")
@@ -116,7 +98,8 @@ def test_tensor_slot_matrix_is_canonical(metric):
         if grade:
             terms.append((Fraction(-1, 3), (DerivOp.INT, a), (DerivOp.INT, j)))
         L = LagrangianDensity(terms)
-        for a_value, j_value in zip(fields(rng, metric, grade), fields(rng, metric, grade)):
+        for a_value, j_value in zip(coefficient_fields(rng, metric, grade),
+                                    coefficient_fields(rng, metric, grade)):
             check(tensor_slot_matrix(L, {"A": a_value, "J": j_value}))
 
 
