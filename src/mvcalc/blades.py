@@ -20,6 +20,14 @@ row of the table is a rule (mask, mask) -> (sign, mask) run by one sparse
 kernel, with signs from popcounts.  Index tuples appear only at the API;
 ``terms`` is a tuple-keyed view of the masks built on each access.
 
+When both operands of wedge, a contraction or dot have at least two
+terms, all of them ints or Fractions with some denominator above 1, the
+kernel runs on integers: each operand is scaled to integer numerators
+over the lcm of its denominators (D_l and D_r), and each output sum
+becomes one Fraction over D_l D_r.  Any other operands (a single term,
+a PolyScalar coefficient, all ints) are multiplied as they are; the
+Hodge duals map terms one to one and never lift.
+
 Coefficients are exact: an integral rational is stored as an int, any
 other rational as a Fraction (see ``poly.exact``), and a polynomial as a
 PolyScalar in the metric's k+n coordinates (see ``poly.coefficient``).
@@ -34,6 +42,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping
 
 from .indexes import MAX_DIM, AlgebraError, as_tuple, check_canonical, integer, term_items
@@ -171,7 +181,7 @@ class Multivector:
     def _require_same_space(self, other: "Multivector") -> None:
         if not isinstance(other, Multivector):
             raise AlgebraError(f"expected a Multivector, got {type(other).__name__}")
-        if other.metric != self.metric:
+        if other.metric is not self.metric and other.metric != self.metric:
             raise AlgebraError("mixed metrics")
 
     # -- linear structure --------------------------------------------------
@@ -210,7 +220,7 @@ class Multivector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        if self.metric != other.metric:
+        if self.metric is not other.metric and self.metric != other.metric:
             return False
         # zeros of every grade are the same value; the annotation only
         # records intent
@@ -231,43 +241,52 @@ class Multivector:
         self._require_same_space(other)
         if self.grade != other.grade:
             raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
-        out = _accumulate({}, _left_rule, (1 << self.metric.k) - 1,
-                          self._masks.items(), other._masks.items())
-        return out.get(0, 0)
+        return _exact_terms(self._sums(_left_rule, self._masks, other._masks)).get(0, 0)
 
-    def _product(self, rule, left, right, grade, flip=0) -> "Multivector":
-        out = _accumulate({}, rule, (1 << self.metric.k) - 1, left, right, flip)
-        return Multivector._make(self.metric, grade, out.items())
+    def _product(self, rule, left: dict, right: dict, grade, flip=0) -> "Multivector":
+        return Multivector._make(self.metric, grade, self._sums(rule, left, right, flip))
+
+    def _sums(self, rule, left: dict, right: dict, flip=0):
+        """(mask, sum) pairs of the rule's products of two term dicts, zeros included.
+
+        Operands that ``_lift`` accepts are summed on integer numerators,
+        each sum becoming one Fraction over D_l D_r; all others on their
+        own coefficients.
+        """
+        t = (1 << self.metric.k) - 1
+        lifted = _lift(left, right)
+        if lifted is None:
+            return _accumulate({}, rule, t, left.items(), right.items(), flip).items()
+        left, right, den = lifted
+        return [(mask, Fraction(acc, den))
+                for mask, acc in _accumulate({}, rule, t, left, right, flip).items()]
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Exterior product; grade adds (zero past the top grade)."""
         self._require_same_space(other)
-        return self._product(_wedge_rule, self._masks.items(), other._masks.items(),
-                             self.grade + other.grade)
+        return self._product(_wedge_rule, self._masks, other._masks, self.grade + other.grade)
 
     def left_contract(self, other: "Multivector") -> "Multivector":
         """Left interior product self _| other; lowers other's grade by self's."""
         self._require_same_space(other)
-        return self._product(_left_rule, self._masks.items(), other._masks.items(),
-                             other.grade - self.grade)
+        return self._product(_left_rule, self._masks, other._masks, other.grade - self.grade)
 
     def right_contract(self, other: "Multivector") -> "Multivector":
         """Right interior product self |_ other; lowers self's grade by other's."""
         self._require_same_space(other)
-        return self._product(_right_rule, self._masks.items(), other._masks.items(),
-                             self.grade - other.grade)
+        return self._product(_right_rule, self._masks, other._masks, self.grade - other.grade)
 
     def hodge(self) -> "Multivector":
         """Hodge complement, blade by blade: the pseudoscalar |_ self."""
         dim = self.metric.dim
-        return self._product(_right_rule, [((1 << dim) - 1, None)], self._masks.items(),
+        return self._product(_right_rule, {(1 << dim) - 1: None}, self._masks,
                              dim - self.grade)
 
     def inv_hodge(self) -> "Multivector":
         """Inverse Hodge complement: inv_hodge(hodge(a)) == a."""
         # self _| pseudoscalar, flipped by D of the pseudoscalar: D_II -> D_IcIc
         dim = self.metric.dim
-        return self._product(_left_rule, self._masks.items(), [((1 << dim) - 1, None)],
+        return self._product(_left_rule, self._masks, {(1 << dim) - 1: None},
                              dim - self.grade, flip=self.metric.k & 1)
 
     # -- canonical text -----------------------------------------------------
@@ -383,3 +402,27 @@ def _accumulate(out: dict, rule, t: int, left, right, flip: int = 0) -> dict:
             else:
                 out[mask] = acc + term
     return out
+
+
+_RATIONAL = frozenset((int, Fraction))
+
+
+def _lift(left: dict, right: dict):
+    """(left, right, D_l D_r) as integer (mask, numerator) pairs, or None to stay as given.
+
+    Taken when both operands have at least two terms, every coefficient
+    is an int or a Fraction and some denominator exceeds 1; each operand
+    is scaled by the lcm of its own denominators.
+    """
+    if len(left) < 2 or len(right) < 2:
+        return None
+    if not (_RATIONAL.issuperset(map(type, left.values()))
+            and _RATIONAL.issuperset(map(type, right.values()))):
+        return None
+    den_l = lcm(*{c.denominator for c in left.values()})
+    den_r = lcm(*{c.denominator for c in right.values()})
+    if den_l == den_r == 1:
+        return None
+    return ([(m, c.numerator * (den_l // c.denominator)) for m, c in left.items()],
+            [(m, c.numerator * (den_r // c.denominator)) for m, c in right.items()],
+            den_l * den_r)

@@ -128,7 +128,7 @@ def directional_deriv(direction: Multivector, field: Multivector) -> Multivector
     """Convective derivative (v . d) a, component-wise sum_i v_i d_i a_I."""
     if direction.grade != 1 and direction._masks:
         raise GradeError("direction must be a 1-vector field")
-    if direction.metric != field.metric:
+    if direction.metric is not field.metric and direction.metric != field.metric:
         raise AlgebraError("mixed metrics")
     return Multivector._make(field.metric, field.grade, (
         (mask, sum(v * d for unit, v in direction._masks.items()

@@ -41,11 +41,14 @@ def term_items(terms):
 
 
 def as_tuple(value, what: str) -> tuple:
-    """A term key as a tuple, or AlgebraError when it is not a sequence."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise AlgebraError(f"bad {what}: expected a sequence, got {value!r}") from None
+    """A term key given as a tuple or list, as a tuple; AlgebraError for anything else.
+
+    Other iterables are refused, not coerced: ``bytes``, ``str``, ``range``
+    and sets would otherwise read as index or exponent lists.
+    """
+    if not isinstance(value, (tuple, list)):
+        raise AlgebraError(f"bad {what}: expected a tuple or list, got {value!r}")
+    return tuple(value)
 
 
 def check_index_range(indices: Iterable[int], dim: int) -> None:
@@ -62,6 +65,10 @@ def is_canonical(indices: tuple) -> bool:
 
 
 def check_canonical(indices: tuple, dim: Optional[int] = None) -> None:
+    # entry types before order: ordering an int against a str raises a bare TypeError
+    for i in indices:
+        if type(i) is not int:
+            integer(i, "index")
     if not is_canonical(indices):
         raise AlgebraError(f"index list {indices!r} is not strictly increasing")
     if dim is not None:

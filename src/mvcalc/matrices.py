@@ -104,7 +104,7 @@ class MvMatrix:
     def _require_same_space(self, other: "MvMatrix") -> None:
         if not isinstance(other, MvMatrix):
             raise AlgebraError(f"expected an MvMatrix, got {type(other).__name__}")
-        if other.metric != self.metric:
+        if other.metric is not self.metric and other.metric != self.metric:
             raise AlgebraError("mixed metrics")
 
     def __add__(self, other):
@@ -143,7 +143,7 @@ class MvMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MvMatrix):
             return NotImplemented
-        if self.metric != other.metric:
+        if self.metric is not other.metric and self.metric != other.metric:
             return False
         if not self._terms and not other._terms:
             return True
@@ -202,7 +202,7 @@ class MvMatrix:
 
 def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
     """matrix x vector: contracts columns against the vector's blades."""
-    if matrix.metric != vector.metric:
+    if matrix.metric is not vector.metric and matrix.metric != vector.metric:
         raise AlgebraError("mixed metrics")
     if matrix.col_grade != vector.grade and matrix._terms and vector._masks:
         raise GradeError(
@@ -222,7 +222,7 @@ def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
 
     Equals ``mat_vec(matrix.transpose(), vector)``.
     """
-    if matrix.metric != vector.metric:
+    if matrix.metric is not vector.metric and matrix.metric != vector.metric:
         raise AlgebraError("mixed metrics")
     if matrix.row_grade != vector.grade and matrix._terms and vector._masks:
         raise GradeError(

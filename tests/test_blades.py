@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from mvcalc.blades import AlgebraError, GradeError, Metric, Multivector
-from mvcalc.matrices import MvMatrix
+from mvcalc.calculus import directional_deriv
+from mvcalc.matrices import MvMatrix, mat_vec, vec_mat
 from mvcalc.poly import PolyScalar
 from mvcalc.randgen import random_field, rng_for
 
@@ -248,9 +249,11 @@ def test_malformed_term_keys_raise_algebra_error(build, message):
 @pytest.mark.parametrize("indices, message", [
     ((0.0,), "integers only"), ((True,), "integers only"), ((1, 0), "not strictly increasing"),
     ((0, 0), "not strictly increasing"), ((4,), "out of range"), ((-1,), "out of range"),
+    ((0, "a"), "integers only"), (("a", 0), "integers only"), ((1, 0.5), "integers only"),
 ])
 def test_coefficient_and_entry_check_their_index_lists(indices, message):
-    # unchecked, (0.0,) found the (0,) coefficient and (1, 0) silently read 0
+    # unchecked, (0.0,) found the (0,) coefficient and (1, 0) silently read 0;
+    # (0, "a") raised a bare TypeError from the order check
     with pytest.raises(AlgebraError, match=message):
         Multivector.blade(M13, (0,)).coefficient(indices)
     w = MvMatrix.basis(M13, (0,), (0,))
@@ -258,3 +261,69 @@ def test_coefficient_and_entry_check_their_index_lists(indices, message):
         w.entry(indices, (0,))
     with pytest.raises(AlgebraError, match=message):
         w.entry((0,), indices)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Multivector(M13, 2, {(0, "a"): 1}), id="multivector"),
+    pytest.param(lambda: MvMatrix(M13, 2, 1, {((0, "a"), (1,)): 1}), id="matrix-rows"),
+    pytest.param(lambda: MvMatrix(M13, 1, 2, {((1,), ("a", 0)): 1}), id="matrix-cols"),
+])
+def test_mixed_type_term_keys_raise_algebra_error(build):
+    with pytest.raises(AlgebraError, match="integers only"):
+        build()
+
+
+# Iterables other than tuple and list were coerced: b"\x01" read as (1,)
+NOT_SEQUENCES = [b"\x00", bytearray(b"\x00"), "0", range(0, 1), {0}]
+HASHABLE_NOT_SEQUENCES = [b"\x00", "0", range(0, 1), frozenset({0})]
+
+
+@pytest.mark.parametrize("value", NOT_SEQUENCES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("call, what", [
+    pytest.param(lambda v: Multivector.blade(M13, v), "index list", id="blade"),
+    pytest.param(lambda v: Multivector.blade(M13, (0,)).coefficient(v), "index list",
+                 id="coefficient"),
+    pytest.param(lambda v: PolyScalar.monomial(1, v, 1), "exponent vector", id="monomial"),
+    pytest.param(lambda v: MvMatrix.basis(M13, v, (0,)), "row index list", id="basis"),
+    pytest.param(lambda v: MvMatrix.basis(M13, (0,), (0,)).entry((0,), v),
+                 "column index list", id="entry"),
+])
+def test_index_and_exponent_arguments_must_be_tuples_or_lists(call, what, value):
+    with pytest.raises(AlgebraError, match=f"bad {what}: expected a tuple or list"):
+        call(value)
+
+
+@pytest.mark.parametrize("key", HASHABLE_NOT_SEQUENCES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("build, what", [
+    pytest.param(lambda key: Multivector(M13, 1, {key: 3}), "index list", id="multivector"),
+    pytest.param(lambda key: PolyScalar(1, {key: 1}), "exponent vector", id="poly"),
+    pytest.param(lambda key: MvMatrix(M13, 1, 1, {(key, (1,)): 1}), "row index list",
+                 id="matrix"),
+])
+def test_term_keys_must_be_tuples_or_lists(build, what, key):
+    with pytest.raises(AlgebraError, match=f"bad {what}: expected a tuple or list"):
+        build(key)
+
+
+def test_list_arguments_still_read_as_index_lists():
+    assert Multivector.blade(M13, [0, 2]) == Multivector.blade(M13, (0, 2))
+    assert Multivector.blade(M13, [0, 2], 5).coefficient([0, 2]) == 5
+    assert PolyScalar.monomial(2, [1, 0], 1) == PolyScalar.variable(2, 0)
+    assert MvMatrix.basis(M13, [0], [1]).entry([0], [1]) == 1
+
+
+def test_equal_but_distinct_metrics_still_match():
+    other = Metric(1, 3)
+    assert other is not M13 and other == M13
+    a, b = Multivector.blade(M13, (0,)), Multivector.blade(other, (0,))
+    assert a == b and b == a
+    assert a.wedge(Multivector.blade(other, (1,))) == Multivector.blade(M13, (0, 1))
+    assert a.dot(b) == -1 and (a + b).coefficient((0,)) == 2
+    w, v = MvMatrix.basis(M13, (0,), (1,)), MvMatrix.basis(other, (0,), (1,))
+    assert w == v and w.matmul(MvMatrix.identity(other, 1)) == w
+    assert mat_vec(w, Multivector.blade(other, (1,))) == a
+    assert vec_mat(Multivector.blade(other, (0,)), w) == -Multivector.blade(M13, (1,))
+    x0 = PolyScalar.variable(4, 0)
+    field = Multivector.blade(M13, (1,), x0)
+    assert directional_deriv(Multivector.blade(other, (0,)), field) == Multivector.blade(M13, (1,))
+    assert Multivector.blade(M13, (0,)) != Multivector.blade(Metric(0, 4), (0,))

@@ -1,0 +1,175 @@
+"""Blade products on integer numerators over one common denominator.
+
+Multi-term operands whose coefficients are all ints and Fractions, with
+some denominator above 1, are multiplied in ``blades`` as integer
+numerators over D_l D_r.  A product with a single-term operand never
+takes that path, so each lifted product is checked against the sum of
+its single-term products, and every coefficient must come out in
+canonical form: an int when integral, a Fraction otherwise, never zero.
+"""
+
+from fractions import Fraction
+from functools import reduce
+import itertools
+import operator
+import random
+
+import pytest
+
+from mvcalc.blades import Metric, Multivector, _lift
+from mvcalc.poly import PolyScalar
+
+PRODUCTS = ("wedge", "left_contract", "right_contract", "dot")
+SPLITS = [(k, dim - k) for dim in range(1, 6) for k in range(dim + 1)]
+PRIMES = [10007, 10009, 10037, 1000003, 998244353, 2**61 - 1]
+
+
+def _nonzero(rng, bound):
+    return rng.choice([v for v in range(-bound, bound + 1) if v])
+
+
+def _int(rng, pos):
+    return _nonzero(rng, 9)
+
+
+def _small(rng, pos):
+    return Fraction(_nonzero(rng, 20), rng.randint(2, 7))
+
+
+def _large(rng, pos):
+    return Fraction(rng.randrange(-10**15, 10**15) or 1, rng.choice(PRIMES))
+
+
+def _mixed(rng, pos):
+    return (_int if pos % 2 else _small)(rng, pos)
+
+
+STYLES = {"int": _int, "small": _small, "large": _large, "mixed": _mixed}
+STYLE_PAIRS = [("small", "small"), ("int", "small"), ("large", "large"),
+               ("mixed", "large"), ("int", "int")]
+
+
+def _operand(rng, metric, grade, style):
+    """Every blade of ``grade`` with a nonzero coefficient of ``style``."""
+    make = STYLES[style]
+    return Multivector(metric, grade, {I: make(rng, pos)
+                                       for pos, I in enumerate(metric.blades(grade))})
+
+
+def _termwise(kind, a, b):
+    """The product as a sum of products of single-term pieces, which are never lifted."""
+    pieces = [[Multivector(x.metric, x.grade, {I: c}) for I, c in x.terms.items()]
+              for x in (a, b)]
+    return reduce(operator.add, (getattr(p, kind)(q) for p, q in itertools.product(*pieces)))
+
+
+def _should_lift(a, b):
+    coeffs = list(a.terms.values()) + list(b.terms.values())
+    return (len(a.terms) > 1 and len(b.terms) > 1
+            and all(type(c) in (int, Fraction) for c in coeffs)
+            and any(type(c) is Fraction for c in coeffs))
+
+
+def _assert_canonical(value):
+    coeffs = list(value.terms.values()) if isinstance(value, Multivector) else [value]
+    for c in coeffs:
+        assert type(c) in (int, Fraction), c
+        assert type(c) is int or c.denominator != 1, c
+    if isinstance(value, Multivector):
+        assert all(coeffs)
+
+
+def _check(kind, a, b):
+    got = getattr(a, kind)(b)
+    assert got == _termwise(kind, a, b)
+    _assert_canonical(got)
+    return got
+
+
+def _grade_pairs(kind, dim):
+    pairs = itertools.product(range(dim + 1), repeat=2)
+    return [(ga, gb) for ga, gb in pairs if kind != "dot" or ga == gb]
+
+
+@pytest.mark.parametrize("left_style, right_style", STYLE_PAIRS,
+                         ids=[f"{left}-{right}" for left, right in STYLE_PAIRS])
+@pytest.mark.parametrize("k, n", SPLITS)
+def test_lifted_products_match_termwise_sums(k, n, left_style, right_style):
+    metric = Metric(k, n)
+    rng = random.Random(f"rational-kernel:{k}:{n}:{left_style}:{right_style}")
+    for kind in PRODUCTS:
+        for ga, gb in _grade_pairs(kind, metric.dim):
+            a = _operand(rng, metric, ga, left_style)
+            b = _operand(rng, metric, gb, right_style)
+            assert (_lift(a._masks, b._masks) is not None) == _should_lift(a, b)
+            _check(kind, a, b)
+
+
+@pytest.mark.parametrize("kind, ga, gb", [("wedge", 2, 3), ("left_contract", 2, 4),
+                                          ("right_contract", 5, 2), ("dot", 3, 3)])
+def test_lifted_products_in_dimension_seven(kind, ga, gb):
+    metric = Metric(2, 5)
+    rng = random.Random(f"rational-kernel:7:{kind}")
+    a, b = _operand(rng, metric, ga, "large"), _operand(rng, metric, gb, "mixed")
+    assert _lift(a._masks, b._masks) is not None
+    _check(kind, a, b)
+
+
+E4 = Metric(0, 4)
+M13 = Metric(1, 3)
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+def test_cancelled_sums_leave_no_terms():
+    a = Multivector(M13, 1, {(0,): HALF, (1,): THIRD})
+    assert _lift(a._masks, a._masks) is not None
+    wedge = _check("wedge", a, a)
+    assert wedge.is_zero() and wedge.grade == 2
+    b = Multivector(E4, 1, {(0,): Fraction(2, 3), (1,): -1})
+    dot = _check("dot", Multivector(E4, 1, {(0,): HALF, (1,): THIRD}), b)
+    assert dot == 0 and type(dot) is int
+    # the e01 terms cancel, (1/2)(1/3) - (1/2)(1/3); the other five stay
+    c = Multivector(E4, 1, {(0,): HALF, (1,): HALF, (2,): 3})
+    d = Multivector(E4, 1, {(0,): THIRD, (1,): THIRD, (3,): Fraction(5, 7)})
+    partly = _check("wedge", c, d)
+    assert (0, 1) not in partly.terms and len(partly.terms) == 5
+
+
+def test_integral_results_are_ints():
+    a = Multivector(E4, 1, {(0,): HALF, (1,): HALF})
+    b = Multivector(E4, 1, {(2,): 2, (3,): 4})
+    wedge = _check("wedge", a, b)
+    assert wedge.terms == {(0, 2): 1, (0, 3): 2, (1, 2): 1, (1, 3): 2}
+    dot = _check("dot", Multivector(E4, 1, {(0,): HALF, (1,): THIRD}),
+                 Multivector(E4, 1, {(0,): 2, (1,): 3}))
+    assert dot == 2 and type(dot) is int
+    left = _check("left_contract", Multivector(E4, 1, {(0,): THIRD, (1,): Fraction(2, 3)}),
+                  Multivector(E4, 2, {(0, 2): 3, (1, 2): 3, (2, 3): Fraction(1, 5)}))
+    assert left.terms == {(2,): -3}
+
+
+def test_operands_outside_the_rule_decline_the_lift():
+    x0 = PolyScalar.variable(4, 0)
+    fractions = Multivector(M13, 1, {(0,): HALF, (1,): THIRD})
+    poly = Multivector(M13, 1, {(0,): x0, (2,): THIRD})
+    ints = Multivector(M13, 1, {(0,): 2, (3,): -5})
+    single = Multivector(M13, 1, {(2,): Fraction(5, 7)})
+    for a, b in [(poly, fractions), (fractions, poly), (ints, ints),
+                 (single, fractions), (fractions, single)]:
+        assert _lift(a._masks, b._masks) is None
+        for kind in PRODUCTS:
+            assert getattr(a, kind)(b) == _termwise(kind, a, b)
+    assert fractions.wedge(poly).coefficient((0, 1)) == -(x0 * THIRD)
+    assert _lift(ints._masks, fractions._masks) is not None
+
+
+def test_dot_is_canonical_on_the_unlifted_path_too():
+    # single terms and polynomials are not lifted; their sums came back
+    # as Fraction(1, 1), Fraction(0, 1) and a zero PolyScalar
+    x0 = PolyScalar.variable(4, 0)
+    half = Multivector(E4, 1, {(0,): HALF})
+    assert type(half.dot(Multivector(E4, 1, {(0,): 2}))) is int
+    assert type(half.dot(Multivector(E4, 1, {(1,): 2}))) is int
+    poly = Multivector(E4, 1, {(0,): x0, (1,): x0})
+    cancelled = poly.dot(Multivector(E4, 1, {(0,): 1, (1,): -1}))
+    assert cancelled == 0 and type(cancelled) is int
