@@ -15,10 +15,12 @@ list and s(.,.) the merge signature:
     hodge         e_I^H       = D_II s(I, Ic) e_{Ic}
     inv. hodge    e_I^(H-1)   = D_IcIc s(Ic, I) e_{Ic}
 
-Terms are stored by blade bitmask (bit i set for each i in I), and each
-row of the table is a rule (mask, mask) -> (sign, mask) run by one sparse
-kernel, with signs from popcounts.  Index tuples appear only at the API;
-``terms`` is a tuple-keyed view of the masks built on each access.
+Terms are stored by blade bitmask (bit i set for each i in I).  Each
+row of the table is one of the three rules (mask, mask) -> (sign, mask)
+that ``mvcalc.indexes`` defines with its mask tables, with signs from
+popcounts; the one sparse kernel here, ``_accumulate``, runs them over
+two term dicts.  Index tuples appear only at the API; ``terms`` is a
+tuple-keyed view of the masks built on each access.
 
 When both operands of wedge, a contraction or dot have at least two
 terms, all of them ints or Fractions with some denominator above 1, the
@@ -46,7 +48,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping
 
-from .indexes import MAX_DIM, AlgebraError, as_tuple, check_canonical, integer, term_items
+from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, _left_rule, _right_rule, _wedge_rule,
+                      as_tuple, check_canonical, integer, term_items)
 from .poly import PolyScalar, _exact_terms, coefficient, monomial_text, number_text
 
 
@@ -333,51 +336,6 @@ def _blade_term_text(indices: tuple, coeff) -> tuple[int, str]:
 
 
 # -- bitmask kernel -------------------------------------------------------------
-
-
-class _Memo(dict):
-    """A dict that computes and keeps a missing value on first lookup."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
-# Lazy blade tables, each below 2^MAX_DIM entries.  _ABOVE[A] has bit j set
-# when an odd number of A's bits lie above j: the xor over shifts of A >> shift,
-# so s(A, B) = (-1)^popcount(_ABOVE[A] & B) = (-1)^sum_shift popcount((A >> shift) & B).
-_MASK = _Memo(lambda blade: sum(1 << i for i in blade))
-_BLADE = _Memo(lambda mask: tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
-_ABOVE = _Memo(lambda mask: mask and (mask >> 1) ^ _ABOVE[mask >> 1])
-
-
-# Rules (A, B, t) -> (odd, result mask), or None for no term.  The sign is
-# (-1)^odd, t masks the time-like axes and D_AA = (-1)^popcount(A & t).
-def _wedge_rule(a: int, b: int, t: int):
-    """e_A ^ e_B = s(A, B) e_{A+B}; no term when A and B share an axis."""
-    if a & b:
-        return None
-    return (_ABOVE[a] & b).bit_count() & 1, a | b
-
-
-def _left_rule(a: int, b: int, t: int):
-    """e_A _| e_B = D_AA s(B\\A, A) e_{B\\A}; no term unless A <= B."""
-    if a & b != a:
-        return None
-    rest = a ^ b
-    return ((_ABOVE[rest] & a).bit_count() + (a & t).bit_count()) & 1, rest
-
-
-def _right_rule(a: int, b: int, t: int):
-    """e_A |_ e_B = D_BB s(B, A\\B) e_{A\\B}; no term unless B <= A."""
-    if a & b != b:
-        return None
-    rest = a ^ b
-    return ((_ABOVE[b] & rest).bit_count() + (b & t).bit_count()) & 1, rest
 
 
 def _accumulate(out: dict, rule, t: int, left, right, flip: int = 0) -> dict:

@@ -34,8 +34,8 @@ dict of its output blade, and builds each output polynomial once.
 
 from __future__ import annotations
 
-from .blades import (_BLADE, _MASK, AlgebraError, GradeError, Metric, Multivector,
-                     _left_rule, _wedge_rule)
+from .blades import AlgebraError, GradeError, Metric, Multivector
+from .indexes import _left_rule, _wedge_rule
 from .matrices import MvMatrix
 from .poly import PolyScalar, _lower_into, partial
 
@@ -84,7 +84,7 @@ def tensor_deriv(field: Multivector) -> MvMatrix:
     for mask, coeff in field._masks.items():
         if isinstance(coeff, PolyScalar):
             for i in range(metric.dim):
-                out[((i,), _BLADE[mask])] = _lower_into({}, coeff._terms, i, i < metric.k)
+                out[(1 << i, mask)] = _lower_into({}, coeff._terms, i, i < metric.k)
     return MvMatrix._make(metric, 1, field.grade, _polys(metric.dim, out))
 
 
@@ -107,9 +107,9 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
     if matrix.row_grade != 1 and matrix._terms:
         raise GradeError("matrix divergence needs row grade 1")
     out: dict[int, dict] = {}
-    for (rows, cols), coeff in matrix._terms.items():
+    for (row, cols), coeff in matrix._terms.items():
         if isinstance(coeff, PolyScalar):
-            _lower_into(out.setdefault(_MASK[cols], {}), coeff._terms, rows[0])
+            _lower_into(out.setdefault(cols, {}), coeff._terms, row.bit_length() - 1)
     return Multivector._make(matrix.metric, matrix.col_grade, _polys(matrix.metric.dim, out))
 
 

@@ -1,24 +1,23 @@
-"""Ordered index lists and permutation-sign bookkeeping.
+"""Blade bitmasks and permutation signs: the package's one sign implementation.
 
-Basis blades are labeled by strictly increasing tuples of dimension
-indices ("canonical" lists).  Every product in the algebra reduces to
-sorting concatenated lists while tracking the parity of the sort, so
-this module is deliberately small and allocation-light: signs are plain
-ints in {-1, 0, +1} and lists are plain tuples.
-
-Signs are computed by counting inversions during a merge, O(m log m).
-A brute-force transposition-parity oracle lives in the verification
-suite, not here.
+Basis blades are strictly increasing index tuples ("canonical" lists) at
+the API and bitmasks inside (bit i set for each i in the list).  Every
+product reduces to merging two lists while tracking the parity of the
+merge, which on masks is a popcount (the bitmap representation of Dorst,
+Fontijne & Mann, *Geometric Algebra for Computer Science*, 2007, ch. 19).
+The products, derivatives and matrices run on the tables and rules at the
+end of this module, and so do the public helpers.  Those take a tuple or
+list of ints, checked for type, order and range (below MAX_DIM when no
+dimension is given) before any table lookup.  A brute-force parity
+oracle lives in the verification suite, not here.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 # Hard cap on the ambient dimension; blade counts explode past this.
 MAX_DIM = 16
-
-IndexList = tuple
 
 
 class AlgebraError(ValueError):
@@ -51,111 +50,139 @@ def as_tuple(value, what: str) -> tuple:
     return tuple(value)
 
 
-def check_index_range(indices: Iterable[int], dim: int) -> None:
+def _check_ints(indices: tuple) -> None:
     for i in indices:
         if type(i) is not int:
             integer(i, "index")
-        if not 0 <= i < dim:
-            raise AlgebraError(f"index {i} out of range for dimension {dim}")
 
 
-def is_canonical(indices: tuple) -> bool:
-    """True when the tuple is strictly increasing."""
+def _out_of_range(indices: tuple, dim: int) -> AlgebraError:
+    bad = next(i for i in indices if not 0 <= i < dim)
+    return AlgebraError(f"index {bad} out of range for dimension {dim}")
+
+
+def _dimension(dim) -> int:
+    if not 0 <= integer(dim, "dimension") <= MAX_DIM:
+        raise AlgebraError(f"dimension {dim} out of range [0, {MAX_DIM}]")
+    return dim
+
+
+def is_canonical(indices) -> bool:
+    """True when the index list is strictly increasing."""
+    indices = as_tuple(indices, "index list")
+    _check_ints(indices)
     return all(a < b for a, b in zip(indices, indices[1:]))
 
 
 def check_canonical(indices: tuple, dim: Optional[int] = None) -> None:
-    # entry types before order: ordering an int against a str raises a bare TypeError
-    for i in indices:
-        if type(i) is not int:
-            integer(i, "index")
-    if not is_canonical(indices):
+    """AlgebraError unless the tuple is strictly increasing ints, in [0, dim) if given."""
+    _check_ints(indices)  # before the order: an int against a str raises TypeError
+    if not all(a < b for a, b in zip(indices, indices[1:])):
         raise AlgebraError(f"index list {indices!r} is not strictly increasing")
-    if dim is not None:
-        check_index_range(indices, dim)
+    # increasing, so only the ends can leave the range
+    if dim is not None and indices and (indices[0] < 0 or indices[-1] >= dim):
+        raise _out_of_range(indices, dim)
 
 
-def sort_signature(raw, dim: Optional[int] = None) -> tuple[int, IndexList]:
+def _mask(raw, dim: int = MAX_DIM) -> int:
+    """The blade mask of a canonical index list, checked before the lookup."""
+    indices = as_tuple(raw, "index list")
+    check_canonical(indices, dim)
+    return _MASK[indices]
+
+
+def sort_signature(raw, dim: Optional[int] = None) -> tuple[int, tuple]:
     """Signature of the permutation sorting ``raw``, plus the sorted tuple.
 
     Returns ``(0, ())`` when an index repeats (the corresponding blade
-    vanishes).  When ``dim`` is given, indices are range-checked first.
+    vanishes).  Indices must lie in [0, dim), or below MAX_DIM when
+    ``dim`` is not given.
     """
-    indices = tuple(raw)
-    if dim is not None:
-        check_index_range(indices, dim)
-    elif indices:
-        check_index_range(indices, MAX_DIM)
-    return _merge_sort(indices)
-
-
-def _merge_sort(seq: tuple) -> tuple[int, tuple]:
-    if len(seq) <= 1:
-        return 1, seq
-    mid = len(seq) // 2
-    lsign, left = _merge_sort(seq[:mid])
-    if lsign == 0:
-        return 0, ()
-    rsign, right = _merge_sort(seq[mid:])
-    if rsign == 0:
-        return 0, ()
-    msign, merged = _merge_counting(left, right)
-    if msign == 0:
-        return 0, ()
-    return lsign * rsign * msign, merged
-
-
-def _merge_counting(left: tuple, right: tuple) -> tuple[int, tuple]:
-    # Merge two sorted runs; each element taken from the right run jumps
-    # over everything remaining in the left run, adding that many inversions.
-    out = []
-    inversions = 0
-    i = j = 0
-    nl, nr = len(left), len(right)
-    while i < nl and j < nr:
-        a, b = left[i], right[j]
-        if a == b:
+    indices = as_tuple(raw, "index list")
+    _check_ints(indices)
+    limit = MAX_DIM if dim is None else _dimension(dim)
+    if not all(0 <= i < limit for i in indices):
+        raise _out_of_range(indices, limit)
+    # prepending index i to the sorted suffix passes it over every smaller one;
+    # folding from the right keeps the _ABOVE lookups to single bits
+    odd = acc = 0
+    for i in reversed(indices):
+        if (hit := _wedge_rule(1 << i, acc, 0)) is None:
             return 0, ()
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            inversions += nl - i
-            out.append(b)
-            j += 1
-    out.extend(left[i:])
-    out.extend(right[j:])
-    return (-1 if inversions & 1 else 1), tuple(out)
+        odd, acc = odd ^ hit[0], hit[1]
+    return (-1 if odd else 1), _BLADE[acc]
 
 
-def merge_signature(lhs: tuple, rhs: tuple) -> tuple[int, IndexList]:
+def merge_signature(lhs, rhs) -> tuple[int, tuple]:
     """Sign of sorting the concatenation of two canonical lists.
 
-    ``merge_signature(I, J) == sort_signature(I + J)`` but in one merge
-    pass.  Shared indices give ``(0, ())``.  The empty list is a two-sided
-    identity with sign +1.
+    ``merge_signature(I, J) == sort_signature(I + J)``: the wedge rule on
+    the two masks.  Shared indices give ``(0, ())``.  The empty list is a
+    two-sided identity with sign +1.
     """
-    check_canonical(lhs)
-    check_canonical(rhs)
-    return _merge_counting(lhs, rhs)
+    hit = _wedge_rule(_mask(lhs), _mask(rhs), 0)
+    return (0, ()) if hit is None else ((-1 if hit[0] else 1), _BLADE[hit[1]])
 
 
-def complement(indices: tuple, dim: int) -> IndexList:
+def complement(indices, dim: int) -> tuple:
     """The increasing list of dimension indices not in ``indices``."""
-    check_canonical(indices, dim)
-    members = set(indices)
-    return tuple(i for i in range(dim) if i not in members)
+    dim = _dimension(dim)
+    return _BLADE[_mask(indices, dim) ^ ((1 << dim) - 1)]
 
 
-def subtract(whole: tuple, part: tuple) -> Optional[IndexList]:
+def subtract(whole, part) -> Optional[tuple]:
     """``whole`` with ``part`` removed, or None when ``part`` is not contained.
 
     Absence is a value here, not an error: callers use None as the zero
     branch of the interior products.
     """
-    check_canonical(whole)
-    check_canonical(part)
-    members = set(part)
-    if not members <= set(whole):
+    a, b = _mask(whole), _mask(part)
+    return _BLADE[a ^ b] if a & b == b else None
+
+
+# -- blade-mask tables and sign rules ---------------------------------------------
+
+
+class _Memo(dict):
+    """A dict that computes and keeps a missing value on first lookup."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+# Lazy blade tables, each below 2^MAX_DIM entries.  _ABOVE[A] has bit j set
+# when an odd number of A's bits lie above j: the xor over shifts of A >> shift,
+# so s(A, B) = (-1)^popcount(_ABOVE[A] & B) = (-1)^sum_shift popcount((A >> shift) & B).
+_MASK = _Memo(lambda blade: sum(1 << i for i in blade))
+_BLADE = _Memo(lambda mask: tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
+_ABOVE = _Memo(lambda mask: mask and (mask >> 1) ^ _ABOVE[mask >> 1])
+
+
+# Rules (A, B, t) -> (odd, result mask), or None for no term.  The sign is
+# (-1)^odd, t masks the time-like axes and D_AA = (-1)^popcount(A & t).
+def _wedge_rule(a: int, b: int, t: int):
+    """e_A ^ e_B = s(A, B) e_{A+B}; no term when A and B share an axis."""
+    if a & b:
         return None
-    return tuple(i for i in whole if i not in members)
+    return (_ABOVE[a] & b).bit_count() & 1, a | b
+
+
+def _left_rule(a: int, b: int, t: int):
+    """e_A _| e_B = D_AA s(B\\A, A) e_{B\\A}; no term unless A <= B."""
+    if a & b != a:
+        return None
+    rest = a ^ b
+    return ((_ABOVE[rest] & a).bit_count() + (a & t).bit_count()) & 1, rest
+
+
+def _right_rule(a: int, b: int, t: int):
+    """e_A |_ e_B = D_BB s(B, A\\B) e_{A\\B}; no term unless B <= A."""
+    if a & b != b:
+        return None
+    rest = a ^ b
+    return ((_ABOVE[b] & rest).bit_count() + (b & t).bit_count()) & 1, rest

@@ -10,19 +10,22 @@ through the metric sign of the shared list:
 
 The identity of grade l is sum_I D_II w_{I,I}.  There is no matrix
 inverse here; only the products above are defined.
+
+Entries are stored by (row mask, column mask), with index tuples only at
+the API, and the three contractions run one loop with D_KK from popcounts.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .blades import _MASK, AlgebraError, GradeError, Metric, Multivector
-from .indexes import as_tuple, check_canonical, integer, term_items
+from .blades import AlgebraError, GradeError, Metric, Multivector
+from .indexes import _BLADE, _MASK, as_tuple, check_canonical, integer, term_items
 from .poly import PolyScalar, _exact_terms, coefficient
 
 
 class MvMatrix:
-    """Sparse matrix over blade tensor bases, exact coefficients; ``terms`` is a view."""
+    """Sparse matrix over blade tensor bases stored by mask pair; ``terms`` is a view."""
 
     __slots__ = ("metric", "row_grade", "col_grade", "_terms")
 
@@ -35,7 +38,7 @@ class MvMatrix:
     ):
         integer(row_grade, "row grade")
         integer(col_grade, "column grade")
-        clean: dict[tuple, object] = {}
+        clean: dict[tuple[int, int], object] = {}
         for key, coeff in term_items(terms):
             if type(key) is not tuple or len(key) != 2:
                 raise AlgebraError(f"bad matrix key {key!r}: expected a (rows, cols) pair")
@@ -44,15 +47,15 @@ class MvMatrix:
             check_canonical(cols, metric.dim)
             coeff = coefficient(coeff, metric.dim)
             if coeff:
-                clean[(rows, cols)] = coeff
+                clean[(_MASK[rows], _MASK[cols])] = coeff
         if clean:
             for grade in (row_grade, col_grade):
                 if not 0 <= grade <= metric.dim:
                     raise GradeError(f"grade {grade} out of range")
             for rows, cols in clean:
-                if len(rows) != row_grade or len(cols) != col_grade:
+                if rows.bit_count() != row_grade or cols.bit_count() != col_grade:
                     raise GradeError(
-                        f"entry ({rows!r},{cols!r}) does not have grades "
+                        f"entry ({_BLADE[rows]!r},{_BLADE[cols]!r}) does not have grades "
                         f"({row_grade},{col_grade})"
                     )
         object.__setattr__(self, "metric", metric)
@@ -65,7 +68,7 @@ class MvMatrix:
 
     @classmethod
     def _make(cls, metric: Metric, row_grade: int, col_grade: int, items) -> "MvMatrix":
-        """Trusted builder from ((rows, cols), coeff) pairs of the given grades built here."""
+        """Trusted builder from ((row mask, col mask), coeff) pairs of the given grades."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "metric", metric)
         object.__setattr__(matrix, "row_grade", row_grade)
@@ -90,7 +93,7 @@ class MvMatrix:
     @property
     def terms(self) -> dict[tuple, object]:
         """A new dict of (rows, cols) index lists to nonzero coefficients."""
-        return dict(self._terms)
+        return {(_BLADE[rows], _BLADE[cols]): c for (rows, cols), c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -99,7 +102,7 @@ class MvMatrix:
         rows, cols = as_tuple(rows, "row index list"), as_tuple(cols, "column index list")
         check_canonical(rows, self.metric.dim)
         check_canonical(cols, self.metric.dim)
-        return self._terms.get((rows, cols), 0)
+        return self._terms.get((_MASK[rows], _MASK[cols]), 0)
 
     def _require_same_space(self, other: "MvMatrix") -> None:
         if not isinstance(other, MvMatrix):
@@ -164,12 +167,12 @@ class MvMatrix:
         self._require_same_space(other)
         if (self.row_grade, self.col_grade) != (other.row_grade, other.col_grade):
             raise GradeError("dot needs matching grade shapes")
-        total = 0
-        for (rows, cols), coeff in self._terms.items():
-            oc = other._terms.get((rows, cols))
-            if oc is not None:
-                total = total + self.metric.sign_of(rows) * self.metric.sign_of(cols) * coeff * oc
-        return total
+        t, total = (1 << self.metric.k) - 1, 0
+        for (rows, cols), a in self._terms.items():
+            if (b := other._terms.get((rows, cols))) is not None:
+                odd = ((rows & t).bit_count() + (cols & t).bit_count()) & 1
+                total = total - a * b if odd else total + a * b
+        return _exact_terms([(0, total)]).get(0, 0)
 
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         """Matrix product; contracts self's columns with other's rows."""
@@ -179,20 +182,14 @@ class MvMatrix:
                 f"cannot contract column grade {self.col_grade} "
                 f"with row grade {other.row_grade}"
             )
-        out: dict[tuple, object] = {}
-        for (ra, ca), va in self._terms.items():
-            delta = self.metric.sign_of(ca)
-            for (rb, cb), vb in other._terms.items():
-                if ca != rb:
-                    continue
-                key = (ra, cb)
-                out[key] = out.get(key, 0) + delta * va * vb
+        out = _contract(self.metric, self._terms.items(), other._terms.items())
         return MvMatrix._make(self.metric, self.row_grade, other.col_grade, out.items())
 
     def __repr__(self) -> str:
         entries = ", ".join(
             f"w[{','.join(map(str, r))};{','.join(map(str, c))}]*{v}"
-            for (r, c), v in sorted(self._terms.items())
+            for (r, c), v in sorted(((_BLADE[r], _BLADE[c]), v)
+                                    for (r, c), v in self._terms.items())
         )
         return (
             f"<MvMatrix ({self.metric.k},{self.metric.n}) "
@@ -202,19 +199,9 @@ class MvMatrix:
 
 def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
     """matrix x vector: contracts columns against the vector's blades."""
-    if matrix.metric is not vector.metric and matrix.metric != vector.metric:
-        raise AlgebraError("mixed metrics")
-    if matrix.col_grade != vector.grade and matrix._terms and vector._masks:
-        raise GradeError(
-            f"cannot contract column grade {matrix.col_grade} with grade {vector.grade}"
-        )
-    out: dict[int, object] = {}
-    for (rows, cols), coeff in matrix._terms.items():
-        vc = vector._masks.get(_MASK[cols])
-        if vc is None:
-            continue
-        out[_MASK[rows]] = out.get(_MASK[rows], 0) + matrix.metric.sign_of(cols) * coeff * vc
-    return Multivector._make(matrix.metric, matrix.row_grade, out.items())
+    column = (((mask, 0), c) for mask, c in vector._masks.items())
+    out = _apply(matrix, vector, "column", matrix.col_grade, matrix._terms.items(), column)
+    return Multivector._make(matrix.metric, matrix.row_grade, ((i, c) for (i, _), c in out))
 
 
 def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
@@ -222,16 +209,38 @@ def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
 
     Equals ``mat_vec(matrix.transpose(), vector)``.
     """
+    row = (((0, mask), c) for mask, c in vector._masks.items())
+    out = _apply(matrix, vector, "row", matrix.row_grade, row, matrix._terms.items())
+    return Multivector._make(matrix.metric, matrix.col_grade, ((j, c) for (_, j), c in out))
+
+
+def _apply(matrix: MvMatrix, vector: Multivector, slot: str, grade: int, left, right):
+    """The (key, sum) pairs of ``_contract`` once the vector fits the matrix's ``slot``."""
     if matrix.metric is not vector.metric and matrix.metric != vector.metric:
         raise AlgebraError("mixed metrics")
-    if matrix.row_grade != vector.grade and matrix._terms and vector._masks:
-        raise GradeError(
-            f"cannot contract row grade {matrix.row_grade} with grade {vector.grade}"
-        )
-    out: dict[int, object] = {}
-    for (rows, cols), coeff in matrix._terms.items():
-        vc = vector._masks.get(_MASK[rows])
-        if vc is None:
-            continue
-        out[_MASK[cols]] = out.get(_MASK[cols], 0) + matrix.metric.sign_of(rows) * coeff * vc
-    return Multivector._make(matrix.metric, matrix.col_grade, out.items())
+    if grade != vector.grade and matrix._terms and vector._masks:
+        raise GradeError(f"cannot contract {slot} grade {grade} with grade {vector.grade}")
+    return _contract(matrix.metric, left, right).items()
+
+
+def _contract(metric: Metric, left, right) -> dict:
+    """{(I, L): sum_K D_KK a b} over mask-keyed ((I, K), a) in left and ((K, L), b) in right.
+
+    A negative product is subtracted; cancelled sums stay as zeros for ``_make``.
+    """
+    t, by_row = (1 << metric.k) - 1, {}
+    for (k, cols), b in right:
+        by_row.setdefault(k, []).append((cols, b))
+    out: dict[tuple[int, int], object] = {}
+    for (rows, k), a in left:
+        odd = (k & t).bit_count() & 1
+        for cols, b in by_row.get(k, ()):
+            key, term = (rows, cols), a * b
+            acc = out.get(key)
+            if acc is None:
+                out[key] = -term if odd else term
+            elif odd:
+                out[key] = acc - term
+            else:
+                out[key] = acc + term
+    return out

@@ -240,9 +240,6 @@ class PolyScalar:
             raise AlgebraError("polynomial is not constant")
         return self._terms.get((0,) * self.nvars, 0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
     # -- canonical text --------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, int | Fraction]]:

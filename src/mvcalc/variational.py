@@ -47,9 +47,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import calculus
-from .blades import _BLADE, AlgebraError, GradeError, Metric, Multivector, _right_rule, _wedge_rule
+from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import matrix_divergence
-from .indexes import integer
+from .indexes import _right_rule, _wedge_rule, integer
 from .matrices import MvMatrix, mat_vec
 from .poly import exact, number_text
 
@@ -506,7 +506,7 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
     """
     a, _ = _dynamical_ops(L)
     metric = _chain_value((), a, assignment).metric
-    out: dict[tuple, object] = {}
+    out: dict[tuple[int, int], object] = {}
 
     def add(rows, cols, c):
         out[(rows, cols)] = out.get((rows, cols), 0) + c
@@ -529,7 +529,7 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
                 for i in range(metric.dim):
                     if (hit := rule(K, 1 << i, 0)) is not None:
                         sig = metric.sign(i) if op is DerivOp.INT else 1
-                        add((i,), _BLADE[hit[1]], coeff * (-sig if hit[0] else sig) * vK)
+                        add(1 << i, hit[1], coeff * (-sig if hit[0] else sig) * vK)
     return MvMatrix._make(metric, 1, a.grade, out.items())
 
 

@@ -169,7 +169,8 @@ def _prop_signature_matches_swap_count(rng, trials):
 
 def _prop_merge_matches_concatenation(rng, trials):
     for dim, (left, right) in _index_partitions(5, 2):
-        ok = merge_signature(left, right) == sort_signature(left + right)
+        merged = merge_signature(left, right)
+        ok = merged == sort_signature(left + right) == transposition_parity(left + right)
         yield f"dim={dim} I={left} J={right}", ok
 
 
@@ -179,7 +180,10 @@ def _prop_merge_associative(rng, trials):
         s2, left_way = merge_signature(merged, three)
         t1, tail = merge_signature(two, three)
         t2, right_way = merge_signature(one, tail)
-        ok = (s1 * s2, left_way) == (t1 * t2, right_way)
+        # a sign fault common to every merge cancels in s1 * s2, so one merge is checked alone
+        ok = ((s1 * s2, left_way) == (t1 * t2, right_way)
+              == transposition_parity(one + two + three)
+              and (s1, merged) == transposition_parity(one + two))
         yield f"dim={dim} I={one} J={two} K={three}", ok
 
 
@@ -197,10 +201,11 @@ def _prop_complement_merge_parity(rng, trials):
     for dim in range(1, 7):
         for indices in _subsets(dim):
             rest = complement(indices, dim)
-            s1, _ = merge_signature(indices, rest)
+            s1, merged = merge_signature(indices, rest)
             s2, _ = merge_signature(rest, indices)
             expected = (-1) ** (len(indices) * (dim - len(indices)))
-            yield f"dim={dim} I={indices}", s1 * s2 == expected
+            ok = s1 * s2 == expected and (s1, merged) == transposition_parity(indices + rest)
+            yield f"dim={dim} I={indices}", ok
 
 
 def _prop_left_contraction_via_hodge(rng, trials):
@@ -280,7 +285,7 @@ def _prop_matrix_algebra(rng, trials):
         v = random_field(rng, metric, g3, max_degree=1)
         w = random_field(rng, metric, g1, max_degree=1)
         frob = 0
-        for (rows, cols), val in A._terms.items():
+        for (rows, cols), val in A.terms.items():
             frob = metric.sign_of(rows) * metric.sign_of(cols) * val * val + frob
         ok = (
             MvMatrix.identity(metric, g1).matmul(A) == A

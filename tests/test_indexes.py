@@ -2,6 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from mvcalc import indexes
 from mvcalc.indexes import (
     MAX_DIM,
     AlgebraError,
@@ -106,3 +107,46 @@ def test_check_canonical():
         check_canonical((3, 0))
     with pytest.raises(AlgebraError):
         check_canonical((0, 4), dim=3)
+
+
+def _table_sizes():
+    return tuple(len(table) for table in (indexes._MASK, indexes._BLADE, indexes._ABOVE))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: merge_signature((-1,), ()), id="merge-negative"),
+    pytest.param(lambda: merge_signature((40,), (2,)), id="merge-past-max-dim"),
+    pytest.param(lambda: merge_signature((0, "a"), ()), id="merge-str-entry"),
+    pytest.param(lambda: merge_signature(b"\x00\x01", ()), id="merge-bytes"),
+    pytest.param(lambda: complement((0,), 20), id="complement-dim-past-max"),
+    pytest.param(lambda: complement((), -1), id="complement-negative-dim"),
+    pytest.param(lambda: complement((0,), 2.0), id="complement-float-dim"),
+    pytest.param(lambda: complement((0,), True), id="complement-bool-dim"),
+    pytest.param(lambda: complement(range(2), 3), id="complement-range"),
+    pytest.param(lambda: subtract((0, 20), ()), id="subtract-past-max-dim"),
+    pytest.param(lambda: subtract((0,), (-3,)), id="subtract-negative"),
+    pytest.param(lambda: subtract({0, 1}, ()), id="subtract-set"),
+    pytest.param(lambda: is_canonical((0, "a")), id="is-canonical-str-entry"),
+    pytest.param(lambda: is_canonical(b"\x01\x00"), id="is-canonical-bytes"),
+    pytest.param(lambda: sort_signature(b"\x01\x00"), id="sort-bytes"),
+    pytest.param(lambda: sort_signature(range(2, 0, -1)), id="sort-range"),
+    pytest.param(lambda: sort_signature("10"), id="sort-str"),
+    pytest.param(lambda: sort_signature((2, "a")), id="sort-str-entry"),
+    pytest.param(lambda: sort_signature((1, 0), dim=MAX_DIM + 1), id="sort-dim-past-max"),
+    pytest.param(lambda: sort_signature((1, 0), dim=2.0), id="sort-float-dim"),
+])
+def test_helpers_check_inputs_before_any_table_lookup(call):
+    before = _table_sizes()
+    with pytest.raises(AlgebraError):
+        call()
+    assert _table_sizes() == before
+
+
+def test_helpers_accept_lists_and_the_full_range():
+    top = MAX_DIM - 1
+    assert merge_signature([top], [0]) == (-1, (0, top))
+    assert complement([0], MAX_DIM) == tuple(range(1, MAX_DIM))
+    assert complement((), 0) == ()
+    assert subtract([0, top], [top]) == (0,)
+    assert is_canonical([0, 1]) and not is_canonical([1, 0])
+    assert sort_signature([top, 0], dim=MAX_DIM) == (-1, (0, top))

@@ -4,6 +4,7 @@ import pytest
 
 from mvcalc.blades import AlgebraError, GradeError, Metric, Multivector
 from mvcalc.matrices import MvMatrix, mat_vec, vec_mat
+from mvcalc.poly import PolyScalar
 from mvcalc.randgen import random_field, random_matrix_field, rng_for
 
 M13 = Metric(1, 3)
@@ -98,3 +99,52 @@ def test_terms_is_a_view_that_cannot_change_the_value():
     del view[((0,), (1,))]
     assert w.terms == {((0,), (1,)): 1} and w.terms is not w.terms
     assert w == MvMatrix.basis(M13, (0,), (1,)) and "w[1;2]" not in repr(w)
+
+
+def test_dot_returns_canonical_values():
+    m = Metric(0, 2)
+    a = MvMatrix(m, 1, 1, {((0,), (0,)): Fraction(1, 2), ((1,), (1,)): Fraction(1, 2)})
+    one = a.dot(a * 2)
+    assert one == 1 and type(one) is int
+    b = MvMatrix(m, 1, 1, {((0,), (0,)): Fraction(1, 2), ((1,), (1,)): Fraction(-1, 2)})
+    zero = a.dot(b)
+    assert zero == 0 and type(zero) is int
+    # D_00 D_11 x0^2 + D_11 D_11 x0^2 cancels to the int 0, not a zero polynomial
+    m11 = Metric(1, 1)
+    x0 = PolyScalar.variable(2, 0)
+    c = MvMatrix(m11, 1, 1, {((0,), (1,)): x0, ((1,), (1,)): x0})
+    assert type(c.dot(c)) is int and c.dot(c) == 0
+
+
+def test_repr_sorts_by_index_lists_not_masks():
+    # mask order puts (1, 2) = 0b0110 before (0, 3) = 0b1001
+    w = MvMatrix(M13, 2, 0, {((1, 2), ()): 1, ((0, 3), ()): 2})
+    assert repr(w) == "<MvMatrix (1,3) grades (2,0): w[0,3;]*2, w[1,2;]*1>"
+    assert list(w.terms) == [((1, 2), ()), ((0, 3), ())]
+
+
+def _expected(pairs):
+    out = {}
+    for key, value in pairs:
+        out[key] = out.get(key, 0) + value
+    return out
+
+
+@pytest.mark.parametrize("k,n", [(0, 2), (1, 1), (2, 1), (1, 3), (2, 2)])
+def test_contractions_match_sums_over_the_public_terms(k, n):
+    metric = Metric(k, n)
+    rng = rng_for(11, f"unit/matrix-contractions-{k}-{n}")
+    A = random_matrix_field(rng, metric, 1, 2, max_degree=1)
+    A2 = random_matrix_field(rng, metric, 1, 2, max_degree=1)
+    B = random_matrix_field(rng, metric, 2, 1, max_degree=1)
+    v, w = random_field(rng, metric, 2, max_degree=1), random_field(rng, metric, 1, max_degree=1)
+    sign = metric.sign_of
+    product = _expected(((I, L), sign(K) * a * b) for (I, K), a in A.terms.items()
+                        for (K2, L), b in B.terms.items() if K == K2)
+    assert A.matmul(B) == MvMatrix(metric, 1, 1, product)
+    right = _expected((I, sign(K) * a * v.coefficient(K)) for (I, K), a in A.terms.items())
+    assert mat_vec(A, v) == Multivector(metric, 1, right)
+    left = _expected((L, sign(K) * w.coefficient(K) * a) for (K, L), a in A.terms.items())
+    assert vec_mat(w, A) == Multivector(metric, 2, left)
+    frob = sum(sign(I) * sign(J) * a * A2.entry(I, J) for (I, J), a in A.terms.items())
+    assert not (A.dot(A2) - frob)

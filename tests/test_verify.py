@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from mvcalc import verify
+from mvcalc import indexes, verify
 from mvcalc.blades import AlgebraError, Multivector
 from mvcalc.randgen import rng_for
 from mvcalc.verify import (
@@ -147,3 +147,23 @@ def test_blade_sweeps_catch_a_wrong_wedge_sign(monkeypatch):
         else wedge(self, other))
     for name in ("wedge_graded_commutativity", "wedge_associative"):
         assert _failing_cases(name), name
+
+
+INDEX_PROPERTIES = {"signature_matches_swap_count", "merge_matches_concatenation",
+                    "merge_associative", "empty_merge_identity", "complement_merge_parity"}
+
+
+def _flip_every_sign(rule):
+    return lambda a, b, t: None if (hit := rule(a, b, t)) is None else (hit[0] ^ 1, hit[1])
+
+
+def _flip_descending_merges(rule):
+    return lambda a, b, t: None if (hit := rule(a, b, t)) is None else (hit[0] ^ (a > b), hit[1])
+
+
+@pytest.mark.parametrize("mutate", [_flip_every_sign, _flip_descending_merges])
+def test_index_properties_catch_a_wrong_wedge_rule(monkeypatch, mutate):
+    # the public helpers run on the engine's rule, so a fault in it must show
+    monkeypatch.setattr(indexes, "_wedge_rule", mutate(indexes._wedge_rule))
+    failed = {item.name for item in run_suites("algebra", seed=42, trials=1) if not item.ok}
+    assert failed >= INDEX_PROPERTIES
