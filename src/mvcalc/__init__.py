@@ -52,9 +52,21 @@ from .variational import (
     vderiv,
     verify_tensor_exterior_identity,
 )
-from .verify import format_report, run_suites
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # verify loads on first use, so that import mvcalc stays light
+    if name in ("format_report", "run_suites"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), "format_report", "run_suites"])
+
 
 __all__ = [
     "AlgebraError",

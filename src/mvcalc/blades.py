@@ -43,13 +43,12 @@ trusted builder ``Multivector._make``, with the same canonical form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping
 
-from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, _left_rule, _right_rule, _wedge_rule,
-                      as_tuple, check_canonical, integer, term_items)
+from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, Record, _left_rule, _right_rule,
+                      _wedge_rule, as_tuple, check_canonical, integer, term_items)
 from .poly import PolyScalar, _exact_terms, coefficient, monomial_text, number_text
 
 
@@ -57,8 +56,7 @@ class GradeError(AlgebraError):
     """Grades incompatible with the requested operation."""
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(Record):
     """Flat metric signature with k time-like and n space-like axes."""
 
     k: int

@@ -25,12 +25,11 @@ equation Jbar = d^ ( d_| Abar ), homogeneous companion d_| Fbar = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import check_laplacian_splitting, ext_deriv, int_deriv
-from .indexes import integer
+from .indexes import Record, integer
 from .poly import PolyScalar, exact
 from .randgen import field_cases, rng_for
 from .variational import (
@@ -43,8 +42,7 @@ from .variational import (
 )
 
 
-@dataclass(frozen=True)
-class MaxwellConfig:
+class MaxwellConfig(Record):
     """Parameters of a generalized Maxwell theory.
 
     r is the grade of the field F = d^ A (so the potential has grade

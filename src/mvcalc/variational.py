@@ -42,14 +42,13 @@ coefficient of L(a + t*eps) exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import calculus
 from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import matrix_divergence
-from .indexes import _right_rule, _wedge_rule, integer
+from .indexes import Record, _right_rule, _wedge_rule, integer
 from .matrices import MvMatrix, mat_vec
 from .poly import exact, number_text
 
@@ -89,8 +88,7 @@ class DerivOp(enum.Enum):
         return () if self is DerivOp.ID else (self.value,)
 
 
-@dataclass(frozen=True)
-class FieldSymbol:
+class FieldSymbol(Record):
     """A named multivector field of fixed grade.
 
     Role "dynamical" marks the field that is varied; "source" fields are
@@ -262,6 +260,9 @@ class FormalExpr:
     def __setattr__(self, name, value):
         raise AttributeError("FormalExpr is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return FormalExpr, ([(*key, coeff) for key, coeff in self.terms.items()],)
+
     @classmethod
     def zero(cls) -> "FormalExpr":
         return cls()
@@ -384,8 +385,7 @@ class FormalExpr:
         return f"<FormalExpr {self.render()}>"
 
 
-@dataclass(frozen=True)
-class FieldEquation:
+class FieldEquation(Record):
     """Formal equation lhs = rhs between expressions of a common grade."""
 
     lhs: FormalExpr
@@ -557,8 +557,7 @@ def first_variation(L: LagrangianDensity, a_value: Multivector,
     return bulk, boundary
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of a randomized two-route comparison."""
 
     metric: Metric

@@ -22,7 +22,6 @@ differences of the density, which are exact for quadratic densities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -49,7 +48,7 @@ from .em import (
     polarization_count,
     wave_form,
 )
-from .indexes import complement, integer, merge_signature, sort_signature
+from .indexes import Record, complement, integer, merge_signature, sort_signature
 from .matrices import MvMatrix, mat_vec, vec_mat
 from .poly import PolyScalar, partial
 from .randgen import (
@@ -77,8 +76,9 @@ BATTERY_METRICS = (Metric(0, 3), Metric(1, 1), Metric(1, 3), Metric(2, 2))
 _SMALL = (-3, -2, -1, 1, 2, 3)
 
 
-@dataclass(frozen=True)
-class PropertyOutcome:
+class PropertyOutcome(Record):
+    """One property's case and failure counts, with its first failing label."""
+
     suite: str
     name: str
     cases: int

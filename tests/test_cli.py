@@ -334,3 +334,13 @@ def test_literals_are_sized_where_python_has_no_digit_limit(monkeypatch):
     assert _derive_with("--m", "1e3") == (0, "d_| ( d^ A ) + 1000000 * A = J\n", "")
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
     assert digit_limit() == 4300
+
+
+def test_suite_choices_are_the_verify_suites():
+    from mvcalc import verify
+
+    assert cli._SUITE_NAMES == tuple(sorted(verify.SUITES))
+    code, _, err = call(["verify", "--suite", "bogus"])
+    assert code == 2
+    choices = ", ".join(f"'{name}'" for name in [*sorted(verify.SUITES), "all"])
+    assert f"invalid choice: 'bogus' (choose from {choices})" in err
