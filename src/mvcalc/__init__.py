@@ -38,7 +38,6 @@ from .indexes import complement, merge_signature, sort_signature
 from .matrices import MvMatrix, mat_vec, vec_mat
 from .parser import ExprError, parse_expr, parse_lagrangian
 from .poly import PolyScalar
-from .randgen import random_field, rng_for
 from .variational import (
     DerivOp,
     FieldEquation,
@@ -56,16 +55,18 @@ from .variational import (
 __version__ = "0.1.0"
 
 
-def __getattr__(name):  # verify loads on first use, so that import mvcalc stays light
-    if name in ("format_report", "run_suites"):
-        from . import verify
+_LAZY = {"format_report": "verify", "run_suites": "verify",
+         "random_field": "randgen", "rng_for": "randgen"}
 
-        return getattr(verify, name)
+
+def __getattr__(name):  # verify and randgen load on first use, so that import mvcalc stays light
+    if name in _LAZY:
+        return getattr(__import__(f"{__name__}.{_LAZY[name]}", fromlist=[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted([*globals(), "format_report", "run_suites"])
+    return sorted([*globals(), *_LAZY])
 
 
 __all__ = [

@@ -33,11 +33,13 @@ Hodge duals map terms one to one and never lift.
 Coefficients are exact: an integral rational is stored as an int, any
 other rational as a Fraction (see ``poly.exact``), and a polynomial as a
 PolyScalar in the metric's k+n coordinates (see ``poly.coefficient``).
-Floats, bools and polynomials in other variables are rejected.  Values
-are immutable by convention; every operation returns a new multivector.
+Floats, bools and polynomials in other variables are rejected.
 
-Public constructors validate; results of valid operands go through the
-trusted builder ``Multivector._make``, with the same canonical form.
+``Multivector`` and ``matrices.MvMatrix`` share ``_Sparse``: one copy of
+immutability, copy and pickle, the same-space check, the linear structure
+and equality (every zero is equal).  ``require_same_metric`` is the one
+"mixed metrics" check.  Public constructors validate; results of valid
+operands, and copies, go through the trusted builder ``_make``.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping
 
-from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, Record, _left_rule, _right_rule,
-                      _wedge_rule, as_tuple, check_canonical, integer, term_items)
+from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, Frozen, Record, _left_rule,
+                      _right_rule, _wedge_rule, as_tuple, check_canonical, integer, term_items)
 from .poly import PolyScalar, _exact_terms, coefficient, monomial_text, number_text
 
 
@@ -94,7 +96,79 @@ class Metric(Record):
         return itertools.combinations(range(self.dim), grade)
 
 
-class Multivector:
+def require_same_metric(left: Metric, right: Metric) -> None:
+    """AlgebraError unless two values live on the same metric (identity tested first)."""
+    if left is not right and left != right:
+        raise AlgebraError("mixed metrics")
+
+
+class _Sparse(Frozen):
+    """The value rules shared by ``Multivector`` and ``MvMatrix``.
+
+    A value is a metric, a grade shape (``_shape()``) and ``_masks``, mask keys
+    to nonzero exact coefficients; each subclass adds its constructor, its
+    trusted ``_make(metric, *shape, items)`` and its products.
+    """
+
+    __slots__ = ("metric", "_masks")
+
+    def __reduce__(self):  # copy and pickle rebuild through the trusted builder
+        return self._make, (self.metric, *self._shape(), list(self._masks.items()))
+
+    def is_zero(self) -> bool:
+        return not self._masks
+
+    def _require_same_space(self, other) -> None:
+        if not isinstance(other, type(self)):
+            raise AlgebraError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if other.metric is not self.metric:  # the common case skips a call on the hot path
+            require_same_metric(self.metric, other.metric)
+
+    def __add__(self, other):
+        self._require_same_space(other)
+        shape, other_shape = self._shape(), other._shape()
+        if shape != other_shape and self._masks and other._masks:
+            raise GradeError("cannot add grades " + " and ".join(
+                ",".join(map(str, s)) for s in (shape, other_shape)))
+        if other._masks and not self._masks:
+            shape = other_shape
+        out = dict(self._masks)
+        for key, coeff in other._masks.items():
+            acc = out.get(key)
+            out[key] = coeff if acc is None else acc + coeff
+        return self._make(self.metric, *shape, out.items())
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._make(self.metric, *self._shape(), ((k, -c) for k, c in self._masks.items()))
+
+    def __mul__(self, scalar):
+        try:
+            scalar = coefficient(scalar, self.metric.dim)
+        except AlgebraError:
+            if isinstance(scalar, PolyScalar):
+                raise
+            return NotImplemented
+        return self._make(self.metric, *self._shape(),
+                          ((k, scalar * c) for k, c in self._masks.items()))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.metric is not other.metric and self.metric != other.metric:
+            return False
+        if not self._masks and not other._masks:
+            return True
+        return self._shape() == other._shape() and self._masks == other._masks
+
+    __hash__ = None
+
+
+class Multivector(_Sparse):
     """Grade-homogeneous multivector with sparse exact coefficients.
 
     Stored by blade mask; ``terms`` is a new dict of index lists on each
@@ -104,7 +178,9 @@ class Multivector:
     derivatives of grade 0).
     """
 
-    __slots__ = ("metric", "grade", "_masks")
+    __slots__ = ("grade",)
+    # bound by name, since bench/tracing.py wraps them in this class's own __dict__
+    __add__, __mul__, __rmul__ = _Sparse.__add__, _Sparse.__mul__, _Sparse.__mul__
 
     def __init__(self, metric: Metric, grade: int, terms: Mapping[tuple, object] | None = None):
         if type(grade) is not int:
@@ -127,9 +203,6 @@ class Multivector:
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "_masks", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
-
     @classmethod
     def _make(cls, metric: Metric, grade: int, items) -> "Multivector":
         """Trusted builder from (blade mask of ``grade``, coeff) pairs built here."""
@@ -138,6 +211,9 @@ class Multivector:
         object.__setattr__(mv, "grade", grade)
         object.__setattr__(mv, "_masks", _exact_terms(items))
         return mv
+
+    def _shape(self) -> tuple:
+        return (self.grade,)
 
     # -- constructors ----------------------------------------------------
 
@@ -161,9 +237,6 @@ class Multivector:
         """A new dict of canonical index lists to nonzero coefficients."""
         return {_BLADE[mask]: c for mask, c in self._masks.items()}
 
-    def is_zero(self) -> bool:
-        return not self._masks
-
     def coefficient(self, indices):
         """Coefficient of one blade (0 when absent)."""
         indices = as_tuple(indices, "index list")
@@ -178,58 +251,6 @@ class Multivector:
     def items(self) -> list[tuple[tuple, object]]:
         """Terms sorted by index list; the iteration order for printing."""
         return sorted((_BLADE[mask], c) for mask, c in self._masks.items())
-
-    def _require_same_space(self, other: "Multivector") -> None:
-        if not isinstance(other, Multivector):
-            raise AlgebraError(f"expected a Multivector, got {type(other).__name__}")
-        if other.metric is not self.metric and other.metric != self.metric:
-            raise AlgebraError("mixed metrics")
-
-    # -- linear structure --------------------------------------------------
-
-    def __add__(self, other):
-        self._require_same_space(other)
-        if self.grade != other.grade and self._masks and other._masks:
-            raise GradeError(f"cannot add grades {self.grade} and {other.grade}")
-        grade = self.grade if self._masks or not other._masks else other.grade
-        out = dict(self._masks)
-        for mask, coeff in other._masks.items():
-            acc = out.get(mask)
-            out[mask] = coeff if acc is None else acc + coeff
-        return Multivector._make(self.metric, grade, out.items())
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Multivector._make(self.metric, self.grade,
-                                 ((m, -c) for m, c in self._masks.items()))
-
-    def __mul__(self, scalar):
-        try:
-            scalar = coefficient(scalar, self.metric.dim)
-        except AlgebraError:
-            if isinstance(scalar, PolyScalar):
-                raise
-            return NotImplemented
-        return Multivector._make(
-            self.metric, self.grade, ((m, scalar * c) for m, c in self._masks.items())
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        if self.metric is not other.metric and self.metric != other.metric:
-            return False
-        # zeros of every grade are the same value; the annotation only
-        # records intent
-        if not self._masks and not other._masks:
-            return True
-        return self.grade == other.grade and self._masks == other._masks
-
-    __hash__ = None
 
     # -- products ----------------------------------------------------------
 

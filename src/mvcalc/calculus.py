@@ -34,7 +34,7 @@ dict of its output blade, and builds each output polynomial once.
 
 from __future__ import annotations
 
-from .blades import AlgebraError, GradeError, Metric, Multivector
+from .blades import GradeError, Metric, Multivector, require_same_metric
 from .indexes import _left_rule, _wedge_rule
 from .matrices import MvMatrix
 from .poly import PolyScalar, _lower_into, partial
@@ -104,10 +104,10 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
     Contracting the derivative against the row slot cancels the metric
     signs, leaving sum_{i,J} d_i b_{i,J} e_J.
     """
-    if matrix.row_grade != 1 and matrix._terms:
+    if matrix.row_grade != 1 and matrix._masks:
         raise GradeError("matrix divergence needs row grade 1")
     out: dict[int, dict] = {}
-    for (row, cols), coeff in matrix._terms.items():
+    for (row, cols), coeff in matrix._masks.items():
         if isinstance(coeff, PolyScalar):
             _lower_into(out.setdefault(cols, {}), coeff._terms, row.bit_length() - 1)
     return Multivector._make(matrix.metric, matrix.col_grade, _polys(matrix.metric.dim, out))
@@ -128,8 +128,7 @@ def directional_deriv(direction: Multivector, field: Multivector) -> Multivector
     """Convective derivative (v . d) a, component-wise sum_i v_i d_i a_I."""
     if direction.grade != 1 and direction._masks:
         raise GradeError("direction must be a 1-vector field")
-    if direction.metric is not field.metric and direction.metric != field.metric:
-        raise AlgebraError("mixed metrics")
+    require_same_metric(direction.metric, field.metric)
     return Multivector._make(field.metric, field.grade, (
         (mask, sum(v * d for unit, v in direction._masks.items()
                    if (d := partial(coeff, unit.bit_length() - 1))))

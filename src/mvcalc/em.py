@@ -27,11 +27,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .blades import AlgebraError, GradeError, Metric, Multivector
+from .blades import AlgebraError, GradeError, Metric, Multivector, require_same_metric
 from .calculus import check_laplacian_splitting, ext_deriv, int_deriv
 from .indexes import Record, integer
 from .poly import PolyScalar, exact
-from .randgen import field_cases, rng_for
 from .variational import (
     DerivOp,
     FieldEquation,
@@ -131,6 +130,8 @@ def wave_form(cfg: MaxwellConfig, field_name: str = "A",
     """
     if cfg.xi is None:
         raise AlgebraError("wave form needs the gauge-fixing term; set xi")
+    from .randgen import field_cases, rng_for  # only here, so that derive never loads random
+
     s = cfg.r - 1
     rng = rng_for(0, f"wave-splitting:{cfg.metric.k}:{cfg.metric.n}:{s}")
     probes = field_cases(rng, cfg.metric, s, 6)
@@ -166,8 +167,7 @@ def gauge_transform(A: Multivector, Abar: Multivector,
     Abar must be a constant field of the potential's grade; G, when
     given, sits one grade below (absent entirely for grade-0 potentials).
     """
-    if Abar.metric != A.metric:
-        raise AlgebraError("mixed metrics")
+    require_same_metric(Abar.metric, A.metric)
     if Abar.grade != A.grade and Abar._masks:
         raise GradeError(f"offset grade {Abar.grade} does not match potential grade {A.grade}")
     if not _is_constant(Abar):
@@ -176,8 +176,7 @@ def gauge_transform(A: Multivector, Abar: Multivector,
     if G is not None:
         if A.grade < 1:
             raise GradeError("grade-0 potentials admit no d^ G term")
-        if G.metric != A.metric:
-            raise AlgebraError("mixed metrics")
+        require_same_metric(G.metric, A.metric)
         if G.grade != A.grade - 1 and G._masks:
             raise GradeError(f"gauge function grade {G.grade}, expected {A.grade - 1}")
         out = out + ext_deriv(G)

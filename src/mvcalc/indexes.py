@@ -12,7 +12,8 @@ dimension is given) before any table lookup.  A brute-force parity
 oracle lives in the verification suite, not here.
 
 ``Record``, the frozen base of ``Metric`` and the other value records, lives
-here too: every module imports this one, and ``dataclasses`` stays unloaded.
+here too, beside ``Frozen``, the refusal base of the slotted values: every
+module imports this one, and ``dataclasses`` stays unloaded.
 """
 
 from __future__ import annotations
@@ -58,6 +59,20 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Frozen:
+    """Base of the slotted values: assignment and deletion raise "<Class> is immutable".
+
+    Constructors and trusted builders fill the slots with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):  # value defaults, so it serves as __delattr__
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 def integer(value, what: str) -> int:

@@ -11,23 +11,24 @@ through the metric sign of the shared list:
 The identity of grade l is sum_I D_II w_{I,I}.  There is no matrix
 inverse here; only the products above are defined.
 
-Entries are stored by (row mask, column mask), with index tuples only at
-the API, and the three contractions run one loop with D_KK from popcounts.
+Entries are stored in ``_masks`` by (row mask, column mask), with index
+tuples only at the API, and the three contractions run one loop with
+D_KK from popcounts; the linear structure is that of ``blades._Sparse``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .blades import AlgebraError, GradeError, Metric, Multivector
+from .blades import AlgebraError, GradeError, Metric, Multivector, _Sparse, require_same_metric
 from .indexes import _BLADE, _MASK, as_tuple, check_canonical, integer, term_items
-from .poly import PolyScalar, _exact_terms, coefficient
+from .poly import _exact_terms, coefficient
 
 
-class MvMatrix:
+class MvMatrix(_Sparse):
     """Sparse matrix over blade tensor bases stored by mask pair; ``terms`` is a view."""
 
-    __slots__ = ("metric", "row_grade", "col_grade", "_terms")
+    __slots__ = ("row_grade", "col_grade")
 
     def __init__(
         self,
@@ -61,10 +62,7 @@ class MvMatrix:
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "row_grade", row_grade)
         object.__setattr__(self, "col_grade", col_grade)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MvMatrix is immutable")
+        object.__setattr__(self, "_masks", clean)
 
     @classmethod
     def _make(cls, metric: Metric, row_grade: int, col_grade: int, items) -> "MvMatrix":
@@ -73,8 +71,11 @@ class MvMatrix:
         object.__setattr__(matrix, "metric", metric)
         object.__setattr__(matrix, "row_grade", row_grade)
         object.__setattr__(matrix, "col_grade", col_grade)
-        object.__setattr__(matrix, "_terms", _exact_terms(items))
+        object.__setattr__(matrix, "_masks", _exact_terms(items))
         return matrix
+
+    def _shape(self) -> tuple:
+        return (self.row_grade, self.col_grade)
 
     @classmethod
     def zero(cls, metric: Metric, row_grade: int, col_grade: int) -> "MvMatrix":
@@ -93,83 +94,26 @@ class MvMatrix:
     @property
     def terms(self) -> dict[tuple, object]:
         """A new dict of (rows, cols) index lists to nonzero coefficients."""
-        return {(_BLADE[rows], _BLADE[cols]): c for (rows, cols), c in self._terms.items()}
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return {(_BLADE[rows], _BLADE[cols]): c for (rows, cols), c in self._masks.items()}
 
     def entry(self, rows, cols):
         rows, cols = as_tuple(rows, "row index list"), as_tuple(cols, "column index list")
         check_canonical(rows, self.metric.dim)
         check_canonical(cols, self.metric.dim)
-        return self._terms.get((_MASK[rows], _MASK[cols]), 0)
-
-    def _require_same_space(self, other: "MvMatrix") -> None:
-        if not isinstance(other, MvMatrix):
-            raise AlgebraError(f"expected an MvMatrix, got {type(other).__name__}")
-        if other.metric is not self.metric and other.metric != self.metric:
-            raise AlgebraError("mixed metrics")
-
-    def __add__(self, other):
-        self._require_same_space(other)
-        shapes_differ = (self.row_grade, self.col_grade) != (other.row_grade, other.col_grade)
-        if shapes_differ and self._terms and other._terms:
-            raise GradeError("cannot add matrices of different grade shapes")
-        if self._terms or not other._terms:
-            row_grade, col_grade = self.row_grade, self.col_grade
-        else:
-            row_grade, col_grade = other.row_grade, other.col_grade
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return MvMatrix._make(self.metric, row_grade, col_grade, out.items())
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MvMatrix._make(self.metric, self.row_grade, self.col_grade,
-                              ((k, -c) for k, c in self._terms.items()))
-
-    def __mul__(self, scalar):
-        try:
-            scalar = coefficient(scalar, self.metric.dim)
-        except AlgebraError:
-            if isinstance(scalar, PolyScalar):
-                raise
-            return NotImplemented
-        return MvMatrix._make(self.metric, self.row_grade, self.col_grade,
-                              ((k, scalar * c) for k, c in self._terms.items()))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MvMatrix):
-            return NotImplemented
-        if self.metric is not other.metric and self.metric != other.metric:
-            return False
-        if not self._terms and not other._terms:
-            return True
-        return (
-            self.row_grade == other.row_grade
-            and self.col_grade == other.col_grade
-            and self._terms == other._terms
-        )
-
-    __hash__ = None
+        return self._masks.get((_MASK[rows], _MASK[cols]), 0)
 
     def transpose(self) -> "MvMatrix":
         return MvMatrix._make(self.metric, self.col_grade, self.row_grade,
-                              (((cols, rows), c) for (rows, cols), c in self._terms.items()))
+                              (((cols, rows), c) for (rows, cols), c in self._masks.items()))
 
     def dot(self, other: "MvMatrix"):
         """Frobenius scalar product; requires matching grade shapes."""
         self._require_same_space(other)
-        if (self.row_grade, self.col_grade) != (other.row_grade, other.col_grade):
+        if self._shape() != other._shape():
             raise GradeError("dot needs matching grade shapes")
         t, total = (1 << self.metric.k) - 1, 0
-        for (rows, cols), a in self._terms.items():
-            if (b := other._terms.get((rows, cols))) is not None:
+        for (rows, cols), a in self._masks.items():
+            if (b := other._masks.get((rows, cols))) is not None:
                 odd = ((rows & t).bit_count() + (cols & t).bit_count()) & 1
                 total = total - a * b if odd else total + a * b
         return _exact_terms([(0, total)]).get(0, 0)
@@ -182,14 +126,14 @@ class MvMatrix:
                 f"cannot contract column grade {self.col_grade} "
                 f"with row grade {other.row_grade}"
             )
-        out = _contract(self.metric, self._terms.items(), other._terms.items())
+        out = _contract(self.metric, self._masks.items(), other._masks.items())
         return MvMatrix._make(self.metric, self.row_grade, other.col_grade, out.items())
 
     def __repr__(self) -> str:
         entries = ", ".join(
             f"w[{','.join(map(str, r))};{','.join(map(str, c))}]*{v}"
             for (r, c), v in sorted(((_BLADE[r], _BLADE[c]), v)
-                                    for (r, c), v in self._terms.items())
+                                    for (r, c), v in self._masks.items())
         )
         return (
             f"<MvMatrix ({self.metric.k},{self.metric.n}) "
@@ -200,7 +144,7 @@ class MvMatrix:
 def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
     """matrix x vector: contracts columns against the vector's blades."""
     column = (((mask, 0), c) for mask, c in vector._masks.items())
-    out = _apply(matrix, vector, "column", matrix.col_grade, matrix._terms.items(), column)
+    out = _apply(matrix, vector, "column", matrix.col_grade, matrix._masks.items(), column)
     return Multivector._make(matrix.metric, matrix.row_grade, ((i, c) for (i, _), c in out))
 
 
@@ -210,15 +154,14 @@ def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
     Equals ``mat_vec(matrix.transpose(), vector)``.
     """
     row = (((0, mask), c) for mask, c in vector._masks.items())
-    out = _apply(matrix, vector, "row", matrix.row_grade, row, matrix._terms.items())
+    out = _apply(matrix, vector, "row", matrix.row_grade, row, matrix._masks.items())
     return Multivector._make(matrix.metric, matrix.col_grade, ((j, c) for (_, j), c in out))
 
 
 def _apply(matrix: MvMatrix, vector: Multivector, slot: str, grade: int, left, right):
     """The (key, sum) pairs of ``_contract`` once the vector fits the matrix's ``slot``."""
-    if matrix.metric is not vector.metric and matrix.metric != vector.metric:
-        raise AlgebraError("mixed metrics")
-    if grade != vector.grade and matrix._terms and vector._masks:
+    require_same_metric(matrix.metric, vector.metric)
+    if grade != vector.grade and matrix._masks and vector._masks:
         raise GradeError(f"cannot contract {slot} grade {grade} with grade {vector.grade}")
     return _contract(matrix.metric, left, right).items()
 

@@ -46,9 +46,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import calculus
-from .blades import AlgebraError, GradeError, Metric, Multivector
+from .blades import AlgebraError, GradeError, Metric, Multivector, require_same_metric
 from .calculus import matrix_divergence
-from .indexes import Record, _right_rule, _wedge_rule, integer
+from .indexes import Frozen, Record, _right_rule, _wedge_rule, integer
 from .matrices import MvMatrix, mat_vec
 from .poly import exact, number_text
 
@@ -155,7 +155,7 @@ def _chain_value(chain: tuple, sym: FieldSymbol, assignment: Mapping):
     return value
 
 
-class LagrangianDensity:
+class LagrangianDensity(Frozen):
     """Sum of rational-coefficient bilinear dot terms in field slots.
 
     Immutable.  At most one distinct dynamical symbol may appear (the
@@ -180,8 +180,8 @@ class LagrangianDensity:
             names = sorted(s.name for s in dyn)
             raise AlgebraError(f"more than one dynamical symbol: {names}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LagrangianDensity is immutable")
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return LagrangianDensity, (self.terms,)
 
     @property
     def dynamical(self) -> FieldSymbol | None:
@@ -233,7 +233,7 @@ class LagrangianDensity:
         return f"<LagrangianDensity {' + '.join(parts) or '0'}>"
 
 
-class FormalExpr:
+class FormalExpr(Frozen):
     """Rational combination of operator chains applied to field symbols.
 
     Terms are kept in insertion order for stable rendering; equality is
@@ -256,9 +256,6 @@ class FormalExpr:
             key = (chain, symbol)
             clean[key] = clean.get(key, 0) + exact(coeff)
         object.__setattr__(self, "terms", {key: c for key, c in clean.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalExpr is immutable")
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return FormalExpr, ([(*key, coeff) for key, coeff in self.terms.items()],)
@@ -517,10 +514,9 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
             if sym != a or op is DerivOp.ID:
                 continue
             other_val = _chain_value(other[0].chain, other[1], assignment)
-            if other_val.metric != metric:
-                raise AlgebraError("mixed metrics")
+            require_same_metric(other_val.metric, metric)
             if op is DerivOp.TENSOR:
-                for (rows, cols), v in other_val._terms.items():
+                for (rows, cols), v in other_val._masks.items():
                     add(rows, cols, coeff * v)
                 continue
             # ext: e_K |_ e_i = s(i, K\i) e_{K\i}; int: e_K ^ e_i = s(K, i) e_{K+i}
@@ -544,8 +540,7 @@ def first_variation(L: LagrangianDensity, a_value: Multivector,
         bulk + int_deriv(boundary) == d/dt L(a + t*eps) at t=0, exactly.
     """
     a, _ = _dynamical_ops(L)
-    if a_value.metric != eps.metric:
-        raise AlgebraError("mixed metrics")
+    require_same_metric(a_value.metric, eps.metric)
     if eps.grade != a_value.grade and eps._masks:
         raise GradeError(f"variation grade {eps.grade} does not match field grade {a_value.grade}")
     assignment = dict(sources or {})

@@ -69,11 +69,31 @@ def test_shape_mismatch_rejected():
         mat_vec(A, v)
     with pytest.raises(GradeError):
         A.matmul(MvMatrix.basis(M13, (0, 1), (2,)))
+    with pytest.raises(GradeError, match="cannot add grades 1,1 and 2,1"):
+        A + MvMatrix.basis(M13, (0, 1), (2,))
 
 
 def test_zero_matrix_annotations_compare_equal():
     assert MvMatrix.zero(M13, 1, 2) == MvMatrix.zero(M13, 0, 3)
     assert MvMatrix.zero(M13, 1, 2) != MvMatrix.zero(Metric(0, 3), 1, 2)
+
+
+def test_adding_a_zero_keeps_the_nonzero_shape():
+    A = MvMatrix.basis(M13, (0,), (1, 2), 3)
+    zero = MvMatrix.zero(M13, 2, 0)
+    for total in (zero + A, A + zero, A - zero, -(zero - A)):
+        assert total == A and (total.row_grade, total.col_grade) == (1, 2)
+    both = zero + MvMatrix.zero(M13, 1, 1)
+    assert both.is_zero() and (both.row_grade, both.col_grade) == (2, 0)
+
+
+@pytest.mark.parametrize("operand", [0.5, "2", None, Multivector.blade(M13, (0,))])
+def test_scaling_by_a_non_coefficient_is_a_type_error(operand):
+    A = MvMatrix.basis(M13, (0,), (1,))
+    with pytest.raises(TypeError):
+        A * operand
+    with pytest.raises(TypeError):
+        operand * A
 
 
 def test_transpose_swaps_grades():

@@ -11,6 +11,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,15 +141,18 @@ def test_defaults():
 
 
 def _modules_after(code):
-    probe = f"{code}; import sys; print(' '.join(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    # -S: a site .pth hook may import modules (random among them) of its own
+    src = str(Path(mvcalc.__file__).parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r}); {code}; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
 
 @pytest.mark.parametrize("code", ["import mvcalc.cli", "import mvcalc"])
 def test_cli_import_loads_neither_dataclasses_nor_verify(code):
-    assert not _modules_after(code) & {"dataclasses", "inspect", "mvcalc.verify"}
+    assert not _modules_after(code) & {"dataclasses", "inspect", "mvcalc.verify",
+                                       "random", "bisect", "mvcalc.randgen"}
 
 
 def test_verify_names_load_on_demand():
@@ -157,6 +161,11 @@ def test_verify_names_load_on_demand():
 
     assert mvcalc.run_suites is verify.run_suites
     assert mvcalc.format_report is verify.format_report
+    assert "mvcalc.randgen" in _modules_after("import mvcalc; mvcalc.random_field")
+    from mvcalc import randgen
+
+    assert mvcalc.random_field is randgen.random_field
+    assert mvcalc.rng_for is randgen.rng_for
     namespace = {}
     exec("from mvcalc import *", namespace)
     assert set(mvcalc.__all__) <= set(namespace)
