@@ -39,7 +39,9 @@ Floats, bools and polynomials in other variables are rejected.
 immutability, copy and pickle, the same-space check, the linear structure
 and equality (every zero is equal).  ``require_same_metric`` is the one
 "mixed metrics" check.  Public constructors validate; results of valid
-operands, and copies, go through the trusted builder ``_make``.
+operands, and copies, go through the trusted builder ``_make``, which fills
+the slots through their descriptors' ``__set__`` (``_put_*``, bound once).
+A product runs one chain: the method, ``_product`` with the kernel, ``_make``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping
 
-from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, Frozen, Record, _left_rule,
+from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, Frozen, Record, _left_rule, _mask,
                       _right_rule, _wedge_rule, as_tuple, check_canonical, integer, term_items)
 from .poly import PolyScalar, _exact_terms, coefficient, monomial_text, number_text
 
@@ -107,7 +109,7 @@ class _Sparse(Frozen):
 
     A value is a metric, a grade shape (``_shape()``) and ``_masks``, mask keys
     to nonzero exact coefficients; each subclass adds its constructor, its
-    trusted ``_make(metric, *shape, items)`` and its products.
+    trusted ``_make(metric, *shape, items)``, ``_like(items)`` in its own shape and its products.
     """
 
     __slots__ = ("metric", "_masks")
@@ -126,23 +128,22 @@ class _Sparse(Frozen):
 
     def __add__(self, other):
         self._require_same_space(other)
-        shape, other_shape = self._shape(), other._shape()
-        if shape != other_shape and self._masks and other._masks:
-            raise GradeError("cannot add grades " + " and ".join(
-                ",".join(map(str, s)) for s in (shape, other_shape)))
         if other._masks and not self._masks:
-            shape = other_shape
+            return other._like(other._masks.items())
+        if other._masks and self._shape() != other._shape():
+            raise GradeError("cannot add grades " + " and ".join(
+                ",".join(map(str, s._shape())) for s in (self, other)))
         out = dict(self._masks)
         for key, coeff in other._masks.items():
             acc = out.get(key)
             out[key] = coeff if acc is None else acc + coeff
-        return self._make(self.metric, *shape, out.items())
+        return self._like(out.items())
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._make(self.metric, *self._shape(), ((k, -c) for k, c in self._masks.items()))
+        return self._like((k, -c) for k, c in self._masks.items())
 
     def __mul__(self, scalar):
         try:
@@ -151,8 +152,7 @@ class _Sparse(Frozen):
             if isinstance(scalar, PolyScalar):
                 raise
             return NotImplemented
-        return self._make(self.metric, *self._shape(),
-                          ((k, scalar * c) for k, c in self._masks.items()))
+        return self._like((k, scalar * c) for k, c in self._masks.items())
 
     __rmul__ = __mul__
 
@@ -161,9 +161,7 @@ class _Sparse(Frozen):
             return NotImplemented
         if self.metric is not other.metric and self.metric != other.metric:
             return False
-        if not self._masks and not other._masks:
-            return True
-        return self._shape() == other._shape() and self._masks == other._masks
+        return self._masks == other._masks  # equal nonzero keys have equal popcounts
 
     __hash__ = None
 
@@ -199,18 +197,21 @@ class Multivector(_Sparse):
                 if mask.bit_count() != grade:
                     raise GradeError(f"index list {_BLADE[mask]!r} has grade "
                                      f"{mask.bit_count()}, expected {grade}")
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "_masks", clean)
+        _put_metric(self, metric)
+        _put_grade(self, grade)
+        _put_masks(self, clean)
 
     @classmethod
     def _make(cls, metric: Metric, grade: int, items) -> "Multivector":
         """Trusted builder from (blade mask of ``grade``, coeff) pairs built here."""
         mv = object.__new__(cls)
-        object.__setattr__(mv, "metric", metric)
-        object.__setattr__(mv, "grade", grade)
-        object.__setattr__(mv, "_masks", _exact_terms(items))
+        _put_metric(mv, metric)
+        _put_grade(mv, grade)
+        _put_masks(mv, _exact_terms(items))
         return mv
+
+    def _like(self, items) -> "Multivector":
+        return Multivector._make(self.metric, self.grade, items)
 
     def _shape(self) -> tuple:
         return (self.grade,)
@@ -239,9 +240,7 @@ class Multivector(_Sparse):
 
     def coefficient(self, indices):
         """Coefficient of one blade (0 when absent)."""
-        indices = as_tuple(indices, "index list")
-        check_canonical(indices, self.metric.dim)
-        return self._masks.get(_MASK[indices], 0)
+        return self._masks.get(_mask(indices, self.metric.dim), 0)
 
     def scalar_value(self):
         if self.grade != 0:
@@ -263,25 +262,23 @@ class Multivector(_Sparse):
         self._require_same_space(other)
         if self.grade != other.grade:
             raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
-        return _exact_terms(self._sums(_left_rule, self._masks, other._masks)).get(0, 0)
+        return self._product(_left_rule, self._masks, other._masks, 0)._masks.get(0, 0)
 
     def _product(self, rule, left: dict, right: dict, grade, flip=0) -> "Multivector":
-        return Multivector._make(self.metric, grade, self._sums(rule, left, right, flip))
+        """The rule's products of two term dicts, summed into a Multivector of ``grade``.
 
-    def _sums(self, rule, left: dict, right: dict, flip=0):
-        """(mask, sum) pairs of the rule's products of two term dicts, zeros included.
-
-        Operands that ``_lift`` accepts are summed on integer numerators,
-        each sum becoming one Fraction over D_l D_r; all others on their
-        own coefficients.
+        Operands that ``_lift`` accepts (its length test runs inline first) are
+        summed on integer numerators, each sum becoming one Fraction over D_l D_r;
+        all others on their own coefficients.
         """
         t = (1 << self.metric.k) - 1
-        lifted = _lift(left, right)
-        if lifted is None:
-            return _accumulate({}, rule, t, left.items(), right.items(), flip).items()
-        left, right, den = lifted
-        return [(mask, Fraction(acc, den))
-                for mask, acc in _accumulate({}, rule, t, left, right, flip).items()]
+        if len(left) > 1 and len(right) > 1 and (lifted := _lift(left, right)) is not None:
+            left, right, den = lifted
+            sums = [(mask, Fraction(acc, den))
+                    for mask, acc in _accumulate({}, rule, t, left, right, flip).items()]
+        else:
+            sums = _accumulate({}, rule, t, left.items(), right.items(), flip).items()
+        return Multivector._make(self.metric, grade, sums)
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Exterior product; grade adds (zero past the top grade)."""
@@ -329,6 +326,10 @@ class Multivector(_Sparse):
 
     def __repr__(self) -> str:
         return f"<Multivector ({self.metric.k},{self.metric.n}) grade {self.grade}: {self}>"
+
+
+_put_metric, _put_masks, _put_grade = (
+    _Sparse.metric.__set__, _Sparse._masks.__set__, Multivector.grade.__set__)
 
 
 def _split_sign(coeff):

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .blades import AlgebraError, GradeError, Metric, Multivector, _Sparse, require_same_metric
+from .blades import (AlgebraError, GradeError, Metric, Multivector, _put_masks, _put_metric,
+                     _Sparse, require_same_metric)
 from .indexes import _BLADE, _MASK, as_tuple, check_canonical, integer, term_items
 from .poly import _exact_terms, coefficient
 
@@ -30,13 +31,8 @@ class MvMatrix(_Sparse):
 
     __slots__ = ("row_grade", "col_grade")
 
-    def __init__(
-        self,
-        metric: Metric,
-        row_grade: int,
-        col_grade: int,
-        terms: Mapping[tuple, object] | None = None,
-    ):
+    def __init__(self, metric: Metric, row_grade: int, col_grade: int,
+                 terms: Mapping[tuple, object] | None = None):
         integer(row_grade, "row grade")
         integer(col_grade, "column grade")
         clean: dict[tuple[int, int], object] = {}
@@ -55,24 +51,25 @@ class MvMatrix(_Sparse):
                     raise GradeError(f"grade {grade} out of range")
             for rows, cols in clean:
                 if rows.bit_count() != row_grade or cols.bit_count() != col_grade:
-                    raise GradeError(
-                        f"entry ({_BLADE[rows]!r},{_BLADE[cols]!r}) does not have grades "
-                        f"({row_grade},{col_grade})"
-                    )
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "row_grade", row_grade)
-        object.__setattr__(self, "col_grade", col_grade)
-        object.__setattr__(self, "_masks", clean)
+                    raise GradeError(f"entry ({_BLADE[rows]!r},{_BLADE[cols]!r}) does not "
+                                     f"have grades ({row_grade},{col_grade})")
+        _put_metric(self, metric)
+        _put_rows(self, row_grade)
+        _put_cols(self, col_grade)
+        _put_masks(self, clean)
 
     @classmethod
     def _make(cls, metric: Metric, row_grade: int, col_grade: int, items) -> "MvMatrix":
         """Trusted builder from ((row mask, col mask), coeff) pairs of the given grades."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "metric", metric)
-        object.__setattr__(matrix, "row_grade", row_grade)
-        object.__setattr__(matrix, "col_grade", col_grade)
-        object.__setattr__(matrix, "_masks", _exact_terms(items))
+        _put_metric(matrix, metric)
+        _put_rows(matrix, row_grade)
+        _put_cols(matrix, col_grade)
+        _put_masks(matrix, _exact_terms(items))
         return matrix
+
+    def _like(self, items) -> "MvMatrix":
+        return MvMatrix._make(self.metric, self.row_grade, self.col_grade, items)
 
     def _shape(self) -> tuple:
         return (self.row_grade, self.col_grade)
@@ -122,23 +119,20 @@ class MvMatrix(_Sparse):
         """Matrix product; contracts self's columns with other's rows."""
         self._require_same_space(other)
         if self.col_grade != other.row_grade:
-            raise GradeError(
-                f"cannot contract column grade {self.col_grade} "
-                f"with row grade {other.row_grade}"
-            )
+            raise GradeError(f"cannot contract column grade {self.col_grade} "
+                             f"with row grade {other.row_grade}")
         out = _contract(self.metric, self._masks.items(), other._masks.items())
         return MvMatrix._make(self.metric, self.row_grade, other.col_grade, out.items())
 
     def __repr__(self) -> str:
-        entries = ", ".join(
-            f"w[{','.join(map(str, r))};{','.join(map(str, c))}]*{v}"
-            for (r, c), v in sorted(((_BLADE[r], _BLADE[c]), v)
-                                    for (r, c), v in self._masks.items())
-        )
-        return (
-            f"<MvMatrix ({self.metric.k},{self.metric.n}) "
-            f"grades ({self.row_grade},{self.col_grade}): {entries or '0'}>"
-        )
+        pairs = sorted(((_BLADE[r], _BLADE[c]), v) for (r, c), v in self._masks.items())
+        entries = ", ".join(f"w[{','.join(map(str, r))};{','.join(map(str, c))}]*{v}"
+                            for (r, c), v in pairs)
+        return (f"<MvMatrix ({self.metric.k},{self.metric.n}) "
+                f"grades ({self.row_grade},{self.col_grade}): {entries or '0'}>")
+
+
+_put_rows, _put_cols = MvMatrix.row_grade.__set__, MvMatrix.col_grade.__set__
 
 
 def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:

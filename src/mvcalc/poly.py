@@ -8,8 +8,9 @@ non-integral one as a ``Fraction``, so small integers never pay for
 Fraction arithmetic.
 
 Public constructors validate; results of valid operands go through the
-trusted builder ``PolyScalar._make``, with the same canonical form.
-``terms`` is a view: a new copy of the private dict on each access.
+trusted builder ``PolyScalar._make``, with the same canonical form: its
+``_exact_terms`` (shared by every trusted builder) makes one new dict per
+result in a plain loop.  ``terms`` is a view: a new copy on each access.
 
 Canonical text form (used by the CLI and the parser round-trip) orders
 monomials by graded lexicographic order, highest first, and spells
@@ -58,9 +59,12 @@ def coefficient(value, nvars: int):
 
 
 def _exact_terms(items) -> dict:
-    """Trusted (key, coeff) pairs as terms: zeros dropped, integral Fractions made ints."""
-    return {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for key, c in items if c}
+    """Trusted (key, coeff) pairs as a new dict: zeros dropped, integral Fractions made ints."""
+    out = {}  # a loop, not a comprehension: no second frame on every call
+    for key, c in items:
+        if c:
+            out[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+    return out
 
 
 def _lower_into(out: dict, terms: dict, index: int, negate: bool = False) -> dict:

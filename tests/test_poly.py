@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import pytest
 
 from mvcalc.blades import AlgebraError
-from mvcalc.poly import PolyScalar
+from mvcalc.poly import PolyScalar, _exact_terms
 
 rationals = st.builds(
     Fraction,
@@ -160,3 +160,16 @@ def test_terms_is_a_view_that_cannot_change_the_value():
     del view[(1, 0)]
     assert p.terms == {(1, 0): 1} and p.terms is not p.terms
     assert p == PolyScalar.variable(2, 0) and str(p) == "x0"
+
+
+def test_exact_terms_normalises_each_pair_into_a_new_dict():
+    x0 = PolyScalar.variable(2, 0)
+    pairs = {(0, 0): 0, (0, 1): Fraction(0), (0, 2): x0 - x0, (1, 0): Fraction(6, 3),
+             (1, 1): Fraction(1, 2), (2, 0): x0}
+    given_pairs = dict(pairs)
+    out = _exact_terms(pairs.items())
+    assert out == {(1, 0): 2, (1, 1): Fraction(1, 2), (2, 0): x0}
+    assert type(out[(1, 0)]) is int and type(out[(1, 1)]) is Fraction
+    assert out is not pairs and pairs == given_pairs
+    once = (pair for pair in list(pairs.items()))
+    assert _exact_terms(once) == out and next(once, None) is None

@@ -3,8 +3,9 @@
 ``blades._Sparse`` owns immutability, copy and pickle, the same-space
 check, the linear structure and equality with its zero rule; each class
 keeps its constructor, its trusted builder and its products.  One helper,
-``blades.require_same_metric``, raises "mixed metrics".  The source is
-read with ``ast``, so nothing is imported.
+``blades.require_same_metric``, raises "mixed metrics".  Both classes fill
+their slots through the slot descriptors, never ``object.__setattr__``.
+The source is read with ``ast``, so nothing is imported.
 """
 
 import ast
@@ -54,3 +55,11 @@ def test_one_helper_raises_mixed_metrics():
     helper = next(node for node in tree("blades.py").body
                   if isinstance(node, ast.FunctionDef) and node.name == "require_same_metric")
     assert total == _mentions(helper) == 1
+
+
+@pytest.mark.parametrize("module", ["blades.py", "matrices.py"])
+def test_slots_are_filled_through_their_descriptors(module):
+    generic = [node for node in ast.walk(tree(module)) if isinstance(node, ast.Attribute)
+               and node.attr == "__setattr__" and isinstance(node.value, ast.Name)
+               and node.value.id == "object"]
+    assert not generic

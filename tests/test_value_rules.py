@@ -3,16 +3,23 @@
 ``Multivector`` and ``MvMatrix`` take theirs from ``blades._Sparse``;
 ``FormalExpr`` and ``LagrangianDensity`` refuse assignment through the
 same ``indexes.Frozen``.  Each value survives ``copy``, ``deepcopy`` and
-``pickle`` unchanged, and refuses assignment and deletion.
+``pickle`` unchanged, and refuses assignment and deletion.  Equality of the
+two sparse values keeps its rule (every zero is equal; otherwise the shape
+and the terms must match), and every trusted builder path gives an immutable
+result that shares no terms dict with its operands or with another result.
 """
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from mvcalc import (DerivOp, FieldSymbol, FormalExpr, LagrangianDensity, Metric, Multivector,
                     MvMatrix, PolyScalar)
+from mvcalc.calculus import ext_deriv, int_deriv, laplacian, matrix_divergence, tensor_deriv
+from mvcalc.matrices import mat_vec, vec_mat
+from mvcalc.randgen import random_constant_field, random_field, random_matrix_field, rng_for
 
 M13 = Metric(1, 3)
 X1 = PolyScalar.variable(4, 1)
@@ -65,3 +72,136 @@ def test_assignment_and_deletion_are_refused(value, fields):
     assert value == before
     with pytest.raises(TypeError):
         hash(value)
+
+
+# -- equality's zero rule ---------------------------------------------------------
+
+
+def _shape_and_zero_rule(a, b) -> bool:
+    """Equality as stated: same metric, then every zero is equal, else shape and terms match."""
+    if a.metric != b.metric:
+        return False
+    if a.is_zero() and b.is_zero():
+        return True
+    return a._shape() == b._shape() and a._masks == b._masks
+
+
+def _multivectors(rng, metric):
+    values = [Multivector.zero(metric, g) for g in range(-1, metric.dim + 2)]
+    for g in range(metric.dim + 1):
+        for field in (random_field(rng, metric, g), random_constant_field(rng, metric, g)):
+            values += [field, Multivector(metric, g, field.terms), field * 2, -field]
+    return values
+
+
+def _matrices(rng, metric):
+    shapes = [(r, c) for r in range(-1, metric.dim + 2) for c in range(-1, metric.dim + 2)]
+    values = [MvMatrix.zero(metric, r, c) for r, c in shapes]
+    for r, c in shapes[::3]:
+        if 0 <= r <= metric.dim and 0 <= c <= metric.dim:
+            m = random_matrix_field(rng, metric, r, c)
+            values += [m, MvMatrix(metric, r, c, m.terms), m * Fraction(1, 2)]
+    return values
+
+
+@pytest.mark.parametrize("build", [_multivectors, _matrices], ids=["Multivector", "MvMatrix"])
+def test_equality_agrees_with_the_shape_and_zero_rule(build):
+    rng = rng_for(14, f"unit/value-rules/{build.__name__}")
+    # (0,3) and (1,2) share a dimension, so their masks can coincide
+    values = [v for metric in (Metric(0, 3), Metric(1, 2), Metric(2, 2))
+              for v in build(rng, metric)]
+    assert any(v.is_zero() for v in values) and not all(v.is_zero() for v in values)
+    equal_pairs = 0
+    for a in values:
+        for b in values:
+            expected = _shape_and_zero_rule(a, b)
+            assert (a == b) is expected and (a != b) is not expected, (a, b)
+            equal_pairs += expected and a is not b
+    assert equal_pairs
+
+
+# -- every trusted result is its own immutable value ----------------------------------
+
+X0 = PolyScalar.variable(4, 0)
+FIELD = Multivector(M13, 1, {(0,): X0 * X1 + 1, (2,): X1, (3,): 2})
+FIELD2 = Multivector(M13, 2, {(0, 1): X0, (1, 3): Fraction(1, 2), (2, 3): -3 * X1 * X1})
+HALVES = Multivector(M13, 1, {(0,): Fraction(1, 2), (1,): Fraction(2, 3)})  # lifted products
+THIRDS = Multivector(M13, 2, {(0, 1): Fraction(1, 3), (2, 3): 5, (1, 2): Fraction(3, 4)})
+ZERO = Multivector.zero(M13, 1)
+MATRIX = MvMatrix(M13, 1, 2, {((0,), (1, 2)): X1, ((3,), (0, 1)): -2, ((1,), (0, 3)): X0})
+MATRIX_ZERO = MvMatrix.zero(M13, 1, 2)
+OPERANDS = (FIELD, FIELD2, HALVES, THIRDS, ZERO, MATRIX, MATRIX_ZERO)
+
+TRUSTED = {
+    "wedge": lambda: FIELD.wedge(FIELD2),
+    "wedge-lifted": lambda: HALVES.wedge(THIRDS),
+    "left_contract": lambda: FIELD.left_contract(FIELD2),
+    "left_contract-lifted": lambda: HALVES.left_contract(THIRDS),
+    "right_contract": lambda: FIELD2.right_contract(FIELD),
+    "right_contract-lifted": lambda: THIRDS.right_contract(HALVES),
+    "hodge": lambda: FIELD2.hodge(),
+    "inv_hodge": lambda: FIELD.inv_hodge(),
+    "add": lambda: FIELD + HALVES,
+    "add-zero": lambda: FIELD + ZERO,
+    "zero-add": lambda: ZERO + FIELD,
+    "zero-add-zero": lambda: ZERO + ZERO,
+    "sub": lambda: FIELD - HALVES,
+    "sub-self": lambda: FIELD - FIELD,
+    "neg": lambda: -FIELD,
+    "neg-zero": lambda: -ZERO,
+    "scale": lambda: FIELD * 2,
+    "scale-one": lambda: 1 * FIELD,
+    "scale-poly": lambda: FIELD * X0,
+    "ext_deriv": lambda: ext_deriv(FIELD),
+    "ext_deriv-zero": lambda: ext_deriv(ZERO),
+    "int_deriv": lambda: int_deriv(FIELD2),
+    "laplacian": lambda: laplacian(FIELD2),
+    "tensor_deriv": lambda: tensor_deriv(FIELD2),
+    "matrix_divergence": lambda: matrix_divergence(MATRIX),
+    "matmul": lambda: MATRIX.matmul(MATRIX.transpose()),
+    "mat_vec": lambda: mat_vec(MATRIX, FIELD2),
+    "vec_mat": lambda: vec_mat(FIELD, MATRIX),
+    "transpose": lambda: MATRIX.transpose(),
+    "transpose-zero": lambda: MATRIX_ZERO.transpose(),
+    "matrix-add": lambda: MATRIX + MATRIX,
+    "matrix-add-zero": lambda: MATRIX + MATRIX_ZERO,
+    "zero-add-matrix": lambda: MATRIX_ZERO + MATRIX,
+    "matrix-neg": lambda: -MATRIX,
+    "matrix-scale": lambda: MATRIX * Fraction(1, 2),
+    "copy": lambda: copy.copy(FIELD),
+    "deepcopy": lambda: copy.deepcopy(FIELD),
+    "pickle": lambda: pickle.loads(pickle.dumps(FIELD)),
+    "matrix-copy": lambda: copy.copy(MATRIX),
+    "matrix-deepcopy": lambda: copy.deepcopy(MATRIX),
+    "matrix-pickle": lambda: pickle.loads(pickle.dumps(MATRIX)),
+}
+
+
+@pytest.fixture(scope="module")
+def trusted_results():
+    return {name: build() for name, build in TRUSTED.items()}
+
+
+def _polynomials(value) -> dict:
+    """id -> coefficient for the PolyScalar coefficients of a value."""
+    return {id(c): c for c in value._masks.values() if isinstance(c, PolyScalar)}
+
+
+@pytest.mark.parametrize("name", TRUSTED)
+def test_trusted_results_are_immutable_and_own_their_terms(name, trusted_results):
+    result = trusted_results[name]
+    message = f"{type(result).__name__} is immutable"
+    for field in ("metric", "_masks", *type(result).__slots__, "other"):
+        with pytest.raises(AttributeError, match=message):
+            setattr(result, field, 1)
+        with pytest.raises(AttributeError, match=message):
+            delattr(result, field)
+    others = [*OPERANDS, *(v for n, v in trusted_results.items() if n != name)]
+    assert all(result._masks is not v._masks for v in others)
+    # coefficients are values and may be shared; a new polynomial holds a new dict
+    theirs = {}
+    for value in OPERANDS:
+        theirs.update(_polynomials(value))
+    for key, coeff in _polynomials(result).items():
+        if key not in theirs:
+            assert all(coeff._terms is not c._terms for c in theirs.values())
