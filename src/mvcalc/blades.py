@@ -53,7 +53,7 @@ from typing import Iterator, Mapping
 
 from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, Frozen, Record, _left_rule, _mask,
                       _right_rule, _wedge_rule, as_tuple, check_canonical, integer, term_items)
-from .poly import PolyScalar, _exact_terms, coefficient, monomial_text, number_text
+from .poly import PolyScalar, _exact_terms, coefficient, number_text, signed_sum
 
 
 class GradeError(AlgebraError):
@@ -311,18 +311,9 @@ class Multivector(_Sparse):
     # -- canonical text -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._masks:
-            return "0"
-        if self.grade == 0:
+        if self.grade == 0 and self._masks:
             return number_text(self._masks[0])
-        pieces = []
-        for pos, (indices, coeff) in enumerate(self.items()):
-            sign, body = _blade_term_text(indices, coeff)
-            if pos == 0:
-                pieces.append(body if sign >= 0 else "-" + body)
-            else:
-                pieces.append(f" {'+' if sign >= 0 else '-'} {body}")
-        return "".join(pieces)
+        return signed_sum(_blade_term_text(indices, coeff) for indices, coeff in self.items())
 
     def __repr__(self) -> str:
         return f"<Multivector ({self.metric.k},{self.metric.n}) grade {self.grade}: {self}>"
@@ -332,27 +323,18 @@ _put_metric, _put_masks, _put_grade = (
     _Sparse.metric.__set__, _Sparse._masks.__set__, Multivector.grade.__set__)
 
 
-def _split_sign(coeff):
-    """(sign, magnitude-pieces) of a coefficient for blade-term printing.
+def _blade_term_text(indices: tuple, coeff) -> tuple[bool, str]:
+    """(negative, magnitude text) of one blade term for ``signed_sum``.
 
-    Multi-term polynomials keep their internal signs and get parentheses;
-    a single monomial or plain rational folds its sign into the term join.
+    A polynomial of several terms keeps its own signs inside parentheses;
+    a single monomial or a rational gives its sign to the term join.
     """
-    if isinstance(coeff, PolyScalar):
-        terms = coeff.sorted_terms()
-        if len(terms) > 1:
-            return 1, [f"({coeff})"]
-        exps, value = terms[0]
-        text = monomial_text(exps, abs(value))
-        return (1 if value > 0 else -1), ([] if text == "1" else text.split(" ^ "))
-    value = coeff
-    return (1 if value > 0 else -1), ([] if abs(value) == 1 else [number_text(abs(value))])
-
-
-def _blade_term_text(indices: tuple, coeff) -> tuple[int, str]:
     blade = "e[" + ",".join(str(i) for i in indices) + "]"
-    sign, pieces = _split_sign(coeff)
-    return sign, " ^ ".join(pieces + [blade])
+    if isinstance(coeff, PolyScalar) and len(coeff._terms) > 1:
+        return False, f"({coeff}) ^ {blade}"
+    text = number_text(coeff)  # a single term's canonical text: "-" first when negative
+    magnitude = text.removeprefix("-")
+    return magnitude != text, blade if magnitude == "1" else f"{magnitude} ^ {blade}"
 
 
 # -- bitmask kernel -------------------------------------------------------------

@@ -108,11 +108,12 @@ def derive_equations(cfg: MaxwellConfig, field_name: str = "A",
     """
     L = build_lagrangian(cfg, field_name, source_name)
     raw = euler_lagrange_exterior(L)
-    lhs = [(ch, sym, c) for (ch, sym), c in raw.rhs.terms.items() if ch == ("int", "ext")]
-    lhs += [(ch, sym, -c) for (ch, sym), c in raw.lhs.terms.items() if sym.role == "dynamical"]
-    rhs = [(ch, sym, c) for (ch, sym), c in raw.lhs.terms.items() if sym.role != "dynamical"]
-    rhs += [(ch, sym, -c) for (ch, sym), c in raw.rhs.terms.items() if ch != ("int", "ext")]
-    return FieldEquation(FormalExpr(lhs), FormalExpr(rhs), cfg.r - 1)
+    # raw.lhs chains are a slot's (length 0 or 1) and raw.rhs chains have length 2: keys stay distinct
+    lhs = [(key, c) for key, c in raw.rhs._terms.items() if key[0] == ("int", "ext")]
+    lhs += [(key, -c) for key, c in raw.lhs._terms.items() if key[1].role == "dynamical"]
+    rhs = [(key, c) for key, c in raw.lhs._terms.items() if key[1].role != "dynamical"]
+    rhs += [(key, -c) for key, c in raw.rhs._terms.items() if key[0] != ("int", "ext")]
+    return FieldEquation(FormalExpr._make(lhs), FormalExpr._make(rhs), cfg.r - 1)
 
 
 def wave_form(cfg: MaxwellConfig, field_name: str = "A",
@@ -142,13 +143,13 @@ def wave_form(cfg: MaxwellConfig, field_name: str = "A",
         )
     A = FieldSymbol(field_name, s, "dynamical")
     J = FieldSymbol(source_name, s, "source")
-    lhs = FormalExpr([
-        (("lap",), A, _front_sign(cfg.r)),
-        ((), A, cfg.mass * cfg.mass),
+    lhs = FormalExpr._make([
+        ((("lap",), A), _front_sign(cfg.r)),
+        (((), A), cfg.mass * cfg.mass),
     ])
-    rhs = FormalExpr([
-        ((), J, 1),
-        (("ext", "int"), A, Fraction(1, cfg.xi) - 1),
+    rhs = FormalExpr._make([
+        (((), J), 1),
+        ((("ext", "int"), A), Fraction(1, cfg.xi) - 1),
     ])
     return FieldEquation(lhs, rhs, s)
 
@@ -214,7 +215,7 @@ def dual_theory(metric: Metric, s: int, potential_name: str = "Abar",
     L = build_dual_lagrangian(s, potential_name, source_name)
     nonhomog = euler_lagrange_exterior(L)
     Fbar = FieldSymbol(field_name, s - 1, "source")
-    homog = FieldEquation(FormalExpr.single(("int",), Fbar), FormalExpr.zero(), s - 2)
+    homog = FieldEquation(FormalExpr._make([((("int",), Fbar), 1)]), FormalExpr.zero(), s - 2)
     return nonhomog, homog
 
 

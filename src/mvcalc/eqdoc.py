@@ -37,31 +37,22 @@ from fractions import Fraction
 from .blades import AlgebraError, Metric, Multivector
 from .indexes import integer
 from .poly import exact, number_text
-from .variational import ROLES, VECTOR_OPS, FieldEquation, FieldSymbol, FormalExpr
+from .variational import ROLES, VECTOR_OPS, FieldEquation, FieldSymbol, FormalExpr, _symbol_table
 
 _COEFF_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _expr_to_terms(expr: FormalExpr) -> list[dict]:
     out = []
-    for (chain, symbol), coeff in expr.terms.items():
+    for (chain, symbol), coeff in expr._terms.items():
         if any(op not in VECTOR_OPS for op in chain):
             raise AlgebraError(f"only {'/'.join(VECTOR_OPS)} chains can be serialized")
         out.append({"coeff": number_text(coeff), "ops": list(chain), "symbol": symbol.name})
     return out
 
 
-def _collect_symbols(eq: FieldEquation) -> dict[str, FieldSymbol]:
-    table: dict[str, FieldSymbol] = {}
-    for expr in (eq.lhs, eq.rhs):
-        for (_, symbol) in expr.terms:
-            if table.setdefault(symbol.name, symbol) != symbol:
-                raise AlgebraError(f"symbol name {symbol.name!r} bound to two fields")
-    return table
-
-
 def equation_to_doc(eq: FieldEquation, metric: Metric) -> dict:
-    symbols = _collect_symbols(eq)
+    symbols = _symbol_table(sym for expr in (eq.lhs, eq.rhs) for _, sym in expr._terms)
     return {
         "metric": {"k": metric.k, "n": metric.n},
         "grade": eq.grade,

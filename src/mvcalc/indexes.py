@@ -64,8 +64,9 @@ class Record:
 class Frozen:
     """Base of the slotted values: assignment and deletion raise "<Class> is immutable".
 
-    Constructors and trusted builders fill the slots through each slot descriptor's
-    ``__set__``, bound once at import (``blades._put_metric`` and the like).
+    Of ``PolyScalar``, ``blades._Sparse`` and ``variational._Combination``: constructors
+    and trusted builders fill the slots through each slot descriptor's ``__set__``,
+    bound once at import (``blades._put_metric`` and the like).
     """
 
     __slots__ = ()

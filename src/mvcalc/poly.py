@@ -11,6 +11,8 @@ Public constructors validate; results of valid operands go through the
 trusted builder ``PolyScalar._make``, with the same canonical form: its
 ``_exact_terms`` (shared by every trusted builder) makes one new dict per
 result in a plain loop.  ``terms`` is a view: a new copy on each access.
+A ``PolyScalar`` is immutable (``indexes.Frozen``), so it is safe as a
+dict key and as a shared coefficient.
 
 Canonical text form (used by the CLI and the parser round-trip) orders
 monomials by graded lexicographic order, highest first, and spells
@@ -19,12 +21,13 @@ products with the wedge token, e.g. ``3/2 ^ x0^2 ^ x1 + x2``.
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
 
-from .indexes import AlgebraError, as_tuple, integer, term_items
+from .indexes import AlgebraError, Frozen, as_tuple, integer, term_items
 
 
 def exact(value) -> int | Fraction:
@@ -77,7 +80,7 @@ def _lower_into(out: dict, terms: dict, index: int, negate: bool = False) -> dic
     return out
 
 
-class PolyScalar:
+class PolyScalar(Frozen):
     """A polynomial in x0..x(nvars-1) with exact rational coefficients; ``terms`` is a view."""
 
     __slots__ = ("nvars", "_terms")
@@ -96,16 +99,19 @@ class PolyScalar:
             c = exact(coeff)
             if c:
                 clean[exps] = c
-        self.nvars = nvars
-        self._terms = clean
+        _put_nvars(self, nvars)
+        _put_terms(self, clean)
 
     @classmethod
     def _make(cls, nvars: int, items) -> "PolyScalar":
         """Trusted builder from (exponents, coeff) pairs computed from valid operands."""
         poly = object.__new__(cls)
-        poly.nvars = nvars
-        poly._terms = _exact_terms(items)
+        _put_nvars(poly, nvars)
+        _put_terms(poly, _exact_terms(items))
         return poly
+
+    def __reduce__(self):  # copy and pickle rebuild through the trusted builder
+        return self._make, (self.nvars, list(self._terms.items()))
 
     @classmethod
     def constant(cls, nvars: int, value) -> "PolyScalar":
@@ -178,7 +184,7 @@ class PolyScalar:
         out: dict[tuple, int | Fraction] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
+                exps = tuple(map(operator.add, ea, eb))
                 out[exps] = out.get(exps, 0) + ca * cb
         return PolyScalar._make(self.nvars, out.items())
 
@@ -251,20 +257,25 @@ class PolyScalar:
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for pos, (exps, coeff) in enumerate(self.sorted_terms()):
-            sign = "-" if coeff < 0 else "+"
-            body = monomial_text(exps, abs(coeff))
-            if pos == 0:
-                pieces.append(body if sign == "+" else "-" + body)
-            else:
-                pieces.append(f" {sign} {body}")
-        return "".join(pieces)
+        return signed_sum((c < 0, monomial_text(e, abs(c))) for e, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"PolyScalar({self.nvars}, {self})"
+
+
+_put_nvars, _put_terms = PolyScalar.nvars.__set__, PolyScalar._terms.__set__
+
+
+def signed_sum(pairs) -> str:
+    """Canonical text of a sum of (negative, magnitude text) pairs: ``-a + b - c``; "0" for none."""
+    pieces = []
+    for negative, text in pairs:
+        if pieces:
+            pieces.append(" - " if negative else " + ")
+        elif negative:
+            pieces.append("-")
+        pieces.append(text)
+    return "".join(pieces) or "0"
 
 
 def digit_limit() -> int:

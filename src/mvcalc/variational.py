@@ -13,7 +13,9 @@ are needed to differentiate such a density with respect to a slot, and
 they make the vector derivative total and exact.  Field equations come
 out as formal expressions: rational combinations of operator chains
 applied to symbols, which can be rendered as text, serialized, or
-evaluated on concrete polynomial fields.
+evaluated on concrete polynomial fields.  Densities and expressions share
+one base, ``_Combination``, for their linear rules: only their constructors
+validate, and every derived result is built by its trusted ``_make``.
 
 Each chain token (ext, int, lap, tensor) has one ``CHAIN_OPS`` entry
 giving its text (d^, d_|, lap, dX), its grade shift (none for the
@@ -50,7 +52,7 @@ from .blades import AlgebraError, GradeError, Metric, Multivector, require_same_
 from .calculus import matrix_divergence
 from .indexes import Frozen, Record, _right_rule, _wedge_rule, integer
 from .matrices import MvMatrix, mat_vec
-from .poly import exact, number_text
+from .poly import _exact_terms, exact, number_text, signed_sum
 
 ROLES = ("dynamical", "source")
 
@@ -113,6 +115,15 @@ class FieldSymbol(Record):
 Slot = tuple  # (DerivOp, FieldSymbol)
 
 
+def _symbol_table(symbols: Iterable[FieldSymbol]) -> dict[str, FieldSymbol]:
+    """Name -> symbol; AlgebraError when one name is bound to two fields."""
+    out: dict[str, FieldSymbol] = {}
+    for sym in symbols:
+        if out.setdefault(sym.name, sym) != sym:
+            raise AlgebraError(f"symbol name {sym.name!r} bound to two fields")
+    return out
+
+
 def _slot(slot) -> Slot:
     """A (DerivOp, FieldSymbol) pair; the op may also be given by its token."""
     op, sym = slot
@@ -155,94 +166,134 @@ def _chain_value(chain: tuple, sym: FieldSymbol, assignment: Mapping):
     return value
 
 
-class LagrangianDensity(Frozen):
-    """Sum of rational-coefficient bilinear dot terms in field slots.
+class _Combination(Frozen):
+    """Exact rational combination of symbolic keys: the formal values' linear rules.
 
-    Immutable.  At most one distinct dynamical symbol may appear (the
-    field the action is varied with respect to); any number of sources.
+    ``_terms`` maps each key to a nonzero exact coefficient in first-written order.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[tuple]):
-        clean = []
-        for coeff, left, right in terms:
-            coeff = exact(coeff)
-            left, right = _slot(left), _slot(right)
-            grades = _slot_grade(left), _slot_grade(right)
-            if grades[0] != grades[1]:
-                raise GradeError(f"dot product of unequal slot grades: {grades[0]} vs {grades[1]}")
-            if coeff:
-                clean.append((coeff, left, right))
-        object.__setattr__(self, "terms", tuple(clean))
-        dyn = {sym for _, l, r in self.terms for _, sym in (l, r) if sym.role == "dynamical"}
-        if len(dyn) > 1:
-            names = sorted(s.name for s in dyn)
-            raise AlgebraError(f"more than one dynamical symbol: {names}")
+    @classmethod
+    def _make(cls, items):
+        """Trusted builder from (key, coeff) pairs with distinct keys, built from valid operands."""
+        value = object.__new__(cls)
+        _put_terms(value, _exact_terms(items))
+        return value
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return LagrangianDensity, (self.terms,)
+    def __reduce__(self):  # copy and pickle rebuild through the trusted builder
+        return self._make, (list(self._terms.items()),)
 
-    @property
-    def dynamical(self) -> FieldSymbol | None:
-        return next((s for _, l, r in self.terms for _, s in (l, r) if s.role == "dynamical"), None)
-
-    def symbols(self) -> dict:
-        out: dict[str, FieldSymbol] = {}
-        for _, left, right in self.terms:
-            for _, sym in (left, right):
-                if out.setdefault(sym.name, sym) != sym:
-                    raise AlgebraError(f"symbol name {sym.name!r} bound to two fields")
-        return out
+    def is_zero(self) -> bool:
+        return not self._terms
 
     def __add__(self, other):
-        if not isinstance(other, LagrangianDensity):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return LagrangianDensity(self.terms + other.terms)
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            acc = out.get(key)
+            out[key] = coeff if acc is None else acc + coeff
+        return self._make(out.items())
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._make((key, -c) for key, c in self._terms.items())
 
     def __mul__(self, scalar):
         try:
             scalar = exact(scalar)
         except AlgebraError:
             return NotImplemented
-        return LagrangianDensity(tuple((scalar * c, l, r) for c, l, r in self.terms))
+        return self._make((key, scalar * c) for key, c in self._terms.items())
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, LagrangianDensity):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     __hash__ = None
+
+
+_put_terms = _Combination._terms.__set__
+
+
+class LagrangianDensity(_Combination):
+    """Sum of rational-coefficient bilinear dot terms in field slots.
+
+    Immutable.  A key is an unordered slot pair, its slots in symbol-name
+    order (two slots of one symbol differ in grade, so such a pair is a
+    square); like terms merge.  After merging, at most one distinct
+    dynamical symbol may appear (the field the action is varied with
+    respect to); any number of sources.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: Iterable[tuple]):
+        merged: dict[tuple, int | Fraction] = {}
+        for coeff, left, right in terms:
+            coeff = exact(coeff)
+            left, right = _slot(left), _slot(right)
+            grades = _slot_grade(left), _slot_grade(right)
+            if grades[0] != grades[1]:
+                raise GradeError(f"dot product of unequal slot grades: {grades[0]} vs {grades[1]}")
+            key = (left, right) if left[1].name <= right[1].name else (right, left)
+            merged[key] = merged.get(key, 0) + coeff
+        _put_terms(self, _exact_terms(merged.items()))
+        self._one_dynamical()
+
+    def _one_dynamical(self) -> "LagrangianDensity":
+        """self, or AlgebraError when more than one dynamical symbol appears."""
+        dyn = {sym for pair in self._terms for _, sym in pair if sym.role == "dynamical"}
+        if len(dyn) > 1:
+            raise AlgebraError(f"more than one dynamical symbol: {sorted(s.name for s in dyn)}")
+        return self
+
+    def __add__(self, other):  # a sum is where a second dynamical symbol can come in
+        total = _Combination.__add__(self, other)
+        return total if total is NotImplemented else total._one_dynamical()
+
+    @property
+    def terms(self) -> tuple:
+        """A new tuple of (coeff, left slot, right slot), one per slot pair."""
+        return tuple((c, left, right) for (left, right), c in self._terms.items())
+
+    @property
+    def dynamical(self) -> FieldSymbol | None:
+        return next((s for pair in self._terms for _, s in pair if s.role == "dynamical"), None)
+
+    def symbols(self) -> dict:
+        return _symbol_table(sym for pair in self._terms for _, sym in pair)
 
     def value(self, assignment: Mapping):
         """Evaluate the density on concrete fields; a scalar, exact."""
         total = 0
-        for coeff, (lop, lsym), (rop, rsym) in self.terms:
+        for ((lop, lsym), (rop, rsym)), coeff in self._terms.items():
             left = _chain_value(lop.chain, lsym, assignment)
             total = total + coeff * left.dot(_chain_value(rop.chain, rsym, assignment))
         return total
 
     def __repr__(self):
-        parts = []
-        for coeff, (lop, lsym), (rop, rsym) in self.terms:
-            parts.append(
-                f"{coeff}*({lop.value or 'id'} {lsym.name} . {rop.value or 'id'} {rsym.name})"
-            )
+        parts = [f"{coeff}*({lop.value or 'id'} {lsym.name} . {rop.value or 'id'} {rsym.name})"
+                 for ((lop, lsym), (rop, rsym)), coeff in self._terms.items()]
         return f"<LagrangianDensity {' + '.join(parts) or '0'}>"
 
 
-class FormalExpr(Frozen):
+class FormalExpr(_Combination):
     """Rational combination of operator chains applied to field symbols.
 
-    Terms are kept in insertion order for stable rendering; equality is
-    order-insensitive.  A chain is a tuple of ``CHAIN_OPS`` tokens,
-    outermost first; a matrix-valued token ("tensor") may only appear
-    alone.
+    A key is (chain, symbol); terms are kept in insertion order for stable
+    rendering, and ``terms`` is a new dict on each access.  A chain is a
+    tuple of ``CHAIN_OPS`` tokens, outermost first; a matrix-valued token
+    ("tensor") may only appear alone.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Iterable[tuple] = ()):
         clean: dict[tuple, int | Fraction] = {}
@@ -255,64 +306,34 @@ class FormalExpr(Frozen):
                     raise AlgebraError(f"{CHAIN_OPS[op].text} may only appear as a standalone chain")
             key = (chain, symbol)
             clean[key] = clean.get(key, 0) + exact(coeff)
-        object.__setattr__(self, "terms", {key: c for key, c in clean.items() if c})
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return FormalExpr, ([(*key, coeff) for key, coeff in self.terms.items()],)
+        _put_terms(self, _exact_terms(clean.items()))
 
     @classmethod
     def zero(cls) -> "FormalExpr":
-        return cls()
+        return cls._make(())
 
     @classmethod
     def single(cls, chain, symbol: FieldSymbol, coeff=1) -> "FormalExpr":
         return cls([(chain, symbol, coeff)])
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> dict:
+        """A new dict of (chain, symbol) keys to nonzero coefficients."""
+        return dict(self._terms)
 
     @property
     def is_matrix(self) -> bool:
-        return any(chain and chain[0] not in VECTOR_OPS for chain, _ in self.terms)
+        return any(chain and chain[0] not in VECTOR_OPS for chain, _ in self._terms)
 
     @property
     def grade(self):
         """Common grade of all terms; None when the expression is zero."""
-        grades = {_chain_grade(chain, symbol.grade) for chain, symbol in self.terms}
+        grades = {_chain_grade(chain, symbol.grade) for chain, symbol in self._terms}
         if not grades:
             return None
         if len(grades) > 1:
             raise GradeError(f"mixed-grade formal expression: {sorted(map(str, grades))}")
         return grades.pop()
-
-    def __add__(self, other):
-        if not isinstance(other, FormalExpr):
-            return NotImplemented
-        merged = [(ch, sym, c) for (ch, sym), c in self.terms.items()]
-        merged.extend((ch, sym, c) for (ch, sym), c in other.terms.items())
-        return FormalExpr(merged)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, scalar):
-        try:
-            scalar = exact(scalar)
-        except AlgebraError:
-            return NotImplemented
-        return FormalExpr([(ch, sym, scalar * c) for (ch, sym), c in self.terms.items()])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
 
     def apply(self, op: str) -> "FormalExpr":
         """Prepend a derivative operator to every chain (outermost position)."""
@@ -320,9 +341,7 @@ class FormalExpr(Frozen):
             raise AlgebraError(f"cannot apply operator {op!r} to a formal expression")
         if self.is_matrix:
             raise AlgebraError("cannot apply a vector operator to a matrix expression")
-        return FormalExpr(
-            [((op,) + ch, sym, c) for (ch, sym), c in self.terms.items()]
-        )
+        return FormalExpr._make((((op,) + ch, sym), c) for (ch, sym), c in self._terms.items())
 
     def divergence(self) -> "FormalExpr":
         """Matrix divergence of a dX expression: dX folds into lap.
@@ -330,12 +349,9 @@ class FormalExpr(Frozen):
         The divergence of the tensor derivative is the component-wise
         Laplacian, which keeps the result inside the vector chain algebra.
         """
-        out = []
-        for (chain, sym), c in self.terms.items():
-            if chain != ("tensor",):
-                raise AlgebraError("divergence expects dX chains only")
-            out.append((("lap",), sym, c))
-        return FormalExpr(out)
+        if any(chain != ("tensor",) for chain, _ in self._terms):
+            raise AlgebraError("divergence expects dX chains only")
+        return FormalExpr._make(((("lap",), sym), c) for (_, sym), c in self._terms.items())
 
     def evaluate(self, assignment: Mapping, metric: Metric | None = None,
                  grade: int | None = None) -> Multivector:
@@ -347,7 +363,7 @@ class FormalExpr(Frozen):
         if self.is_matrix:
             raise AlgebraError("matrix expression does not evaluate to a field")
         total = None
-        for (chain, sym), coeff in self.terms.items():
+        for (chain, sym), coeff in self._terms.items():
             value = _chain_value(chain, sym, assignment)
             total = value * coeff if total is None else total + value * coeff
         if total is None:
@@ -358,22 +374,16 @@ class FormalExpr(Frozen):
 
     def render(self) -> str:
         """Canonical text, e.g. ``d_| ( d^ A ) + 4 * A``."""
-        if not self.terms:
-            return "0"
         pieces = []
-        for (chain, sym), coeff in self.terms.items():
+        for (chain, sym), coeff in self._terms.items():
             body = sym.name
             for op in reversed(chain):
                 if " " in body:
                     body = f"( {body} )"
                 body = f"{CHAIN_OPS[op].text} {body}"
             mag = abs(coeff)
-            text = body if mag == 1 else f"{number_text(mag)} * {body}"
-            if not pieces:
-                pieces.append(f"-{text}" if coeff < 0 else text)
-            else:
-                pieces.append(f" - {text}" if coeff < 0 else f" + {text}")
-        return "".join(pieces)
+            pieces.append((coeff < 0, body if mag == 1 else f"{number_text(mag)} * {body}"))
+        return signed_sum(pieces)
 
     def __str__(self) -> str:
         return self.render()
@@ -415,22 +425,16 @@ def vderiv(L: LagrangianDensity, wrt: Slot) -> FormalExpr:
     matched mixed term); slots that do not mention the wrt expression
     contribute nothing.  Only the dynamical symbol may be differentiated.
     """
-    op, sym = _slot(wrt)
+    op, sym = wrt = _slot(wrt)
     if sym.role != "dynamical":
         raise AlgebraError(f"cannot vary source symbol {sym.name!r}")
-    out = []
-    for coeff, left, right in L.terms:
-        lmatch = left == (op, sym)
-        rmatch = right == (op, sym)
-        if lmatch and rmatch:
-            out.append((op.chain, sym, 2 * coeff))
-        elif lmatch:
-            rop, rsym = right
-            out.append((rop.chain, rsym, coeff))
-        elif rmatch:
-            lop, lsym = left
-            out.append((lop.chain, lsym, coeff))
-    return FormalExpr(out)
+    out = []  # distinct pairs holding wrt have distinct partners, so the keys are distinct
+    for (left, right), coeff in L._terms.items():
+        if left == wrt:  # the partner, doubled for the square
+            out.append(((right[0].chain, right[1]), 2 * coeff if right == wrt else coeff))
+        elif right == wrt:
+            out.append(((left[0].chain, left[1]), coeff))
+    return FormalExpr._make(out)
 
 
 def _dynamical_ops(L: LagrangianDensity) -> tuple[FieldSymbol, set]:
@@ -438,7 +442,7 @@ def _dynamical_ops(L: LagrangianDensity) -> tuple[FieldSymbol, set]:
     a = L.dynamical
     if a is None:
         raise AlgebraError("the density has no dynamical symbol to vary")
-    return a, {op for _, left, right in L.terms for op, sym in (left, right) if sym == a}
+    return a, {op for pair in L._terms for op, sym in pair if sym == a}
 
 
 def euler_lagrange(L: LagrangianDensity) -> FieldEquation:
@@ -508,7 +512,7 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
     def add(rows, cols, c):
         out[(rows, cols)] = out.get((rows, cols), 0) + c
 
-    for coeff, left, right in L.terms:
+    for (left, right), coeff in L._terms.items():
         for mine, other in ((left, right), (right, left)):
             op, sym = mine
             if sym != a or op is DerivOp.ID:

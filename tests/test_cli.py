@@ -171,6 +171,13 @@ def test_mixed_route_slots_name_the_mix_not_a_library_function():
                    "with the d^/d_| slots of the exterior route\n")
 
 
+@pytest.mark.parametrize("density", ["0*(A . A)", "(A . A) - (A . A)"])
+def test_cancelled_density_has_nothing_to_vary(density):
+    code, out, err = call(["derive", "--k", "1", "--n", "3", "--lagrangian", density,
+                           "--symbols", "A:1:dynamical"])
+    assert (code, out, err) == (2, "", "error: the density has no dynamical symbol to vary\n")
+
+
 def test_bad_symbol_declaration():
     proc = mvcalc(
         "derive", "--k", "1", "--n", "3",

@@ -1,10 +1,13 @@
-"""``Multivector`` and ``MvMatrix`` share one copy of their value rules.
+"""The value classes share one copy of their value rules.
 
 ``blades._Sparse`` owns immutability, copy and pickle, the same-space
 check, the linear structure and equality with its zero rule; each class
-keeps its constructor, its trusted builder and its products.  One helper,
-``blades.require_same_metric``, raises "mixed metrics".  Both classes fill
-their slots through the slot descriptors, never ``object.__setattr__``.
+keeps its constructor, its trusted builder and its products.  In the same
+way ``variational._Combination`` owns the trusted builder, copy and pickle,
+the linear structure and equality of ``FormalExpr`` and ``LagrangianDensity``
+(the density adds only its one-dynamical-symbol check to ``+``).  One helper,
+``blades.require_same_metric``, raises "mixed metrics".  The value classes
+fill their slots through the slot descriptors, never ``object.__setattr__``.
 The source is read with ``ast``, so nothing is imported.
 """
 
@@ -16,6 +19,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "mvcalc"
 SHARED = {"__setattr__", "__delattr__", "__eq__", "__neg__", "__sub__", "is_zero",
           "_require_same_space"}
+FORMAL = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__neg__", "__sub__", "__mul__",
+          "__rmul__", "__reduce__", "_make", "is_zero"}
 
 
 def tree(module: str) -> ast.Module:
@@ -43,6 +48,14 @@ def test_value_classes_inherit_the_shared_rules(module, name):
     assert not class_body_names(module, name) & SHARED
 
 
+@pytest.mark.parametrize("name, own", [("FormalExpr", set()), ("LagrangianDensity", {"__add__"})])
+def test_formal_values_inherit_the_shared_rules(name, own):
+    names = class_body_names("variational.py", name)
+    assert not names & FORMAL and names & {"__add__"} == own
+    base = class_body_names("variational.py", "_Combination")
+    assert FORMAL - {"__setattr__", "__delattr__"} | {"__add__"} <= base  # those two: Frozen
+
+
 def _mentions(node) -> int:
     """Raise statements under ``node`` whose text includes "mixed metrics"."""
     return sum(any(isinstance(n, ast.Constant) and isinstance(n.value, str)
@@ -57,7 +70,7 @@ def test_one_helper_raises_mixed_metrics():
     assert total == _mentions(helper) == 1
 
 
-@pytest.mark.parametrize("module", ["blades.py", "matrices.py"])
+@pytest.mark.parametrize("module", ["blades.py", "matrices.py", "poly.py", "variational.py"])
 def test_slots_are_filled_through_their_descriptors(module):
     generic = [node for node in ast.walk(tree(module)) if isinstance(node, ast.Attribute)
                and node.attr == "__setattr__" and isinstance(node.value, ast.Name)

@@ -1,12 +1,14 @@
-"""The value rules that the four slotted value types share.
+"""The value rules that the five slotted value types share.
 
 ``Multivector`` and ``MvMatrix`` take theirs from ``blades._Sparse``;
-``FormalExpr`` and ``LagrangianDensity`` refuse assignment through the
-same ``indexes.Frozen``.  Each value survives ``copy``, ``deepcopy`` and
-``pickle`` unchanged, and refuses assignment and deletion.  Equality of the
-two sparse values keeps its rule (every zero is equal; otherwise the shape
-and the terms must match), and every trusted builder path gives an immutable
-result that shares no terms dict with its operands or with another result.
+``FormalExpr`` and ``LagrangianDensity`` from ``variational._Combination``;
+``PolyScalar`` refuses assignment through the same ``indexes.Frozen``.  Each
+value survives ``copy``, ``deepcopy`` and ``pickle`` unchanged, and refuses
+assignment and deletion; only ``PolyScalar`` is hashable, and its hash holds.
+Equality of the two sparse values keeps its rule (every zero is equal;
+otherwise the shape and the terms must match), and every trusted builder path,
+sparse or formal, gives an immutable result that shares no terms dict with its
+operands or with another result.
 """
 
 import copy
@@ -18,8 +20,10 @@ import pytest
 from mvcalc import (DerivOp, FieldSymbol, FormalExpr, LagrangianDensity, Metric, Multivector,
                     MvMatrix, PolyScalar)
 from mvcalc.calculus import ext_deriv, int_deriv, laplacian, matrix_divergence, tensor_deriv
+from mvcalc.em import MaxwellConfig, derive_equations, dual_theory, wave_form
 from mvcalc.matrices import mat_vec, vec_mat
 from mvcalc.randgen import random_constant_field, random_field, random_matrix_field, rng_for
+from mvcalc.variational import euler_lagrange_exterior, euler_lagrange_tensor, vderiv
 
 M13 = Metric(1, 3)
 X1 = PolyScalar.variable(4, 1)
@@ -31,10 +35,13 @@ VALUES = [
                  id="Multivector"),
     pytest.param(MvMatrix(M13, 1, 2, {((0,), (1, 2)): X1, ((3,), (0, 1)): -2}),
                  ("metric", "row_grade", "col_grade"), id="MvMatrix"),
-    pytest.param(FormalExpr([(("int", "ext"), A, 2), ((), J, -1)]), ("terms",), id="FormalExpr"),
+    pytest.param(FormalExpr([(("int", "ext"), A, 2), ((), J, -1)]), ("terms", "_terms"),
+                 id="FormalExpr"),
     pytest.param(LagrangianDensity([(-1, (DerivOp.EXT, A), (DerivOp.EXT, A)),
                                     (2, (DerivOp.ID, A), (DerivOp.ID, J))]),
-                 ("terms",), id="LagrangianDensity"),
+                 ("terms", "_terms"), id="LagrangianDensity"),
+    pytest.param(PolyScalar(2, {(1, 0): 3, (0, 2): Fraction(-1, 2)}), ("nvars", "_terms"),
+                 id="PolyScalar"),
 ]
 
 
@@ -70,8 +77,11 @@ def test_assignment_and_deletion_are_refused(value, fields):
         with pytest.raises(AttributeError, match=message):
             delattr(value, name)
     assert value == before
-    with pytest.raises(TypeError):
-        hash(value)
+    if isinstance(value, PolyScalar):  # a dict key: its hash must not move
+        assert hash(value) == hash(before) and {before: 1}[value] == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 # -- equality's zero rule ---------------------------------------------------------
@@ -205,3 +215,66 @@ def test_trusted_results_are_immutable_and_own_their_terms(name, trusted_results
     for key, coeff in _polynomials(result).items():
         if key not in theirs:
             assert all(coeff._terms is not c._terms for c in theirs.values())
+
+
+# -- every formal result is its own immutable value -------------------------------------
+
+EXPR = FormalExpr([(("ext",), A, 2), ((), J, -1)])
+EXPR2 = FormalExpr([((), J, 1), (("int",), A, Fraction(1, 2))])
+DX = FormalExpr([(("tensor",), A, 3), (("tensor",), J, -1)])
+DENSITY = LagrangianDensity([(Fraction(-1, 2), (DerivOp.EXT, A), (DerivOp.EXT, A)),
+                             (1, (DerivOp.ID, J), (DerivOp.ID, A)),
+                             (Fraction(1, 3), (DerivOp.INT, A), (DerivOp.INT, A))])
+TENSOR_DENSITY = LagrangianDensity([(Fraction(1, 2), (DerivOp.TENSOR, A), (DerivOp.TENSOR, A)),
+                                    (1, (DerivOp.ID, A), (DerivOp.ID, J))])
+FORMAL_OPERANDS = (EXPR, EXPR2, DX, DENSITY, TENSOR_DENSITY)
+CFG = MaxwellConfig(M13, 2, mass=1, xi=Fraction(1, 2))
+
+
+def _sides(eq):
+    return eq.lhs, eq.rhs
+
+
+FORMAL = {
+    "add": lambda: (EXPR + EXPR2,),
+    "sub": lambda: (EXPR - EXPR2,),
+    "sub-self": lambda: (EXPR - EXPR,),
+    "neg": lambda: (-EXPR,),
+    "scale": lambda: (EXPR * Fraction(2, 3),),
+    "scale-one": lambda: (1 * EXPR,),
+    "apply": lambda: (EXPR2.apply("ext"),),
+    "divergence": lambda: (DX.divergence(),),
+    "vderiv": lambda: (vderiv(DENSITY, (DerivOp.EXT, A)),),
+    "exterior-route": lambda: _sides(euler_lagrange_exterior(DENSITY)),
+    "tensor-route": lambda: _sides(euler_lagrange_tensor(TENSOR_DENSITY)),
+    "derive_equations": lambda: _sides(derive_equations(CFG)),
+    "wave_form": lambda: _sides(wave_form(CFG)),
+    "dual_theory": lambda: tuple(side for eq in dual_theory(M13, 2) for side in _sides(eq)),
+    "density-add": lambda: (DENSITY + TENSOR_DENSITY,),
+    "density-sub": lambda: (DENSITY - DENSITY,),
+    "density-neg": lambda: (-DENSITY,),
+    "density-scale": lambda: (DENSITY * 2,),
+    "copy": lambda: (copy.copy(EXPR), copy.copy(DENSITY)),
+    "deepcopy": lambda: (copy.deepcopy(EXPR), copy.deepcopy(DENSITY)),
+    "pickle": lambda: tuple(pickle.loads(pickle.dumps(v)) for v in (EXPR, DENSITY)),
+}
+
+
+@pytest.fixture(scope="module")
+def formal_results():
+    return {name: build() for name, build in FORMAL.items()}
+
+
+@pytest.mark.parametrize("name", FORMAL)
+def test_formal_results_are_immutable_and_own_their_terms(name, formal_results):
+    others = [*FORMAL_OPERANDS, *(v for n, vs in formal_results.items() if n != name for v in vs)]
+    for pos, result in enumerate(formal_results[name]):
+        message = f"{type(result).__name__} is immutable"
+        for field in ("terms", "_terms", "other"):
+            with pytest.raises(AttributeError, match=message):
+                setattr(result, field, 1)
+            with pytest.raises(AttributeError, match=message):
+                delattr(result, field)
+        siblings = formal_results[name][:pos] + formal_results[name][pos + 1:]
+        assert all(result._terms is not v._terms for v in (*others, *siblings))
+        assert all(c and type(c) in (int, Fraction) for c in result._terms.values())

@@ -316,3 +316,68 @@ def test_euler_lagrange_route_follows_the_dynamical_slots():
     with pytest.raises(AlgebraError, match="no dynamical symbol"):
         euler_lagrange(LagrangianDensity([(1, (DerivOp.ID, J), (DerivOp.ID, J))]))
     assert "euler_lagrange" not in mvcalc.__all__
+
+
+# -- the linear rules of the formal values ------------------------------------------------
+
+ID_A, ID_J, EXT_A = (DerivOp.ID, A), (DerivOp.ID, J), (DerivOp.EXT, A)
+
+
+def test_density_equality_merges_like_terms_and_ignores_order():
+    L1 = LagrangianDensity([(Fraction(-1, 2), EXT_A, EXT_A), (1, ID_J, ID_A)])
+    L2 = LagrangianDensity([(3, ID_A, ID_A)])
+    assert L1 + L1 == 2 * L1 and len((L1 + L1).terms) == 2
+    assert L1 + L2 == L2 + L1
+    assert LagrangianDensity([(1, ID_J, ID_A)]) == LagrangianDensity([(1, ID_A, ID_J)])
+    merged = LagrangianDensity([(1, ID_J, ID_A), (2, EXT_A, EXT_A), (Fraction(1, 2), ID_A, ID_J)])
+    # one term per slot pair, in first-written order, slots in symbol-name order
+    assert merged.terms == ((Fraction(3, 2), ID_A, ID_J), (2, EXT_A, EXT_A))
+    assert L1 - L1 == 0 * L1 == -L1 + L1
+
+
+def test_cancelled_density_has_no_dynamical_symbol():
+    for L in (LagrangianDensity([(1, ID_A, ID_A), (-1, ID_A, ID_A)]),
+              LagrangianDensity([(1, ID_J, ID_A)]) - LagrangianDensity([(1, ID_A, ID_J)])):
+        assert L.is_zero() and L.terms == () and L.dynamical is None
+        with pytest.raises(AlgebraError, match="the density has no dynamical symbol to vary"):
+            euler_lagrange(L)
+    # the one-dynamical-symbol rule holds after merging: a cancelled B is no second symbol
+    B = FieldSymbol("B", 1, "dynamical")
+    L = LagrangianDensity([(1, ID_A, ID_A), (1, (DerivOp.ID, B), ID_A), (-1, ID_A, (DerivOp.ID, B))])
+    assert L == LagrangianDensity([(1, ID_A, ID_A)])
+    with pytest.raises(AlgebraError, match=r"more than one dynamical symbol: \['A', 'B'\]"):
+        L + LagrangianDensity([(1, (DerivOp.ID, B), (DerivOp.ID, B))])
+
+
+def test_formal_terms_view_cannot_change_the_expression_or_its_equation():
+    eq = euler_lagrange(maxwell_density(mass=2))
+    before = eq.render()
+    view = eq.lhs.terms
+    view[((), A)] = 1.5
+    del view[((), J)]
+    assert eq.lhs.terms is not eq.lhs.terms and ((), J) in eq.lhs.terms
+    assert eq.render() == before == "J - 4 * A = d_| ( d^ A )"
+    assert eq == euler_lagrange(maxwell_density(mass=2))
+
+
+def test_routes_build_no_formal_value_through_a_validating_constructor(monkeypatch):
+    from mvcalc.em import MaxwellConfig, derive_equations, dual_theory, wave_form
+    from mvcalc.parser import parse_lagrangian
+
+    a, rho = FieldSymbol("a", 0, "dynamical"), FieldSymbol("rho", 0, "source")
+    exterior = parse_lagrangian("-1/2*(d^A . d^A) + (J . A) - 2*(A . A) - 1*(d_|A . d_|A)", [A, J])
+    tensor = parse_lagrangian("1/2*(dX a . dX a) + (rho . a) - (a . a)", [a, rho])
+    cfg = MaxwellConfig(M13, 2, mass=1, xi=Fraction(1, 2))
+    built = []
+    for cls in (FormalExpr, LagrangianDensity):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
+                            built.append(type(self)) or init(self, *args))
+    results = [euler_lagrange_exterior(exterior), euler_lagrange_tensor(tensor), wave_form(cfg)]
+    assert built == []
+    results += [derive_equations(cfg), *dual_theory(M13, 2)]
+    assert built == [LagrangianDensity] * 2  # each builds its own density, and nothing else
+    assert [str(eq) for eq in results] == [
+        "J - 4 * A = d_| ( d^ A ) - 2 * d^ ( d_| A )", "rho - 2 * a = lap a",
+        "-lap A + A = J + d^ ( d_| A )", "d_| ( d^ A ) + A = J + 2 * d^ ( d_| A )",
+        "Jbar = d^ ( d_| Abar )", "d_| Fbar = 0"]
