@@ -35,13 +35,14 @@ other rational as a Fraction (see ``poly.exact``), and a polynomial as a
 PolyScalar in the metric's k+n coordinates (see ``poly.coefficient``).
 Floats, bools and polynomials in other variables are rejected.
 
-``Multivector`` and ``matrices.MvMatrix`` share ``_Sparse``: one copy of
-immutability, copy and pickle, the same-space check, the linear structure
-and equality (every zero is equal).  ``require_same_metric`` is the one
-"mixed metrics" check.  Public constructors validate; results of valid
-operands, and copies, go through the trusted builder ``_make``, which fills
-the slots through their descriptors' ``__set__`` (``_put_*``, bound once).
-A product runs one chain: the method, ``_product`` with the kernel, ``_make``.
+``Multivector`` and ``matrices.MvMatrix`` take their linear rules, copy,
+pickle and equality (every zero of a metric is equal) from ``poly._Linear``,
+and the same-space check and the coefficient rule from ``_Sparse``.
+``require_same_metric`` is the one "mixed metrics" check.  Public
+constructors validate; results of valid operands, and copies, go through
+the trusted builder ``_make``, which fills the slots through their
+descriptors' ``__set__`` (``_put_*``, bound once).  A product runs one
+chain: the method, ``_product`` with the kernel, ``_make``.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping
 
-from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, Frozen, Record, _left_rule, _mask,
+from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, Record, _left_rule, _mask,
                       _right_rule, _wedge_rule, as_tuple, check_canonical, integer, term_items)
-from .poly import PolyScalar, _exact_terms, coefficient, number_text, signed_sum
+from .poly import (PolyScalar, _exact_terms, _Linear, _put_terms, coefficient, number_text,
+                   signed_sum)
 
 
 class GradeError(AlgebraError):
@@ -104,21 +106,17 @@ def require_same_metric(left: Metric, right: Metric) -> None:
         raise AlgebraError("mixed metrics")
 
 
-class _Sparse(Frozen):
-    """The value rules shared by ``Multivector`` and ``MvMatrix``.
+class _Sparse(_Linear):
+    """The operand and coefficient rules shared by ``Multivector`` and ``MvMatrix``.
 
-    A value is a metric, a grade shape (``_shape()``) and ``_masks``, mask keys
-    to nonzero exact coefficients; each subclass adds its constructor, its
-    trusted ``_make(metric, *shape, items)``, ``_like(items)`` in its own shape and its products.
+    A value is a metric, grades and ``_terms``, mask keys to nonzero exact
+    coefficients; ``_shape()`` is (metric, *grades).  ``+`` refuses a value of
+    another class, metric or (both nonzero) shape with AlgebraError/GradeError,
+    and a coefficient may be a PolyScalar in the metric's coordinates.  Each
+    subclass adds its constructor, ``_make``, ``_like`` and its products.
     """
 
-    __slots__ = ("metric", "_masks")
-
-    def __reduce__(self):  # copy and pickle rebuild through the trusted builder
-        return self._make, (self.metric, *self._shape(), list(self._masks.items()))
-
-    def is_zero(self) -> bool:
-        return not self._masks
+    __slots__ = ("metric",)
 
     def _require_same_space(self, other) -> None:
         if not isinstance(other, type(self)):
@@ -126,44 +124,17 @@ class _Sparse(Frozen):
         if other.metric is not self.metric:  # the common case skips a call on the hot path
             require_same_metric(self.metric, other.metric)
 
-    def __add__(self, other):
+    def _operand(self, other):
         self._require_same_space(other)
-        if other._masks and not self._masks:
-            return other._like(other._masks.items())
-        if other._masks and self._shape() != other._shape():
+        if other._terms and self._terms and self._shape() != other._shape():
             raise GradeError("cannot add grades " + " and ".join(
-                ",".join(map(str, s._shape())) for s in (self, other)))
-        out = dict(self._masks)
-        for key, coeff in other._masks.items():
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-        return self._like(out.items())
+                ",".join(map(str, s._shape()[1:])) for s in (self, other)))
+        return other._terms
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like((k, -c) for k, c in self._masks.items())
-
-    def __mul__(self, scalar):
-        try:
-            scalar = coefficient(scalar, self.metric.dim)
-        except AlgebraError:
-            if isinstance(scalar, PolyScalar):
-                raise
-            return NotImplemented
-        return self._like((k, scalar * c) for k, c in self._masks.items())
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        if self.metric is not other.metric and self.metric != other.metric:
-            return False
-        return self._masks == other._masks  # equal nonzero keys have equal popcounts
-
-    __hash__ = None
+    def _scalar(self, value):
+        if isinstance(value, PolyScalar):
+            return coefficient(value, self.metric.dim)  # AlgebraError in other variables
+        return _Linear._scalar(self, value)
 
 
 class Multivector(_Sparse):
@@ -178,7 +149,7 @@ class Multivector(_Sparse):
 
     __slots__ = ("grade",)
     # bound by name, since bench/tracing.py wraps them in this class's own __dict__
-    __add__, __mul__, __rmul__ = _Sparse.__add__, _Sparse.__mul__, _Sparse.__mul__
+    __add__, __mul__, __rmul__ = _Linear.__add__, _Linear.__mul__, _Linear.__mul__
 
     def __init__(self, metric: Metric, grade: int, terms: Mapping[tuple, object] | None = None):
         if type(grade) is not int:
@@ -199,7 +170,7 @@ class Multivector(_Sparse):
                                      f"{mask.bit_count()}, expected {grade}")
         _put_metric(self, metric)
         _put_grade(self, grade)
-        _put_masks(self, clean)
+        _put_terms(self, clean)
 
     @classmethod
     def _make(cls, metric: Metric, grade: int, items) -> "Multivector":
@@ -207,14 +178,14 @@ class Multivector(_Sparse):
         mv = object.__new__(cls)
         _put_metric(mv, metric)
         _put_grade(mv, grade)
-        _put_masks(mv, _exact_terms(items))
+        _put_terms(mv, _exact_terms(items))
         return mv
 
     def _like(self, items) -> "Multivector":
         return Multivector._make(self.metric, self.grade, items)
 
     def _shape(self) -> tuple:
-        return (self.grade,)
+        return (self.metric, self.grade)
 
     # -- constructors ----------------------------------------------------
 
@@ -236,20 +207,20 @@ class Multivector(_Sparse):
     @property
     def terms(self) -> dict[tuple, object]:
         """A new dict of canonical index lists to nonzero coefficients."""
-        return {_BLADE[mask]: c for mask, c in self._masks.items()}
+        return {_BLADE[mask]: c for mask, c in self._terms.items()}
 
     def coefficient(self, indices):
         """Coefficient of one blade (0 when absent)."""
-        return self._masks.get(_mask(indices, self.metric.dim), 0)
+        return self._terms.get(_mask(indices, self.metric.dim), 0)
 
     def scalar_value(self):
         if self.grade != 0:
             raise GradeError("scalar_value needs a grade-0 multivector")
-        return self._masks.get(0, 0)
+        return self._terms.get(0, 0)
 
     def items(self) -> list[tuple[tuple, object]]:
         """Terms sorted by index list; the iteration order for printing."""
-        return sorted((_BLADE[mask], c) for mask, c in self._masks.items())
+        return sorted((_BLADE[mask], c) for mask, c in self._terms.items())
 
     # -- products ----------------------------------------------------------
 
@@ -262,7 +233,7 @@ class Multivector(_Sparse):
         self._require_same_space(other)
         if self.grade != other.grade:
             raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
-        return self._product(_left_rule, self._masks, other._masks, 0)._masks.get(0, 0)
+        return self._product(_left_rule, self._terms, other._terms, 0)._terms.get(0, 0)
 
     def _product(self, rule, left: dict, right: dict, grade, flip=0) -> "Multivector":
         """The rule's products of two term dicts, summed into a Multivector of ``grade``.
@@ -283,44 +254,43 @@ class Multivector(_Sparse):
     def wedge(self, other: "Multivector") -> "Multivector":
         """Exterior product; grade adds (zero past the top grade)."""
         self._require_same_space(other)
-        return self._product(_wedge_rule, self._masks, other._masks, self.grade + other.grade)
+        return self._product(_wedge_rule, self._terms, other._terms, self.grade + other.grade)
 
     def left_contract(self, other: "Multivector") -> "Multivector":
         """Left interior product self _| other; lowers other's grade by self's."""
         self._require_same_space(other)
-        return self._product(_left_rule, self._masks, other._masks, other.grade - self.grade)
+        return self._product(_left_rule, self._terms, other._terms, other.grade - self.grade)
 
     def right_contract(self, other: "Multivector") -> "Multivector":
         """Right interior product self |_ other; lowers self's grade by other's."""
         self._require_same_space(other)
-        return self._product(_right_rule, self._masks, other._masks, self.grade - other.grade)
+        return self._product(_right_rule, self._terms, other._terms, self.grade - other.grade)
 
     def hodge(self) -> "Multivector":
         """Hodge complement, blade by blade: the pseudoscalar |_ self."""
         dim = self.metric.dim
-        return self._product(_right_rule, {(1 << dim) - 1: None}, self._masks,
+        return self._product(_right_rule, {(1 << dim) - 1: None}, self._terms,
                              dim - self.grade)
 
     def inv_hodge(self) -> "Multivector":
         """Inverse Hodge complement: inv_hodge(hodge(a)) == a."""
         # self _| pseudoscalar, flipped by D of the pseudoscalar: D_II -> D_IcIc
         dim = self.metric.dim
-        return self._product(_left_rule, self._masks, {(1 << dim) - 1: None},
+        return self._product(_left_rule, self._terms, {(1 << dim) - 1: None},
                              dim - self.grade, flip=self.metric.k & 1)
 
     # -- canonical text -----------------------------------------------------
 
     def __str__(self) -> str:
-        if self.grade == 0 and self._masks:
-            return number_text(self._masks[0])
+        if self.grade == 0 and self._terms:
+            return number_text(self._terms[0])
         return signed_sum(_blade_term_text(indices, coeff) for indices, coeff in self.items())
 
     def __repr__(self) -> str:
         return f"<Multivector ({self.metric.k},{self.metric.n}) grade {self.grade}: {self}>"
 
 
-_put_metric, _put_masks, _put_grade = (
-    _Sparse.metric.__set__, _Sparse._masks.__set__, Multivector.grade.__set__)
+_put_metric, _put_grade = _Sparse.metric.__set__, Multivector.grade.__set__
 
 
 def _blade_term_text(indices: tuple, coeff) -> tuple[bool, str]:

@@ -49,7 +49,7 @@ def _vector_deriv(field: Multivector, rule, time_flip: bool, grade: int) -> Mult
     """sum_i rule(e_i, d_i field), run with no time-like axes; D_ii if ``time_flip``."""
     metric, out = field.metric, {}
     dim, k = metric.dim, metric.k if time_flip else 0
-    for mask, coeff in field._masks.items():
+    for mask, coeff in field._terms.items():
         if isinstance(coeff, PolyScalar):
             for i in range(dim):
                 if (hit := rule(1 << i, mask, 0)) is not None:
@@ -81,7 +81,7 @@ def right_int_deriv(field: Multivector) -> Multivector:
 def tensor_deriv(field: Multivector) -> MvMatrix:
     """Tensor derivative: row grade 1 matrix of all first partials."""
     metric, out = field.metric, {}
-    for mask, coeff in field._masks.items():
+    for mask, coeff in field._terms.items():
         if isinstance(coeff, PolyScalar):
             for i in range(metric.dim):
                 out[(1 << i, mask)] = _lower_into({}, coeff._terms, i, i < metric.k)
@@ -91,7 +91,7 @@ def tensor_deriv(field: Multivector) -> MvMatrix:
 def laplacian(field: Multivector) -> Multivector:
     """Component-wise d'Alembertian sum_i D_ii d_i^2, grade unchanged."""
     metric, out = field.metric, {}
-    for mask, c in field._masks.items():
+    for mask, c in field._terms.items():
         if isinstance(c, PolyScalar):
             for i in range(metric.dim):
                 _lower_into(out.setdefault(mask, {}), _lower_into({}, c._terms, i), i, i < metric.k)
@@ -104,10 +104,10 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
     Contracting the derivative against the row slot cancels the metric
     signs, leaving sum_{i,J} d_i b_{i,J} e_J.
     """
-    if matrix.row_grade != 1 and matrix._masks:
+    if matrix.row_grade != 1 and matrix._terms:
         raise GradeError("matrix divergence needs row grade 1")
     out: dict[int, dict] = {}
-    for (row, cols), coeff in matrix._masks.items():
+    for (row, cols), coeff in matrix._terms.items():
         if isinstance(coeff, PolyScalar):
             _lower_into(out.setdefault(cols, {}), coeff._terms, row.bit_length() - 1)
     return Multivector._make(matrix.metric, matrix.col_grade, _polys(matrix.metric.dim, out))
@@ -115,10 +115,10 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
 
 def divergence_scalar(field: Multivector):
     """Divergence of a 1-vector field as a scalar, sum_i d_i v_i; int 0 with no polynomial."""
-    if field.grade != 1 and field._masks:
+    if field.grade != 1 and field._terms:
         raise GradeError("scalar divergence needs a 1-vector field")
     terms = None
-    for mask, coeff in field._masks.items():
+    for mask, coeff in field._terms.items():
         if isinstance(coeff, PolyScalar):
             terms = _lower_into(terms or {}, coeff._terms, mask.bit_length() - 1)
     return 0 if terms is None else PolyScalar._make(field.metric.dim, terms.items())
@@ -126,13 +126,13 @@ def divergence_scalar(field: Multivector):
 
 def directional_deriv(direction: Multivector, field: Multivector) -> Multivector:
     """Convective derivative (v . d) a, component-wise sum_i v_i d_i a_I."""
-    if direction.grade != 1 and direction._masks:
+    if direction.grade != 1 and direction._terms:
         raise GradeError("direction must be a 1-vector field")
     require_same_metric(direction.metric, field.metric)
     return Multivector._make(field.metric, field.grade, (
-        (mask, sum(v * d for unit, v in direction._masks.items()
+        (mask, sum(v * d for unit, v in direction._terms.items()
                    if (d := partial(coeff, unit.bit_length() - 1))))
-        for mask, coeff in field._masks.items()))
+        for mask, coeff in field._terms.items()))
 
 
 def check_laplacian_splitting(metric: Metric, grade: int, fields) -> bool:

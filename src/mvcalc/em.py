@@ -155,7 +155,7 @@ def wave_form(cfg: MaxwellConfig, field_name: str = "A",
 
 
 def _is_constant(field: Multivector) -> bool:
-    for coeff in field._masks.values():
+    for coeff in field._terms.values():
         if isinstance(coeff, PolyScalar) and not coeff.is_constant():
             return False
     return True
@@ -169,7 +169,7 @@ def gauge_transform(A: Multivector, Abar: Multivector,
     given, sits one grade below (absent entirely for grade-0 potentials).
     """
     require_same_metric(Abar.metric, A.metric)
-    if Abar.grade != A.grade and Abar._masks:
+    if Abar.grade != A.grade and Abar._terms:
         raise GradeError(f"offset grade {Abar.grade} does not match potential grade {A.grade}")
     if not _is_constant(Abar):
         raise AlgebraError("gauge offset must be a constant field")
@@ -178,7 +178,7 @@ def gauge_transform(A: Multivector, Abar: Multivector,
         if A.grade < 1:
             raise GradeError("grade-0 potentials admit no d^ G term")
         require_same_metric(G.metric, A.metric)
-        if G.grade != A.grade - 1 and G._masks:
+        if G.grade != A.grade - 1 and G._terms:
             raise GradeError(f"gauge function grade {G.grade}, expected {A.grade - 1}")
         out = out + ext_deriv(G)
     return out

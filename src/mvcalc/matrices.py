@@ -11,19 +11,20 @@ through the metric sign of the shared list:
 The identity of grade l is sum_I D_II w_{I,I}.  There is no matrix
 inverse here; only the products above are defined.
 
-Entries are stored in ``_masks`` by (row mask, column mask), with index
+Entries are stored in ``_terms`` by (row mask, column mask), with index
 tuples only at the API, and the three contractions run one loop with
-D_KK from popcounts; the linear structure is that of ``blades._Sparse``.
+D_KK from popcounts; the linear structure is that of ``poly._Linear``,
+through ``blades._Sparse``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .blades import (AlgebraError, GradeError, Metric, Multivector, _put_masks, _put_metric,
-                     _Sparse, require_same_metric)
+from .blades import (AlgebraError, GradeError, Metric, Multivector, _put_metric, _Sparse,
+                     require_same_metric)
 from .indexes import _BLADE, _MASK, as_tuple, check_canonical, integer, term_items
-from .poly import _exact_terms, coefficient
+from .poly import _exact_terms, _put_terms, coefficient
 
 
 class MvMatrix(_Sparse):
@@ -56,7 +57,7 @@ class MvMatrix(_Sparse):
         _put_metric(self, metric)
         _put_rows(self, row_grade)
         _put_cols(self, col_grade)
-        _put_masks(self, clean)
+        _put_terms(self, clean)
 
     @classmethod
     def _make(cls, metric: Metric, row_grade: int, col_grade: int, items) -> "MvMatrix":
@@ -65,14 +66,14 @@ class MvMatrix(_Sparse):
         _put_metric(matrix, metric)
         _put_rows(matrix, row_grade)
         _put_cols(matrix, col_grade)
-        _put_masks(matrix, _exact_terms(items))
+        _put_terms(matrix, _exact_terms(items))
         return matrix
 
     def _like(self, items) -> "MvMatrix":
         return MvMatrix._make(self.metric, self.row_grade, self.col_grade, items)
 
     def _shape(self) -> tuple:
-        return (self.row_grade, self.col_grade)
+        return (self.metric, self.row_grade, self.col_grade)
 
     @classmethod
     def zero(cls, metric: Metric, row_grade: int, col_grade: int) -> "MvMatrix":
@@ -91,17 +92,17 @@ class MvMatrix(_Sparse):
     @property
     def terms(self) -> dict[tuple, object]:
         """A new dict of (rows, cols) index lists to nonzero coefficients."""
-        return {(_BLADE[rows], _BLADE[cols]): c for (rows, cols), c in self._masks.items()}
+        return {(_BLADE[rows], _BLADE[cols]): c for (rows, cols), c in self._terms.items()}
 
     def entry(self, rows, cols):
         rows, cols = as_tuple(rows, "row index list"), as_tuple(cols, "column index list")
         check_canonical(rows, self.metric.dim)
         check_canonical(cols, self.metric.dim)
-        return self._masks.get((_MASK[rows], _MASK[cols]), 0)
+        return self._terms.get((_MASK[rows], _MASK[cols]), 0)
 
     def transpose(self) -> "MvMatrix":
         return MvMatrix._make(self.metric, self.col_grade, self.row_grade,
-                              (((cols, rows), c) for (rows, cols), c in self._masks.items()))
+                              (((cols, rows), c) for (rows, cols), c in self._terms.items()))
 
     def dot(self, other: "MvMatrix"):
         """Frobenius scalar product; requires matching grade shapes."""
@@ -109,8 +110,8 @@ class MvMatrix(_Sparse):
         if self._shape() != other._shape():
             raise GradeError("dot needs matching grade shapes")
         t, total = (1 << self.metric.k) - 1, 0
-        for (rows, cols), a in self._masks.items():
-            if (b := other._masks.get((rows, cols))) is not None:
+        for (rows, cols), a in self._terms.items():
+            if (b := other._terms.get((rows, cols))) is not None:
                 odd = ((rows & t).bit_count() + (cols & t).bit_count()) & 1
                 total = total - a * b if odd else total + a * b
         return _exact_terms([(0, total)]).get(0, 0)
@@ -121,11 +122,11 @@ class MvMatrix(_Sparse):
         if self.col_grade != other.row_grade:
             raise GradeError(f"cannot contract column grade {self.col_grade} "
                              f"with row grade {other.row_grade}")
-        out = _contract(self.metric, self._masks.items(), other._masks.items())
+        out = _contract(self.metric, self._terms.items(), other._terms.items())
         return MvMatrix._make(self.metric, self.row_grade, other.col_grade, out.items())
 
     def __repr__(self) -> str:
-        pairs = sorted(((_BLADE[r], _BLADE[c]), v) for (r, c), v in self._masks.items())
+        pairs = sorted(((_BLADE[r], _BLADE[c]), v) for (r, c), v in self._terms.items())
         entries = ", ".join(f"w[{','.join(map(str, r))};{','.join(map(str, c))}]*{v}"
                             for (r, c), v in pairs)
         return (f"<MvMatrix ({self.metric.k},{self.metric.n}) "
@@ -137,8 +138,8 @@ _put_rows, _put_cols = MvMatrix.row_grade.__set__, MvMatrix.col_grade.__set__
 
 def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
     """matrix x vector: contracts columns against the vector's blades."""
-    column = (((mask, 0), c) for mask, c in vector._masks.items())
-    out = _apply(matrix, vector, "column", matrix.col_grade, matrix._masks.items(), column)
+    column = (((mask, 0), c) for mask, c in vector._terms.items())
+    out = _apply(matrix, vector, "column", matrix.col_grade, matrix._terms.items(), column)
     return Multivector._make(matrix.metric, matrix.row_grade, ((i, c) for (i, _), c in out))
 
 
@@ -147,15 +148,15 @@ def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
 
     Equals ``mat_vec(matrix.transpose(), vector)``.
     """
-    row = (((0, mask), c) for mask, c in vector._masks.items())
-    out = _apply(matrix, vector, "row", matrix.row_grade, row, matrix._masks.items())
+    row = (((0, mask), c) for mask, c in vector._terms.items())
+    out = _apply(matrix, vector, "row", matrix.row_grade, row, matrix._terms.items())
     return Multivector._make(matrix.metric, matrix.col_grade, ((j, c) for (_, j), c in out))
 
 
 def _apply(matrix: MvMatrix, vector: Multivector, slot: str, grade: int, left, right):
     """The (key, sum) pairs of ``_contract`` once the vector fits the matrix's ``slot``."""
     require_same_metric(matrix.metric, vector.metric)
-    if grade != vector.grade and matrix._masks and vector._masks:
+    if grade != vector.grade and matrix._terms and vector._terms:
         raise GradeError(f"cannot contract {slot} grade {grade} with grade {vector.grade}")
     return _contract(matrix.metric, left, right).items()
 

@@ -7,12 +7,15 @@ floats anywhere; arithmetic is exact.  Every rational coefficient passes
 non-integral one as a ``Fraction``, so small integers never pay for
 Fraction arithmetic.
 
+``_Linear``, defined here, is the one base of every value (polynomials,
+multivectors, matrices, formal expressions and densities): it holds
+their linear rules once, and each class differs only through its hooks.
 Public constructors validate; results of valid operands go through the
-trusted builder ``PolyScalar._make``, with the same canonical form: its
+trusted builder ``_make``, with the same canonical form: its
 ``_exact_terms`` (shared by every trusted builder) makes one new dict per
 result in a plain loop.  ``terms`` is a view: a new copy on each access.
-A ``PolyScalar`` is immutable (``indexes.Frozen``), so it is safe as a
-dict key and as a shared coefficient.
+A ``PolyScalar`` is immutable, so it is safe as a dict key and as a
+shared coefficient.
 
 Canonical text form (used by the CLI and the parser round-trip) orders
 monomials by graded lexicographic order, highest first, and spells
@@ -27,7 +30,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
 
-from .indexes import AlgebraError, Frozen, as_tuple, integer, term_items
+from .indexes import AlgebraError, as_tuple, integer, term_items
 
 
 def exact(value) -> int | Fraction:
@@ -80,10 +83,106 @@ def _lower_into(out: dict, terms: dict, index: int, negate: bool = False) -> dic
     return out
 
 
-class PolyScalar(Frozen):
+class _Linear:
+    """The linear rules of every value: an exact combination of keys, shared once.
+
+    ``_terms`` maps each key to a nonzero exact coefficient.  The base owns
+    immutability, copy and pickle, ``is_zero``, ``+`` (one merge loop), ``-``,
+    negation, scaling and ``==``, as SymPy's ``PolyElement``
+    (``sympy/polys/rings.py``) shares its ring operations over one dict.
+    Each class says how it differs through hooks:
+
+    * ``_make(*shape, items)``, the trusted builder; ``_shape()``, the
+      arguments it takes before the items, the space (a metric or a
+      variable count) first; ``_like(items)``, a value of this shape;
+    * ``_operand(other)``, the term dict ``+`` merges, or NotImplemented;
+    * ``_scalar(value)``, the coefficient protocol: ``value`` as a
+      coefficient, or NotImplemented (AlgebraError for a polynomial in
+      other variables).
+
+    The defaults serve the formal values, which have no shape.  Slots are
+    filled through their descriptors' ``__set__`` (``_put_terms`` and the
+    like, bound once at import); assignment and deletion raise.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __setattr__(self, name, value=None):  # value defaults, so it serves as __delattr__
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+    __hash__ = None
+
+    @classmethod
+    def _make(cls, items):
+        """Trusted builder from (key, coeff) pairs with distinct keys, built from valid operands."""
+        value = object.__new__(cls)
+        _put_terms(value, _exact_terms(items))
+        return value
+
+    def _shape(self) -> tuple:
+        return ()
+
+    def _like(self, items):
+        return self._make(*self._shape(), items)
+
+    def __reduce__(self):  # copy and pickle rebuild through the trusted builder
+        return self._make, (*self._shape(), list(self._terms.items()))
+
+    def _operand(self, other):
+        return other._terms if isinstance(other, type(self)) else NotImplemented
+
+    def _scalar(self, value):
+        try:
+            return exact(value)
+        except AlgebraError:
+            return NotImplemented
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other):
+        terms = self._operand(other)
+        if terms is NotImplemented:
+            return NotImplemented
+        if terms and not self._terms and type(other) is type(self):
+            return other._like(terms.items())  # a zero takes the shape of what it is added to
+        out = dict(self._terms)
+        for key, coeff in terms.items():
+            acc = out.get(key)
+            out[key] = coeff if acc is None else acc + coeff
+        return self._like(out.items())
+
+    def __sub__(self, other):
+        if self._operand(other) is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like((key, -c) for key, c in self._terms.items())
+
+    def __mul__(self, scalar):
+        scalar = self._scalar(scalar)
+        if scalar is NotImplemented:
+            return NotImplemented
+        return self._like((key, scalar * c) for key, c in self._terms.items())
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        # nonzero keys fix the rest of the shape, so every zero of one space is equal
+        return self._terms == other._terms and self._shape()[:1] == other._shape()[:1]
+
+
+_put_terms = _Linear._terms.__set__
+
+
+class PolyScalar(_Linear):
     """A polynomial in x0..x(nvars-1) with exact rational coefficients; ``terms`` is a view."""
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
         if type(nvars) is not int:
@@ -110,8 +209,11 @@ class PolyScalar(Frozen):
         _put_terms(poly, _exact_terms(items))
         return poly
 
-    def __reduce__(self):  # copy and pickle rebuild through the trusted builder
-        return self._make, (self.nvars, list(self._terms.items()))
+    def _shape(self) -> tuple:
+        return (self.nvars,)
+
+    def _like(self, items) -> "PolyScalar":
+        return PolyScalar._make(self.nvars, items)
 
     @classmethod
     def constant(cls, nvars: int, value) -> "PolyScalar":
@@ -139,48 +241,25 @@ class PolyScalar(Frozen):
     # -- ring structure -------------------------------------------------
 
     def _operand(self, other):
-        """A PolyScalar of the same variables or an exact rational; None otherwise."""
+        """The terms of a PolyScalar in the same variables; a rational is the constant term."""
         if isinstance(other, PolyScalar):
             if other.nvars != self.nvars:
                 raise AlgebraError("mixed variable counts")
-            return other
-        try:
-            return exact(other)
-        except AlgebraError:
-            return None
+            return other._terms
+        value = self._scalar(other)  # no constant polynomial is built
+        return value if value is NotImplemented else {(0,) * self.nvars: value}
 
-    def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        # a rational adds into the constant term; no constant polynomial is built
-        terms = other._terms if isinstance(other, PolyScalar) else {(0,) * self.nvars: other}
-        out = dict(self._terms)
-        for exps, c in terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return PolyScalar._make(self.nvars, out.items())
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyScalar._make(self.nvars, ((e, -c) for e, c in self._terms.items()))
-
-    def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+    # bound by name, since bench/tracing.py wraps them in this class's own __dict__
+    __add__ = __radd__ = _Linear.__add__
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
         if not isinstance(other, PolyScalar):
-            # scaling by a rational needs no constant polynomial
-            return PolyScalar._make(self.nvars, ((e, c * other) for e, c in self._terms.items()))
+            return _Linear.__mul__(self, other)  # scaling by a rational, or NotImplemented
+        if other.nvars != self.nvars:
+            raise AlgebraError("mixed variable counts")
         out: dict[tuple, int | Fraction] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
@@ -263,7 +342,7 @@ class PolyScalar(Frozen):
         return f"PolyScalar({self.nvars}, {self})"
 
 
-_put_nvars, _put_terms = PolyScalar.nvars.__set__, PolyScalar._terms.__set__
+_put_nvars = PolyScalar.nvars.__set__
 
 
 def signed_sum(pairs) -> str:

@@ -13,9 +13,9 @@ are needed to differentiate such a density with respect to a slot, and
 they make the vector derivative total and exact.  Field equations come
 out as formal expressions: rational combinations of operator chains
 applied to symbols, which can be rendered as text, serialized, or
-evaluated on concrete polynomial fields.  Densities and expressions share
-one base, ``_Combination``, for their linear rules: only their constructors
-validate, and every derived result is built by its trusted ``_make``.
+evaluated on concrete polynomial fields.  Densities and expressions take
+their linear rules from ``poly._Linear`` with its default hooks: only their
+constructors validate, and every derived result is built by ``_make``.
 
 Each chain token (ext, int, lap, tensor) has one ``CHAIN_OPS`` entry
 giving its text (d^, d_|, lap, dX), its grade shift (none for the
@@ -50,9 +50,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import calculus
 from .blades import AlgebraError, GradeError, Metric, Multivector, require_same_metric
 from .calculus import matrix_divergence
-from .indexes import Frozen, Record, _right_rule, _wedge_rule, integer
+from .indexes import Record, _right_rule, _wedge_rule, integer
 from .matrices import MvMatrix, mat_vec
-from .poly import _exact_terms, exact, number_text, signed_sum
+from .poly import _exact_terms, _Linear, _put_terms, exact, number_text, signed_sum
 
 ROLES = ("dynamical", "source")
 
@@ -157,7 +157,7 @@ def _chain_value(chain: tuple, sym: FieldSymbol, assignment: Mapping):
         value = assignment[sym.name]
     except KeyError:
         raise AlgebraError(f"no field value bound to symbol {sym.name!r}") from None
-    if value.grade != sym.grade and value._masks:
+    if value.grade != sym.grade and value._terms:
         raise GradeError(
             f"symbol {sym.name} has grade {sym.grade}, got a grade {value.grade} field"
         )
@@ -166,70 +166,14 @@ def _chain_value(chain: tuple, sym: FieldSymbol, assignment: Mapping):
     return value
 
 
-class _Combination(Frozen):
-    """Exact rational combination of symbolic keys: the formal values' linear rules.
-
-    ``_terms`` maps each key to a nonzero exact coefficient in first-written order.
-    """
-
-    __slots__ = ("_terms",)
-
-    @classmethod
-    def _make(cls, items):
-        """Trusted builder from (key, coeff) pairs with distinct keys, built from valid operands."""
-        value = object.__new__(cls)
-        _put_terms(value, _exact_terms(items))
-        return value
-
-    def __reduce__(self):  # copy and pickle rebuild through the trusted builder
-        return self._make, (list(self._terms.items()),)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-        return self._make(out.items())
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._make((key, -c) for key, c in self._terms.items())
-
-    def __mul__(self, scalar):
-        try:
-            scalar = exact(scalar)
-        except AlgebraError:
-            return NotImplemented
-        return self._make((key, scalar * c) for key, c in self._terms.items())
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
-
-
-_put_terms = _Combination._terms.__set__
-
-
-class LagrangianDensity(_Combination):
+class LagrangianDensity(_Linear):
     """Sum of rational-coefficient bilinear dot terms in field slots.
 
     Immutable.  A key is an unordered slot pair, its slots in symbol-name
     order (two slots of one symbol differ in grade, so such a pair is a
-    square); like terms merge.  After merging, at most one distinct
-    dynamical symbol may appear (the field the action is varied with
-    respect to); any number of sources.
+    square); like terms merge.  After merging, each name is bound to one
+    field, and at most one dynamical symbol may appear (the field the
+    action is varied with respect to); any number of sources.
     """
 
     __slots__ = ()
@@ -245,18 +189,18 @@ class LagrangianDensity(_Combination):
             key = (left, right) if left[1].name <= right[1].name else (right, left)
             merged[key] = merged.get(key, 0) + coeff
         _put_terms(self, _exact_terms(merged.items()))
-        self._one_dynamical()
+        self._checked()
 
-    def _one_dynamical(self) -> "LagrangianDensity":
-        """self, or AlgebraError when more than one dynamical symbol appears."""
-        dyn = {sym for pair in self._terms for _, sym in pair if sym.role == "dynamical"}
+    def _checked(self) -> "LagrangianDensity":
+        """self, or AlgebraError when a name is bound to two fields or two symbols are dynamical."""
+        dyn = [s.name for s in self.symbols().values() if s.role == "dynamical"]
         if len(dyn) > 1:
-            raise AlgebraError(f"more than one dynamical symbol: {sorted(s.name for s in dyn)}")
+            raise AlgebraError(f"more than one dynamical symbol: {sorted(dyn)}")
         return self
 
-    def __add__(self, other):  # a sum is where a second dynamical symbol can come in
-        total = _Combination.__add__(self, other)
-        return total if total is NotImplemented else total._one_dynamical()
+    def __add__(self, other):  # a sum is where a conflicting symbol can come in
+        total = _Linear.__add__(self, other)
+        return total if total is NotImplemented else total._checked()
 
     @property
     def terms(self) -> tuple:
@@ -284,7 +228,7 @@ class LagrangianDensity(_Combination):
         return f"<LagrangianDensity {' + '.join(parts) or '0'}>"
 
 
-class FormalExpr(_Combination):
+class FormalExpr(_Linear):
     """Rational combination of operator chains applied to field symbols.
 
     A key is (chain, symbol); terms are kept in insertion order for stable
@@ -520,12 +464,12 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
             other_val = _chain_value(other[0].chain, other[1], assignment)
             require_same_metric(other_val.metric, metric)
             if op is DerivOp.TENSOR:
-                for (rows, cols), v in other_val._masks.items():
+                for (rows, cols), v in other_val._terms.items():
                     add(rows, cols, coeff * v)
                 continue
             # ext: e_K |_ e_i = s(i, K\i) e_{K\i}; int: e_K ^ e_i = s(K, i) e_{K+i}
             rule = _right_rule if op is DerivOp.EXT else _wedge_rule
-            for K, vK in other_val._masks.items():
+            for K, vK in other_val._terms.items():
                 for i in range(metric.dim):
                     if (hit := rule(K, 1 << i, 0)) is not None:
                         sig = metric.sign(i) if op is DerivOp.INT else 1
@@ -545,7 +489,7 @@ def first_variation(L: LagrangianDensity, a_value: Multivector,
     """
     a, _ = _dynamical_ops(L)
     require_same_metric(a_value.metric, eps.metric)
-    if eps.grade != a_value.grade and eps._masks:
+    if eps.grade != a_value.grade and eps._terms:
         raise GradeError(f"variation grade {eps.grade} does not match field grade {a_value.grade}")
     assignment = dict(sources or {})
     assignment[a.name] = a_value

@@ -101,7 +101,7 @@ def test_lifted_products_match_termwise_sums(k, n, left_style, right_style):
         for ga, gb in _grade_pairs(kind, metric.dim):
             a = _operand(rng, metric, ga, left_style)
             b = _operand(rng, metric, gb, right_style)
-            assert (_lift(a._masks, b._masks) is not None) == _should_lift(a, b)
+            assert (_lift(a._terms, b._terms) is not None) == _should_lift(a, b)
             _check(kind, a, b)
 
 
@@ -111,7 +111,7 @@ def test_lifted_products_in_dimension_seven(kind, ga, gb):
     metric = Metric(2, 5)
     rng = random.Random(f"rational-kernel:7:{kind}")
     a, b = _operand(rng, metric, ga, "large"), _operand(rng, metric, gb, "mixed")
-    assert _lift(a._masks, b._masks) is not None
+    assert _lift(a._terms, b._terms) is not None
     _check(kind, a, b)
 
 
@@ -122,7 +122,7 @@ HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
 def test_cancelled_sums_leave_no_terms():
     a = Multivector(M13, 1, {(0,): HALF, (1,): THIRD})
-    assert _lift(a._masks, a._masks) is not None
+    assert _lift(a._terms, a._terms) is not None
     wedge = _check("wedge", a, a)
     assert wedge.is_zero() and wedge.grade == 2
     b = Multivector(E4, 1, {(0,): Fraction(2, 3), (1,): -1})
@@ -156,11 +156,11 @@ def test_operands_outside_the_rule_decline_the_lift():
     single = Multivector(M13, 1, {(2,): Fraction(5, 7)})
     for a, b in [(poly, fractions), (fractions, poly), (ints, ints),
                  (single, fractions), (fractions, single)]:
-        assert _lift(a._masks, b._masks) is None
+        assert _lift(a._terms, b._terms) is None
         for kind in PRODUCTS:
             assert getattr(a, kind)(b) == _termwise(kind, a, b)
     assert fractions.wedge(poly).coefficient((0, 1)) == -(x0 * THIRD)
-    assert _lift(ints._masks, fractions._masks) is not None
+    assert _lift(ints._terms, fractions._terms) is not None
 
 
 def test_dot_is_canonical_on_the_unlifted_path_too():

@@ -1,11 +1,12 @@
-"""The value classes share one copy of their value rules.
+"""Every value class takes its linear rules from one base.
 
-``blades._Sparse`` owns immutability, copy and pickle, the same-space
-check, the linear structure and equality with its zero rule; each class
-keeps its constructor, its trusted builder and its products.  In the same
-way ``variational._Combination`` owns the trusted builder, copy and pickle,
-the linear structure and equality of ``FormalExpr`` and ``LagrangianDensity``
-(the density adds only its one-dynamical-symbol check to ``+``).  One helper,
+``poly._Linear`` owns immutability, copy and pickle, ``is_zero``, ``+``
+with its one merge loop, ``-``, negation, scaling and ``==`` for
+``PolyScalar``, ``Multivector``, ``MvMatrix``, ``FormalExpr`` and
+``LagrangianDensity``; each class says how it differs only through the
+hooks (``_make``, ``_shape``, ``_like``, ``_operand``, ``_scalar``).
+``PolyScalar`` alone compares and hashes like a rational, and
+``LagrangianDensity`` alone adds its symbol checks to ``+``.  One helper,
 ``blades.require_same_metric``, raises "mixed metrics".  The value classes
 fill their slots through the slot descriptors, never ``object.__setattr__``.
 The source is read with ``ast``, so nothing is imported.
@@ -17,20 +18,22 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mvcalc"
-SHARED = {"__setattr__", "__delattr__", "__eq__", "__neg__", "__sub__", "is_zero",
-          "_require_same_space"}
-FORMAL = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__neg__", "__sub__", "__mul__",
-          "__rmul__", "__reduce__", "_make", "is_zero"}
+BASE = "_Linear"
+SHARED = {"__neg__", "__sub__", "is_zero", "__reduce__"}
 
 
 def tree(module: str) -> ast.Module:
     return ast.parse((SRC / module).read_text())
 
 
-def class_body_names(module: str, name: str) -> set:
+def classes() -> dict:
+    """Class name -> its ClassDef, over every module of the package."""
+    return {node.name: node for path in sorted(SRC.glob("*.py")) for node in tree(path.name).body
+            if isinstance(node, ast.ClassDef)}
+
+
+def body_names(cls: ast.ClassDef) -> set:
     """Names a class body defines or assigns."""
-    cls = next(node for node in tree(module).body
-               if isinstance(node, ast.ClassDef) and node.name == name)
     names = set()
     for node in cls.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -42,18 +45,49 @@ def class_body_names(module: str, name: str) -> set:
     return names
 
 
+def class_body_names(module: str, name: str) -> set:
+    return body_names(next(node for node in tree(module).body
+                           if isinstance(node, ast.ClassDef) and node.name == name))
+
+
+def test_the_base_lives_in_poly_and_holds_the_linear_rules():
+    base = class_body_names("poly.py", BASE)
+    assert SHARED | {"__add__", "__mul__", "__rmul__", "__eq__", "__hash__", "__setattr__",
+                     "__delattr__", "_make", "_shape", "_like", "_operand", "_scalar"} <= base
+    assert not {"Frozen", "_Combination"} & set(classes())
+
+
+@pytest.mark.parametrize("names, owners", [
+    (SHARED, set()),
+    ({"__eq__", "__hash__"}, {"PolyScalar"}),
+], ids=["linear-rules", "equality"])
+def test_no_class_but_the_base_defines_the_shared_rules(names, owners):
+    found = {name for name, cls in classes().items() if name != BASE and body_names(cls) & names}
+    assert found == owners
+
+
+def test_one_merge_loop_defines_add():
+    defined = {name for name, cls in classes().items()
+               if any(isinstance(node, ast.FunctionDef) and node.name == "__add__"
+                      for node in cls.body)}
+    assert defined == {BASE, "LagrangianDensity"}
+
+
 @pytest.mark.parametrize("module, name", [("blades.py", "Multivector"),
                                           ("matrices.py", "MvMatrix")])
 def test_value_classes_inherit_the_shared_rules(module, name):
-    assert not class_body_names(module, name) & SHARED
+    names = class_body_names(module, name)
+    assert not names & (SHARED | {"__eq__", "_operand", "_scalar", "_require_same_space"})
 
 
 @pytest.mark.parametrize("name, own", [("FormalExpr", set()), ("LagrangianDensity", {"__add__"})])
 def test_formal_values_inherit_the_shared_rules(name, own):
-    names = class_body_names("variational.py", name)
-    assert not names & FORMAL and names & {"__add__"} == own
-    base = class_body_names("variational.py", "_Combination")
-    assert FORMAL - {"__setattr__", "__delattr__"} | {"__add__"} <= base  # those two: Frozen
+    # no class is left between the formal values and the base: they use its default hooks
+    cls = classes()[name]
+    assert [base.id for base in cls.bases] == [BASE]
+    names = body_names(cls)
+    hooks = {"_make", "_shape", "_like", "_operand", "_scalar", "__mul__", "__rmul__", "__eq__"}
+    assert not names & (SHARED | hooks) and names & {"__add__"} == own
 
 
 def _mentions(node) -> int:

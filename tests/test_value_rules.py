@@ -1,10 +1,10 @@
 """The value rules that the five slotted value types share.
 
-``Multivector`` and ``MvMatrix`` take theirs from ``blades._Sparse``;
-``FormalExpr`` and ``LagrangianDensity`` from ``variational._Combination``;
-``PolyScalar`` refuses assignment through the same ``indexes.Frozen``.  Each
-value survives ``copy``, ``deepcopy`` and ``pickle`` unchanged, and refuses
-assignment and deletion; only ``PolyScalar`` is hashable, and its hash holds.
+All five take them from one base, ``poly._Linear``.  Each value survives
+``copy``, ``deepcopy`` and ``pickle`` unchanged, and refuses assignment and
+deletion; only ``PolyScalar`` is hashable, and its hash holds.  A refused
+operand of ``-`` is reported as a subtraction, never as the addition that
+``-`` runs on.
 Equality of the two sparse values keeps its rule (every zero is equal;
 otherwise the shape and the terms must match), and every trusted builder path,
 sparse or formal, gives an immutable result that shares no terms dict with its
@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import pytest
 
-from mvcalc import (DerivOp, FieldSymbol, FormalExpr, LagrangianDensity, Metric, Multivector,
-                    MvMatrix, PolyScalar)
+from mvcalc import (AlgebraError, DerivOp, FieldSymbol, FormalExpr, LagrangianDensity, Metric,
+                    Multivector, MvMatrix, PolyScalar)
 from mvcalc.calculus import ext_deriv, int_deriv, laplacian, matrix_divergence, tensor_deriv
 from mvcalc.em import MaxwellConfig, derive_equations, dual_theory, wave_form
 from mvcalc.matrices import mat_vec, vec_mat
@@ -84,6 +84,23 @@ def test_assignment_and_deletion_are_refused(value, fields):
             hash(value)
 
 
+@pytest.mark.parametrize("value, fields", VALUES)
+@pytest.mark.parametrize("operand", [3, "x", 0.5, None], ids=["int", "str", "float", "None"])
+def test_a_refused_subtraction_names_subtraction(value, fields, operand):
+    if isinstance(value, PolyScalar) and type(operand) is int:  # a rational is a polynomial operand
+        assert value - operand == value + (-operand) and operand - value == -(value - operand)
+        return
+    this, that = type(value).__name__, type(operand).__name__
+    if isinstance(value, (Multivector, MvMatrix)):  # they refuse a foreign operand of + and -
+        with pytest.raises(AlgebraError, match=f"expected {this}, got {that}"):
+            value - operand
+    else:
+        with pytest.raises(TypeError, match=f"for -: '{this}' and '{that}'"):
+            value - operand
+    with pytest.raises(TypeError, match=f"for -: '{that}' and '{this}'"):
+        operand - value
+
+
 # -- equality's zero rule ---------------------------------------------------------
 
 
@@ -93,7 +110,7 @@ def _shape_and_zero_rule(a, b) -> bool:
         return False
     if a.is_zero() and b.is_zero():
         return True
-    return a._shape() == b._shape() and a._masks == b._masks
+    return a._shape() == b._shape() and a._terms == b._terms
 
 
 def _multivectors(rng, metric):
@@ -194,20 +211,20 @@ def trusted_results():
 
 def _polynomials(value) -> dict:
     """id -> coefficient for the PolyScalar coefficients of a value."""
-    return {id(c): c for c in value._masks.values() if isinstance(c, PolyScalar)}
+    return {id(c): c for c in value._terms.values() if isinstance(c, PolyScalar)}
 
 
 @pytest.mark.parametrize("name", TRUSTED)
 def test_trusted_results_are_immutable_and_own_their_terms(name, trusted_results):
     result = trusted_results[name]
     message = f"{type(result).__name__} is immutable"
-    for field in ("metric", "_masks", *type(result).__slots__, "other"):
+    for field in ("metric", "_terms", *type(result).__slots__, "other"):
         with pytest.raises(AttributeError, match=message):
             setattr(result, field, 1)
         with pytest.raises(AttributeError, match=message):
             delattr(result, field)
     others = [*OPERANDS, *(v for n, v in trusted_results.items() if n != name)]
-    assert all(result._masks is not v._masks for v in others)
+    assert all(result._terms is not v._terms for v in others)
     # coefficients are values and may be shared; a new polynomial holds a new dict
     theirs = {}
     for value in OPERANDS:

@@ -349,6 +349,19 @@ def test_cancelled_density_has_no_dynamical_symbol():
         L + LagrangianDensity([(1, (DerivOp.ID, B), (DerivOp.ID, B))])
 
 
+def test_one_name_bound_to_two_fields_is_refused():
+    A_src, A2 = FieldSymbol("A", 1, "source"), FieldSymbol("A", 2, "dynamical")
+    for left, right in [(ID_A, (DerivOp.ID, A_src)), (EXT_A, (DerivOp.ID, A2))]:
+        with pytest.raises(AlgebraError, match="symbol name 'A' bound to two fields"):
+            LagrangianDensity([(1, left, right)])
+    # each density is valid alone; their sum binds A twice
+    L1 = LagrangianDensity([(1, ID_A, ID_J)])
+    L2 = LagrangianDensity([(1, (DerivOp.ID, A_src), ID_J)])
+    for combine in (lambda: L1 + L2, lambda: L2 + L1, lambda: L1 - L2):
+        with pytest.raises(AlgebraError, match="symbol name 'A' bound to two fields"):
+            combine()
+
+
 def test_formal_terms_view_cannot_change_the_expression_or_its_equation():
     eq = euler_lagrange(maxwell_density(mass=2))
     before = eq.render()
