@@ -80,22 +80,22 @@ def right_int_deriv(field: Multivector) -> Multivector:
 
 def tensor_deriv(field: Multivector) -> MvMatrix:
     """Tensor derivative: row grade 1 matrix of all first partials."""
-    metric, out = field.metric, {}
+    dim, k, out = field.metric.dim, field.metric.k, {}
     for mask, coeff in field._terms.items():
         if isinstance(coeff, PolyScalar):
-            for i in range(metric.dim):
-                out[(1 << i, mask)] = _lower_into({}, coeff._terms, i, i < metric.k)
-    return MvMatrix._make(metric, 1, field.grade, _polys(metric.dim, out))
+            for i in range(dim):
+                out[(1 << i, mask)] = _lower_into({}, coeff._terms, i, i < k)
+    return MvMatrix._make(field.metric, 1, field.grade, _polys(dim, out))
 
 
 def laplacian(field: Multivector) -> Multivector:
     """Component-wise d'Alembertian sum_i D_ii d_i^2, grade unchanged."""
-    metric, out = field.metric, {}
+    dim, k, out = field.metric.dim, field.metric.k, {}
     for mask, c in field._terms.items():
         if isinstance(c, PolyScalar):
-            for i in range(metric.dim):
-                _lower_into(out.setdefault(mask, {}), _lower_into({}, c._terms, i), i, i < metric.k)
-    return Multivector._make(metric, field.grade, _polys(metric.dim, out))
+            for i in range(dim):
+                _lower_into(out.setdefault(mask, {}), _lower_into({}, c._terms, i), i, i < k)
+    return Multivector._make(field.metric, field.grade, _polys(dim, out))
 
 
 def matrix_divergence(matrix: MvMatrix) -> Multivector:

@@ -100,12 +100,13 @@ class _Linear:
       coefficient, or NotImplemented (AlgebraError for a polynomial in
       other variables).
 
-    The defaults serve the formal values, which have no shape.  Slots are
-    filled through their descriptors' ``__set__`` (``_put_terms`` and the
-    like, bound once at import); assignment and deletion raise.
+    The defaults serve the formal values, which have no shape.  ``==`` reads
+    ``metric`` (identity first, no call; ``_Sparse``'s slot shadows this None),
+    and keys fix the rest of the shape.  Assignment and deletion raise.
     """
 
     __slots__ = ("_terms",)
+    metric = None
 
     def __setattr__(self, name, value=None):  # value defaults, so it serves as __delattr__
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -172,8 +173,8 @@ class _Linear:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        # nonzero keys fix the rest of the shape, so every zero of one space is equal
-        return self._terms == other._terms and self._shape()[:1] == other._shape()[:1]
+        return ((self.metric is other.metric or self.metric == other.metric)
+                and self._terms == other._terms)
 
 
 _put_terms = _Linear._terms.__set__

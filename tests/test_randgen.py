@@ -1,8 +1,16 @@
-from mvcalc.blades import Metric
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from mvcalc.blades import AlgebraError, Metric
+from mvcalc.poly import PolyScalar
 from mvcalc.randgen import (
     field_cases,
+    random_constant_field,
     random_field,
     random_matrix_field,
+    random_poly,
     rng_for,
 )
 
@@ -38,8 +46,6 @@ def test_field_cases_lead_with_degenerate_inputs():
     cases = field_cases(rng_for(7, "cases"), M13, 1, 6)
     assert len(cases) == 6
     assert cases[0].is_zero()
-    from mvcalc.poly import PolyScalar
-
     constant_coeffs = [
         not isinstance(c, PolyScalar) or c.is_constant()
         for c in cases[1].terms.values()
@@ -48,6 +54,53 @@ def test_field_cases_lead_with_degenerate_inputs():
     assert len(cases[2].terms) <= 1
 
 
+@pytest.mark.parametrize("nvars", [-1, True, 1.0, "3"])
+def test_random_poly_refuses_a_bad_variable_count(nvars):
+    # max_degree=0 draws no variable index, so only the check can refuse it
+    with pytest.raises(AlgebraError, match="nvars"):
+        random_poly(rng_for(1, "bad"), nvars, max_degree=0)
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_field_cases_refuse_a_grade_that_is_not_an_int(count):
+    with pytest.raises(AlgebraError, match="grade"):
+        field_cases(rng_for(1, "bad"), M13, True, count)
+
+
 def test_field_cases_never_exceed_count():
     assert len(field_cases(rng_for(11, "short"), M13, 0, 2)) == 2
     assert len(field_cases(rng_for(11, "one"), M13, 3, 1)) == 1
+
+
+# sha256 over every generator's output: its repr, then each term's key,
+# coefficient type and coefficient (a polynomial coefficient recursively),
+# so that a changed draw, key, coefficient or int -> Fraction shows
+STREAMS = Path(__file__).parent / "golden" / "randgen_streams.sha256"
+STREAM_METRICS = [Metric(0, 3), Metric(1, 3), Metric(2, 2), Metric(1, 4)]
+
+
+def _describe(value) -> str:
+    parts = [repr(value)]
+    for key, coeff in sorted(value.terms.items(), key=lambda item: item[0]):
+        text = _describe(coeff) if isinstance(coeff, PolyScalar) else repr(coeff)
+        parts.append(f"{key}:{type(coeff).__name__}:{text}")
+    return "|".join(parts)
+
+
+def test_generator_streams_match_golden_hash():
+    digest = hashlib.sha256()
+    values = 0
+    for seed in range(12):
+        for metric in STREAM_METRICS:
+            rng = rng_for(seed, f"streams/{metric.k},{metric.n}")
+            for grade in range(metric.dim + 1):
+                outputs = [random_poly(rng, metric.dim),
+                           random_field(rng, metric, grade),
+                           random_constant_field(rng, metric, grade),
+                           random_matrix_field(rng, metric, 1, grade),
+                           random_matrix_field(rng, metric, grade, grade),
+                           *field_cases(rng, metric, grade, 5)]
+                for value in outputs:
+                    digest.update(f"{_describe(value)}\n".encode())
+                    values += 1
+    assert f"sha256={digest.hexdigest()} values={values}\n" == STREAMS.read_text()

@@ -1,11 +1,13 @@
 """Results built by the trusted internal builders are canonical.
 
 Every arithmetic result of ``PolyScalar``, ``Multivector`` and
-``MvMatrix`` skips the public constructor's checks.  The oracle here is
-that public constructor: on ``randgen`` fields over every (k, n) with
-k+n <= 5, with rational and polynomial coefficients, each result must
-equal its own terms passed back through it, hold no zero coefficient and
-no integral Fraction, and key every term by index lists of its grade.
+``MvMatrix`` skips the public constructor's checks, and so does every
+value ``randgen`` generates.  The oracle here is that public
+constructor: on ``randgen`` fields over every (k, n) with k+n <= 5, with
+rational and polynomial coefficients, each result (and each generated
+input) must equal its own terms passed back through it, hold no zero
+coefficient and no integral Fraction, and key every term by index lists
+of its grade.
 Every ``terms`` is a view built on each access, a new dict each time, and
 the constructor must rebuild the same view.  A multivector's keys must
 be canonical index tuples of the result's grade, and ``items()`` must
@@ -23,7 +25,8 @@ from mvcalc.calculus import (directional_deriv, ext_deriv, int_deriv, laplacian,
 from mvcalc.indexes import check_canonical
 from mvcalc.matrices import MvMatrix, mat_vec, vec_mat
 from mvcalc.poly import PolyScalar
-from mvcalc.randgen import random_matrix_field, random_poly, rng_for
+from mvcalc.randgen import (field_cases, random_constant_field, random_field,
+                            random_matrix_field, random_poly, rng_for)
 from mvcalc.variational import DerivOp, FieldSymbol, LagrangianDensity, tensor_slot_matrix
 
 METRICS = [Metric(k, dim - k) for dim in range(1, 6) for k in range(dim + 1)]
@@ -101,6 +104,36 @@ def test_tensor_slot_matrix_is_canonical(metric, coefficient_fields):
         for a_value, j_value in zip(coefficient_fields(rng, metric, grade),
                                     coefficient_fields(rng, metric, grade)):
             check(tensor_slot_matrix(L, {"A": a_value, "J": j_value}))
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: f"{m.k},{m.n}")
+def test_generated_inputs_are_canonical(metric):
+    rng = rng_for(6, f"unit/trusted-randgen/{metric.k},{metric.n}")
+    for grade in range(-1, metric.dim + 2):  # the grades past each end give zeros
+        for value in (random_poly(rng, metric.dim), random_field(rng, metric, grade),
+                      random_constant_field(rng, metric, grade),
+                      *field_cases(rng, metric, grade, 5)):
+            check(value)
+        for rows in range(metric.dim + 1):
+            check(random_matrix_field(rng, metric, rows, grade))
+
+
+def test_generators_build_through_no_validating_constructor(monkeypatch):
+    built = []
+    for cls in (PolyScalar, Multivector, MvMatrix):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
+                            built.append(type(self)) or init(self, *args))
+    PolyScalar(1), Multivector(Metric(1, 3), 1), MvMatrix(Metric(1, 3), 1, 1)
+    assert built == [PolyScalar, Multivector, MvMatrix]  # the wrappers do count
+    built.clear()
+    rng = rng_for(6, "unit/trusted-counts")
+    for metric in (Metric(1, 3), Metric(2, 3)):
+        for grade in range(metric.dim + 1):
+            assert len(field_cases(rng, metric, grade, 20)) == 20
+            random_matrix_field(rng, metric, 1, grade)
+            random_matrix_field(rng, metric, grade, grade)
+    assert built == []
 
 
 def test_poly_results_are_canonical():
