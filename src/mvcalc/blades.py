@@ -18,17 +18,21 @@ list and s(.,.) the merge signature:
 Terms are stored by blade bitmask (bit i set for each i in I).  Each
 row of the table is one of the three rules (mask, mask) -> (sign, mask)
 that ``mvcalc.indexes`` defines with its mask tables, with signs from
-popcounts; the one sparse kernel here, ``_accumulate``, runs them over
-two term dicts.  Index tuples appear only at the API; ``terms`` is a
+popcounts.  Index tuples appear only at the API; ``terms`` is a
 tuple-keyed view of the masks built on each access.
 
-When both operands of wedge, a contraction or dot have at least two
-terms, all of them ints or Fractions with some denominator above 1, the
-kernel runs on integers: each operand is scaled to integer numerators
-over the lcm of its denominators (D_l and D_r), and each output sum
-becomes one Fraction over D_l D_r.  Any other operands (a single term,
-a PolyScalar coefficient, all ints) are multiplied as they are; the
-Hodge duals map terms one to one and never lift.
+``Multivector._product`` runs every product on one of two loops.  An
+empty operand gives the zero of the stated grade at once.  A single-term
+operand (most products of a verify run, and both Hodge duals) runs
+``_accumulate``, one rule call per pair: there the pairs are few, and
+preparing each term first cost more than the calls it saved.  Two
+multi-term operands run ``_accumulate_forms`` on the rule's per-mask form
+(``indexes._FORMS``): each term is looked up once, and each pair costs
+inline integer operations and no call.  When all their coefficients are
+ints or Fractions with some denominator above 1, that loop runs on
+integers: each operand is scaled to integer numerators over the lcm of
+its denominators (D_l and D_r), and each output sum becomes one Fraction
+over D_l D_r.  PolyScalar and all-int operands are multiplied as they are.
 
 Coefficients are exact: an integral rational is stored as an int, any
 other rational as a Fraction (see ``poly.exact``), and a polynomial as a
@@ -52,7 +56,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping
 
-from .indexes import (_BLADE, _MASK, MAX_DIM, AlgebraError, Record, _left_rule, _mask,
+from .indexes import (_BLADE, _FORMS, _MASK, MAX_DIM, AlgebraError, Record, _left_rule, _mask,
                       _right_rule, _wedge_rule, as_tuple, check_canonical, integer, term_items)
 from .poly import (PolyScalar, _exact_terms, _Linear, _put_terms, coefficient, number_text,
                    signed_sum)
@@ -95,9 +99,10 @@ class Metric(Record):
 
     def blades(self, grade: int) -> Iterator[tuple]:
         """All canonical index lists of one grade, in lexicographic order."""
-        if not 0 <= integer(grade, "grade") <= self.dim:
+        dim = self.dim
+        if not 0 <= integer(grade, "grade") <= dim:
             return iter(())
-        return itertools.combinations(range(self.dim), grade)
+        return itertools.combinations(range(dim), grade)
 
 
 def require_same_metric(left: Metric, right: Metric) -> None:
@@ -238,17 +243,24 @@ class Multivector(_Sparse):
     def _product(self, rule, left: dict, right: dict, grade, flip=0) -> "Multivector":
         """The rule's products of two term dicts, summed into a Multivector of ``grade``.
 
-        Operands that ``_lift`` accepts (its length test runs inline first) are
-        summed on integer numerators, each sum becoming one Fraction over D_l D_r;
-        all others on their own coefficients.
+        An empty operand gives the zero of ``grade`` at once.  A single-term
+        operand runs ``_accumulate``, one rule call per pair; two multi-term
+        operands run ``_accumulate_forms`` on the rule's per-mask form, on
+        integer numerators when ``_lift`` accepts them (each sum becoming one
+        Fraction over D_l D_r), else on their own coefficients.
         """
+        if not left or not right:
+            return Multivector._make(self.metric, grade, ())
         t = (1 << self.metric.k) - 1
-        if len(left) > 1 and len(right) > 1 and (lifted := _lift(left, right)) is not None:
-            left, right, den = lifted
-            sums = [(mask, Fraction(acc, den))
-                    for mask, acc in _accumulate({}, rule, t, left, right, flip).items()]
-        else:
+        if len(left) == 1 or len(right) == 1:
             sums = _accumulate({}, rule, t, left.items(), right.items(), flip).items()
+        elif (lifted := _lift(left, right)) is None:
+            sums = _accumulate_forms({}, _FORMS[rule], t, left.items(), right.items(),
+                                     flip).items()
+        else:
+            left, right, den = lifted
+            sums = [(mask, Fraction(acc, den)) for mask, acc
+                    in _accumulate_forms({}, _FORMS[rule], t, left, right, flip).items()]
         return Multivector._make(self.metric, grade, sums)
 
     def wedge(self, other: "Multivector") -> "Multivector":
@@ -334,25 +346,59 @@ def _accumulate(out: dict, rule, t: int, left, right, flip: int = 0) -> dict:
     return out
 
 
+def _accumulate_forms(out: dict, form, t: int, left, right, flip: int = 0) -> dict:
+    """``_accumulate`` on a rule's per-mask form (``indexes._FORMS``), with no call per pair.
+
+    Each term is looked up once, its time-like parity (and ``flip``) added to
+    eA or fB; then a pair (A, B) gives a term iff hA & hB == 0, with mask
+    A ^ B and parity popcount(pA & B) + eA + fB.  No coeff is the None unit,
+    which only the Hodge duals' single-term operand carries.
+    """
+    part_l, part_r, time_l, time_r = form
+    t_l, t_r = t & time_l, t & time_r
+    lhs = []
+    for a, ca in left:
+        ha, pa, ea = part_l[a]
+        lhs.append((a, ha, pa, ea + (a & t_l).bit_count() + flip, ca))
+    rhs = []
+    for b, cb in right:
+        hb, fb = part_r[b]
+        rhs.append((b, hb, fb + (b & t_r).bit_count(), cb))
+    for a, ha, pa, ea, ca in lhs:
+        for b, hb, fb, cb in rhs:
+            if ha & hb:
+                continue
+            mask = a ^ b
+            term = ca * cb
+            acc = out.get(mask)
+            if (pa & b).bit_count() + ea + fb & 1:
+                out[mask] = -term if acc is None else acc - term
+            else:
+                out[mask] = term if acc is None else acc + term
+    return out
+
+
 _RATIONAL = frozenset((int, Fraction))
 
 
 def _lift(left: dict, right: dict):
     """(left, right, D_l D_r) as integer (mask, numerator) pairs, or None to stay as given.
 
-    Taken when both operands have at least two terms, every coefficient
-    is an int or a Fraction and some denominator exceeds 1; each operand
-    is scaled by the lcm of its own denominators.
+    Taken when every coefficient is an int or a Fraction and some
+    denominator exceeds 1; each operand is scaled by the lcm of its own
+    denominators.  ``Multivector._product`` asks only for two multi-term
+    operands.
     """
-    if len(left) < 2 or len(right) < 2:
-        return None
     if not (_RATIONAL.issuperset(map(type, left.values()))
             and _RATIONAL.issuperset(map(type, right.values()))):
         return None
-    den_l = lcm(*{c.denominator for c in left.values()})
-    den_r = lcm(*{c.denominator for c in right.values()})
+    # one call per term: Fraction's numerator and denominator are each a call
+    ratios_l = [c.as_integer_ratio() for c in left.values()]
+    ratios_r = [c.as_integer_ratio() for c in right.values()]
+    den_l = lcm(*{d for _, d in ratios_l})
+    den_r = lcm(*{d for _, d in ratios_r})
     if den_l == den_r == 1:
         return None
-    return ([(m, c.numerator * (den_l // c.denominator)) for m, c in left.items()],
-            [(m, c.numerator * (den_r // c.denominator)) for m, c in right.items()],
+    return ([(m, n * (den_l // d)) for m, (n, d) in zip(left, ratios_l)],
+            [(m, n * (den_r // d)) for m, (n, d) in zip(right, ratios_r)],
             den_l * den_r)

@@ -11,6 +11,28 @@ list of ints, checked for type, order and range (below MAX_DIM when no
 dimension is given) before any table lookup.  A brute-force parity
 oracle lives in the verification suite, not here.
 
+Each rule also has a per-mask form (``_FORMS``), so that a product of two
+term lists can look each term up once and test its pairs with no call:
+the pair (A, B) gives a term iff hA & hB == 0, with mask A ^ B and sign
+parity popcount(pA & B) + eA + fB, where
+
+    rule          left term (hA, pA, eA)      right term (hB, fB)
+    wedge         (A, above(A), 0)            (B, 0)
+    left int.     (A, upto(A), T(|A|))        (~B, 0)
+    right int.    (~A, upto(A), 0)            (B, T(|B|))
+
+with T(m) = C(m+1, 2) mod 2, and the time-like parity popcount(A & t)
+added to eA (left int.) or popcount(B & t) to fB (right int.).  Here
+above(A) has bit j set when an odd number of A's bits lie above j, and
+upto(A) when an odd number lie at or below j.  The derivation: let
+N(X, Y) count the pairs x in X, y in Y with x > y, so that s(X, Y) =
+(-1)^N(X, Y) and N(X, Y) = popcount(above(X) & Y) mod 2, which is the
+wedge row.  Counted from A's side, N(B, A) = #{a <= b} - |A & B| =
+popcount(upto(A) & B) - m mod 2, where m = |A & B| is the grade of the
+contained operand.  A contraction's sign s(B\\A, A) (A <= B) or s(B, A\\B)
+(B <= A) drops the m(m-1)/2 pairs inside that operand from N(B, A), and
+m + C(m, 2) = C(m+1, 2) gives the T term.
+
 ``Record``, the frozen base of ``Metric`` and the other value records, lives
 here too: every module imports this one, and ``dataclasses`` stays unloaded.
 """
@@ -197,6 +219,8 @@ class _Memo(dict):
 _MASK = _Memo(lambda blade: sum(1 << i for i in blade))
 _BLADE = _Memo(lambda mask: tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
 _ABOVE = _Memo(lambda mask: mask and (mask >> 1) ^ _ABOVE[mask >> 1])
+# _UPTO[A] has bit j set when an odd number of A's bits lie at or below j.
+_UPTO = _Memo(lambda mask: _ABOVE[mask] ^ -(mask.bit_count() & 1))
 
 
 # Rules (A, B, t) -> (odd, result mask), or None for no term.  The sign is
@@ -222,3 +246,15 @@ def _right_rule(a: int, b: int, t: int):
         return None
     rest = a ^ b
     return ((_ABOVE[b] & rest).bit_count() + (b & t).bit_count()) & 1, rest
+
+
+# Per-mask forms of the rules, lazy like the tables (see the module docstring):
+# rule -> (A -> (hA, pA, eA), B -> (hB, fB), left t-mask, right t-mask), where a
+# product adds popcount(A & t & left t-mask) to eA and the same for B to fB.
+_FORMS = {
+    _wedge_rule: (_Memo(lambda a: (a, _ABOVE[a], 0)), _Memo(lambda b: (b, 0)), 0, 0),
+    _left_rule: (_Memo(lambda a: (a, _UPTO[a], (a.bit_count() + 1) >> 1 & 1)),
+                 _Memo(lambda b: (~b, 0)), -1, 0),
+    _right_rule: (_Memo(lambda a: (~a, _UPTO[a], 0)),
+                  _Memo(lambda b: (b, (b.bit_count() + 1) >> 1 & 1)), 0, -1),
+}

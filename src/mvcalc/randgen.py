@@ -59,8 +59,9 @@ def random_field(rng: random.Random, metric: Metric, grade: int,
     blades = list(metric.blades(grade))
     rng.shuffle(blades)
     keep = rng.randint(1, len(blades)) if blades else 0
+    dim = metric.dim
     for indices in blades[:keep]:
-        p = random_poly(rng, metric.dim, max_terms, max_degree)
+        p = random_poly(rng, dim, max_terms, max_degree)
         if p:
             terms[_MASK[indices]] = p
     return Multivector._make(metric, grade, terms.items())

@@ -1,11 +1,15 @@
-"""Blade products on integer numerators over one common denominator.
+"""Blade products on each route of the kernel, checked against termwise sums.
 
-Multi-term operands whose coefficients are all ints and Fractions, with
-some denominator above 1, are multiplied in ``blades`` as integer
-numerators over D_l D_r.  A product with a single-term operand never
-takes that path, so each lifted product is checked against the sum of
-its single-term products, and every coefficient must come out in
-canonical form: an int when integral, a Fraction otherwise, never zero.
+``Multivector._product`` picks a route per product: an empty operand gives
+the zero of the stated grade, a single-term operand runs ``_accumulate``
+(one rule call per pair), and two multi-term operands run
+``_accumulate_forms`` on the rule's per-mask form.  On that last route,
+operands whose coefficients are all ints and Fractions, with some
+denominator above 1, are multiplied as integer numerators over D_l D_r
+(``_lift``).  Each product is checked against the sum of its single-term
+products, which take the rule-call route, and every coefficient must come
+out in canonical form: an int when integral, a Fraction otherwise, never
+zero.  A spy on the three kernel functions checks the route itself.
 """
 
 from fractions import Fraction
@@ -16,6 +20,7 @@ import random
 
 import pytest
 
+from mvcalc import blades
 from mvcalc.blades import Metric, Multivector, _lift
 from mvcalc.poly import PolyScalar
 
@@ -70,6 +75,35 @@ def _should_lift(a, b):
             and any(type(c) is Fraction for c in coeffs))
 
 
+def _expected_route(a, b):
+    """The kernel calls one product of ``a`` and ``b`` should make, in order."""
+    if a.is_zero() or b.is_zero():
+        return []
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return ["pairs"]
+    return ["lifted" if _should_lift(a, b) else "as given", "forms"]
+
+
+@pytest.fixture
+def route(monkeypatch):
+    """The kernel calls made since the last clear: "pairs", "lifted"/"as given", "forms"."""
+    calls = []
+
+    def spy(name, tag):
+        real = getattr(blades, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            calls.append(tag(result))
+            return result
+        monkeypatch.setattr(blades, name, wrapper)
+
+    spy("_accumulate", lambda _: "pairs")
+    spy("_accumulate_forms", lambda _: "forms")
+    spy("_lift", lambda lifted: "as given" if lifted is None else "lifted")
+    return calls
+
+
 def _assert_canonical(value):
     coeffs = list(value.terms.values()) if isinstance(value, Multivector) else [value]
     for c in coeffs:
@@ -94,14 +128,16 @@ def _grade_pairs(kind, dim):
 @pytest.mark.parametrize("left_style, right_style", STYLE_PAIRS,
                          ids=[f"{left}-{right}" for left, right in STYLE_PAIRS])
 @pytest.mark.parametrize("k, n", SPLITS)
-def test_lifted_products_match_termwise_sums(k, n, left_style, right_style):
+def test_lifted_products_match_termwise_sums(route, k, n, left_style, right_style):
     metric = Metric(k, n)
     rng = random.Random(f"rational-kernel:{k}:{n}:{left_style}:{right_style}")
     for kind in PRODUCTS:
         for ga, gb in _grade_pairs(kind, metric.dim):
             a = _operand(rng, metric, ga, left_style)
             b = _operand(rng, metric, gb, right_style)
-            assert (_lift(a._terms, b._terms) is not None) == _should_lift(a, b)
+            route.clear()
+            getattr(a, kind)(b)
+            assert route == _expected_route(a, b), (kind, ga, gb)
             _check(kind, a, b)
 
 
@@ -148,7 +184,7 @@ def test_integral_results_are_ints():
     assert left.terms == {(2,): -3}
 
 
-def test_operands_outside_the_rule_decline_the_lift():
+def test_operands_outside_the_rule_decline_the_lift(route):
     x0 = PolyScalar.variable(4, 0)
     fractions = Multivector(M13, 1, {(0,): HALF, (1,): THIRD})
     poly = Multivector(M13, 1, {(0,): x0, (2,): THIRD})
@@ -156,9 +192,11 @@ def test_operands_outside_the_rule_decline_the_lift():
     single = Multivector(M13, 1, {(2,): Fraction(5, 7)})
     for a, b in [(poly, fractions), (fractions, poly), (ints, ints),
                  (single, fractions), (fractions, single)]:
-        assert _lift(a._terms, b._terms) is None
         for kind in PRODUCTS:
-            assert getattr(a, kind)(b) == _termwise(kind, a, b)
+            route.clear()
+            got = getattr(a, kind)(b)
+            assert "lifted" not in route and route == _expected_route(a, b)
+            assert got == _termwise(kind, a, b)
     assert fractions.wedge(poly).coefficient((0, 1)) == -(x0 * THIRD)
     assert _lift(ints._terms, fractions._terms) is not None
 
@@ -173,3 +211,78 @@ def test_dot_is_canonical_on_the_unlifted_path_too():
     poly = Multivector(E4, 1, {(0,): x0, (1,): x0})
     cancelled = poly.dot(Multivector(E4, 1, {(0,): 1, (1,): -1}))
     assert cancelled == 0 and type(cancelled) is int
+
+
+# -- every route: operand sizes 0, 1 and 2+ with int, Fraction and PolyScalar terms
+
+
+def _poly(rng, pos, nvars):
+    exps = tuple(rng.randint(0, 2) for _ in range(nvars))
+    other = tuple(rng.randint(0, 1) for _ in range(nvars))
+    return PolyScalar(nvars, {exps: _small(rng, pos), other: _int(rng, pos)})
+
+
+COEFFS = {"int": lambda rng, pos, nvars: _int(rng, pos),
+          "fraction": lambda rng, pos, nvars: _small(rng, pos),
+          "poly": _poly}
+SIZES = (0, 1, 2, None)  # None: every blade of the grade
+
+
+def _sized(rng, metric, grade, size, coeffs):
+    """``size`` blades of ``grade`` (fewer if the grade has fewer) with ``coeffs`` terms."""
+    blades = list(metric.blades(grade))
+    chosen = blades if size is None else rng.sample(blades, min(size, len(blades)))
+    return Multivector(metric, grade, {I: COEFFS[coeffs](rng, pos, metric.dim)
+                                       for pos, I in enumerate(chosen)})
+
+
+def _stated_grade(kind, ga, gb):
+    return {"wedge": ga + gb, "left_contract": gb - ga, "right_contract": ga - gb}[kind]
+
+
+@pytest.mark.parametrize("right_coeffs", COEFFS)
+@pytest.mark.parametrize("left_coeffs", COEFFS)
+@pytest.mark.parametrize("k, n", [(0, 3), (1, 3), (2, 2)])
+def test_every_route_matches_termwise_sums(route, k, n, left_coeffs, right_coeffs):
+    metric = Metric(k, n)
+    rng = random.Random(f"kernel-routes:{k}:{n}:{left_coeffs}:{right_coeffs}")
+    seen = set()
+    for kind in PRODUCTS:
+        for ga, gb in _grade_pairs(kind, metric.dim):
+            for size_a, size_b in itertools.product(SIZES, repeat=2):
+                a = _sized(rng, metric, ga, size_a, left_coeffs)
+                b = _sized(rng, metric, gb, size_b, right_coeffs)
+                route.clear()
+                got = getattr(a, kind)(b)
+                assert route == _expected_route(a, b), (kind, a, b)
+                seen.add(tuple(route))
+                if a.is_zero() or b.is_zero():
+                    if kind == "dot":
+                        assert got == 0 and type(got) is int
+                    else:
+                        assert got.is_zero() and got.grade == _stated_grade(kind, ga, gb)
+                else:
+                    assert got == _termwise(kind, a, b), (kind, a, b)
+    # a Fraction draw may be integral, so an int-and-Fraction pair can stay as given too
+    rational = "poly" not in (left_coeffs, right_coeffs)
+    lifts = rational and "fraction" in (left_coeffs, right_coeffs)
+    assert {(), ("pairs",), ("lifted" if lifts else "as given", "forms")} <= seen
+    assert lifts or ("lifted", "forms") not in seen
+
+
+@pytest.mark.parametrize("kind", PRODUCTS)
+def test_an_empty_operand_gives_the_stated_zero(route, kind):
+    full = _sized(random.Random(kind), E4, 2, None, "fraction")
+    zero = Multivector.zero
+    # wedge 3 + 2 and 4 + 4 pass the top grade; the contractions go below 0
+    grades = [(2, 2)] if kind == "dot" else [(3, 2), (2, 3), (4, 4), (0, 2)]
+    for ga, gb in grades:
+        pairs = [(zero(E4, ga), full if gb == 2 else zero(E4, gb)),
+                 (full if ga == 2 else zero(E4, ga), zero(E4, gb))]
+        for a, b in pairs:
+            got = getattr(a, kind)(b)
+            if kind == "dot":
+                assert got == 0 and type(got) is int
+            else:
+                assert got.is_zero() and got.grade == _stated_grade(kind, ga, gb)
+    assert route == []

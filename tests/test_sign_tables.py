@@ -1,10 +1,12 @@
 """The blade-mask tables and the sign rules are defined in ``indexes`` alone.
 
-``mvcalc.indexes`` owns ``_Memo``, the mask tables and the three sign
-rules, and every other module imports them.  A copy defined anywhere
-else would be a second sign implementation, one that the verify
-properties on the public index helpers no longer check.  The source is
-read with ``ast``, so nothing is imported.
+``mvcalc.indexes`` owns ``_Memo``, the mask tables, the three sign rules
+and their per-mask forms, and every other module imports them.  A copy
+defined anywhere else would be a second sign implementation, one that the
+verify properties on the public index helpers no longer check.  The
+ownership tests read the source with ``ast`` and import nothing.  The
+last test checks the per-mask forms against the rules on every mask pair
+of dimensions 1-6.
 """
 
 import ast
@@ -12,8 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from mvcalc import indexes
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "mvcalc"
-OWNED = {"_Memo", "_MASK", "_BLADE", "_ABOVE", "_wedge_rule", "_left_rule", "_right_rule"}
+OWNED = {"_Memo", "_MASK", "_BLADE", "_ABOVE", "_wedge_rule", "_left_rule", "_right_rule",
+         "_UPTO", "_FORMS"}
 
 
 def bound_names(module: str) -> dict[str, int]:
@@ -42,3 +47,28 @@ OTHERS = sorted(path.name for path in SRC.glob("*.py") if path.name != "indexes.
 def test_no_other_module_defines_a_table_or_rule(module):
     found = {name: line for name, line in bound_names(module).items() if name in OWNED}
     assert not found, f"{module} defines {found}"
+
+
+@pytest.mark.parametrize("rule", ["_wedge_rule", "_left_rule", "_right_rule"])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_per_mask_forms_agree_with_the_rules(rule, dim):
+    # (A, B) gives a term iff hA & hB == 0, with mask A ^ B and parity
+    # popcount(pA & B) + eA + fB, the time-like parts on the side _FORMS names
+    rule = getattr(indexes, rule)
+    part_l, part_r, time_l, time_r = indexes._FORMS[rule]
+    masks = range(1 << dim)
+    for k in range(dim + 1):
+        t = (1 << k) - 1
+        for a in masks:
+            ha, pa, ea = part_l[a]
+            ea += (a & t & time_l).bit_count()
+            for b in masks:
+                hb, fb = part_r[b]
+                expected = rule(a, b, t)
+                assert (expected is not None) == (ha & hb == 0), (dim, k, a, b)
+                if expected is None:
+                    continue
+                odd = (pa & b).bit_count() + ea + fb + (b & t & time_r).bit_count()
+                for flip in (0, 1):
+                    assert (odd + flip & 1, a ^ b) == (expected[0] ^ flip, expected[1]), \
+                        (dim, k, a, b, flip)
