@@ -12,6 +12,18 @@ Three subcommands:
 Exit codes: 0 on success, 1 when verification finds a failing property,
 2 on usage or parse errors (diagnostics go to stderr).  Output for a
 fixed invocation is byte-identical across runs.
+
+How ``run`` parses a request: the parser is built once per process and
+shared.  When the first argument is exactly a subcommand name, the rest
+goes straight to that subcommand's parser (``parse_known_args``), the
+same parser object and call the top-level parser would make for it, so
+the top-level pass over the whole argv is skipped.  Everything else goes
+through the top-level parser, unchanged: an empty argv, an unknown or
+abbreviated command, ``-h``/``--help``, ``-- derive ...``, and a request
+whose subcommand parse leaves arguments it does not recognize.  Only the
+top-level parser prints those errors and that help (``usage: mvcalc
+[-h] {derive,verify,eval} ...``), so every exit code and every byte of
+stdout and stderr is what argparse gives for the full parse.
 """
 
 from __future__ import annotations
@@ -132,9 +144,13 @@ def _parse_symbol_decls(text: str) -> dict[str, FieldSymbol]:
             )
         name, grade_text, role = parts
         try:
+            if not grade_text.isascii():  # int() reads every Unicode digit
+                raise ValueError
             grade = int(grade_text)
         except ValueError:
             raise AlgebraError(f"bad grade in symbol declaration {chunk!r}") from None
+        if name in out:
+            raise AlgebraError(f"field symbol {name!r} declared twice")
         out[name] = FieldSymbol(name, grade, role)
     return out
 
@@ -180,18 +196,35 @@ def _cmd_eval(args) -> int:
 
 
 @functools.cache
-def _arg_parser() -> argparse.ArgumentParser:
-    """The parser every ``run`` call shares, built on the first call.
+def _arg_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser every ``run`` call shares, built on the first call, and its subcommand parsers.
 
     Sharing is safe: ``parse_args`` returns a new namespace each time and
     never changes the parser, the defaults are immutable, and errors
-    leave through SystemExit without keeping state.
+    leave through SystemExit without keeping state.  The subcommand map
+    is the ``choices`` of the parser's one positional, its
+    ``add_subparsers`` action (argparse has no public accessor for it),
+    so clearing this cache resets both.
     """
-    return build_arg_parser()
+    parser = build_arg_parser()
+    (action,) = parser._subparsers._group_actions
+    return parser, action.choices
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace of one request; see the module docstring for the two paths."""
+    parser, subcommands = _arg_parser()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, leftover = sub.parse_known_args(argv[1:])
+        if not leftover:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)  # prints the top-level usage and error
 
 
 def run(argv=None) -> int:
-    args = _arg_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     handlers = {"derive": _cmd_derive, "verify": _cmd_verify, "eval": _cmd_eval}
     try:
         return handlers[args.command](args)

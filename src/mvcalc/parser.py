@@ -36,6 +36,7 @@ from typing import Mapping, Sequence
 
 from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import ext_deriv, int_deriv
+from .indexes import _MASK
 from .poly import PolyScalar, digit_limit
 from .variational import DerivOp, FieldSymbol, LagrangianDensity
 
@@ -55,8 +56,8 @@ _TOKEN_RE = re.compile(
     r"""
       (?P<WS>\s+)
     | (?P<BLADE>e\[[^\]]*\])
-    | (?P<POLY>x\d+(?:\^\d+)?)
-    | (?P<NUMBER>\d+(?:/\d+)?)
+    | (?P<POLY>x[0-9]+(?:\^[0-9]+)?)
+    | (?P<NUMBER>[0-9]+(?:/[0-9]+)?)
     | (?P<DEXT>d\^)
     | (?P<DINT>d_\|)
     | (?P<DTENS>dX)
@@ -82,19 +83,26 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, whitespace dropped, ending with an EOF token.
+
+    One ``finditer`` scan: each match must start where the last one ended,
+    since a gap is text no token matches; the first such character raises
+    ExprError("unknown token ...") at its offset.  Digits are ASCII only.
+    An operator's kind is its own text; every other kind is its group name.
+    """
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprError(f"unknown token {text[pos]!r}", pos)
-        if m.lastgroup != "WS":
-            kind = m.lastgroup
-            if kind == "OP":
-                kind = m.group()
-            tokens.append(Token(kind, m.group(), pos))
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
+        kind = m.lastgroup
+        if kind != "WS":
+            tokens.append(Token(m.group() if kind == "OP" else kind, m.group(), start))
         pos = m.end()
-    tokens.append(Token("EOF", "", len(text)))
+    if pos != len(text):
+        raise ExprError(f"unknown token {text[pos]!r}", pos)
+    tokens.append(Token("EOF", "", pos))
     return tokens
 
 
@@ -168,7 +176,7 @@ class _ExprParser(_Parser):
                 if op.kind == "^":
                     value = value.wedge(rhs)
                 elif op.kind == ".":
-                    value = Multivector.scalar(self.metric, value.dot(rhs))
+                    value = Multivector._make(self.metric, 0, ((0, value.dot(rhs)),))
                 elif op.kind == "LINT":
                     value = value.left_contract(rhs)
                 else:
@@ -179,12 +187,13 @@ class _ExprParser(_Parser):
 
     def factor(self) -> Multivector:
         tok = self.peek()
+        # literals are checked here, so they are built by the trusted ``_make``
         if tok.kind == "NUMBER":
             self.advance()
-            return Multivector.scalar(self.metric, _rational(tok))
+            return Multivector._make(self.metric, 0, ((0, _rational(tok)),))
         if tok.kind == "POLY":
             self.advance()
-            return Multivector.scalar(self.metric, self._poly(tok))
+            return Multivector._make(self.metric, 0, ((0, self._poly(tok)),))
         if tok.kind == "BLADE":
             self.advance()
             return self._blade(tok)
@@ -223,18 +232,18 @@ class _ExprParser(_Parser):
         else:
             index_text, power = body, 1
         index = _int(index_text, tok)
-        if index >= self.metric.dim:
-            raise ExprError(
-                f"coordinate x{index} out of range for dimension {self.metric.dim}", tok.pos
-            )
-        return PolyScalar.variable(self.metric.dim, index, power)
+        dim = self.metric.dim
+        if index >= dim:
+            raise ExprError(f"coordinate x{index} out of range for dimension {dim}", tok.pos)
+        return PolyScalar._make(dim, (((0,) * index + (power,) + (0,) * (dim - index - 1), 1),))
 
     def _blade(self, tok: Token) -> Multivector:
-        inner = tok.text[2:-1].strip()
-        if not inner:
-            return Multivector.blade(self.metric, ())
+        inner = tok.text[2:-1]
         try:
-            indices = tuple(int(part) for part in inner.split(","))
+            if not inner.isascii():  # int() reads every Unicode digit
+                raise ValueError
+            inner = inner.strip()
+            indices = tuple(int(part) for part in inner.split(",")) if inner else ()
         except ValueError:
             raise ExprError(f"bad blade literal {tok.text!r}", tok.pos) from None
         if any(b <= a for a, b in zip(indices, indices[1:])):
@@ -246,7 +255,7 @@ class _ExprParser(_Parser):
             )
         if any(i < 0 for i in indices):
             raise ExprError("blade indices must be nonnegative", tok.pos)
-        return Multivector.blade(self.metric, indices)
+        return Multivector._make(self.metric, len(indices), ((_MASK[indices], 1),))
 
 
 def parse_expr(text: str, metric: Metric) -> Multivector:

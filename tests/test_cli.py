@@ -1,6 +1,9 @@
+import collections
 import contextlib
 import io
 import json
+import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -188,6 +191,21 @@ def test_bad_symbol_declaration():
     assert "bad grade" in proc.stderr
 
 
+@pytest.mark.parametrize("decls", ["A:1:source,A:1:dynamical", "A:1:dynamical,A:1:source",
+                                   "A:1:dynamical, A : 1 : dynamical"])
+def test_symbol_declared_twice_is_refused(decls):
+    assert call(["derive", "--k", "1", "--n", "3", "--lagrangian", "(A . A)",
+                 "--symbols", decls]) == (2, "", "error: field symbol 'A' declared twice\n")
+
+
+@pytest.mark.parametrize("grade", ["\u0661", "\uff11", "1\u0660", "\U0001d7d9"])
+def test_symbol_grades_take_only_ascii_digits(grade):
+    decls = f"A:{grade}:dynamical"
+    assert call(["derive", "--k", "1", "--n", "3", "--lagrangian", "(A . A)",
+                 "--symbols", decls]) == (
+        2, "", f"error: bad grade in symbol declaration {decls!r}\n")
+
+
 def test_verify_subcommand_report_shape():
     proc = mvcalc("verify", "--suite", "algebra", "--seed", "7", "--trials", "2")
     assert proc.returncode == 0
@@ -216,6 +234,15 @@ README_EXAMPLES = [
     (["eval", "d^ (x0 ^ e[1])", "--k", "1", "--n", "3", "--format", "json"],
      '{"grade":2,"metric":{"k":1,"n":3},"terms":[{"coeff":"-1","indices":[0,1]}]}\n'),
 ]
+
+
+def test_readme_golden_file_holds_the_readme_outputs():
+    # CI diffs the eight README commands, run as ``python -W error -m mvcalc``, against it
+    golden = pathlib.Path(__file__).parent / "golden" / "readme_cli.txt"
+    assert golden.read_text() == "".join(out for _, out in README_EXAMPLES)
+    assert [call(argv) for argv, _ in README_EXAMPLES] == [
+        (0, out, "") for _, out in README_EXAMPLES]
+
 
 MIXED_REQUESTS = [argv for argv, _ in README_EXAMPLES] + [
     ["eval", "e[0] + e[0,1]", "--k", "1", "--n", "3"],
@@ -351,3 +378,58 @@ def test_suite_choices_are_the_verify_suites():
     assert code == 2
     choices = ", ".join(f"'{name}'" for name in [*sorted(verify.SUITES), "all"])
     assert f"invalid choice: 'bogus' (choose from {choices})" in err
+
+
+# -- direct subcommand dispatch ------------------------------------------------------
+
+# argv pieces: the subcommand names, known flags and their values, abbreviations,
+# '--', help flags, unknown flags and extra positionals
+_FIRST = ["derive", "verify", "eval", "der", "evaluate", "frobnicate", "-h", "--help",
+          "--he", "--", "-", "", "--k", "e[0]", "--format=json"]
+_REST = ["--k", "--n", "1", "2", "0", "-1", "--r", "--preset", "maxwell", "dual",
+         "electrostatics", "--m", "1/2", "--xi", "--lagrangian", "(A . A)", "--symbols",
+         "A:1:dynamical", "--format", "json", "xml", "--form", "--forma=json", "--he", "-h",
+         "--help", "--", "--suite", "algebra", "--seed", "--trials", "--bogus", "-x",
+         "extra", "e[0]", "e[1]", "x0 ^ e[1]", "--k=1", "--n=2", "derive", "eval", "verify"]
+_EXPRS = ["e[0]", "x0 ^ e[1]", "e[1] _| e[0,1]", "2/0", "e[0", "-e[0]"]
+
+# each of these leaves arguments the subcommand parser does not recognize
+_LEFTOVERS = [
+    ["eval", "e[0]", "e[1]", "--k", "1", "--n", "3"],
+    ["derive", "--k", "1", "--n", "3", "--r", "2", "--bogus"],
+    ["derive", "--k", "1", "--n", "3", "--r", "2", "extra"],
+    ["eval", "e[0]", "--k", "1", "--n", "3", "--", "-x"],
+    ["verify", "--suite", "em", "derive"],
+]
+
+
+def fuzzed_argv(rng):
+    argv = [rng.choice(_FIRST[:3] if rng.random() < 0.7 else _FIRST)]
+    if argv[0] in ("derive", "eval") and rng.random() < 0.6:  # mostly complete requests
+        argv += ["--k", rng.choice("01"), "--n", rng.choice("0123")]
+        argv += ["--r", rng.choice("125")] if argv[0] == "derive" else [rng.choice(_EXPRS)]
+    argv += [rng.choice(_REST) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.3:
+        argv[1:] = rng.sample(argv[1:], len(argv) - 1)
+    return argv
+
+
+def test_dispatch_matches_the_full_parse(monkeypatch):
+    """``run`` against one top-level ``parse_args`` then the handler: the same outcome."""
+    # verify would run the suites; its handler prints the parsed namespace instead
+    monkeypatch.setattr(cli, "_cmd_verify", lambda args: print(sorted(vars(args).items())) or 0)
+    rng = random.Random("unit/cli-dispatch")
+    requests = MIXED_REQUESTS + _LEFTOVERS + [[]] + [fuzzed_argv(rng) for _ in range(1500)]
+    direct = [call(argv) for argv in requests]
+    full = cli.build_arg_parser()
+    monkeypatch.setattr(cli, "_parse", full.parse_args)
+    assert [call(argv) for argv in requests] == direct
+    top_usage = "usage: mvcalc [-h] {derive,verify,eval} ...\n"
+    for argv, (code, out, err) in zip(_LEFTOVERS, direct[len(MIXED_REQUESTS):]):
+        assert (code, out) == (2, "") and err.startswith(top_usage), argv
+        assert "unrecognized arguments" in err
+    # the fuzz reaches handlers, subcommand errors and the top-level parser alike
+    outcomes = collections.Counter(
+        "top" if err.startswith(top_usage) else "sub" if err.startswith("usage: mvcalc ")
+        else code for code, _, err in direct)
+    assert set(outcomes) == {0, 2, "sub", "top"} and min(outcomes.values()) > 20, outcomes

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from mvcalc import parser
 from mvcalc.blades import Metric, Multivector
 from mvcalc.em import MaxwellConfig, build_lagrangian
 from mvcalc.parser import MAX_NESTING, ExprError, parse_expr, parse_lagrangian, tokenize
@@ -194,3 +196,97 @@ def test_lagrangian_slot_grade_mismatch():
 def test_lagrangian_trailing_garbage():
     with pytest.raises(ExprError, match="trailing input"):
         parse_lagrangian("(A . A) (", SYMBOLS)
+
+
+# -- the single-scan tokenizer and the trusted literals ------------------------------
+
+def loop_tokenize(text):
+    """The one-``match``-per-position tokenizer that ``tokenize`` replaced, kept as its oracle."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = parser._TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ExprError(f"unknown token {text[pos]!r}", pos)
+        if m.lastgroup != "WS":
+            kind = m.lastgroup
+            if kind == "OP":
+                kind = m.group()
+            tokens.append(parser.Token(kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(parser.Token("EOF", "", len(text)))
+    return tokens
+
+
+def tokens_or_error(tokenizer, text):
+    try:
+        return [(t.kind, t.text, t.pos) for t in tokenizer(text)]
+    except ExprError as exc:
+        return (str(exc), exc.offset)
+
+
+# token pieces, whitespace runs, and characters no token matches (ASCII and not)
+_PIECES = ["e[0,1]", "e[", "]", "x0", "x12^3", "x", "^", "3/4", "7", "/", "d^", "d_|", "dX",
+           "_|", "|_", "|", "_", "hodge", "(", ")", "+", "-", "*", ".", " ", "   ", "\t\n",
+           "\xa0", "#", "@", "!", "\u0661", "\xe9", "e[\u0661]", "x\u0662", "$"]
+
+
+def test_single_scan_tokenizer_matches_the_loop():
+    rng = random.Random("unit/parser-tokenize")
+    texts = ["", " ", "\t \n", "#", "e[0", "x", "d", "1/", "e[0] # e[1]"]
+    texts += ["".join(rng.choice(_PIECES) for _ in range(rng.randint(1, 12)))
+              for _ in range(3000)]
+    errors = 0
+    for text in texts:
+        expected = tokens_or_error(loop_tokenize, text)
+        assert tokens_or_error(tokenize, text) == expected, text
+        errors += isinstance(expected, tuple)
+    assert 300 < errors < len(texts) - 300  # both outcomes are well covered
+
+
+@pytest.mark.parametrize("text", ["x\u0661", "\u0661/2", "e[\u0661]", "x1^\u0662", "e[0,\u0661]",
+                                  "e[\xa0]", "e[0,\u2003 1]"])
+def test_expressions_take_only_ascii_digits(text):
+    with pytest.raises(ExprError, match="unknown token|bad blade literal"):
+        parse_expr(text, M13)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("0", lambda m: Multivector.scalar(m, 0)),
+    ("4/2", lambda m: Multivector.scalar(m, Fraction(4, 2))),
+    ("0/5", lambda m: Multivector.scalar(m, Fraction(0))),
+    ("3/6", lambda m: Multivector.scalar(m, Fraction(3, 6))),
+    ("x0^0", lambda m: Multivector.scalar(m, PolyScalar.variable(m.dim, 0, 0))),
+    ("x0", lambda m: Multivector.scalar(m, PolyScalar.variable(m.dim, 0))),
+    ("x1^3", lambda m: Multivector.scalar(m, PolyScalar.variable(m.dim, 1, 3))),
+    ("e[]", lambda m: Multivector.blade(m, ())),
+    ("e[ ]", lambda m: Multivector.blade(m, ())),
+    ("e[0]", lambda m: Multivector.blade(m, (0,))),
+    ("e[ 0 , 1 ]", lambda m: Multivector.blade(m, (0, 1))),
+    ("e[1]", lambda m: Multivector.blade(m, (1,))),
+])
+@pytest.mark.parametrize("metric", [Metric(1, 1), M13, Metric(3, 5)], ids=str)
+def test_literals_equal_the_public_constructors(metric, text, expected):
+    value, want = parse_expr(text, metric), expected(metric)
+
+    def types(mv):
+        return {k: (type(c), type(c) is PolyScalar and {e: type(p) for e, p in c.terms.items()})
+                for k, c in mv.terms.items()}
+
+    assert value == want and value.grade == want.grade
+    assert value.terms == want.terms and types(value) == types(want)
+
+
+def test_parsing_builds_through_no_validating_constructor(monkeypatch):
+    built = []
+    for cls in (PolyScalar, Multivector):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
+                            built.append(type(self)) or init(self, *args))
+    Multivector(M13, 1), PolyScalar(4)
+    assert built == [Multivector, PolyScalar]  # the wrappers do count
+    built.clear()
+    for text in ("0", "4/2", "x0^0", "e[]", "-3/2 ^ x1^2 ^ e[0,2] + x3 ^ e[1,3]",
+                 "(x0 ^ e[0]) . (x1 ^ e[0])", "hodge(e[0]) + invhodge(e[1])",
+                 "d^ (x0 ^ x1 ^ e[1]) _| e[0,1] |_ e[]", "d_| (x2^2 ^ e[0,2])"):
+        parse_expr(text, M13)
+    assert built == []
