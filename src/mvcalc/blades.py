@@ -178,16 +178,16 @@ class Multivector(_Sparse):
         _put_terms(self, clean)
 
     @classmethod
-    def _make(cls, metric: Metric, grade: int, items) -> "Multivector":
-        """Trusted builder from (blade mask of ``grade``, coeff) pairs built here."""
+    def _make(cls, metric: Metric, grade: int, terms: dict) -> "Multivector":
+        """Trusted builder adopting a new dict of blade masks of ``grade`` built here."""
         mv = object.__new__(cls)
         _put_metric(mv, metric)
         _put_grade(mv, grade)
-        _put_terms(mv, _exact_terms(items))
+        _put_terms(mv, _exact_terms(terms))
         return mv
 
-    def _like(self, items) -> "Multivector":
-        return Multivector._make(self.metric, self.grade, items)
+    def _like(self, terms: dict) -> "Multivector":
+        return Multivector._make(self.metric, self.grade, terms)
 
     def _shape(self) -> tuple:
         return (self.metric, self.grade)
@@ -243,24 +243,19 @@ class Multivector(_Sparse):
     def _product(self, rule, left: dict, right: dict, grade, flip=0) -> "Multivector":
         """The rule's products of two term dicts, summed into a Multivector of ``grade``.
 
-        An empty operand gives the zero of ``grade`` at once.  A single-term
-        operand runs ``_accumulate``, one rule call per pair; two multi-term
-        operands run ``_accumulate_forms`` on the rule's per-mask form, on
-        integer numerators when ``_lift`` accepts them (each sum becoming one
-        Fraction over D_l D_r), else on their own coefficients.
+        The route each operand pair takes is set out in the module docstring.
         """
         if not left or not right:
-            return Multivector._make(self.metric, grade, ())
+            return Multivector._make(self.metric, grade, {})
         t = (1 << self.metric.k) - 1
         if len(left) == 1 or len(right) == 1:
-            sums = _accumulate({}, rule, t, left.items(), right.items(), flip).items()
+            sums = _accumulate({}, rule, t, left.items(), right.items(), flip)
         elif (lifted := _lift(left, right)) is None:
-            sums = _accumulate_forms({}, _FORMS[rule], t, left.items(), right.items(),
-                                     flip).items()
+            sums = _accumulate_forms({}, _FORMS[rule], t, left.items(), right.items(), flip)
         else:
             left, right, den = lifted
-            sums = [(mask, Fraction(acc, den)) for mask, acc
-                    in _accumulate_forms({}, _FORMS[rule], t, left, right, flip).items()]
+            sums = {mask: Fraction(acc, den) for mask, acc
+                    in _accumulate_forms({}, _FORMS[rule], t, left, right, flip).items()}
         return Multivector._make(self.metric, grade, sums)
 
     def wedge(self, other: "Multivector") -> "Multivector":

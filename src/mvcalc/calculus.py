@@ -29,20 +29,21 @@ rewriting refuses to run unless this check passes for its shape).
 
 Fields are blade-mask dicts.  Each operator lowers the monomials of every
 polynomial component (``poly._lower_into``) straight into the exponent
-dict of its output blade, and builds each output polynomial once.
+dict of its output blade, and builds each output polynomial once.  ``d^``
+and ``d_|`` visit only the axes with a term (``indexes._STEPS``).
 """
 
 from __future__ import annotations
 
 from .blades import GradeError, Metric, Multivector, require_same_metric
-from .indexes import _left_rule, _wedge_rule
+from .indexes import _STEPS, _left_rule, _wedge_rule
 from .matrices import MvMatrix
 from .poly import PolyScalar, _lower_into, partial
 
 
-def _polys(nvars: int, out: dict):
-    """(key, polynomial) pairs of a key -> exponent dict map; empty dicts give none."""
-    return ((key, PolyScalar._make(nvars, terms.items())) for key, terms in out.items() if terms)
+def _polys(nvars: int, out: dict) -> dict:
+    """A key -> exponent dict map as key -> polynomial, empty dicts dropped."""
+    return {key: PolyScalar._make(nvars, terms) for key, terms in out.items() if terms}
 
 
 def _vector_deriv(field: Multivector, rule, time_flip: bool, grade: int) -> Multivector:
@@ -51,9 +52,8 @@ def _vector_deriv(field: Multivector, rule, time_flip: bool, grade: int) -> Mult
     dim, k = metric.dim, metric.k if time_flip else 0
     for mask, coeff in field._terms.items():
         if isinstance(coeff, PolyScalar):
-            for i in range(dim):
-                if (hit := rule(1 << i, mask, 0)) is not None:
-                    _lower_into(out.setdefault(hit[1], {}), coeff._terms, i, hit[0] ^ (i < k))
+            for i, odd, hit in _STEPS[rule, dim, mask]:
+                _lower_into(out.setdefault(hit, {}), coeff._terms, i, odd ^ (i < k))
     return Multivector._make(metric, grade, _polys(dim, out))
 
 
@@ -121,7 +121,7 @@ def divergence_scalar(field: Multivector):
     for mask, coeff in field._terms.items():
         if isinstance(coeff, PolyScalar):
             terms = _lower_into(terms or {}, coeff._terms, mask.bit_length() - 1)
-    return 0 if terms is None else PolyScalar._make(field.metric.dim, terms.items())
+    return 0 if terms is None else PolyScalar._make(field.metric.dim, terms)
 
 
 def directional_deriv(direction: Multivector, field: Multivector) -> Multivector:
@@ -129,10 +129,10 @@ def directional_deriv(direction: Multivector, field: Multivector) -> Multivector
     if direction.grade != 1 and direction._terms:
         raise GradeError("direction must be a 1-vector field")
     require_same_metric(direction.metric, field.metric)
-    return Multivector._make(field.metric, field.grade, (
-        (mask, sum(v * d for unit, v in direction._terms.items()
-                   if (d := partial(coeff, unit.bit_length() - 1))))
-        for mask, coeff in field._terms.items()))
+    return Multivector._make(field.metric, field.grade, {
+        mask: sum(v * d for unit, v in direction._terms.items()
+                  if (d := partial(coeff, unit.bit_length() - 1)))
+        for mask, coeff in field._terms.items()})
 
 
 def check_laplacian_splitting(metric: Metric, grade: int, fields) -> bool:

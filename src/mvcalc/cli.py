@@ -58,9 +58,11 @@ def _rational(text: str) -> Fraction:
     number of any size, so the exponent is bounded before the number is
     built.
     """
+    if not text.strip().isascii():  # Fraction reads every Unicode digit
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
     limit = digit_limit()
     too_long = f"rational number longer than {limit} digits"
-    exponent = re.search(r"[eE][-+]?([\d_]+)\s*$", text)
+    exponent = re.search(r"[eE][-+]?([0-9_]+)\s*$", text)
     if exponent is not None:
         shift = exponent[1].replace("_", "").lstrip("0")
         if len(shift) > len(str(limit)) or int(shift or 0) > limit:

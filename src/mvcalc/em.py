@@ -37,6 +37,7 @@ from .variational import (
     FieldSymbol,
     FormalExpr,
     LagrangianDensity,
+    _pair_key,
     euler_lagrange_exterior,
 )
 
@@ -79,6 +80,12 @@ def field_from_potential(potential: Multivector) -> Multivector:
     return ext_deriv(potential)
 
 
+def _density(terms: list) -> LagrangianDensity:
+    """A density of checked terms on distinct slot pairs, built by ``_make``, then ``_checked``."""
+    density = LagrangianDensity._make({_pair_key(left, right): c for c, left, right in terms})
+    return density._checked()
+
+
 def build_lagrangian(cfg: MaxwellConfig, field_name: str = "A",
                      source_name: str = "J") -> LagrangianDensity:
     """The quadratic density for cfg, with the documented coefficients."""
@@ -93,7 +100,7 @@ def build_lagrangian(cfg: MaxwellConfig, field_name: str = "A",
         terms.append((Fraction(-cfg.mass * cfg.mass, 2), (DerivOp.ID, A), (DerivOp.ID, A)))
     if cfg.xi is not None:
         terms.append((Fraction(sign, 2 * cfg.xi), (DerivOp.INT, A), (DerivOp.INT, A)))
-    return LagrangianDensity(terms)
+    return _density(terms)
 
 
 def derive_equations(cfg: MaxwellConfig, field_name: str = "A",
@@ -113,7 +120,7 @@ def derive_equations(cfg: MaxwellConfig, field_name: str = "A",
     lhs += [(key, -c) for key, c in raw.lhs._terms.items() if key[1].role == "dynamical"]
     rhs = [(key, c) for key, c in raw.lhs._terms.items() if key[1].role != "dynamical"]
     rhs += [(key, -c) for key, c in raw.rhs._terms.items() if key[0] != ("int", "ext")]
-    return FieldEquation(FormalExpr._make(lhs), FormalExpr._make(rhs), cfg.r - 1)
+    return FieldEquation(FormalExpr._make(dict(lhs)), FormalExpr._make(dict(rhs)), cfg.r - 1)
 
 
 def wave_form(cfg: MaxwellConfig, field_name: str = "A",
@@ -143,22 +150,13 @@ def wave_form(cfg: MaxwellConfig, field_name: str = "A",
         )
     A = FieldSymbol(field_name, s, "dynamical")
     J = FieldSymbol(source_name, s, "source")
-    lhs = FormalExpr._make([
-        ((("lap",), A), _front_sign(cfg.r)),
-        (((), A), cfg.mass * cfg.mass),
-    ])
-    rhs = FormalExpr._make([
-        (((), J), 1),
-        ((("ext", "int"), A), Fraction(1, cfg.xi) - 1),
-    ])
+    lhs = FormalExpr._make({(("lap",), A): _front_sign(cfg.r), ((), A): cfg.mass * cfg.mass})
+    rhs = FormalExpr._make({((), J): 1, (("ext", "int"), A): Fraction(1, cfg.xi) - 1})
     return FieldEquation(lhs, rhs, s)
 
 
 def _is_constant(field: Multivector) -> bool:
-    for coeff in field._terms.values():
-        if isinstance(coeff, PolyScalar) and not coeff.is_constant():
-            return False
-    return True
+    return all(not isinstance(c, PolyScalar) or c.is_constant() for c in field._terms.values())
 
 
 def gauge_transform(A: Multivector, Abar: Multivector,
@@ -196,7 +194,7 @@ def build_dual_lagrangian(s: int, potential_name: str = "Abar",
         raise GradeError(f"dual potential grade must be >= 1, got {s}")
     Abar = FieldSymbol(potential_name, s, "dynamical")
     Jbar = FieldSymbol(source_name, s, "source")
-    return LagrangianDensity([
+    return _density([
         (Fraction(_front_sign(s), 2), (DerivOp.INT, Abar), (DerivOp.INT, Abar)),
         (1, (DerivOp.ID, Jbar), (DerivOp.ID, Abar)),
     ])
@@ -215,7 +213,7 @@ def dual_theory(metric: Metric, s: int, potential_name: str = "Abar",
     L = build_dual_lagrangian(s, potential_name, source_name)
     nonhomog = euler_lagrange_exterior(L)
     Fbar = FieldSymbol(field_name, s - 1, "source")
-    homog = FieldEquation(FormalExpr._make([((("int",), Fbar), 1)]), FormalExpr.zero(), s - 2)
+    homog = FieldEquation(FormalExpr._make({(("int",), Fbar): 1}), FormalExpr.zero(), s - 2)
     return nonhomog, homog
 
 

@@ -33,6 +33,9 @@ contained operand.  A contraction's sign s(B\\A, A) (A <= B) or s(B, A\\B)
 (B <= A) drops the m(m-1)/2 pairs inside that operand from N(B, A), and
 m + C(m, 2) = C(m+1, 2) gives the T term.
 
+The derivatives ``d^`` and ``d_|`` walk ``_STEPS``: per (rule, dimension,
+mask), only the axes e_i that give a term, with their parity and mask.
+
 ``Record``, the frozen base of ``Metric`` and the other value records, lives
 here too: every module imports this one, and ``dataclasses`` stays unloaded.
 """
@@ -258,3 +261,8 @@ _FORMS = {
     _right_rule: (_Memo(lambda a: (~a, _UPTO[a], 0)),
                   _Memo(lambda b: (b, (b.bit_count() + 1) >> 1 & 1)), 0, -1),
 }
+
+# Derivative step table, lazy: (rule, dim, A) -> the (i, odd, mask) of each axis i < dim
+# with a term rule(e_i, e_A, no time-like axes) = (-1)^odd e_mask, in axis order.
+_STEPS = _Memo(lambda key: tuple((i, *hit) for i in range(key[1])
+                                 if (hit := key[0](1 << i, key[2], 0)) is not None))

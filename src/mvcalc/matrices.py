@@ -60,17 +60,17 @@ class MvMatrix(_Sparse):
         _put_terms(self, clean)
 
     @classmethod
-    def _make(cls, metric: Metric, row_grade: int, col_grade: int, items) -> "MvMatrix":
-        """Trusted builder from ((row mask, col mask), coeff) pairs of the given grades."""
+    def _make(cls, metric: Metric, row_grade: int, col_grade: int, terms: dict) -> "MvMatrix":
+        """Trusted builder adopting a new (row mask, col mask) -> coeff dict of the given grades."""
         matrix = object.__new__(cls)
         _put_metric(matrix, metric)
         _put_rows(matrix, row_grade)
         _put_cols(matrix, col_grade)
-        _put_terms(matrix, _exact_terms(items))
+        _put_terms(matrix, _exact_terms(terms))
         return matrix
 
-    def _like(self, items) -> "MvMatrix":
-        return MvMatrix._make(self.metric, self.row_grade, self.col_grade, items)
+    def _like(self, terms: dict) -> "MvMatrix":
+        return MvMatrix._make(self.metric, self.row_grade, self.col_grade, terms)
 
     def _shape(self) -> tuple:
         return (self.metric, self.row_grade, self.col_grade)
@@ -102,7 +102,7 @@ class MvMatrix(_Sparse):
 
     def transpose(self) -> "MvMatrix":
         return MvMatrix._make(self.metric, self.col_grade, self.row_grade,
-                              (((cols, rows), c) for (rows, cols), c in self._terms.items()))
+                              {(cols, rows): c for (rows, cols), c in self._terms.items()})
 
     def dot(self, other: "MvMatrix"):
         """Frobenius scalar product; requires matching grade shapes."""
@@ -114,7 +114,7 @@ class MvMatrix(_Sparse):
             if (b := other._terms.get((rows, cols))) is not None:
                 odd = ((rows & t).bit_count() + (cols & t).bit_count()) & 1
                 total = total - a * b if odd else total + a * b
-        return _exact_terms([(0, total)]).get(0, 0)
+        return _exact_terms({0: total}).get(0, 0)
 
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         """Matrix product; contracts self's columns with other's rows."""
@@ -123,7 +123,7 @@ class MvMatrix(_Sparse):
             raise GradeError(f"cannot contract column grade {self.col_grade} "
                              f"with row grade {other.row_grade}")
         out = _contract(self.metric, self._terms.items(), other._terms.items())
-        return MvMatrix._make(self.metric, self.row_grade, other.col_grade, out.items())
+        return MvMatrix._make(self.metric, self.row_grade, other.col_grade, out)
 
     def __repr__(self) -> str:
         pairs = sorted(((_BLADE[r], _BLADE[c]), v) for (r, c), v in self._terms.items())
@@ -140,7 +140,7 @@ def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
     """matrix x vector: contracts columns against the vector's blades."""
     column = (((mask, 0), c) for mask, c in vector._terms.items())
     out = _apply(matrix, vector, "column", matrix.col_grade, matrix._terms.items(), column)
-    return Multivector._make(matrix.metric, matrix.row_grade, ((i, c) for (i, _), c in out))
+    return Multivector._make(matrix.metric, matrix.row_grade, {i: c for (i, _), c in out})
 
 
 def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
@@ -150,7 +150,7 @@ def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
     """
     row = (((0, mask), c) for mask, c in vector._terms.items())
     out = _apply(matrix, vector, "row", matrix.row_grade, row, matrix._terms.items())
-    return Multivector._make(matrix.metric, matrix.col_grade, ((j, c) for (_, j), c in out))
+    return Multivector._make(matrix.metric, matrix.col_grade, {j: c for (_, j), c in out})
 
 
 def _apply(matrix: MvMatrix, vector: Multivector, slot: str, grade: int, left, right):

@@ -176,7 +176,7 @@ class _ExprParser(_Parser):
                 if op.kind == "^":
                     value = value.wedge(rhs)
                 elif op.kind == ".":
-                    value = Multivector._make(self.metric, 0, ((0, value.dot(rhs)),))
+                    value = Multivector._make(self.metric, 0, {0: value.dot(rhs)})
                 elif op.kind == "LINT":
                     value = value.left_contract(rhs)
                 else:
@@ -190,10 +190,10 @@ class _ExprParser(_Parser):
         # literals are checked here, so they are built by the trusted ``_make``
         if tok.kind == "NUMBER":
             self.advance()
-            return Multivector._make(self.metric, 0, ((0, _rational(tok)),))
+            return Multivector._make(self.metric, 0, {0: _rational(tok)})
         if tok.kind == "POLY":
             self.advance()
-            return Multivector._make(self.metric, 0, ((0, self._poly(tok)),))
+            return Multivector._make(self.metric, 0, {0: self._poly(tok)})
         if tok.kind == "BLADE":
             self.advance()
             return self._blade(tok)
@@ -235,7 +235,7 @@ class _ExprParser(_Parser):
         dim = self.metric.dim
         if index >= dim:
             raise ExprError(f"coordinate x{index} out of range for dimension {dim}", tok.pos)
-        return PolyScalar._make(dim, (((0,) * index + (power,) + (0,) * (dim - index - 1), 1),))
+        return PolyScalar._make(dim, {(0,) * index + (power,) + (0,) * (dim - index - 1): 1})
 
     def _blade(self, tok: Token) -> Multivector:
         inner = tok.text[2:-1]
@@ -255,7 +255,7 @@ class _ExprParser(_Parser):
             )
         if any(i < 0 for i in indices):
             raise ExprError("blade indices must be nonnegative", tok.pos)
-        return Multivector._make(self.metric, len(indices), ((_MASK[indices], 1),))
+        return Multivector._make(self.metric, len(indices), {_MASK[indices]: 1})
 
 
 def parse_expr(text: str, metric: Metric) -> Multivector:

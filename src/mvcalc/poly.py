@@ -11,9 +11,9 @@ Fraction arithmetic.
 multivectors, matrices, formal expressions and densities): it holds
 their linear rules once, and each class differs only through its hooks.
 Public constructors validate; results of valid operands go through the
-trusted builder ``_make``, with the same canonical form: its
-``_exact_terms`` (shared by every trusted builder) makes one new dict per
-result in a plain loop.  ``terms`` is a view: a new copy on each access.
+trusted builder ``_make``, which adopts the dict its caller has just built:
+its ``_exact_terms`` keeps that dict when it is canonical and builds a
+cleaned copy only otherwise.  ``terms`` is a view: a new copy on each access.
 A ``PolyScalar`` is immutable, so it is safe as a dict key and as a
 shared coefficient.
 
@@ -64,13 +64,15 @@ def coefficient(value, nvars: int):
     return exact(value)
 
 
-def _exact_terms(items) -> dict:
-    """Trusted (key, coeff) pairs as a new dict: zeros dropped, integral Fractions made ints."""
-    out = {}  # a loop, not a comprehension: no second frame on every call
-    for key, c in items:
-        if c:
-            out[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
-    return out
+def _exact_terms(terms: dict) -> dict:
+    """The caller's new dict itself when canonical (nonzero ints and polynomials, Fractions
+    with a denominator above 1), else a copy with zeros dropped and integral Fractions made ints."""
+    for c in terms.values():
+        kind = type(c)
+        if not (c if kind is int else c._terms if kind is PolyScalar else c.denominator != 1):
+            return {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                    for key, c in terms.items() if c}
+    return terms
 
 
 def _lower_into(out: dict, terms: dict, index: int, negate: bool = False) -> dict:
@@ -87,14 +89,15 @@ class _Linear:
     """The linear rules of every value: an exact combination of keys, shared once.
 
     ``_terms`` maps each key to a nonzero exact coefficient.  The base owns
-    immutability, copy and pickle, ``is_zero``, ``+`` (one merge loop), ``-``,
+    immutability, copy and pickle, ``is_zero``, ``+`` and ``-`` (one merge loop),
     negation, scaling and ``==``, as SymPy's ``PolyElement``
     (``sympy/polys/rings.py``) shares its ring operations over one dict.
     Each class says how it differs through hooks:
 
-    * ``_make(*shape, items)``, the trusted builder; ``_shape()``, the
-      arguments it takes before the items, the space (a metric or a
-      variable count) first; ``_like(items)``, a value of this shape;
+    * ``_make(*shape, terms)``, the trusted builder, which adopts the new
+      ``terms`` dict; ``_shape()``, the arguments it takes before the terms,
+      the space (a metric or a variable count) first; ``_like(terms)``, a
+      value of this shape;
     * ``_operand(other)``, the term dict ``+`` merges, or NotImplemented;
     * ``_scalar(value)``, the coefficient protocol: ``value`` as a
       coefficient, or NotImplemented (AlgebraError for a polynomial in
@@ -115,20 +118,20 @@ class _Linear:
     __hash__ = None
 
     @classmethod
-    def _make(cls, items):
-        """Trusted builder from (key, coeff) pairs with distinct keys, built from valid operands."""
+    def _make(cls, terms: dict):
+        """Trusted builder adopting a new key -> coeff dict built from valid operands."""
         value = object.__new__(cls)
-        _put_terms(value, _exact_terms(items))
+        _put_terms(value, _exact_terms(terms))
         return value
 
     def _shape(self) -> tuple:
         return ()
 
-    def _like(self, items):
-        return self._make(*self._shape(), items)
+    def _like(self, terms: dict):
+        return self._make(*self._shape(), terms)
 
     def __reduce__(self):  # copy and pickle rebuild through the trusted builder
-        return self._make, (*self._shape(), list(self._terms.items()))
+        return self._make, (*self._shape(), dict(self._terms))
 
     def _operand(self, other):
         return other._terms if isinstance(other, type(self)) else NotImplemented
@@ -142,31 +145,32 @@ class _Linear:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __add__(self, other):
+    def __add__(self, other, negate=False):  # self - other with negate, in the same one pass
         terms = self._operand(other)
         if terms is NotImplemented:
             return NotImplemented
-        if terms and not self._terms and type(other) is type(self):
-            return other._like(terms.items())  # a zero takes the shape of what it is added to
+        if terms and not self._terms and type(other) is type(self):  # a zero takes other's shape
+            return other._like({key: -c for key, c in terms.items()} if negate else dict(terms))
         out = dict(self._terms)
         for key, coeff in terms.items():
             acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-        return self._like(out.items())
+            if negate:
+                out[key] = -coeff if acc is None else acc - coeff
+            else:
+                out[key] = coeff if acc is None else acc + coeff
+        return self._like(out)
 
-    def __sub__(self, other):
-        if self._operand(other) is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    def __sub__(self, other):  # through __add__, so an override of it sees a difference too
+        return self.__add__(other, True)
 
     def __neg__(self):
-        return self._like((key, -c) for key, c in self._terms.items())
+        return self._like({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, scalar):
         scalar = self._scalar(scalar)
         if scalar is NotImplemented:
             return NotImplemented
-        return self._like((key, scalar * c) for key, c in self._terms.items())
+        return self._like({key: scalar * c for key, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -203,18 +207,18 @@ class PolyScalar(_Linear):
         _put_terms(self, clean)
 
     @classmethod
-    def _make(cls, nvars: int, items) -> "PolyScalar":
-        """Trusted builder from (exponents, coeff) pairs computed from valid operands."""
+    def _make(cls, nvars: int, terms: dict) -> "PolyScalar":
+        """Trusted builder adopting a new exponents -> coeff dict computed from valid operands."""
         poly = object.__new__(cls)
         _put_nvars(poly, nvars)
-        _put_terms(poly, _exact_terms(items))
+        _put_terms(poly, _exact_terms(terms))
         return poly
 
     def _shape(self) -> tuple:
         return (self.nvars,)
 
-    def _like(self, items) -> "PolyScalar":
-        return PolyScalar._make(self.nvars, items)
+    def _like(self, terms: dict) -> "PolyScalar":
+        return PolyScalar._make(self.nvars, terms)
 
     @classmethod
     def constant(cls, nvars: int, value) -> "PolyScalar":
@@ -266,16 +270,13 @@ class PolyScalar(_Linear):
             for eb, cb in other._terms.items():
                 exps = tuple(map(operator.add, ea, eb))
                 out[exps] = out.get(exps, 0) + ca * cb
-        return PolyScalar._make(self.nvars, out.items())
+        return PolyScalar._make(self.nvars, out)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        # exact division by a nonzero rational only; polynomial division
-        # is out of scope
-        try:
-            other = exact(other)
-        except AlgebraError:
+    def __truediv__(self, other):  # by a nonzero rational only: no polynomial division
+        other = self._scalar(other)
+        if other is NotImplemented:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero")
@@ -308,7 +309,7 @@ class PolyScalar(_Linear):
             integer(index, "variable index")
         if not 0 <= index < self.nvars:
             raise AlgebraError(f"variable index {index} out of range")
-        return PolyScalar._make(self.nvars, _lower_into({}, self._terms, index).items())
+        return PolyScalar._make(self.nvars, _lower_into({}, self._terms, index))
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         if len(point) != self.nvars:

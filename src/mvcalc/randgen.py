@@ -49,7 +49,7 @@ def random_poly(rng: random.Random, nvars: int, max_terms: int = 3,
             exps[rng.randrange(nvars)] += 1
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + rng.choice(_COEFFS)
-    return PolyScalar._make(nvars, terms.items())  # a sum of zero is dropped there
+    return PolyScalar._make(nvars, terms)  # a sum of zero is dropped there
 
 
 def random_field(rng: random.Random, metric: Metric, grade: int,
@@ -64,15 +64,15 @@ def random_field(rng: random.Random, metric: Metric, grade: int,
         p = random_poly(rng, dim, max_terms, max_degree)
         if p:
             terms[_MASK[indices]] = p
-    return Multivector._make(metric, grade, terms.items())
+    return Multivector._make(metric, grade, terms)
 
 
 def random_constant_field(rng: random.Random, metric: Metric,
                           grade: int) -> Multivector:
     """Random field with plain rational components (no coordinate dependence)."""
-    return Multivector._make(metric, grade, [(_MASK[indices], rng.choice(_COEFFS))
+    return Multivector._make(metric, grade, {_MASK[indices]: rng.choice(_COEFFS)
                                              for indices in metric.blades(grade)
-                                             if rng.random() >= 0.5])
+                                             if rng.random() >= 0.5})
 
 
 def random_matrix_field(rng: random.Random, metric: Metric, row_grade: int,
@@ -87,7 +87,7 @@ def random_matrix_field(rng: random.Random, metric: Metric, row_grade: int,
             p = random_poly(rng, metric.dim, max_terms, max_degree)
             if p:
                 terms[(_MASK[rows], _MASK[cols])] = p
-    return MvMatrix._make(metric, row_grade, col_grade, terms.items())
+    return MvMatrix._make(metric, row_grade, col_grade, terms)
 
 
 def field_cases(rng: random.Random, metric: Metric, grade: int,
@@ -99,15 +99,15 @@ def field_cases(rng: random.Random, metric: Metric, grade: int,
     empty or constant input stay caught even at low trial counts.
     """
     blades = list(metric.blades(grade))  # refuses a grade that is not an int
-    cases: list[Multivector] = [Multivector._make(metric, grade, ())]
+    cases: list[Multivector] = [Multivector._make(metric, grade, {})]
     if len(cases) < count:
         cases.append(random_constant_field(rng, metric, grade))
     if blades and len(cases) < count:
         indices = rng.choice(blades)
         exps = [0] * metric.dim
         exps[rng.randrange(metric.dim)] = 1
-        mono = PolyScalar._make(metric.dim, ((tuple(exps), rng.choice(_COEFFS)),))
-        cases.append(Multivector._make(metric, grade, ((_MASK[indices], mono),)))
+        mono = PolyScalar._make(metric.dim, {tuple(exps): rng.choice(_COEFFS)})
+        cases.append(Multivector._make(metric, grade, {_MASK[indices]: mono}))
     while len(cases) < count:
         cases.append(random_field(rng, metric, grade))
     return cases[:count]

@@ -151,6 +151,11 @@ def _slot_grade(slot: Slot):
     return grade
 
 
+def _pair_key(left: Slot, right: Slot) -> tuple:
+    """A density key: the slot pair in symbol-name order."""
+    return (left, right) if left[1].name <= right[1].name else (right, left)
+
+
 def _chain_value(chain: tuple, sym: FieldSymbol, assignment: Mapping):
     """Run a chain (outermost first) on the field bound to sym, innermost op first."""
     try:
@@ -186,9 +191,9 @@ class LagrangianDensity(_Linear):
             grades = _slot_grade(left), _slot_grade(right)
             if grades[0] != grades[1]:
                 raise GradeError(f"dot product of unequal slot grades: {grades[0]} vs {grades[1]}")
-            key = (left, right) if left[1].name <= right[1].name else (right, left)
+            key = _pair_key(left, right)
             merged[key] = merged.get(key, 0) + coeff
-        _put_terms(self, _exact_terms(merged.items()))
+        _put_terms(self, _exact_terms(merged))
         self._checked()
 
     def _checked(self) -> "LagrangianDensity":
@@ -198,8 +203,8 @@ class LagrangianDensity(_Linear):
             raise AlgebraError(f"more than one dynamical symbol: {sorted(dyn)}")
         return self
 
-    def __add__(self, other):  # a sum is where a conflicting symbol can come in
-        total = _Linear.__add__(self, other)
+    def __add__(self, other, negate=False):  # a sum or difference can bring a conflicting symbol
+        total = _Linear.__add__(self, other, negate)
         return total if total is NotImplemented else total._checked()
 
     @property
@@ -250,11 +255,11 @@ class FormalExpr(_Linear):
                     raise AlgebraError(f"{CHAIN_OPS[op].text} may only appear as a standalone chain")
             key = (chain, symbol)
             clean[key] = clean.get(key, 0) + exact(coeff)
-        _put_terms(self, _exact_terms(clean.items()))
+        _put_terms(self, _exact_terms(clean))
 
     @classmethod
     def zero(cls) -> "FormalExpr":
-        return cls._make(())
+        return cls._make({})
 
     @classmethod
     def single(cls, chain, symbol: FieldSymbol, coeff=1) -> "FormalExpr":
@@ -285,7 +290,7 @@ class FormalExpr(_Linear):
             raise AlgebraError(f"cannot apply operator {op!r} to a formal expression")
         if self.is_matrix:
             raise AlgebraError("cannot apply a vector operator to a matrix expression")
-        return FormalExpr._make((((op,) + ch, sym), c) for (ch, sym), c in self._terms.items())
+        return FormalExpr._make({((op,) + ch, sym): c for (ch, sym), c in self._terms.items()})
 
     def divergence(self) -> "FormalExpr":
         """Matrix divergence of a dX expression: dX folds into lap.
@@ -295,7 +300,7 @@ class FormalExpr(_Linear):
         """
         if any(chain != ("tensor",) for chain, _ in self._terms):
             raise AlgebraError("divergence expects dX chains only")
-        return FormalExpr._make(((("lap",), sym), c) for (_, sym), c in self._terms.items())
+        return FormalExpr._make({(("lap",), sym): c for (_, sym), c in self._terms.items()})
 
     def evaluate(self, assignment: Mapping, metric: Metric | None = None,
                  grade: int | None = None) -> Multivector:
@@ -372,12 +377,12 @@ def vderiv(L: LagrangianDensity, wrt: Slot) -> FormalExpr:
     op, sym = wrt = _slot(wrt)
     if sym.role != "dynamical":
         raise AlgebraError(f"cannot vary source symbol {sym.name!r}")
-    out = []  # distinct pairs holding wrt have distinct partners, so the keys are distinct
+    out = {}  # distinct pairs holding wrt have distinct partners, so the keys are distinct
     for (left, right), coeff in L._terms.items():
         if left == wrt:  # the partner, doubled for the square
-            out.append(((right[0].chain, right[1]), 2 * coeff if right == wrt else coeff))
+            out[right[0].chain, right[1]] = 2 * coeff if right == wrt else coeff
         elif right == wrt:
-            out.append(((left[0].chain, left[1]), coeff))
+            out[left[0].chain, left[1]] = coeff
     return FormalExpr._make(out)
 
 
@@ -474,7 +479,7 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
                     if (hit := rule(K, 1 << i, 0)) is not None:
                         sig = metric.sign(i) if op is DerivOp.INT else 1
                         add(1 << i, hit[1], coeff * (-sig if hit[0] else sig) * vK)
-    return MvMatrix._make(metric, 1, a.grade, out.items())
+    return MvMatrix._make(metric, 1, a.grade, out)
 
 
 def first_variation(L: LagrangianDensity, a_value: Multivector,

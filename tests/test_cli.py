@@ -433,3 +433,19 @@ def test_dispatch_matches_the_full_parse(monkeypatch):
         "top" if err.startswith(top_usage) else "sub" if err.startswith("usage: mvcalc ")
         else code for code, _, err in direct)
     assert set(outcomes) == {0, 2, "sub", "top"} and min(outcomes.values()) > 20, outcomes
+
+
+@pytest.mark.parametrize("flag, literal", [
+    ("--m", "١"), ("--xi", "٢/٣"), ("--m", "１"), ("--xi", "２/3"),
+    ("--m", "1e٣"), ("--m", "1.٥"), ("--xi", "1/\U0001d7d9"), ("--m", "1_٠"),
+])
+def test_rational_literals_take_ascii_digits_only(flag, literal):
+    Fraction(literal)  # Fraction reads each of them, so the CLI must refuse it first
+    code, out, err = _derive_with(flag, literal)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"mvcalc derive: error: argument {flag}: " \
+                                   f"not a rational number: {literal!r}"
+
+
+def test_rational_literals_may_be_surrounded_by_unicode_whitespace():
+    assert _derive_with("--m", "　 2\xa0") == (0, "d_| ( d^ A ) + 4 * A = J\n", "")

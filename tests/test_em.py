@@ -19,7 +19,7 @@ from mvcalc.em import (
     wave_form,
 )
 from mvcalc.randgen import random_constant_field, random_field, rng_for
-from mvcalc.variational import DerivOp, euler_lagrange_exterior
+from mvcalc.variational import DerivOp, FieldSymbol, LagrangianDensity, euler_lagrange_exterior
 
 M13 = Metric(1, 3)
 M03 = Metric(0, 3)
@@ -244,3 +244,38 @@ def test_polarization_counts():
 def test_polarization_count_takes_only_ints(k, n, r):
     with pytest.raises(AlgebraError, match="integers only"):
         polarization_count(k, n, r)
+
+
+def _same_terms(built, expected):
+    # the validating constructor's keys, in its order, with its coefficient types
+    assert list(built._terms.items()) == list(expected._terms.items())
+    assert [type(c) for c in built._terms.values()] == [type(c) for c in expected._terms.values()]
+
+
+@pytest.mark.parametrize("metric", [Metric(1, 3), Metric(0, 3), Metric(2, 2), Metric(1, 1)])
+def test_preset_densities_match_the_validating_constructor(metric):
+    ID, EXT, INT = DerivOp.ID, DerivOp.EXT, DerivOp.INT
+    for r in range(1, metric.dim + 1):
+        sign = -1 if (r - 1) & 1 else 1
+        for mass in (0, 1, 2, Fraction(1, 2)):
+            for xi in (None, 1, 3, Fraction(1, 2), Fraction(2, 3)) if r >= 2 else (None,):
+                cfg = MaxwellConfig(metric, r, mass, xi)
+                for name, source in (("A", "J"), ("phi", "rho"), ("b", "a")):
+                    a, j = FieldSymbol(name, r - 1), FieldSymbol(source, r - 1, "source")
+                    terms = [(Fraction(sign, 2), (EXT, a), (EXT, a)), (1, (ID, j), (ID, a))]
+                    if mass:
+                        terms.append((-Fraction(mass) ** 2 / 2, (ID, a), (ID, a)))
+                    if xi is not None:
+                        terms.append((Fraction(sign, 2) / xi, (INT, a), (INT, a)))
+                    _same_terms(build_lagrangian(cfg, name, source), LagrangianDensity(terms))
+                with pytest.raises(AlgebraError, match="bound to two fields"):
+                    build_lagrangian(cfg, "A", "A")
+    for s in range(1, metric.dim + 1):
+        for name, source in (("Abar", "Jbar"), ("b", "a")):
+            a, j = FieldSymbol(name, s), FieldSymbol(source, s, "source")
+            sign = -1 if (s - 1) & 1 else 1
+            expected = LagrangianDensity([(Fraction(sign, 2), (INT, a), (INT, a)),
+                                          (1, (ID, j), (ID, a))])
+            _same_terms(build_dual_lagrangian(s, name, source), expected)
+        with pytest.raises(AlgebraError, match="bound to two fields"):
+            build_dual_lagrangian(s, "Abar", "Abar")

@@ -8,7 +8,8 @@ space (another metric, another variable count, a second dynamical symbol)
 and values of another type.  Each call returns an exact value or raises
 ``AlgebraError`` (``GradeError`` is one) or a ``TypeError`` that names the
 operator written; it never coerces a bad operand into a result.  On valid
-operands ``-`` is adding ``(-1) *`` and ``+`` is associative.
+operands ``-`` is adding ``(-1) *`` and the negation, zeros included, and
+``+`` is associative.
 """
 
 import copy
@@ -17,6 +18,7 @@ import pickle
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mvcalc import (AlgebraError, DerivOp, FieldSymbol, FormalExpr, LagrangianDensity, Metric,
@@ -137,3 +139,36 @@ def test_linear_laws_hold_on_valid_operands(values):
     for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
         twin = clone(a)
         assert type(twin) is type(a) and twin == a and exact_value(twin)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(FAMILIES)).flatmap(lambda name: st.tuples(*[FAMILIES[name][0]] * 2)),
+       st.booleans(), st.booleans())
+def test_subtraction_is_adding_the_negation(values, zero_left, zero_right):
+    a, b = values
+    a, b = a * 0 if zero_left else a, b * 0 if zero_right else b
+    difference, total = a - b, a + (-b)
+    assert difference == total and exact_value(difference)
+    # the same keys in the same order, with the same coefficient types
+    assert list(difference._terms.items()) == list(total._terms.items())
+    assert [type(c) for c in difference._terms.values()] == [type(c) for c in total._terms.values()]
+
+
+@pytest.mark.parametrize("zero, value", [
+    (Multivector.zero(M, 2), Multivector(M, 1, {(0,): 2, (2,): PolyScalar.variable(3, 1)})),
+    (MvMatrix.zero(M, 2, 1), MvMatrix(M, 1, 2, {((0,), (1, 2)): Fraction(1, 2)})),
+])
+def test_a_zero_minus_a_value_takes_its_shape(zero, value):
+    difference = zero - value
+    assert difference._shape() == value._shape() and difference == -value
+
+
+@FUZZ
+@given(densities(SQUARE_A, PAIRS))
+def test_density_difference_keeps_the_symbol_checks(density):
+    a_source = FieldSymbol("A", 1, "source")
+    clash = LagrangianDensity([(1, (DerivOp.ID, a_source), (DerivOp.ID, J))])
+    with pytest.raises(AlgebraError, match="bound to two fields"):
+        density - clash
+    with pytest.raises(AlgebraError, match="more than one dynamical symbol"):
+        density - LagrangianDensity([(1, *SQUARE_B)])

@@ -167,9 +167,13 @@ def test_exact_terms_normalises_each_pair_into_a_new_dict():
     pairs = {(0, 0): 0, (0, 1): Fraction(0), (0, 2): x0 - x0, (1, 0): Fraction(6, 3),
              (1, 1): Fraction(1, 2), (2, 0): x0}
     given_pairs = dict(pairs)
-    out = _exact_terms(pairs.items())
+    out = _exact_terms(pairs)
     assert out == {(1, 0): 2, (1, 1): Fraction(1, 2), (2, 0): x0}
     assert type(out[(1, 0)]) is int and type(out[(1, 1)]) is Fraction
     assert out is not pairs and pairs == given_pairs
-    once = (pair for pair in list(pairs.items()))
-    assert _exact_terms(once) == out and next(once, None) is None
+    # the adoption rule: a canonical dict is kept, one non-canonical coefficient makes a copy
+    assert _exact_terms(out) is out and _exact_terms({}) == {}
+    for key, c in pairs.items():
+        if c not in out.values():
+            given = {(2, 0): x0, key: c}
+            assert _exact_terms(given) is not given and given == {(2, 0): x0, key: c}

@@ -5,8 +5,9 @@ and their per-mask forms, and every other module imports them.  A copy
 defined anywhere else would be a second sign implementation, one that the
 verify properties on the public index helpers no longer check.  The
 ownership tests read the source with ``ast`` and import nothing.  The
-last test checks the per-mask forms against the rules on every mask pair
-of dimensions 1-6.
+last tests check the per-mask forms against the rules on every mask pair
+of dimensions 1-6, and the derivative step table against the rules and a
+bit-count oracle on every mask of those dimensions.
 """
 
 import ast
@@ -18,7 +19,7 @@ from mvcalc import indexes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mvcalc"
 OWNED = {"_Memo", "_MASK", "_BLADE", "_ABOVE", "_wedge_rule", "_left_rule", "_right_rule",
-         "_UPTO", "_FORMS"}
+         "_UPTO", "_FORMS", "_STEPS"}
 
 
 def bound_names(module: str) -> dict[str, int]:
@@ -72,3 +73,24 @@ def test_per_mask_forms_agree_with_the_rules(rule, dim):
                 for flip in (0, 1):
                     assert (odd + flip & 1, a ^ b) == (expected[0] ^ flip, expected[1]), \
                         (dim, k, a, b, flip)
+
+
+@pytest.mark.parametrize("rule", ["_wedge_rule", "_left_rule"])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_derivative_steps_agree_with_the_rules(rule, dim):
+    # _STEPS[rule, dim, A]: the (i, odd, mask) of each axis i with a term rule(e_i, e_A), in
+    # axis order; the derivative adds axis i's time-like parity where the rule takes it
+    left = rule == "_left_rule"
+    rule = getattr(indexes, rule)
+    for a in range(1 << dim):
+        steps = indexes._STEPS[rule, dim, a]
+        for k in range(dim + 1):
+            t = (1 << k) - 1
+            timed = [(i, odd ^ (left and i < k), mask) for i, odd, mask in steps]
+            assert timed == [(i, *hit) for i in range(dim)
+                             if (hit := rule(1 << i, a, t)) is not None], (dim, k, a)
+            # e_i ^ e_A passes e_i over A's axes below i; e_i _| e_A takes e_i over those above
+            oracle = [(i, (a >> i + 1).bit_count() + (i < k) & 1, a ^ 1 << i) if left
+                      else (i, (a & (1 << i) - 1).bit_count() & 1, a | 1 << i)
+                      for i in range(dim) if (a >> i & 1) == left]
+            assert timed == oracle, (dim, k, a)
