@@ -15,15 +15,19 @@ list and s(.,.) the merge signature:
     hodge         e_I^H       = D_II s(I, Ic) e_{Ic}
     inv. hodge    e_I^(H-1)   = D_IcIc s(Ic, I) e_{Ic}
 
-Terms are stored by blade bitmask (bit i set for each i in I).  Each
-row of the table is one of the three rules (mask, mask) -> (sign, mask)
-that ``mvcalc.indexes`` defines with its mask tables, with signs from
-popcounts.  Index tuples appear only at the API; ``terms`` is a
-tuple-keyed view of the masks built on each access.
+Terms are stored by blade bitmask (bit i set for each i in I).  The
+wedge and the left contraction are the two rules (mask, mask) -> (sign,
+mask) of ``mvcalc.indexes``, with signs from popcounts.  The other rows
+follow from the left rule by a grade sign: e_J |_ e_I is e_I _| e_J,
+negated when |I| |J\\I| is odd, and a Hodge dual relabels e_I as e_Ic with
+the sign of e_I _| e_full, D_II s(Ic, I), negated when g (dim - g) is odd
+for hodge at grade g, or when k is odd for its inverse (D_II D_IcIc =
+(-1)^k).  Index tuples appear only at the API; ``terms`` is a tuple-keyed
+view of the masks.
 
-``Multivector._product`` runs every product on one of two loops.  An
-empty operand gives the zero of the stated grade at once.  A single-term
-operand (most products of a verify run, and both Hodge duals) runs
+``Multivector._product`` runs every binary product on one of two loops.
+An empty operand gives the zero of the stated grade at once.  A
+single-term operand (most products of a verify run) runs
 ``_accumulate``, one rule call per pair: there the pairs are few, and
 preparing each term first cost more than the calls it saved.  Two
 multi-term operands run ``_accumulate_forms`` on the rule's per-mask form
@@ -57,7 +61,7 @@ from math import lcm
 from typing import Iterator, Mapping
 
 from .indexes import (_BLADE, _FORMS, _MASK, MAX_DIM, AlgebraError, Record, _left_rule, _mask,
-                      _right_rule, _wedge_rule, as_tuple, check_canonical, integer, term_items)
+                      _wedge_rule, as_tuple, check_canonical, integer, term_items)
 from .poly import (PolyScalar, _exact_terms, _Linear, _put_terms, coefficient, number_text,
                    signed_sum)
 
@@ -271,20 +275,28 @@ class Multivector(_Sparse):
     def right_contract(self, other: "Multivector") -> "Multivector":
         """Right interior product self |_ other; lowers self's grade by other's."""
         self._require_same_space(other)
-        return self._product(_right_rule, self._terms, other._terms, self.grade - other.grade)
+        grade = self.grade - other.grade
+        return self._product(_left_rule, other._terms, self._terms, grade,
+                             other.grade * grade & 1)
 
     def hodge(self) -> "Multivector":
-        """Hodge complement, blade by blade: the pseudoscalar |_ self."""
-        dim = self.metric.dim
-        return self._product(_right_rule, {(1 << dim) - 1: None}, self._terms,
-                             dim - self.grade)
+        """Hodge complement, blade by blade: e_I -> D_II s(I, Ic) e_Ic."""
+        grade = self.grade
+        return self._dual(grade * (self.metric.dim - grade) & 1)
 
     def inv_hodge(self) -> "Multivector":
         """Inverse Hodge complement: inv_hodge(hodge(a)) == a."""
-        # self _| pseudoscalar, flipped by D of the pseudoscalar: D_II -> D_IcIc
-        dim = self.metric.dim
-        return self._product(_left_rule, self._terms, {(1 << dim) - 1: None},
-                             dim - self.grade, flip=self.metric.k & 1)
+        return self._dual(self.metric.k & 1)
+
+    def _dual(self, flip: int) -> "Multivector":
+        """Each term e_I moved to its complement with the sign of e_I _| e_full, flipped."""
+        metric = self.metric
+        full, t = (1 << metric.dim) - 1, (1 << metric.k) - 1
+        out = {}
+        for mask, c in self._terms.items():
+            odd, rest = _left_rule(mask, full, t)
+            out[rest] = -c if odd ^ flip else c
+        return Multivector._make(metric, metric.dim - self.grade, out)
 
     # -- canonical text -----------------------------------------------------
 
@@ -320,9 +332,8 @@ def _blade_term_text(indices: tuple, coeff) -> tuple[bool, str]:
 def _accumulate(out: dict, rule, t: int, left, right, flip: int = 0) -> dict:
     """Add the rule's product of every (left, right) pair of (mask, coeff) into out.
 
-    A coeff of None is the unit and is not multiplied; ``flip=1`` negates
-    every product.  A negative product is subtracted, not multiplied by -1.
-    Cancelled sums stay as zeros for ``Multivector._make`` to drop.
+    ``flip=1`` negates every product; a negative product is subtracted, not
+    multiplied by -1.  Cancelled sums stay as zeros for ``_make`` to drop.
     """
     for a, ca in left:
         for b, cb in right:
@@ -330,7 +341,7 @@ def _accumulate(out: dict, rule, t: int, left, right, flip: int = 0) -> dict:
             if hit is None:
                 continue
             odd, mask = hit
-            term = cb if ca is None else ca if cb is None else ca * cb
+            term = ca * cb
             acc = out.get(mask)
             if acc is None:
                 out[mask] = -term if odd ^ flip else term
@@ -344,29 +355,25 @@ def _accumulate(out: dict, rule, t: int, left, right, flip: int = 0) -> dict:
 def _accumulate_forms(out: dict, form, t: int, left, right, flip: int = 0) -> dict:
     """``_accumulate`` on a rule's per-mask form (``indexes._FORMS``), with no call per pair.
 
-    Each term is looked up once, its time-like parity (and ``flip``) added to
-    eA or fB; then a pair (A, B) gives a term iff hA & hB == 0, with mask
-    A ^ B and parity popcount(pA & B) + eA + fB.  No coeff is the None unit,
-    which only the Hodge duals' single-term operand carries.
+    Each left term is looked up once, its time-like parity (and ``flip``) added
+    to eA; then a pair (A, B) gives a term iff A & hB == 0, with mask A ^ B and
+    parity popcount(pA & B) + eA.
     """
-    part_l, part_r, time_l, time_r = form
-    t_l, t_r = t & time_l, t & time_r
+    part, x, time = form
+    t &= time
     lhs = []
     for a, ca in left:
-        ha, pa, ea = part_l[a]
-        lhs.append((a, ha, pa, ea + (a & t_l).bit_count() + flip, ca))
-    rhs = []
-    for b, cb in right:
-        hb, fb = part_r[b]
-        rhs.append((b, hb, fb + (b & t_r).bit_count(), cb))
-    for a, ha, pa, ea, ca in lhs:
-        for b, hb, fb, cb in rhs:
-            if ha & hb:
+        pa, ea = part[a]
+        lhs.append((a, pa, ea + (a & t).bit_count() + flip, ca))
+    rhs = [(b, b ^ x, cb) for b, cb in right]
+    for a, pa, ea, ca in lhs:
+        for b, hb, cb in rhs:
+            if a & hb:
                 continue
             mask = a ^ b
             term = ca * cb
             acc = out.get(mask)
-            if (pa & b).bit_count() + ea + fb & 1:
+            if (pa & b).bit_count() + ea & 1:
                 out[mask] = -term if acc is None else acc - term
             else:
                 out[mask] = term if acc is None else acc + term

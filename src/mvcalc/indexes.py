@@ -11,26 +11,30 @@ list of ints, checked for type, order and range (below MAX_DIM when no
 dimension is given) before any table lookup.  A brute-force parity
 oracle lives in the verification suite, not here.
 
+There are two sign rules, the wedge and the left contraction.  The other
+products follow from them by grade signs, since s(X, Y) s(Y, X) =
+(-1)^(|X||Y|) for disjoint X and Y: the right contraction is e_A |_ e_B =
+(-1)^(|B||A\\B|) e_B _| e_A, and each Hodge dual relabels e_I to its
+complement with the sign of e_I _| e_full and one grade parity.
+
 Each rule also has a per-mask form (``_FORMS``), so that a product of two
 term lists can look each term up once and test its pairs with no call:
-the pair (A, B) gives a term iff hA & hB == 0, with mask A ^ B and sign
-parity popcount(pA & B) + eA + fB, where
+the pair (A, B) gives a term iff A & hB == 0, with mask A ^ B and sign
+parity popcount(pA & B) + eA, where
 
-    rule          left term (hA, pA, eA)      right term (hB, fB)
-    wedge         (A, above(A), 0)            (B, 0)
-    left int.     (A, upto(A), T(|A|))        (~B, 0)
-    right int.    (~A, upto(A), 0)            (B, T(|B|))
+    rule          left term (pA, eA)        right term hB
+    wedge         (above(A), 0)             B
+    left int.     (upto(A), T(|A|))         ~B
 
 with T(m) = C(m+1, 2) mod 2, and the time-like parity popcount(A & t)
-added to eA (left int.) or popcount(B & t) to fB (right int.).  Here
-above(A) has bit j set when an odd number of A's bits lie above j, and
-upto(A) when an odd number lie at or below j.  The derivation: let
-N(X, Y) count the pairs x in X, y in Y with x > y, so that s(X, Y) =
-(-1)^N(X, Y) and N(X, Y) = popcount(above(X) & Y) mod 2, which is the
-wedge row.  Counted from A's side, N(B, A) = #{a <= b} - |A & B| =
-popcount(upto(A) & B) - m mod 2, where m = |A & B| is the grade of the
-contained operand.  A contraction's sign s(B\\A, A) (A <= B) or s(B, A\\B)
-(B <= A) drops the m(m-1)/2 pairs inside that operand from N(B, A), and
+added to eA (left int.).  Here above(A) has bit j set when an odd number
+of A's bits lie above j, and upto(A) when an odd number lie at or below
+j.  The derivation: let N(X, Y) count the pairs x in X, y in Y with
+x > y, so that s(X, Y) = (-1)^N(X, Y) and N(X, Y) = popcount(above(X) &
+Y) mod 2, which is the wedge row.  Counted from A's side, N(B, A) =
+#{a <= b} - |A & B| = popcount(upto(A) & B) - m mod 2, where m = |A| is
+the grade of the contained operand.  The left contraction's sign
+s(B\\A, A) (A <= B) drops the m(m-1)/2 pairs inside A from N(B, A), and
 m + C(m, 2) = C(m+1, 2) gives the T term.
 
 The derivatives ``d^`` and ``d_|`` walk ``_STEPS``: per (rule, dimension,
@@ -126,13 +130,6 @@ def _dimension(dim) -> int:
     if not 0 <= integer(dim, "dimension") <= MAX_DIM:
         raise AlgebraError(f"dimension {dim} out of range [0, {MAX_DIM}]")
     return dim
-
-
-def is_canonical(indices) -> bool:
-    """True when the index list is strictly increasing."""
-    indices = as_tuple(indices, "index list")
-    _check_ints(indices)
-    return all(a < b for a, b in zip(indices, indices[1:]))
 
 
 def check_canonical(indices: tuple, dim: Optional[int] = None) -> None:
@@ -243,23 +240,12 @@ def _left_rule(a: int, b: int, t: int):
     return ((_ABOVE[rest] & a).bit_count() + (a & t).bit_count()) & 1, rest
 
 
-def _right_rule(a: int, b: int, t: int):
-    """e_A |_ e_B = D_BB s(B, A\\B) e_{A\\B}; no term unless B <= A."""
-    if a & b != b:
-        return None
-    rest = a ^ b
-    return ((_ABOVE[b] & rest).bit_count() + (b & t).bit_count()) & 1, rest
-
-
 # Per-mask forms of the rules, lazy like the tables (see the module docstring):
-# rule -> (A -> (hA, pA, eA), B -> (hB, fB), left t-mask, right t-mask), where a
-# product adds popcount(A & t & left t-mask) to eA and the same for B to fB.
+# rule -> (A -> (pA, eA), x, t-mask), where hB = B ^ x and a product adds
+# popcount(A & t & t-mask) to eA.
 _FORMS = {
-    _wedge_rule: (_Memo(lambda a: (a, _ABOVE[a], 0)), _Memo(lambda b: (b, 0)), 0, 0),
-    _left_rule: (_Memo(lambda a: (a, _UPTO[a], (a.bit_count() + 1) >> 1 & 1)),
-                 _Memo(lambda b: (~b, 0)), -1, 0),
-    _right_rule: (_Memo(lambda a: (~a, _UPTO[a], 0)),
-                  _Memo(lambda b: (b, (b.bit_count() + 1) >> 1 & 1)), 0, -1),
+    _wedge_rule: (_Memo(lambda a: (_ABOVE[a], 0)), 0, 0),
+    _left_rule: (_Memo(lambda a: (_UPTO[a], (a.bit_count() + 1) >> 1 & 1)), -1, -1),
 }
 
 # Derivative step table, lazy: (rule, dim, A) -> the (i, odd, mask) of each axis i < dim

@@ -23,9 +23,10 @@ every unary '-', 'd^', 'd_|', parenthesis and hodge/invhodge call that
 encloses a factor; a deeper one raises ExprError at the offset of the
 first token past the cap.
 
-Every error carries the character offset it was raised at.  The
-canonical text printed for a multivector parses back to an equal value,
-which the round-trip property relies on.
+Every error carries the character offset it was raised at; a value that
+is not a str fails at offset 0.  The canonical text printed for a
+multivector parses back to an equal value, which the round-trip property
+relies on.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ def _rational(tok: Token) -> Fraction:
 
 class _Parser:
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise ExprError(f"expected text, got {type(text).__name__}", 0)
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0

@@ -50,7 +50,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import calculus
 from .blades import AlgebraError, GradeError, Metric, Multivector, require_same_metric
 from .calculus import matrix_divergence
-from .indexes import Record, _right_rule, _wedge_rule, integer
+from .indexes import Record, _left_rule, _wedge_rule, integer
 from .matrices import MvMatrix, mat_vec
 from .poly import _exact_terms, _Linear, _put_terms, exact, number_text, signed_sum
 
@@ -472,13 +472,16 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
                 for (rows, cols), v in other_val._terms.items():
                     add(rows, cols, coeff * v)
                 continue
-            # ext: e_K |_ e_i = s(i, K\i) e_{K\i}; int: e_K ^ e_i = s(K, i) e_{K+i}
-            rule = _right_rule if op is DerivOp.EXT else _wedge_rule
+            # ext: e_K |_ e_i = s(i, K\i) e_{K\i} = (-1)^(|K|-1) e_i _| e_K;
+            # int: e_K ^ e_i = s(K, i) e_{K+i}
+            ext = op is DerivOp.EXT
             for K, vK in other_val._terms.items():
+                flip = K.bit_count() - 1 & 1 if ext else 0
                 for i in range(metric.dim):
-                    if (hit := rule(K, 1 << i, 0)) is not None:
-                        sig = metric.sign(i) if op is DerivOp.INT else 1
-                        add(1 << i, hit[1], coeff * (-sig if hit[0] else sig) * vK)
+                    if (hit := _left_rule(1 << i, K, 0) if ext
+                            else _wedge_rule(K, 1 << i, 0)) is not None:
+                        sig = 1 if ext else metric.sign(i)
+                        add(1 << i, hit[1], coeff * (-sig if hit[0] ^ flip else sig) * vK)
     return MvMatrix._make(metric, 1, a.grade, out)
 
 

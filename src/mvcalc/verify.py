@@ -622,13 +622,13 @@ def _prop_display_matches_raw_equation(rng, trials):
     for metric in BATTERY_METRICS:
         for r in range(1, metric.dim + 1):
             for cfg in _configs_for(metric, r):
+                raw = euler_lagrange_exterior(build_lagrangian(cfg))
+                disp = derive_equations(cfg)
                 for case in range(per):
                     assignment = {
                         "A": random_field(rng, metric, r - 1),
                         "J": random_field(rng, metric, r - 1),
                     }
-                    raw = euler_lagrange_exterior(build_lagrangian(cfg))
-                    disp = derive_equations(cfg)
                     ok = disp.residual(assignment, metric) == -raw.residual(
                         assignment, metric
                     )

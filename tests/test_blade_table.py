@@ -3,7 +3,9 @@
 Every pair of basis blades in every (k, n) with k + n <= 5 goes through
 ``wedge``, both contractions, ``dot``, ``hodge`` and ``inv_hodge``, and
 every blade times a coordinate goes through the three first-order
-derivatives.  Expected values follow the product table in the
+derivatives.  The right contraction and both duals, which the library
+derives from the left-contraction rule, are also checked on multi-term
+operands through k + n <= 6.  Expected values follow the product table in the
 ``mvcalc.blades`` docstring and the derivative sums in the
 ``mvcalc.calculus`` docstring, with signs from the swap-counting
 ``transposition_parity`` on concatenated index tuples and metric signs
@@ -12,6 +14,7 @@ counted directly, so nothing here shares code with the product kernel.
 
 import itertools
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -82,8 +85,8 @@ def _expect(metric, grade, blade, coeff):
 def _assert_same(result, expected):
     assert result.grade == expected.grade
     assert result.terms == expected.terms
-    assert [type(c) for c in result.terms.values()] == [
-        type(c) for c in expected.terms.values()]
+    assert {I: type(c) for I, c in result.terms.items()} == {
+        I: type(c) for I, c in expected.terms.items()}
 
 
 @pytest.mark.parametrize("kind", ["fraction", "poly"])
@@ -144,3 +147,54 @@ def test_first_derivatives_match_the_sums(k, n):
             metric, len(I) - 1, rest, None if rest is None else _s(rest, (j,)) * one))
         _assert_same(right_int_deriv(field), _expect(
             metric, len(I) - 1, rest, None if rest is None else _s((j,), rest) * one))
+
+
+METRICS_TO_6 = [(k, dim - k) for dim in range(1, 7) for k in range(dim + 1)]
+
+
+def _random_coefficient(rng, kind, dim):
+    value = rng.choice([v for v in range(-9, 10) if v])
+    if kind == "int":
+        return value
+    if kind == "fraction":
+        return Fraction(value, rng.randint(2, 7))
+    return PolyScalar.variable(dim, rng.randrange(dim)) * value + Fraction(1, rng.randint(1, 3))
+
+
+def _random_operand(rng, dim, grade, kind):
+    """Up to four blades of ``grade`` (every blade when fewer), as an index-list dict."""
+    blades = list(itertools.combinations(range(dim), grade))
+    return {I: _random_coefficient(rng, kind, dim) for I in rng.sample(blades, min(4, len(blades)))}
+
+
+def _table_sum(metric, grade, products):
+    """The Multivector of ``grade`` summing (blade, coefficient) products of the table."""
+    out = {}
+    for blade, c in products:
+        out[blade] = out.get(blade, 0) + c
+    return Multivector(metric, grade, out)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "poly"])
+@pytest.mark.parametrize("k, n", METRICS_TO_6)
+def test_derived_products_match_the_table_on_multi_term_operands(k, n, kind):
+    metric = Metric(k, n)
+    dim = metric.dim
+    rng = random.Random(f"derived-products:{k}:{n}:{kind}")
+    full = tuple(range(dim))
+    for ga in range(dim + 1):
+        terms = _random_operand(rng, dim, ga, kind)
+        a = Multivector(metric, ga, terms)
+        comps = [(I, tuple(i for i in full if i not in I), c) for I, c in terms.items()]
+        _assert_same(a.hodge(), _table_sum(metric, dim - ga, [
+            (comp, _d(k, I) * _s(I, comp) * c) for I, comp, c in comps]))
+        _assert_same(a.inv_hodge(), _table_sum(metric, dim - ga, [
+            (comp, _d(k, comp) * _s(comp, I) * c) for I, comp, c in comps]))
+        for gb in range(dim + 1):
+            other = _random_operand(rng, dim, gb, kind)
+            b = Multivector(metric, gb, other)
+            # e_J |_ e_I = D_II s(I, J\I) e_{J\I} for I <= J
+            _assert_same(a.right_contract(b), _table_sum(metric, ga - gb, [
+                (rest, _d(k, I) * _s(I, rest) * cj * ci)
+                for (J, cj), (I, ci) in itertools.product(terms.items(), other.items())
+                if (rest := _minus(J, I)) is not None]))

@@ -198,6 +198,16 @@ def test_lagrangian_trailing_garbage():
         parse_lagrangian("(A . A) (", SYMBOLS)
 
 
+@pytest.mark.parametrize("text", [None, b"e[0]", 7, ["e[0]"]], ids=repr)
+@pytest.mark.parametrize("parse", [lambda text: parse_expr(text, M13),
+                                   lambda text: parse_lagrangian(text, {})],
+                         ids=["parse_expr", "parse_lagrangian"])
+def test_text_that_is_not_a_str_fails_at_offset_zero(parse, text):
+    with pytest.raises(ExprError, match=f"expected text, got {type(text).__name__}") as err:
+        parse(text)
+    assert err.value.offset == 0
+
+
 # -- the single-scan tokenizer and the trusted literals ------------------------------
 
 def loop_tokenize(text):

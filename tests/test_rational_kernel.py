@@ -201,6 +201,17 @@ def test_operands_outside_the_rule_decline_the_lift(route):
     assert _lift(ints._terms, fractions._terms) is not None
 
 
+def test_hodge_duals_run_no_product_kernel(route):
+    # each dual relabels its terms one to one, so no product route runs
+    x0 = PolyScalar.variable(4, 0)
+    for value in (Multivector(M13, 2, {(0, 1): HALF, (1, 2): THIRD, (2, 3): 4}),
+                  Multivector(M13, 1, {(0,): x0, (3,): Fraction(5, 7)}),
+                  Multivector(E4, 3, {(0, 1, 3): 2}), Multivector(E4, 2)):
+        route.clear()
+        assert value.hodge().inv_hodge() == value == value.inv_hodge().hodge()
+        assert route == []
+
+
 def test_dot_is_canonical_on_the_unlifted_path_too():
     # single terms and polynomials are not lifted; their sums came back
     # as Fraction(1, 1), Fraction(0, 1) and a zero PolyScalar

@@ -1,6 +1,6 @@
 """The blade-mask tables and the sign rules are defined in ``indexes`` alone.
 
-``mvcalc.indexes`` owns ``_Memo``, the mask tables, the three sign rules
+``mvcalc.indexes`` owns ``_Memo``, the mask tables, the two sign rules
 and their per-mask forms, and every other module imports them.  A copy
 defined anywhere else would be a second sign implementation, one that the
 verify properties on the public index helpers no longer check.  The
@@ -18,8 +18,8 @@ import pytest
 from mvcalc import indexes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mvcalc"
-OWNED = {"_Memo", "_MASK", "_BLADE", "_ABOVE", "_wedge_rule", "_left_rule", "_right_rule",
-         "_UPTO", "_FORMS", "_STEPS"}
+OWNED = {"_Memo", "_MASK", "_BLADE", "_ABOVE", "_wedge_rule", "_left_rule", "_UPTO", "_FORMS",
+         "_STEPS"}
 
 
 def bound_names(module: str) -> dict[str, int]:
@@ -50,26 +50,25 @@ def test_no_other_module_defines_a_table_or_rule(module):
     assert not found, f"{module} defines {found}"
 
 
-@pytest.mark.parametrize("rule", ["_wedge_rule", "_left_rule", "_right_rule"])
+@pytest.mark.parametrize("rule", ["_wedge_rule", "_left_rule"])
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_per_mask_forms_agree_with_the_rules(rule, dim):
-    # (A, B) gives a term iff hA & hB == 0, with mask A ^ B and parity
-    # popcount(pA & B) + eA + fB, the time-like parts on the side _FORMS names
+    # (A, B) gives a term iff A & hB == 0, with hB = B ^ x, mask A ^ B and parity
+    # popcount(pA & B) + eA, eA taking A's time-like parity where _FORMS names it
     rule = getattr(indexes, rule)
-    part_l, part_r, time_l, time_r = indexes._FORMS[rule]
+    part, x, time = indexes._FORMS[rule]
     masks = range(1 << dim)
     for k in range(dim + 1):
         t = (1 << k) - 1
         for a in masks:
-            ha, pa, ea = part_l[a]
-            ea += (a & t & time_l).bit_count()
+            pa, ea = part[a]
+            ea += (a & t & time).bit_count()
             for b in masks:
-                hb, fb = part_r[b]
                 expected = rule(a, b, t)
-                assert (expected is not None) == (ha & hb == 0), (dim, k, a, b)
+                assert (expected is not None) == (a & (b ^ x) == 0), (dim, k, a, b)
                 if expected is None:
                     continue
-                odd = (pa & b).bit_count() + ea + fb + (b & t & time_r).bit_count()
+                odd = (pa & b).bit_count() + ea
                 for flip in (0, 1):
                     assert (odd + flip & 1, a ^ b) == (expected[0] ^ flip, expected[1]), \
                         (dim, k, a, b, flip)
