@@ -35,10 +35,17 @@ and ``d_|`` visit only the axes with a term (``indexes._STEPS``).
 
 from __future__ import annotations
 
-from .blades import GradeError, Metric, Multivector, require_same_metric
+from .blades import AlgebraError, GradeError, Metric, Multivector, require_same_metric
 from .indexes import _STEPS, _left_rule, _wedge_rule
 from .matrices import MvMatrix
 from .poly import PolyScalar, _lower_into, partial
+
+
+def _require(value, kind=Multivector):
+    """``value`` if it is a ``kind``, else AlgebraError; the operators' entry check."""
+    if not isinstance(value, kind):
+        raise AlgebraError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _polys(nvars: int, out: dict) -> dict:
@@ -46,26 +53,27 @@ def _polys(nvars: int, out: dict) -> dict:
     return {key: PolyScalar._make(nvars, terms) for key, terms in out.items() if terms}
 
 
-def _vector_deriv(field: Multivector, rule, time_flip: bool, grade: int) -> Multivector:
-    """sum_i rule(e_i, d_i field), run with no time-like axes; D_ii if ``time_flip``."""
-    metric, out = field.metric, {}
+def _vector_deriv(field: Multivector, rule, time_flip: bool, shift: int) -> Multivector:
+    """sum_i rule(e_i, d_i field), of grade gr + ``shift``, run with no time-like axes;
+    D_ii if ``time_flip``."""
+    metric, out = _require(field).metric, {}
     dim, k = metric.dim, metric.k if time_flip else 0
     for mask, coeff in field._terms.items():
         if isinstance(coeff, PolyScalar):
             for i, odd, hit in _STEPS[rule, dim, mask]:
                 _lower_into(out.setdefault(hit, {}), coeff._terms, i, odd ^ (i < k))
-    return Multivector._make(metric, grade, _polys(dim, out))
+    return Multivector._make(metric, field.grade + shift, _polys(dim, out))
 
 
 def ext_deriv(field: Multivector) -> Multivector:
     """Exterior derivative; raises the grade by one (zero at top grade)."""
-    return _vector_deriv(field, _wedge_rule, True, field.grade + 1)
+    return _vector_deriv(field, _wedge_rule, True, 1)
 
 
 def int_deriv(field: Multivector) -> Multivector:
     """Interior derivative; lowers the grade by one (zero at grade 0)."""
     # the contraction's D_ii cancels the D_ii of the reciprocal frame
-    return _vector_deriv(field, _left_rule, False, field.grade - 1)
+    return _vector_deriv(field, _left_rule, False, -1)
 
 
 def right_int_deriv(field: Multivector) -> Multivector:
@@ -80,7 +88,7 @@ def right_int_deriv(field: Multivector) -> Multivector:
 
 def tensor_deriv(field: Multivector) -> MvMatrix:
     """Tensor derivative: row grade 1 matrix of all first partials."""
-    dim, k, out = field.metric.dim, field.metric.k, {}
+    dim, k, out = _require(field).metric.dim, field.metric.k, {}
     for mask, coeff in field._terms.items():
         if isinstance(coeff, PolyScalar):
             for i in range(dim):
@@ -90,7 +98,7 @@ def tensor_deriv(field: Multivector) -> MvMatrix:
 
 def laplacian(field: Multivector) -> Multivector:
     """Component-wise d'Alembertian sum_i D_ii d_i^2, grade unchanged."""
-    dim, k, out = field.metric.dim, field.metric.k, {}
+    dim, k, out = _require(field).metric.dim, field.metric.k, {}
     for mask, c in field._terms.items():
         if isinstance(c, PolyScalar):
             for i in range(dim):
@@ -104,7 +112,7 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
     Contracting the derivative against the row slot cancels the metric
     signs, leaving sum_{i,J} d_i b_{i,J} e_J.
     """
-    if matrix.row_grade != 1 and matrix._terms:
+    if _require(matrix, MvMatrix).row_grade != 1 and matrix._terms:
         raise GradeError("matrix divergence needs row grade 1")
     out: dict[int, dict] = {}
     for (row, cols), coeff in matrix._terms.items():
@@ -115,7 +123,7 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
 
 def divergence_scalar(field: Multivector):
     """Divergence of a 1-vector field as a scalar, sum_i d_i v_i; int 0 with no polynomial."""
-    if field.grade != 1 and field._terms:
+    if _require(field).grade != 1 and field._terms:
         raise GradeError("scalar divergence needs a 1-vector field")
     terms = None
     for mask, coeff in field._terms.items():
@@ -126,9 +134,9 @@ def divergence_scalar(field: Multivector):
 
 def directional_deriv(direction: Multivector, field: Multivector) -> Multivector:
     """Convective derivative (v . d) a, component-wise sum_i v_i d_i a_I."""
-    if direction.grade != 1 and direction._terms:
+    if _require(direction).grade != 1 and direction._terms:
         raise GradeError("direction must be a 1-vector field")
-    require_same_metric(direction.metric, field.metric)
+    require_same_metric(direction.metric, _require(field).metric)
     return Multivector._make(field.metric, field.grade, {
         mask: sum(v * d for unit, v in direction._terms.items()
                   if (d := partial(coeff, unit.bit_length() - 1)))

@@ -126,7 +126,12 @@ def _symbol_table(symbols: Iterable[FieldSymbol]) -> dict[str, FieldSymbol]:
 
 def _slot(slot) -> Slot:
     """A (DerivOp, FieldSymbol) pair; the op may also be given by its token."""
-    op, sym = slot
+    try:
+        op, sym = slot
+    except (TypeError, ValueError):
+        sym = None
+    if not isinstance(sym, FieldSymbol):
+        raise AlgebraError(f"a slot is an (operator, FieldSymbol) pair, got {slot!r}")
     try:
         return DerivOp(op), sym
     except ValueError:
@@ -185,7 +190,11 @@ class LagrangianDensity(_Linear):
 
     def __init__(self, terms: Iterable[tuple]):
         merged: dict[tuple, int | Fraction] = {}
-        for coeff, left, right in terms:
+        for term in terms:
+            try:
+                coeff, left, right = term
+            except (TypeError, ValueError):
+                raise AlgebraError(f"a density term is (coeff, slot, slot), got {term!r}") from None
             coeff = exact(coeff)
             left, right = _slot(left), _slot(right)
             grades = _slot_grade(left), _slot_grade(right)

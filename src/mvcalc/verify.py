@@ -6,6 +6,11 @@ come in two flavours: exhaustive sweeps over small dimensions, and
 randomized sweeps driven by a generator keyed to (seed, suite/name),
 so a report is reproducible from its seed alone.
 
+A label is a tuple ``(template, *values)``, the template with bare ``{}``
+fields only, and the runner formats just the label a report shows.  It is
+a tuple, not a closure, so that its values are taken at the yield, before
+the generator's loop variables move on; no value is mutated after it.
+
 The exhaustive sweeps share their loops: ``_unit_blades`` yields each
 metric split with its unit blades, each built once per split;
 ``_blade_pairs`` yields every ordered pair of them with its case label;
@@ -127,12 +132,12 @@ def _unit_blades(max_dim: int) -> Iterator[tuple[Metric, list[tuple[tuple, Multi
         yield metric, [(I, Multivector.blade(metric, I)) for I in _subsets(metric.dim)]
 
 
-def _blade_pairs(max_dim: int) -> Iterator[tuple[str, Multivector, Multivector]]:
+def _blade_pairs(max_dim: int) -> Iterator[tuple[tuple, Multivector, Multivector]]:
     """(label, e_I, e_J) for every ordered pair of unit blades of every split."""
     for metric, blades in _unit_blades(max_dim):
         for I, a in blades:
             for J, b in blades:
-                yield f"({metric.k},{metric.n}) I={I} J={J}", a, b
+                yield ("({},{}) I={} J={}", metric.k, metric.n, I, J), a, b
 
 
 def _index_partitions(max_dim: int, parts: int) -> Iterator[tuple[int, list[tuple]]]:
@@ -164,14 +169,14 @@ def _prop_signature_matches_swap_count(rng, trials):
     for case in range(250 * trials):
         length = rng.randint(0, 8)
         raw = [rng.randrange(16) for _ in range(length)]
-        yield f"raw={raw}", sort_signature(raw) == transposition_parity(raw)
+        yield ("raw={}", raw), sort_signature(raw) == transposition_parity(raw)
 
 
 def _prop_merge_matches_concatenation(rng, trials):
     for dim, (left, right) in _index_partitions(5, 2):
         merged = merge_signature(left, right)
         ok = merged == sort_signature(left + right) == transposition_parity(left + right)
-        yield f"dim={dim} I={left} J={right}", ok
+        yield ("dim={} I={} J={}", dim, left, right), ok
 
 
 def _prop_merge_associative(rng, trials):
@@ -184,7 +189,7 @@ def _prop_merge_associative(rng, trials):
         ok = ((s1 * s2, left_way) == (t1 * t2, right_way)
               == transposition_parity(one + two + three)
               and (s1, merged) == transposition_parity(one + two))
-        yield f"dim={dim} I={one} J={two} K={three}", ok
+        yield ("dim={} I={} J={} K={}", dim, one, two, three), ok
 
 
 def _prop_empty_merge_identity(rng, trials):
@@ -194,7 +199,7 @@ def _prop_empty_merge_identity(rng, trials):
                 merge_signature((), indices) == (1, indices)
                 and merge_signature(indices, ()) == (1, indices)
             )
-            yield f"dim={dim} K={indices}", ok
+            yield ("dim={} K={}", dim, indices), ok
 
 
 def _prop_complement_merge_parity(rng, trials):
@@ -205,7 +210,7 @@ def _prop_complement_merge_parity(rng, trials):
             s2, _ = merge_signature(rest, indices)
             expected = (-1) ** (len(indices) * (dim - len(indices)))
             ok = s1 * s2 == expected and (s1, merged) == transposition_parity(indices + rest)
-            yield f"dim={dim} I={indices}", ok
+            yield ("dim={} I={}", dim, indices), ok
 
 
 def _prop_left_contraction_via_hodge(rng, trials):
@@ -222,7 +227,7 @@ def _prop_hodge_round_trip(rng, trials):
     for metric, blades in _unit_blades(6):
         for I, e in blades:
             ok = e.hodge().inv_hodge() == e and e.inv_hodge().hodge() == e
-            yield f"({metric.k},{metric.n}) I={I}", ok
+            yield ("({},{}) I={}", metric.k, metric.n, I), ok
 
 
 def _prop_equal_grade_contraction_collapse(rng, trials):
@@ -244,7 +249,7 @@ def _prop_wedge_associative(rng, trials):
                 ab = a.wedge(b)
                 for K, c in blades:
                     ok = ab.wedge(c) == a.wedge(b.wedge(c))
-                    yield f"({metric.k},{metric.n}) I={I} J={J} K={K}", ok
+                    yield ("({},{}) I={} J={} K={}", metric.k, metric.n, I, J, K), ok
 
 
 def _prop_products_bilinear(rng, trials):
@@ -270,7 +275,7 @@ def _prop_products_bilinear(rng, trials):
             ok = ok and _scalar_eq(
                 combo.dot(b), alpha * a1.dot(b) + beta * a2.dot(b)
             )
-        yield f"({metric.k},{metric.n}) ga={ga} gb={gb} case={case}", ok
+        yield ("({},{}) ga={} gb={} case={}", metric.k, metric.n, ga, gb, case), ok
 
 
 def _prop_matrix_algebra(rng, trials):
@@ -297,7 +302,7 @@ def _prop_matrix_algebra(rng, trials):
             and mat_vec(A.matmul(B), v) == mat_vec(A, mat_vec(B, v))
             and vec_mat(w, A) == mat_vec(A.transpose(), w)
         )
-        yield f"({metric.k},{metric.n}) shapes=({g1},{g2},{g3}) case={case}", ok
+        yield ("({},{}) shapes=({},{},{}) case={}", metric.k, metric.n, g1, g2, g3, case), ok
 
 
 # -- calculus ---------------------------------------------------------------
@@ -310,7 +315,7 @@ def _field_identity(check: Callable[[Multivector], bool]) -> Callable:
         for metric in BATTERY_METRICS:
             for grade in range(metric.dim + 1):
                 for field in field_cases(rng, metric, grade, trials):
-                    yield f"({metric.k},{metric.n}) grade={grade} a={field}", check(field)
+                    yield ("({},{}) grade={} a={}", metric.k, metric.n, grade, field), check(field)
 
     return prop
 
@@ -327,7 +332,7 @@ def _prop_interior_of_vector_wedge(rng, trials):
                 + directional_deriv(b, a)
                 - directional_deriv(a, b)
             )
-            yield f"({metric.k},{metric.n}) case={case} a={a} b={b}", lhs == rhs
+            yield ("({},{}) case={} a={} b={}", metric.k, metric.n, case, a, b), lhs == rhs
 
 
 def _prop_divergence_of_contraction(rng, trials):
@@ -339,7 +344,7 @@ def _prop_divergence_of_contraction(rng, trials):
                 lhs = divergence_scalar(a.left_contract(b))
                 rhs = ext_deriv(a).dot(b) + _sign(s - 1) * int_deriv(b).dot(a)
                 ok = _scalar_eq(lhs, rhs)
-                yield f"({metric.k},{metric.n}) s={s} case={case}", ok
+                yield ("({},{}) s={} case={}", metric.k, metric.n, s, case), ok
 
 
 def _prop_matrix_divergence_leibniz(rng, trials):
@@ -351,7 +356,7 @@ def _prop_matrix_divergence_leibniz(rng, trials):
                 lhs = divergence_scalar(mat_vec(B, a))
                 rhs = matrix_divergence(B).dot(a) + B.dot(tensor_deriv(a))
                 ok = _scalar_eq(lhs, rhs)
-                yield f"({metric.k},{metric.n}) grade={grade} case={case}", ok
+                yield ("({},{}) grade={} case={}", metric.k, metric.n, grade, case), ok
 
 
 def _prop_curl_forms_agree(rng, trials):
@@ -372,7 +377,7 @@ def _prop_curl_forms_agree(rng, trials):
             },
         )
         ok = via_wedge == classical and via_left == classical and via_right == classical
-        yield f"case={case} v={v}", ok
+        yield ("case={} v={}", case, v), ok
 
 
 def _prop_vector_divergence_routes(rng, trials):
@@ -385,7 +390,7 @@ def _prop_vector_divergence_routes(rng, trials):
             for i in range(metric.dim):
                 manual = manual + partial(v.coefficient((i,)), i)
             ok = ok and _scalar_eq(direct, manual)
-            yield f"({metric.k},{metric.n}) case={case} v={v}", ok
+            yield ("({},{}) case={} v={}", metric.k, metric.n, case, v), ok
 
 
 # -- variational ------------------------------------------------------------
@@ -434,17 +439,18 @@ def _prop_exterior_route_matches_tensor_route(rng, trials):
         for label, L in battery_densities(metric):
             fields = _assignments(rng, metric, L, per)
             report = verify_tensor_exterior_identity(L, metric, fields)
-            tag = f"({metric.k},{metric.n}) {label}"
             if report.ok:
-                yield tag, True
+                yield ("({},{}) {}", metric.k, metric.n, label), True
             else:
-                yield f"{tag} disagreements={report.counterexamples}", False
+                yield ("({},{}) {} disagreements={}", metric.k, metric.n, label,
+                       report.counterexamples), False
 
 
 def _prop_first_variation_exact(rng, trials):
+    batteries = [battery_densities(metric) for metric in BATTERY_METRICS]
     for case in range(trials):
         metric = BATTERY_METRICS[case % len(BATTERY_METRICS)]
-        densities = battery_densities(metric)
+        densities = batteries[case % len(BATTERY_METRICS)]
         label, L = densities[case % len(densities)]
         dyn = L.dynamical
         a_value = random_field(rng, metric, dyn.grade)
@@ -459,7 +465,7 @@ def _prop_first_variation_exact(rng, trials):
         minus = dict(sources, **{dyn.name: a_value - eps})
         target = (L.value(plus) - L.value(minus)) * Fraction(1, 2)
         ok = _scalar_eq(bulk + divergence_scalar(boundary), target)
-        yield f"({metric.k},{metric.n}) {label} case={case}", ok
+        yield ("({},{}) {} case={}", metric.k, metric.n, label, case), ok
 
 
 def _prop_slot_derivative_linear(rng, trials):
@@ -496,7 +502,7 @@ def _prop_slot_derivative_linear(rng, trials):
             ok = ok and vderiv(combo, wrt) == vderiv(one, wrt) * alpha + vderiv(
                 two, wrt
             ) * beta
-        yield f"({metric.k},{metric.n}) s={s} case={case}", ok
+        yield ("({},{}) s={} case={}", metric.k, metric.n, s, case), ok
 
 
 def _component_densities(grade: int):
@@ -559,10 +565,8 @@ def _prop_equation_components_match_difference_oracle(rng, trials):
                             acc = acc - partial(d_slot, i)
                         got = metric.sign_of(I) * residual.coefficient(I)
                         ok = _scalar_eq(got, acc)
-                        yield (
-                            f"({metric.k},{metric.n}) {route_name} grade={grade} "
-                            f"I={I} case={case}"
-                        ), ok
+                        yield ("({},{}) {} grade={} I={} case={}",
+                               metric.k, metric.n, route_name, grade, I, case), ok
 
 
 # -- field theories ---------------------------------------------------------
@@ -580,7 +584,7 @@ def _prop_maxwell_display_structure(rng, trials):
                 r - 1,
             )
             ok = eq == expected and eq.render() == "d_| ( d^ A ) = J"
-            yield f"({metric.k},{metric.n}) r={r}", ok
+            yield ("({},{}) r={}", metric.k, metric.n, r), ok
 
 
 def _prop_massive_gauge_fixed_structure(rng, trials):
@@ -607,7 +611,7 @@ def _prop_massive_gauge_fixed_structure(rng, trials):
                     and fixed.render()
                     == "d_| ( d^ A ) + 4 * A = J + 3 * d^ ( d_| A )"
                 )
-            yield f"({metric.k},{metric.n}) r={r}", ok
+            yield ("({},{}) r={}", metric.k, metric.n, r), ok
 
 
 def _configs_for(metric: Metric, r: int) -> list[MaxwellConfig]:
@@ -632,8 +636,7 @@ def _prop_display_matches_raw_equation(rng, trials):
                     ok = disp.residual(assignment, metric) == -raw.residual(
                         assignment, metric
                     )
-                    tag = f"({metric.k},{metric.n}) r={r} xi={cfg.xi} case={case}"
-                    yield tag, ok
+                    yield ("({},{}) r={} xi={} case={}", metric.k, metric.n, r, cfg.xi, case), ok
 
 
 def _prop_wave_form_agrees(rng, trials):
@@ -652,10 +655,10 @@ def _prop_wave_form_agrees(rng, trials):
                     ok = disp.residual(assignment, metric) == wave.residual(
                         assignment, metric
                     )
-                    yield f"({metric.k},{metric.n}) r={r} xi={xi} case={case}", ok
+                    yield ("({},{}) r={} xi={} case={}", metric.k, metric.n, r, xi, case), ok
             feynman = wave_form(MaxwellConfig(metric, r, xi=Fraction(1)))
             expected = "lap A = J" if (r - 1) % 2 == 0 else "-lap A = J"
-            yield f"({metric.k},{metric.n}) r={r} feynman", feynman.render() == expected
+            yield ("({},{}) r={} feynman", metric.k, metric.n, r), feynman.render() == expected
 
 
 def _prop_gauge_invariance(rng, trials):
@@ -667,7 +670,7 @@ def _prop_gauge_invariance(rng, trials):
                 G = random_field(rng, metric, r - 2) if r >= 2 else None
                 moved = gauge_transform(A, shift, G)
                 ok = ext_deriv(moved) == ext_deriv(A)
-                yield f"({metric.k},{metric.n}) r={r} case={case}", ok
+                yield ("({},{}) r={} case={}", metric.k, metric.n, r, case), ok
 
 
 def _prop_source_continuity(rng, trials):
@@ -677,7 +680,7 @@ def _prop_source_continuity(rng, trials):
                 A = random_field(rng, metric, r - 1)
                 induced = int_deriv(ext_deriv(A))
                 ok = int_deriv(induced).is_zero()
-                yield f"({metric.k},{metric.n}) r={r} case={case}", ok
+                yield ("({},{}) r={} case={}", metric.k, metric.n, r, case), ok
 
 
 def _prop_dual_display_structure(rng, trials):
@@ -701,7 +704,7 @@ def _prop_dual_display_structure(rng, trials):
                 )
                 and homog.render() == "d_| Fbar = 0"
             )
-            yield f"({metric.k},{metric.n}) s={s}", ok
+            yield ("({},{}) s={}", metric.k, metric.n, s), ok
 
 
 def _prop_dual_field_identities(rng, trials):
@@ -718,7 +721,7 @@ def _prop_dual_field_identities(rng, trials):
                     and homog.residual({"Fbar": Fbar}, metric).is_zero()
                     and int_deriv(Abar) == right_int_deriv(Abar) * _sign(s + 1)
                 )
-                yield f"({metric.k},{metric.n}) s={s} case={case}", ok
+                yield ("({},{}) s={} case={}", metric.k, metric.n, s, case), ok
 
 
 def _prop_polarization_table(rng, trials):
@@ -739,7 +742,7 @@ def _prop_polarization_table(rng, trials):
         (2, 3, 2): 3,
     }
     for (k, n, r), expected in sorted(pinned.items()):
-        yield f"(k,n,r)=({k},{n},{r})", polarization_count(k, n, r) == expected
+        yield ("(k,n,r)=({},{},{})", k, n, r), polarization_count(k, n, r) == expected
     for k, n, r, exc in (
         (0, 3, 1, AlgebraError),
         (3, 0, 1, AlgebraError),
@@ -749,11 +752,11 @@ def _prop_polarization_table(rng, trials):
         try:
             polarization_count(k, n, r)
         except exc:
-            yield f"rejects (k,n,r)=({k},{n},{r})", True
+            yield ("rejects (k,n,r)=({},{},{})", k, n, r), True
         except Exception:
-            yield f"rejects (k,n,r)=({k},{n},{r})", False
+            yield ("rejects (k,n,r)=({},{},{})", k, n, r), False
         else:
-            yield f"rejects (k,n,r)=({k},{n},{r})", False
+            yield ("rejects (k,n,r)=({},{},{})", k, n, r), False
 
 
 # -- registry and runner ----------------------------------------------------
@@ -811,6 +814,11 @@ SUITES: dict[str, dict[str, Callable]] = {
 }
 
 
+def _render(label: tuple) -> str:
+    """A case label's text: its template formatted with its values."""
+    return label[0].format(*label[1:])
+
+
 def run_suites(suites: Iterable[str] | str, seed: int = 42,
                trials: int = 40) -> list[PropertyOutcome]:
     """Run the named suites; "all" expands to every suite.
@@ -844,12 +852,12 @@ def run_suites(suites: Iterable[str] | str, seed: int = 42,
                     if not ok:
                         failures += 1
                         if first is None:
-                            first = label
+                            first = _render(label)
             except Exception as exc:  # a crashing check fails its property, not the report
                 cases += 1
                 failures += 1
                 if first is None:
-                    after = "before the first case" if label is None else f"after case {label}"
+                    after = f"after case {_render(label)}" if label else "before the first case"
                     first = f"raised {type(exc).__name__}: {exc} ({after})"
             outcomes.append(PropertyOutcome(suite, name, cases, failures, first))
     return outcomes

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mvcalc.blades import GradeError, Metric, Multivector
+from mvcalc.blades import AlgebraError, GradeError, Metric, Multivector
 from mvcalc.calculus import (
     check_laplacian_splitting,
     directional_deriv,
@@ -172,3 +172,20 @@ def test_directional_deriv_requires_vector_direction():
     a = random_field(rng_for(37, "unit/directional"), M13, 2)
     with pytest.raises(GradeError):
         directional_deriv(a, a)
+
+
+@pytest.mark.parametrize("apply", [
+    ext_deriv, int_deriv, right_int_deriv, laplacian, tensor_deriv, divergence_scalar,
+    lambda value: directional_deriv(value, Multivector.blade(M13, (0,))),
+    lambda value: directional_deriv(Multivector.blade(M13, (0,)), value),
+], ids=["ext", "int", "right-int", "lap", "tensor", "div", "dir-direction", "dir-field"])
+@pytest.mark.parametrize("value", [3, Fraction(1, 2), None, [(0,)]], ids=repr)
+def test_field_operators_refuse_a_non_field(apply, value):
+    with pytest.raises(AlgebraError, match=f"expected Multivector, got {type(value).__name__}"):
+        apply(value)
+
+
+@pytest.mark.parametrize("value", [3, None, Multivector.blade(M13, (0,))], ids=repr)
+def test_matrix_divergence_refuses_a_non_matrix(value):
+    with pytest.raises(AlgebraError, match=f"expected MvMatrix, got {type(value).__name__}"):
+        matrix_divergence(value)

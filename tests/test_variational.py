@@ -75,6 +75,19 @@ def test_unknown_slot_operator_raises_algebra_error():
         vderiv(L, ("lap", a))
 
 
+@pytest.mark.parametrize("terms, message", [
+    ([(1, 2, 3)], "a slot is an (operator, FieldSymbol) pair, got 2"),
+    ([1], "a density term is (coeff, slot, slot), got 1"),
+    ([(1,)], "a density term is (coeff, slot, slot), got (1,)"),
+    ([(1, (DerivOp.ID, "a"), (DerivOp.ID, "a"))], "a slot is an (operator, FieldSymbol) pair"),
+    ([(1, (DerivOp.ID,), (DerivOp.ID,))], "a slot is an (operator, FieldSymbol) pair"),
+], ids=["int-slots", "bare-int", "one-tuple", "str-symbol", "short-slot"])
+def test_density_refuses_a_malformed_term(terms, message):
+    with pytest.raises(AlgebraError) as caught:
+        LagrangianDensity(terms)
+    assert str(caught.value).startswith(message)
+
+
 def test_density_requires_matching_slot_grades():
     with pytest.raises(GradeError):
         LagrangianDensity([(1, (DerivOp.EXT, A), (DerivOp.ID, A))])

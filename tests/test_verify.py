@@ -1,4 +1,6 @@
 import hashlib
+import string
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,8 +81,8 @@ def test_seed42_report_is_byte_identical_to_golden(full_run):
 
 def test_raising_property_is_reported_as_fail(monkeypatch):
     def crashes(rng, trials):
-        yield "metric=(1,3) r=1", True
-        yield "metric=(1,3) r=2", True
+        yield ("metric=({},{}) r={}", 1, 3, 1), True
+        yield ("metric=({},{}) r={}", 1, 3, 2), True
         raise ZeroDivisionError("boom")
 
     def crashes_on_entry(rng, trials):
@@ -120,7 +122,7 @@ def test_seed42_label_stream_matches_golden_hash():
         for name in sorted(verify.SUITES[suite]):
             prop = verify.SUITES[suite][name]
             for label, ok in prop(rng_for(42, f"{suite}/{name}"), 2):
-                digest.update(f"{suite}/{name}|{label}|{ok}\n".encode())
+                digest.update(f"{suite}/{name}|{verify._render(label)}|{ok}\n".encode())
                 lines += 1
     assert f"sha256={digest.hexdigest()} lines={lines}\n" == LABEL_STREAM.read_text()
 
@@ -147,6 +149,52 @@ def test_blade_sweeps_catch_a_wrong_wedge_sign(monkeypatch):
         else wedge(self, other))
     for name in ("wedge_graded_commutativity", "wedge_associative"):
         assert _failing_cases(name), name
+
+
+def test_first_failing_label_is_rendered_as_written(monkeypatch):
+    wedge = Multivector.wedge
+    monkeypatch.setattr(
+        Multivector, "wedge",
+        lambda self, other: -wedge(self, other) if (self.grade, other.grade) == (1, 2)
+        else wedge(self, other))
+    outcomes = {item.name: item for item in run_suites("algebra", seed=1, trials=1)}
+    # in (0,3), the first space with a bivector: e0 ^ e01 and e0 ^ e02 are zero either way,
+    # e0 ^ e12 is the first flipped nonzero product, and (e0 ^ e1) ^ e2 the first triple
+    assert outcomes["wedge_graded_commutativity"].first_counterexample == "(0,3) I=(0,) J=(1, 2)"
+    assert outcomes["wedge_associative"].first_counterexample == "(0,3) I=(0,) J=(1,) K=(2,)"
+
+
+def test_raising_property_names_the_last_case_as_rendered(monkeypatch):
+    def raises_after_a_pass(rng, trials):
+        yield ("I={} xi={} case={}", (0, 2), Fraction(1, 2), 0), True
+        raise ValueError("bad")
+
+    def raises_after_a_failure(rng, trials):
+        yield ("I={} case={}", (1,), 0), True
+        yield ("I={} case={}", (1,), 1), False
+        raise ValueError("bad")
+
+    suites = {"algebra": {"after_pass": raises_after_a_pass,
+                          "after_failure": raises_after_a_failure}}
+    monkeypatch.setattr(verify, "SUITES", suites)
+    outcomes = {item.name: item for item in run_suites("algebra", seed=1, trials=1)}
+    assert outcomes["after_pass"] == PropertyOutcome(
+        "algebra", "after_pass", 2, 1, "raised ValueError: bad (after case I=(0, 2) xi=1/2 case=0)")
+    # the first failing case is reported, not the raise that came after it
+    assert outcomes["after_failure"] == PropertyOutcome(
+        "algebra", "after_failure", 3, 2, "I=(1,) case=1")
+
+
+def test_every_label_template_takes_exactly_its_values():
+    # str.format ignores surplus values, so a dropped field would go unnoticed in the text
+    for suite, props in verify.SUITES.items():
+        for name, prop in props.items():
+            for label, _ in prop(rng_for(1, f"{suite}/{name}"), 1):
+                template, *values = label
+                fields = [(field, spec, conversion)
+                          for _, field, spec, conversion in string.Formatter().parse(template)
+                          if field is not None]
+                assert fields == [("", "", None)] * len(values), (suite, name, label)
 
 
 INDEX_PROPERTIES = {"signature_matches_swap_count", "merge_matches_concatenation",
