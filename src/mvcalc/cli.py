@@ -15,15 +15,17 @@ fixed invocation is byte-identical across runs.
 
 How ``run`` parses a request: the parser is built once per process and
 shared.  When the first argument is exactly a subcommand name, the rest
-goes straight to that subcommand's parser (``parse_known_args``), the
-same parser object and call the top-level parser would make for it, so
-the top-level pass over the whole argv is skipped.  Everything else goes
-through the top-level parser, unchanged: an empty argv, an unknown or
-abbreviated command, ``-h``/``--help``, ``-- derive ...``, and a request
-whose subcommand parse leaves arguments it does not recognize.  Only the
-top-level parser prints those errors and that help (``usage: mvcalc
-[-h] {derive,verify,eval} ...``), so every exit code and every byte of
-stdout and stderr is what argparse gives for the full parse.
+is read from that subcommand parser's own store actions: exact option
+strings each followed by a value that does not start with ``-``, and
+positionals, each value through its action's ``type`` and ``choices``,
+every required argument present.  Anything else (``-h``, ``--lag``,
+``--k=1``, ``--``, ``-1``, a missing or extra argument, a refused value)
+makes the reader decline, and the rest goes to that subcommand's parser
+(``parse_known_args``), the same call the top-level parser would make.
+An argv that does not start with a subcommand, and one whose rest that
+parser leaves arguments from, goes through the top-level parser.  So
+argparse prints every error and all help, and every exit code and byte
+of stdout and stderr is what argparse gives for the full parse.
 """
 
 from __future__ import annotations
@@ -198,27 +200,65 @@ def _cmd_eval(args) -> int:
 
 
 @functools.cache
-def _arg_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser every ``run`` call shares, built on the first call, and its subcommand parsers.
+def _arg_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The parser every ``run`` call shares, built on the first call, and its subcommands.
 
     Sharing is safe: ``parse_args`` returns a new namespace each time and
     never changes the parser, the defaults are immutable, and errors
     leave through SystemExit without keeping state.  The subcommand map
-    is the ``choices`` of the parser's one positional, its
-    ``add_subparsers`` action (argparse has no public accessor for it),
-    so clearing this cache resets both.
+    is read from the ``choices`` of the parser's one positional (argparse
+    has no public accessor for it) and maps each name to its parser and
+    reader table, so clearing this cache resets all three.
     """
     parser = build_arg_parser()
     (action,) = parser._subparsers._group_actions
-    return parser, action.choices
+    return parser, {name: (sub, _reader_table(sub)) for name, sub in action.choices.items()}
+
+
+def _reader_table(sub: argparse.ArgumentParser) -> tuple:
+    """(option string -> store action, positionals, required dests, defaults) of ``sub``."""
+    stores = [a for a in sub._actions if type(a) is argparse._StoreAction]
+    # argparse passes an unseen str default through ``type``; these have none to pass
+    assert all(a.type is None for a in stores if isinstance(a.default, str))
+    return ({option: a for a in stores for option in a.option_strings},
+            [a for a in stores if not a.option_strings],
+            {a.dest for a in sub._actions if a.required},
+            {a.dest: a.default for a in sub._actions
+             if argparse.SUPPRESS not in (a.dest, a.default)})
+
+
+def _read(argv: list, options: dict, positionals: list, required: set, defaults: dict):
+    """The namespace of a well-formed subcommand request, or None to leave it to argparse."""
+    if not all(isinstance(token, str) for token in argv):
+        return None
+    values = {}
+    tokens, free = iter(argv), iter(positionals)
+    for token in tokens:
+        if token.startswith("-"):
+            action, token = options.get(token), next(tokens, "-")  # no value declines as "-"
+            if action is None or token.startswith("-"):
+                return None
+        elif (action := next(free, None)) is None:
+            return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**{**defaults, **values}) if required <= values.keys() else None
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """The namespace of one request; see the module docstring for the two paths."""
+    """The namespace of one request; see the module docstring for the three paths."""
     parser, subcommands = _arg_parser()
-    sub = subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, leftover = sub.parse_known_args(argv[1:])
+    entry = subcommands.get(argv[0]) if argv else None
+    if entry is not None:
+        sub, table = entry
+        args, leftover = _read(argv[1:], *table), None
+        if args is None:
+            args, leftover = sub.parse_known_args(argv[1:])
         if not leftover:
             args.command = argv[0]
             return args

@@ -190,6 +190,10 @@ class LagrangianDensity(_Linear):
 
     def __init__(self, terms: Iterable[tuple]):
         merged: dict[tuple, int | Fraction] = {}
+        try:
+            terms = iter(terms)
+        except TypeError:
+            raise AlgebraError(f"density terms must be iterable, got {type(terms).__name__}") from None
         for term in terms:
             try:
                 coeff, left, right = term

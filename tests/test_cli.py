@@ -390,7 +390,8 @@ _REST = ["--k", "--n", "1", "2", "0", "-1", "--r", "--preset", "maxwell", "dual"
          "electrostatics", "--m", "1/2", "--xi", "--lagrangian", "(A . A)", "--symbols",
          "A:1:dynamical", "--format", "json", "xml", "--form", "--forma=json", "--he", "-h",
          "--help", "--", "--suite", "algebra", "--seed", "--trials", "--bogus", "-x",
-         "extra", "e[0]", "e[1]", "x0 ^ e[1]", "--k=1", "--n=2", "derive", "eval", "verify"]
+         "extra", "e[0]", "e[1]", "x0 ^ e[1]", "--k=1", "--n=2", "derive", "eval", "verify",
+         "", "-1/2*(A . A)", "٣", "1/0", "-1/2"]
 _EXPRS = ["e[0]", "x0 ^ e[1]", "e[1] _| e[0,1]", "2/0", "e[0", "-e[0]"]
 
 # each of these leaves arguments the subcommand parser does not recognize
@@ -433,6 +434,56 @@ def test_dispatch_matches_the_full_parse(monkeypatch):
         "top" if err.startswith(top_usage) else "sub" if err.startswith("usage: mvcalc ")
         else code for code, _, err in direct)
     assert set(outcomes) == {0, 2, "sub", "top"} and min(outcomes.values()) > 20, outcomes
+
+
+@pytest.fixture
+def argparse_passes(monkeypatch):
+    """Names each ``parse_args``/``parse_known_args`` call on fresh shared parsers."""
+    cli._arg_parser.cache_clear()
+    parser, subcommands = cli._arg_parser()
+    passes = []
+    for target in [parser, *(sub for sub, _ in subcommands.values())]:
+        for method in ("parse_args", "parse_known_args"):
+            def spy(*args, _real=getattr(target, method), _name=f"{target.prog} {method}"):
+                passes.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(target, method, spy)
+    yield passes
+    cli._arg_parser.cache_clear()
+
+
+# the fifth README density, '-1/2*(d^A . d^A) + (J . A)', starts with "-": argparse reads it
+_DASH_VALUE = README_EXAMPLES[4][0]
+_DIRECT = [argv for argv, _ in README_EXAMPLES if argv is not _DASH_VALUE] + [
+    ["verify", "--trials", "3", "--suite", "em", "--seed", "7", "--trials", "5"]]
+_DECLINED = [
+    ["derive", "--k", "1", "--n", "3", "--lag", "(A . A)", "--symbols", "A:1:dynamical"],
+    ["eval", "e[0]", "--k=1", "--n", "3"],
+    ["eval", "-h"],
+    ["eval", "e[0]", "--k", "-1", "--n", "3"],
+    _DASH_VALUE,
+    ["eval", "--k", "1", "--n", "3", "--", "-e[0]"],
+    ["eval", "e[0]", "--n", "3"],
+    ["eval", "e[0]", "--k", "1", "--n", "3", "--format", "xml"],
+    ["derive", "--k", "1", "--n", "3", "--r", "2", "--m", "abc"],
+    ["eval", "e[0]", "e[1]", "--k", "1", "--n", "3"],
+    ["eval", "e[0]", "--k", 0, "--n", "3"],  # argparse reads a falsy non-str item
+]
+
+
+def test_well_formed_requests_are_read_without_argparse(argparse_passes, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_verify", lambda args: print(sorted(vars(args).items())) or 0)
+    assert len(_DIRECT) == 8
+    for argv in _DIRECT:
+        assert call(argv)[0] == 0
+        assert argparse_passes == [], argv
+    verify = "[('command', 'verify'), ('seed', 7), ('suite', 'em'), ('trials', 5)]\n"
+    assert call(_DIRECT[-1]) == (0, verify, "")
+    for argv in _DECLINED:
+        argparse_passes.clear()
+        call(argv)
+        assert argparse_passes[:1] == [f"mvcalc {argv[0]} parse_known_args"], argv
+    assert call(_DECLINED[-1]) == (0, "e[0]\n", "")
 
 
 @pytest.mark.parametrize("flag, literal", [

@@ -81,7 +81,9 @@ def test_unknown_slot_operator_raises_algebra_error():
     ([(1,)], "a density term is (coeff, slot, slot), got (1,)"),
     ([(1, (DerivOp.ID, "a"), (DerivOp.ID, "a"))], "a slot is an (operator, FieldSymbol) pair"),
     ([(1, (DerivOp.ID,), (DerivOp.ID,))], "a slot is an (operator, FieldSymbol) pair"),
-], ids=["int-slots", "bare-int", "one-tuple", "str-symbol", "short-slot"])
+    (None, "density terms must be iterable, got NoneType"),
+    (5, "density terms must be iterable, got int"),
+], ids=["int-slots", "bare-int", "one-tuple", "str-symbol", "short-slot", "none", "int"])
 def test_density_refuses_a_malformed_term(terms, message):
     with pytest.raises(AlgebraError) as caught:
         LagrangianDensity(terms)
