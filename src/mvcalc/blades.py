@@ -45,12 +45,14 @@ Floats, bools and polynomials in other variables are rejected.
 
 ``Multivector`` and ``matrices.MvMatrix`` take their linear rules, copy,
 pickle and equality (every zero of a metric is equal) from ``poly._Linear``,
-and the same-space check and the coefficient rule from ``_Sparse``.
-``require_same_metric`` is the one "mixed metrics" check.  Public
-constructors validate; results of valid operands, and copies, go through
-the trusted builder ``_make``, which fills the slots through their
-descriptors' ``__set__`` (``_put_*``, bound once).  A product runs one
-chain: the method, ``_product`` with the kernel, ``_make``.
+and the operand and coefficient rules from ``_Sparse``.  ``require`` is the
+one operand check of every module: the type, the metric (through
+``require_same_metric``, the one "mixed metrics" check) and, for a nonzero
+value, the grade.  Public constructors validate; results of valid
+operands, and copies, go through the trusted builder ``_make``, which
+fills the slots through their descriptors' ``__set__`` (``_put_*``, bound
+once).  A product runs one chain: the method, ``_product`` with the
+kernel, ``_make``.
 """
 
 from __future__ import annotations
@@ -127,14 +129,8 @@ class _Sparse(_Linear):
 
     __slots__ = ("metric",)
 
-    def _require_same_space(self, other) -> None:
-        if not isinstance(other, type(self)):
-            raise AlgebraError(f"expected {type(self).__name__}, got {type(other).__name__}")
-        if other.metric is not self.metric:  # the common case skips a call on the hot path
-            require_same_metric(self.metric, other.metric)
-
     def _operand(self, other):
-        self._require_same_space(other)
+        require(other, type(self), self.metric)
         if other._terms and self._terms and self._shape() != other._shape():
             raise GradeError("cannot add grades " + " and ".join(
                 ",".join(map(str, s._shape()[1:])) for s in (self, other)))
@@ -161,6 +157,7 @@ class Multivector(_Sparse):
     __add__, __mul__, __rmul__ = _Linear.__add__, _Linear.__mul__, _Linear.__mul__
 
     def __init__(self, metric: Metric, grade: int, terms: Mapping[tuple, object] | None = None):
+        require(metric, Metric)
         if type(grade) is not int:
             integer(grade, "grade")
         clean: dict[int, object] = {}
@@ -239,7 +236,7 @@ class Multivector(_Sparse):
         Equal basis blades contract to their metric sign product, so the
         result is sum(D_II a_I b_I) over shared index lists.
         """
-        self._require_same_space(other)
+        require(other, Multivector, self.metric)
         if self.grade != other.grade:
             raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
         return self._product(_left_rule, self._terms, other._terms, 0)._terms.get(0, 0)
@@ -264,17 +261,17 @@ class Multivector(_Sparse):
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Exterior product; grade adds (zero past the top grade)."""
-        self._require_same_space(other)
+        require(other, Multivector, self.metric)
         return self._product(_wedge_rule, self._terms, other._terms, self.grade + other.grade)
 
     def left_contract(self, other: "Multivector") -> "Multivector":
         """Left interior product self _| other; lowers other's grade by self's."""
-        self._require_same_space(other)
+        require(other, Multivector, self.metric)
         return self._product(_left_rule, self._terms, other._terms, other.grade - self.grade)
 
     def right_contract(self, other: "Multivector") -> "Multivector":
         """Right interior product self |_ other; lowers self's grade by other's."""
-        self._require_same_space(other)
+        require(other, Multivector, self.metric)
         grade = self.grade - other.grade
         return self._product(_left_rule, other._terms, self._terms, grade,
                              other.grade * grade & 1)
@@ -310,6 +307,22 @@ class Multivector(_Sparse):
 
 
 _put_metric, _put_grade = _Sparse.metric.__set__, Multivector.grade.__set__
+
+
+def require(value, kind=Multivector, metric: Metric | None = None, grade: int | None = None,
+            what: str = "operand"):
+    """``value`` if it is a ``kind``, on ``metric`` and, when nonzero, of ``grade`` (each if given).
+
+    Raises AlgebraError("expected <kind>, got <type>"), "mixed metrics" through
+    ``require_same_metric``, or GradeError("<what> has grade g, expected e").
+    """
+    if not isinstance(value, kind):
+        raise AlgebraError(f"expected {kind.__name__}, got {type(value).__name__}")
+    if metric is not None and value.metric is not metric:  # the common case skips a call
+        require_same_metric(metric, value.metric)
+    if grade is not None and value.grade != grade and value._terms:
+        raise GradeError(f"{what} has grade {value.grade}, expected {grade}")
+    return value
 
 
 def _blade_term_text(indices: tuple, coeff) -> tuple[bool, str]:

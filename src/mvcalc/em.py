@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .blades import AlgebraError, GradeError, Metric, Multivector, require_same_metric
+from .blades import AlgebraError, GradeError, Metric, Multivector, require
 from .calculus import check_laplacian_splitting, ext_deriv, int_deriv
 from .indexes import Record, integer
 from .poly import PolyScalar, exact
@@ -57,7 +57,7 @@ class MaxwellConfig(Record):
     xi: int | Fraction | None = None
 
     def __post_init__(self):
-        if not 1 <= integer(self.r, "field grade r") <= self.metric.dim:
+        if not 1 <= integer(self.r, "field grade r") <= require(self.metric, Metric).dim:
             raise GradeError(f"field grade r={self.r} not in [1, {self.metric.dim}]")
         object.__setattr__(self, "mass", exact(self.mass))
         if self.mass < 0:
@@ -89,7 +89,7 @@ def _density(terms: list) -> LagrangianDensity:
 def build_lagrangian(cfg: MaxwellConfig, field_name: str = "A",
                      source_name: str = "J") -> LagrangianDensity:
     """The quadratic density for cfg, with the documented coefficients."""
-    A = FieldSymbol(field_name, cfg.r - 1, "dynamical")
+    A = FieldSymbol(field_name, require(cfg, MaxwellConfig).r - 1, "dynamical")
     J = FieldSymbol(source_name, cfg.r - 1, "source")
     sign = _front_sign(cfg.r)
     terms = [
@@ -136,7 +136,7 @@ def wave_form(cfg: MaxwellConfig, field_name: str = "A",
     use; if the check fails the rewrite refuses rather than emit an
     unsound equation.
     """
-    if cfg.xi is None:
+    if require(cfg, MaxwellConfig).xi is None:
         raise AlgebraError("wave form needs the gauge-fixing term; set xi")
     from .randgen import field_cases, rng_for  # only here, so that derive never loads random
 
@@ -166,18 +166,14 @@ def gauge_transform(A: Multivector, Abar: Multivector,
     Abar must be a constant field of the potential's grade; G, when
     given, sits one grade below (absent entirely for grade-0 potentials).
     """
-    require_same_metric(Abar.metric, A.metric)
-    if Abar.grade != A.grade and Abar._terms:
-        raise GradeError(f"offset grade {Abar.grade} does not match potential grade {A.grade}")
+    require(Abar, metric=require(A).metric, grade=A.grade, what="gauge offset")
     if not _is_constant(Abar):
         raise AlgebraError("gauge offset must be a constant field")
     out = A + Abar
     if G is not None:
         if A.grade < 1:
             raise GradeError("grade-0 potentials admit no d^ G term")
-        require_same_metric(G.metric, A.metric)
-        if G.grade != A.grade - 1 and G._terms:
-            raise GradeError(f"gauge function grade {G.grade}, expected {A.grade - 1}")
+        require(G, metric=A.metric, grade=A.grade - 1, what="gauge function")
         out = out + ext_deriv(G)
     return out
 
@@ -190,7 +186,7 @@ def homogeneous_check(F: Multivector) -> bool:
 def build_dual_lagrangian(s: int, potential_name: str = "Abar",
                           source_name: str = "Jbar") -> LagrangianDensity:
     """Density of the dual theory for a grade-s potential."""
-    if s < 1:
+    if integer(s, "dual potential grade s") < 1:
         raise GradeError(f"dual potential grade must be >= 1, got {s}")
     Abar = FieldSymbol(potential_name, s, "dynamical")
     Jbar = FieldSymbol(source_name, s, "source")
@@ -208,7 +204,7 @@ def dual_theory(metric: Metric, s: int, potential_name: str = "Abar",
     gives Jbar = d^ ( d_| Abar ) = d^ Fbar, and d_| Fbar = 0 holds
     identically because the interior derivative is nilpotent.
     """
-    if not 1 <= s <= metric.dim:
+    if not 1 <= integer(s, "dual potential grade s") <= require(metric, Metric).dim:
         raise GradeError(f"dual potential grade s={s} not in [1, {metric.dim}]")
     L = build_dual_lagrangian(s, potential_name, source_name)
     nonhomog = euler_lagrange_exterior(L)

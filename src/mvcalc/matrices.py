@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .blades import (AlgebraError, GradeError, Metric, Multivector, _put_metric, _Sparse,
-                     require_same_metric)
+from .blades import AlgebraError, GradeError, Metric, Multivector, _put_metric, _Sparse, require
 from .indexes import _BLADE, _MASK, as_tuple, check_canonical, integer, term_items
 from .poly import _exact_terms, _put_terms, coefficient
 
@@ -34,6 +33,7 @@ class MvMatrix(_Sparse):
 
     def __init__(self, metric: Metric, row_grade: int, col_grade: int,
                  terms: Mapping[tuple, object] | None = None):
+        require(metric, Metric)
         integer(row_grade, "row grade")
         integer(col_grade, "column grade")
         clean: dict[tuple[int, int], object] = {}
@@ -106,7 +106,7 @@ class MvMatrix(_Sparse):
 
     def dot(self, other: "MvMatrix"):
         """Frobenius scalar product; requires matching grade shapes."""
-        self._require_same_space(other)
+        require(other, MvMatrix, self.metric)
         if self._shape() != other._shape():
             raise GradeError("dot needs matching grade shapes")
         t, total = (1 << self.metric.k) - 1, 0
@@ -118,7 +118,7 @@ class MvMatrix(_Sparse):
 
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         """Matrix product; contracts self's columns with other's rows."""
-        self._require_same_space(other)
+        require(other, MvMatrix, self.metric)
         if self.col_grade != other.row_grade:
             raise GradeError(f"cannot contract column grade {self.col_grade} "
                              f"with row grade {other.row_grade}")
@@ -138,8 +138,8 @@ _put_rows, _put_cols = MvMatrix.row_grade.__set__, MvMatrix.col_grade.__set__
 
 def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
     """matrix x vector: contracts columns against the vector's blades."""
-    column = (((mask, 0), c) for mask, c in vector._terms.items())
-    out = _apply(matrix, vector, "column", matrix.col_grade, matrix._terms.items(), column)
+    column = (((mask, 0), c) for mask, c in _fit(matrix, vector, "col_grade")._terms.items())
+    out = _contract(matrix.metric, matrix._terms.items(), column).items()
     return Multivector._make(matrix.metric, matrix.row_grade, {i: c for (i, _), c in out})
 
 
@@ -148,17 +148,16 @@ def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
 
     Equals ``mat_vec(matrix.transpose(), vector)``.
     """
-    row = (((0, mask), c) for mask, c in vector._terms.items())
-    out = _apply(matrix, vector, "row", matrix.row_grade, row, matrix._terms.items())
+    row = (((0, mask), c) for mask, c in _fit(matrix, vector, "row_grade")._terms.items())
+    out = _contract(matrix.metric, row, matrix._terms.items()).items()
     return Multivector._make(matrix.metric, matrix.col_grade, {j: c for (_, j), c in out})
 
 
-def _apply(matrix: MvMatrix, vector: Multivector, slot: str, grade: int, left, right):
-    """The (key, sum) pairs of ``_contract`` once the vector fits the matrix's ``slot``."""
-    require_same_metric(matrix.metric, vector.metric)
-    if grade != vector.grade and matrix._terms and vector._terms:
-        raise GradeError(f"cannot contract {slot} grade {grade} with grade {vector.grade}")
-    return _contract(matrix.metric, left, right).items()
+def _fit(matrix: MvMatrix, vector: Multivector, slot: str) -> Multivector:
+    """The vector, once both operands are checked: unless the matrix is zero, the
+    vector must have the grade of its ``slot`` (``row_grade`` or ``col_grade``)."""
+    grade = getattr(matrix, slot) if require(matrix, MvMatrix)._terms else None
+    return require(vector, Multivector, matrix.metric, grade, "vector")
 
 
 def _contract(metric: Metric, left, right) -> dict:

@@ -32,10 +32,10 @@ relies on.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
-from .blades import AlgebraError, GradeError, Metric, Multivector
+from .blades import AlgebraError, Metric, Multivector, require
 from .calculus import ext_deriv, int_deriv
 from .indexes import _MASK
 from .poly import PolyScalar, digit_limit
@@ -263,7 +263,7 @@ class _ExprParser(_Parser):
 
 def parse_expr(text: str, metric: Metric) -> Multivector:
     """Parse and evaluate an algebra expression over the metric."""
-    parser = _ExprParser(text, metric)
+    parser = _ExprParser(text, require(metric, Metric))
     value = parser.expr()
     parser.expect_eof()
     return value
@@ -322,7 +322,7 @@ class _LagrangianParser(_Parser):
 def parse_lagrangian(text: str, symbols: Mapping[str, FieldSymbol] | Sequence[FieldSymbol]) -> LagrangianDensity:
     """Parse a Lagrangian density over declared field symbols."""
     if not isinstance(symbols, Mapping):
-        symbols = {sym.name: sym for sym in symbols}
+        symbols = {require(sym, FieldSymbol).name: sym for sym in require(symbols, Iterable)}
     parser = _LagrangianParser(text, symbols)
     density = parser.lagrangian()
     parser.expect_eof()

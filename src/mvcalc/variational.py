@@ -48,9 +48,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import calculus
-from .blades import AlgebraError, GradeError, Metric, Multivector, require_same_metric
+from .blades import AlgebraError, GradeError, Metric, Multivector, require
 from .calculus import matrix_divergence
-from .indexes import Record, _left_rule, _wedge_rule, integer
+from .indexes import Record, _left_rule, _wedge_rule, as_tuple, integer
 from .matrices import MvMatrix, mat_vec
 from .poly import _exact_terms, _Linear, _put_terms, exact, number_text, signed_sum
 
@@ -161,16 +161,28 @@ def _pair_key(left: Slot, right: Slot) -> tuple:
     return (left, right) if left[1].name <= right[1].name else (right, left)
 
 
-def _chain_value(chain: tuple, sym: FieldSymbol, assignment: Mapping):
-    """Run a chain (outermost first) on the field bound to sym, innermost op first."""
+def _triples(terms, what: str, shape: str):
+    """The terms of a constructor as triples; AlgebraError for a malformed ``terms``."""
+    try:
+        terms = iter(terms)
+    except TypeError:
+        raise AlgebraError(f"{what} terms must be iterable, got {type(terms).__name__}") from None
+    for term in terms:
+        try:
+            first, second, third = term
+        except (TypeError, ValueError):
+            raise AlgebraError(f"a {what} term is {shape}, got {term!r}") from None
+        yield first, second, third
+
+
+def _chain_value(chain: tuple, sym: FieldSymbol, assignment: Mapping, metric: Metric | None = None):
+    """Run a chain (outermost first) on the field bound to sym, innermost op first;
+    the field must lie on ``metric`` when it is given."""
     try:
         value = assignment[sym.name]
     except KeyError:
         raise AlgebraError(f"no field value bound to symbol {sym.name!r}") from None
-    if value.grade != sym.grade and value._terms:
-        raise GradeError(
-            f"symbol {sym.name} has grade {sym.grade}, got a grade {value.grade} field"
-        )
+    require(value, Multivector, metric, sym.grade, f"field of symbol {sym.name}")
     for token in reversed(chain):
         value = getattr(calculus, CHAIN_OPS[token].function)(value)
     return value
@@ -190,15 +202,7 @@ class LagrangianDensity(_Linear):
 
     def __init__(self, terms: Iterable[tuple]):
         merged: dict[tuple, int | Fraction] = {}
-        try:
-            terms = iter(terms)
-        except TypeError:
-            raise AlgebraError(f"density terms must be iterable, got {type(terms).__name__}") from None
-        for term in terms:
-            try:
-                coeff, left, right = term
-            except (TypeError, ValueError):
-                raise AlgebraError(f"a density term is (coeff, slot, slot), got {term!r}") from None
+        for coeff, left, right in _triples(terms, "density", "(coeff, slot, slot)"):
             coeff = exact(coeff)
             left, right = _slot(left), _slot(right)
             grades = _slot_grade(left), _slot_grade(right)
@@ -259,10 +263,11 @@ class FormalExpr(_Linear):
 
     def __init__(self, terms: Iterable[tuple] = ()):
         clean: dict[tuple, int | Fraction] = {}
-        for chain, symbol, coeff in terms:
-            chain = tuple(chain)
+        for chain, symbol, coeff in _triples(terms, "formal expression", "(chain, symbol, coeff)"):
+            chain = as_tuple(chain, "operator chain")
+            require(symbol, FieldSymbol)
             for op in chain:
-                if op not in CHAIN_OPS:
+                if type(op) is not str or op not in CHAIN_OPS:
                     raise AlgebraError(f"unknown operator token {op!r}")
                 if op not in VECTOR_OPS and len(chain) > 1:
                     raise AlgebraError(f"{CHAIN_OPS[op].text} may only appear as a standalone chain")
@@ -363,9 +368,7 @@ class FieldEquation(Record):
 
     def __post_init__(self):
         for side in (self.lhs, self.rhs):
-            g = side.grade
-            if g is not None and g != self.grade:
-                raise GradeError(f"equation side has grade {g}, expected {self.grade}")
+            require(side, FormalExpr, grade=self.grade, what="equation side")
 
     def residual(self, assignment: Mapping, metric: Metric) -> Multivector:
         """lhs - rhs on concrete fields; zero iff the fields solve the equation."""
@@ -391,7 +394,7 @@ def vderiv(L: LagrangianDensity, wrt: Slot) -> FormalExpr:
     if sym.role != "dynamical":
         raise AlgebraError(f"cannot vary source symbol {sym.name!r}")
     out = {}  # distinct pairs holding wrt have distinct partners, so the keys are distinct
-    for (left, right), coeff in L._terms.items():
+    for (left, right), coeff in require(L, LagrangianDensity)._terms.items():
         if left == wrt:  # the partner, doubled for the square
             out[right[0].chain, right[1]] = 2 * coeff if right == wrt else coeff
         elif right == wrt:
@@ -401,7 +404,7 @@ def vderiv(L: LagrangianDensity, wrt: Slot) -> FormalExpr:
 
 def _dynamical_ops(L: LagrangianDensity) -> tuple[FieldSymbol, set]:
     """The dynamical symbol and the slot operators L applies to it."""
-    a = L.dynamical
+    a = require(L, LagrangianDensity).dynamical
     if a is None:
         raise AlgebraError("the density has no dynamical symbol to vary")
     return a, {op for pair in L._terms for op, sym in pair if sym == a}
@@ -479,8 +482,7 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
             op, sym = mine
             if sym != a or op is DerivOp.ID:
                 continue
-            other_val = _chain_value(other[0].chain, other[1], assignment)
-            require_same_metric(other_val.metric, metric)
+            other_val = _chain_value(other[0].chain, other[1], assignment, metric)
             if op is DerivOp.TENSOR:
                 for (rows, cols), v in other_val._terms.items():
                     add(rows, cols, coeff * v)
@@ -509,9 +511,7 @@ def first_variation(L: LagrangianDensity, a_value: Multivector,
         bulk + int_deriv(boundary) == d/dt L(a + t*eps) at t=0, exactly.
     """
     a, _ = _dynamical_ops(L)
-    require_same_metric(a_value.metric, eps.metric)
-    if eps.grade != a_value.grade and eps._terms:
-        raise GradeError(f"variation grade {eps.grade} does not match field grade {a_value.grade}")
+    require(eps, metric=require(a_value).metric, grade=a_value.grade, what="variation")
     assignment = dict(sources or {})
     assignment[a.name] = a_value
     B = tensor_slot_matrix(L, assignment)

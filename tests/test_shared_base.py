@@ -7,7 +7,8 @@ with its one merge loop, ``-``, negation, scaling and ``==`` for
 hooks (``_make``, ``_shape``, ``_like``, ``_operand``, ``_scalar``).
 ``PolyScalar`` alone compares and hashes like a rational, and
 ``LagrangianDensity`` alone adds its symbol checks to ``+``.  One helper,
-``blades.require_same_metric``, raises "mixed metrics".  The value classes
+``blades.require_same_metric``, raises "mixed metrics", and one,
+``blades.require``, raises "expected <kind>, got <type>".  The value classes
 fill their slots through the slot descriptors, never ``object.__setattr__``.
 The source is read with ``ast``, so nothing is imported.
 """
@@ -102,6 +103,23 @@ def test_one_helper_raises_mixed_metrics():
     helper = next(node for node in tree("blades.py").body
                   if isinstance(node, ast.FunctionDef) and node.name == "require_same_metric")
     assert total == _mentions(helper) == 1
+
+
+def _expects_a_kind(node) -> int:
+    """Raise statements under ``node`` whose text is "expected {...}, got ..."."""
+    return sum(any(isinstance(n, ast.JoinedStr) and len(n.values) > 2
+                   and isinstance(n.values[0], ast.Constant) and n.values[0].value == "expected "
+                   and isinstance(n.values[1], ast.FormattedValue)
+                   and isinstance(n.values[2], ast.Constant)
+                   and n.values[2].value.startswith(", got ") for n in ast.walk(raised))
+               for raised in ast.walk(node) if isinstance(raised, ast.Raise))
+
+
+def test_one_helper_raises_expected_kind():
+    total = sum(_expects_a_kind(tree(path.name)) for path in SRC.glob("*.py"))
+    helper = next(node for node in tree("blades.py").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "require")
+    assert total == _expects_a_kind(helper) == 1
 
 
 @pytest.mark.parametrize("module", ["blades.py", "matrices.py", "poly.py", "variational.py"])
