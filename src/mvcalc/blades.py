@@ -52,7 +52,7 @@ value, the grade.  Public constructors validate; results of valid
 operands, and copies, go through the trusted builder ``_make``, which
 fills the slots through their descriptors' ``__set__`` (``_put_*``, bound
 once).  A product runs one chain: the method, ``_product`` with the
-kernel, ``_make``.
+kernel, ``_make``.  ``dot`` runs no kernel, only the shared-key ``_Sparse._dot``.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping
 
-from .indexes import (_BLADE, _FORMS, _MASK, MAX_DIM, AlgebraError, Record, _left_rule, _mask,
-                      _wedge_rule, as_tuple, check_canonical, integer, term_items)
+from .indexes import (_BLADE, _FORMS, MAX_DIM, AlgebraError, Record, _left_rule, _mask,
+                      _wedge_rule, as_tuple, integer, term_items)
 from .poly import (PolyScalar, _exact_terms, _Linear, _put_terms, coefficient, number_text,
                    signed_sum)
 
@@ -141,6 +141,25 @@ class _Sparse(_Linear):
             return coefficient(value, self.metric.dim)  # AlgebraError in other variables
         return _Linear._scalar(self, value)
 
+    def _dot(self, other, mask):
+        """sum(D a b) over the keys both values hold, walking the smaller: the one ``dot`` loop.
+
+        D = -1 when popcount(mask(key) & t) is odd, t the time-like axes; a matrix entry
+        (I, J) passes I ^ J, since the parities of two popcounts add like an xor.
+        """
+        left, right, t = self._terms, other._terms, (1 << self.metric.k) - 1
+        if len(right) < len(left):
+            left, right = right, left
+        total = None  # the first product starts the sum: 0 + a polynomial builds a copy
+        for key, a in left.items():
+            if (b := right.get(key)) is not None:
+                term = a * b
+                if (mask(key) & t).bit_count() & 1:
+                    total = -term if total is None else total - term
+                else:
+                    total = term if total is None else total + term
+        return 0 if total is None else _exact_terms({0: total}).get(0, 0)
+
 
 class Multivector(_Sparse):
     """Grade-homogeneous multivector with sparse exact coefficients.
@@ -162,11 +181,9 @@ class Multivector(_Sparse):
             integer(grade, "grade")
         clean: dict[int, object] = {}
         for indices, coeff in term_items(terms):
-            indices = indices if type(indices) is tuple else as_tuple(indices, "index list")
-            check_canonical(indices, metric.dim)
-            coeff = coefficient(coeff, metric.dim)
+            mask, coeff = _mask(indices, metric.dim), coefficient(coeff, metric.dim)
             if coeff:
-                clean[_MASK[indices]] = coeff
+                clean[mask] = coeff
         if clean:
             if not 0 <= grade <= metric.dim:
                 raise GradeError(f"grade {grade} out of range for dimension {metric.dim}")
@@ -231,15 +248,11 @@ class Multivector(_Sparse):
     # -- products ----------------------------------------------------------
 
     def dot(self, other: "Multivector"):
-        """Scalar product; requires equal grades.
-
-        Equal basis blades contract to their metric sign product, so the
-        result is sum(D_II a_I b_I) over shared index lists.
-        """
+        """Scalar product sum(D_II a_I b_I) over shared index lists; requires equal grades."""
         require(other, Multivector, self.metric)
         if self.grade != other.grade:
             raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
-        return self._product(_left_rule, self._terms, other._terms, 0)._terms.get(0, 0)
+        return self._dot(other, int)
 
     def _product(self, rule, left: dict, right: dict, grade, flip=0) -> "Multivector":
         """The rule's products of two term dicts, summed into a Multivector of ``grade``.
@@ -250,13 +263,13 @@ class Multivector(_Sparse):
             return Multivector._make(self.metric, grade, {})
         t = (1 << self.metric.k) - 1
         if len(left) == 1 or len(right) == 1:
-            sums = _accumulate({}, rule, t, left.items(), right.items(), flip)
+            sums = _accumulate(rule, t, left.items(), right.items(), flip)
         elif (lifted := _lift(left, right)) is None:
-            sums = _accumulate_forms({}, _FORMS[rule], t, left.items(), right.items(), flip)
+            sums = _accumulate_forms(_FORMS[rule], t, left.items(), right.items(), flip)
         else:
             left, right, den = lifted
             sums = {mask: Fraction(acc, den) for mask, acc
-                    in _accumulate_forms({}, _FORMS[rule], t, left, right, flip).items()}
+                    in _accumulate_forms(_FORMS[rule], t, left, right, flip).items()}
         return Multivector._make(self.metric, grade, sums)
 
     def wedge(self, other: "Multivector") -> "Multivector":
@@ -342,12 +355,13 @@ def _blade_term_text(indices: tuple, coeff) -> tuple[bool, str]:
 # -- bitmask kernel -------------------------------------------------------------
 
 
-def _accumulate(out: dict, rule, t: int, left, right, flip: int = 0) -> dict:
-    """Add the rule's product of every (left, right) pair of (mask, coeff) into out.
+def _accumulate(rule, t: int, left, right, flip: int = 0) -> dict:
+    """The sums of the rule's products of every (left, right) pair of (mask, coeff), by mask.
 
     ``flip=1`` negates every product; a negative product is subtracted, not
     multiplied by -1.  Cancelled sums stay as zeros for ``_make`` to drop.
     """
+    out = {}
     for a, ca in left:
         for b, cb in right:
             hit = rule(a, b, t)
@@ -365,7 +379,7 @@ def _accumulate(out: dict, rule, t: int, left, right, flip: int = 0) -> dict:
     return out
 
 
-def _accumulate_forms(out: dict, form, t: int, left, right, flip: int = 0) -> dict:
+def _accumulate_forms(form, t: int, left, right, flip: int = 0) -> dict:
     """``_accumulate`` on a rule's per-mask form (``indexes._FORMS``), with no call per pair.
 
     Each left term is looked up once, its time-like parity (and ``flip``) added
@@ -374,7 +388,7 @@ def _accumulate_forms(out: dict, form, t: int, left, right, flip: int = 0) -> di
     """
     part, x, time = form
     t &= time
-    lhs = []
+    lhs, out = [], {}
     for a, ca in left:
         pa, ea = part[a]
         lhs.append((a, pa, ea + (a & t).bit_count() + flip, ca))

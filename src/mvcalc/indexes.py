@@ -142,9 +142,9 @@ def check_canonical(indices: tuple, dim: Optional[int] = None) -> None:
         raise _out_of_range(indices, dim)
 
 
-def _mask(raw, dim: int = MAX_DIM) -> int:
-    """The blade mask of a canonical index list, checked before the lookup."""
-    indices = as_tuple(raw, "index list")
+def _mask(raw, dim: int = MAX_DIM, what: str = "index list") -> int:
+    """The blade mask of a canonical index list: every list from outside is checked here."""
+    indices = as_tuple(raw, what)
     check_canonical(indices, dim)
     return _MASK[indices]
 

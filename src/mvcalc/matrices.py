@@ -13,8 +13,8 @@ inverse here; only the products above are defined.
 
 Entries are stored in ``_terms`` by (row mask, column mask), with index
 tuples only at the API, and the three contractions run one loop with
-D_KK from popcounts; the linear structure is that of ``poly._Linear``,
-through ``blades._Sparse``.
+D_KK from popcounts; ``dot`` and the linear structure are those of
+``blades._Sparse`` and ``poly._Linear``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .blades import AlgebraError, GradeError, Metric, Multivector, _put_metric, _Sparse, require
-from .indexes import _BLADE, _MASK, as_tuple, check_canonical, integer, term_items
+from .indexes import _BLADE, _mask, as_tuple, integer, term_items
 from .poly import _exact_terms, _put_terms, coefficient
 
 
@@ -40,12 +40,11 @@ class MvMatrix(_Sparse):
         for key, coeff in term_items(terms):
             if type(key) is not tuple or len(key) != 2:
                 raise AlgebraError(f"bad matrix key {key!r}: expected a (rows, cols) pair")
-            rows, cols = as_tuple(key[0], "row index list"), as_tuple(key[1], "column index list")
-            check_canonical(rows, metric.dim)
-            check_canonical(cols, metric.dim)
+            masks = (_mask(key[0], metric.dim, "row index list"),
+                     _mask(key[1], metric.dim, "column index list"))
             coeff = coefficient(coeff, metric.dim)
             if coeff:
-                clean[(_MASK[rows], _MASK[cols])] = coeff
+                clean[masks] = coeff
         if clean:
             for grade in (row_grade, col_grade):
                 if not 0 <= grade <= metric.dim:
@@ -95,10 +94,9 @@ class MvMatrix(_Sparse):
         return {(_BLADE[rows], _BLADE[cols]): c for (rows, cols), c in self._terms.items()}
 
     def entry(self, rows, cols):
-        rows, cols = as_tuple(rows, "row index list"), as_tuple(cols, "column index list")
-        check_canonical(rows, self.metric.dim)
-        check_canonical(cols, self.metric.dim)
-        return self._terms.get((_MASK[rows], _MASK[cols]), 0)
+        dim = self.metric.dim
+        return self._terms.get((_mask(rows, dim, "row index list"),
+                                _mask(cols, dim, "column index list")), 0)
 
     def transpose(self) -> "MvMatrix":
         return MvMatrix._make(self.metric, self.col_grade, self.row_grade,
@@ -109,12 +107,7 @@ class MvMatrix(_Sparse):
         require(other, MvMatrix, self.metric)
         if self._shape() != other._shape():
             raise GradeError("dot needs matching grade shapes")
-        t, total = (1 << self.metric.k) - 1, 0
-        for (rows, cols), a in self._terms.items():
-            if (b := other._terms.get((rows, cols))) is not None:
-                odd = ((rows & t).bit_count() + (cols & t).bit_count()) & 1
-                total = total - a * b if odd else total + a * b
-        return _exact_terms({0: total}).get(0, 0)
+        return self._dot(other, lambda key: key[0] ^ key[1])
 
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         """Matrix product; contracts self's columns with other's rows."""

@@ -8,7 +8,7 @@ directly to multivector fields over a given metric:
     factor := rational | blade | poly | '-' factor
             | 'hodge' '(' expr ')' | 'invhodge' '(' expr ')'
             | 'd^' factor | 'd_|' factor | '(' expr ')'
-    blade  := 'e[' indices ']'           indices strictly increasing
+    blade  := 'e[' indices ']'           indices checked by indexes._mask
     poly   := 'x' digits ('^' digits)?
 
 and Lagrangian densities are sums of bilinear slot terms over declared
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .blades import AlgebraError, Metric, Multivector, require
 from .calculus import ext_deriv, int_deriv
-from .indexes import _MASK
+from .indexes import _mask
 from .poly import PolyScalar, digit_limit
 from .variational import DerivOp, FieldSymbol, LagrangianDensity
 
@@ -249,16 +249,11 @@ class _ExprParser(_Parser):
             indices = tuple(int(part) for part in inner.split(",")) if inner else ()
         except ValueError:
             raise ExprError(f"bad blade literal {tok.text!r}", tok.pos) from None
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ExprError("indices must be strictly increasing", tok.pos)
-        if indices and indices[-1] >= self.metric.dim:
-            raise ExprError(
-                f"blade index {indices[-1]} out of range for dimension {self.metric.dim}",
-                tok.pos,
-            )
-        if any(i < 0 for i in indices):
-            raise ExprError("blade indices must be nonnegative", tok.pos)
-        return Multivector._make(self.metric, len(indices), {_MASK[indices]: 1})
+        try:
+            mask = _mask(indices, self.metric.dim)
+        except AlgebraError as exc:
+            raise ExprError(f"blade {exc}", tok.pos) from None
+        return Multivector._make(self.metric, len(indices), {mask: 1})
 
 
 def parse_expr(text: str, metric: Metric) -> Multivector:

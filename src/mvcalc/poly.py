@@ -89,8 +89,8 @@ class _Linear:
     """The linear rules of every value: an exact combination of keys, shared once.
 
     ``_terms`` maps each key to a nonzero exact coefficient.  The base owns
-    immutability, copy and pickle, ``is_zero``, ``+`` and ``-`` (one merge loop),
-    negation, scaling and ``==``, as SymPy's ``PolyElement``
+    immutability, copy and pickle, the ``terms`` copy, ``is_zero``, ``+`` and ``-``
+    (one merge loop), negation, scaling and ``==``, as SymPy's ``PolyElement``
     (``sympy/polys/rings.py``) shares its ring operations over one dict.
     Each class says how it differs through hooks:
 
@@ -141,6 +141,11 @@ class _Linear:
             return exact(value)
         except AlgebraError:
             return NotImplemented
+
+    @property
+    def terms(self) -> dict:
+        """A new dict of keys to nonzero coefficients."""
+        return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -237,11 +242,6 @@ class PolyScalar(_Linear):
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff) -> "PolyScalar":
         return cls(nvars, {as_tuple(exps, "exponent vector"): coeff})
-
-    @property
-    def terms(self) -> dict[tuple, int | Fraction]:
-        """A new dict of exponent tuples to nonzero coefficients."""
-        return dict(self._terms)
 
     # -- ring structure -------------------------------------------------
 

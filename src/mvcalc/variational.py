@@ -44,8 +44,9 @@ coefficient of L(a + t*eps) exactly.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import calculus
 from .blades import AlgebraError, GradeError, Metric, Multivector, require
@@ -238,6 +239,7 @@ class LagrangianDensity(_Linear):
 
     def value(self, assignment: Mapping):
         """Evaluate the density on concrete fields; a scalar, exact."""
+        require(assignment, Mapping)
         total = 0
         for ((lop, lsym), (rop, rsym)), coeff in self._terms.items():
             left = _chain_value(lop.chain, lsym, assignment)
@@ -284,11 +286,6 @@ class FormalExpr(_Linear):
         return cls([(chain, symbol, coeff)])
 
     @property
-    def terms(self) -> dict:
-        """A new dict of (chain, symbol) keys to nonzero coefficients."""
-        return dict(self._terms)
-
-    @property
     def is_matrix(self) -> bool:
         return any(chain and chain[0] not in VECTOR_OPS for chain, _ in self._terms)
 
@@ -327,6 +324,7 @@ class FormalExpr(_Linear):
         ``metric`` and ``grade`` are only consulted when the expression
         is zero and there is nothing to infer them from.
         """
+        require(assignment, Mapping)
         if self.is_matrix:
             raise AlgebraError("matrix expression does not evaluate to a field")
         total = None
@@ -366,7 +364,9 @@ class FieldEquation(Record):
     rhs: FormalExpr
     grade: int
 
-    def __post_init__(self):
+    def __post_init__(self):  # the grade is an int or the ("matrix", 1, g) tag of dX sides
+        g = self.grade
+        integer(g[2] if type(g) is tuple and g[:-1] == ("matrix", 1) else g, "equation grade")
         for side in (self.lhs, self.rhs):
             require(side, FormalExpr, grade=self.grade, what="equation side")
 
@@ -460,8 +460,8 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
 
     Chain rule through the slot expressions: each d^ / d_| / dX slot of
     the dynamical symbol is expanded in the entries of dX a, and the
-    other factor of its term is evaluated on the concrete fields.  The
-    packaging signs collapse so that the entry at (i, I) is
+    other factor of its term is evaluated on the concrete fields.  Each slot
+    is one matrix, ``+`` sums them, and the entry at (i, I) of a slot is
 
         ext slot:  coeff * s(i, I) * other_{i+I}           for i not in I
         int slot:  coeff * D_ii * s(I\\i, i) * other_{I\\i}  for i in I
@@ -471,33 +471,28 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
     the two-route identity check.
     """
     a, _ = _dynamical_ops(L)
-    metric = _chain_value((), a, assignment).metric
-    out: dict[tuple[int, int], object] = {}
-
-    def add(rows, cols, c):
-        out[(rows, cols)] = out.get((rows, cols), 0) + c
-
+    metric = _chain_value((), a, require(assignment, Mapping)).metric
+    total = MvMatrix._make(metric, 1, a.grade, {})
     for (left, right), coeff in L._terms.items():
-        for mine, other in ((left, right), (right, left)):
-            op, sym = mine
+        for (op, sym), other in ((left, right), (right, left)):
             if sym != a or op is DerivOp.ID:
                 continue
             other_val = _chain_value(other[0].chain, other[1], assignment, metric)
             if op is DerivOp.TENSOR:
-                for (rows, cols), v in other_val._terms.items():
-                    add(rows, cols, coeff * v)
+                total = total + other_val * coeff
                 continue
             # ext: e_K |_ e_i = s(i, K\i) e_{K\i} = (-1)^(|K|-1) e_i _| e_K;
             # int: e_K ^ e_i = s(K, i) e_{K+i}
-            ext = op is DerivOp.EXT
+            ext, slot = op is DerivOp.EXT, {}
             for K, vK in other_val._terms.items():
                 flip = K.bit_count() - 1 & 1 if ext else 0
                 for i in range(metric.dim):
                     if (hit := _left_rule(1 << i, K, 0) if ext
                             else _wedge_rule(K, 1 << i, 0)) is not None:
                         sig = 1 if ext else metric.sign(i)
-                        add(1 << i, hit[1], coeff * (-sig if hit[0] ^ flip else sig) * vK)
-    return MvMatrix._make(metric, 1, a.grade, out)
+                        slot[1 << i, hit[1]] = coeff * (-sig if hit[0] ^ flip else sig) * vK
+            total = total + MvMatrix._make(metric, 1, a.grade, slot)
+    return total
 
 
 def first_variation(L: LagrangianDensity, a_value: Multivector,
@@ -512,7 +507,7 @@ def first_variation(L: LagrangianDensity, a_value: Multivector,
     """
     a, _ = _dynamical_ops(L)
     require(eps, metric=require(a_value).metric, grade=a_value.grade, what="variation")
-    assignment = dict(sources or {})
+    assignment = {} if sources is None else dict(require(sources, Mapping))
     assignment[a.name] = a_value
     B = tensor_slot_matrix(L, assignment)
     explicit = vderiv(L, (DerivOp.ID, a)).evaluate(assignment, a_value.metric, a.grade)
@@ -546,7 +541,7 @@ def verify_tensor_exterior_identity(L: LagrangianDensity, metric: Metric,
     a, _ = _dynamical_ops(L)
     rhs = euler_lagrange_exterior(L).rhs
     bad = []
-    for idx, assignment in enumerate(fields):
+    for idx, assignment in enumerate(require(fields, Iterable)):
         exterior = rhs.evaluate(assignment, metric, a.grade)
         tensor = matrix_divergence(tensor_slot_matrix(L, assignment))
         if exterior != tensor:

@@ -1,9 +1,9 @@
 """Every value argument of the library's entry points is checked before it is read.
 
 An ``int``, ``None`` or ``str`` where a metric, multivector, matrix,
-density, configuration, grade, symbol table or formal term belongs raises
-``AlgebraError``, never the ``AttributeError``, ``TypeError`` or
-``KeyError`` of reading it.  A grade mismatch names the operand and both
+density, configuration, grade, symbol table, field assignment or formal
+term belongs raises ``AlgebraError``, never the ``AttributeError``,
+``TypeError`` or ``KeyError`` of reading it.  A grade mismatch names the operand and both
 grades.  Deterministic: no hypothesis.
 """
 
@@ -17,7 +17,7 @@ from mvcalc.em import (MaxwellConfig, build_dual_lagrangian, build_lagrangian, d
 from mvcalc.matrices import mat_vec, vec_mat
 from mvcalc.parser import parse_expr, parse_lagrangian
 from mvcalc.variational import (euler_lagrange_exterior, first_variation, tensor_slot_matrix,
-                                vderiv)
+                                vderiv, verify_tensor_exterior_identity)
 
 M13 = Metric(1, 3)
 A = FieldSymbol("A", 1, "dynamical")
@@ -42,16 +42,25 @@ CALLS = {
     "gauge_transform-Abar": lambda bad: gauge_transform(V, bad),
     "gauge_transform-G": lambda bad: gauge_transform(V, V, bad),
     "LagrangianDensity.value-field": lambda bad: L.value({"A": bad}),
+    "LagrangianDensity.value-assignment": lambda bad: L.value(bad),
     "FormalExpr.evaluate-field": lambda bad: FormalExpr.single((), A).evaluate({"A": bad}),
+    "FormalExpr.evaluate-assignment": lambda bad: FormalExpr.single((), A).evaluate(bad),
     "FormalExpr.evaluate-metric": lambda bad: FormalExpr.zero().evaluate({}, bad),
     "FieldEquation.residual-metric":
         lambda bad: FieldEquation(FormalExpr.zero(), FormalExpr.zero(), 1).residual({}, bad),
     "FieldEquation-side": lambda bad: FieldEquation(bad, FormalExpr.zero(), 1),
+    "FieldEquation-grade": lambda bad: FieldEquation(FormalExpr.zero(), FormalExpr.zero(), bad),
     "tensor_slot_matrix-density": lambda bad: tensor_slot_matrix(bad, {"A": V}),
     "tensor_slot_matrix-field": lambda bad: tensor_slot_matrix(L, {"A": bad}),
+    "tensor_slot_matrix-assignment": lambda bad: tensor_slot_matrix(L, bad),
     "first_variation-density": lambda bad: first_variation(bad, V, V),
     "first_variation-a_value": lambda bad: first_variation(L, bad, V),
     "first_variation-eps": lambda bad: first_variation(L, V, bad),
+    "first_variation-sources": lambda bad: first_variation(L, V, V, sources=bad),
+    "verify_tensor_exterior_identity-fields":
+        lambda bad: verify_tensor_exterior_identity(L, M13, bad),
+    "verify_tensor_exterior_identity-assignment":
+        lambda bad: verify_tensor_exterior_identity(L, M13, [bad]),
     "vderiv-density": lambda bad: vderiv(bad, (DerivOp.ID, A)),
     "euler_lagrange_exterior": euler_lagrange_exterior,
     "derive_equations": derive_equations,
@@ -71,9 +80,11 @@ CALLS = {
 }
 
 BAD = {"int": 3, "None": None, "str": "x"}
-# the arguments that take one of these: a gauge function may be left out, and a grade is an int
+# the arguments that take one of these: a gauge function and the sources may be left out, and
+# a grade is an int
 VALID = {("gauge_transform-G", "None"), ("MaxwellConfig-r", "int"), ("dual_theory-s", "int"),
-         ("build_dual_lagrangian", "int")}
+         ("build_dual_lagrangian", "int"), ("FieldEquation-grade", "int"),
+         ("first_variation-sources", "None")}
 
 
 @pytest.mark.parametrize("call, bad", [

@@ -101,7 +101,7 @@ def test_offsets_on_errors():
         parse_expr("x9", M13)
     with pytest.raises(ExprError, match="blade index 7 out of range"):
         parse_expr("e[7]", M13)
-    with pytest.raises(ExprError, match="nonnegative"):
+    with pytest.raises(ExprError, match="blade index -1 out of range"):
         parse_expr("e[-1]", M13)
     with pytest.raises(ExprError, match="trailing input") as err:
         parse_expr("1 1", M13)

@@ -8,8 +8,12 @@ hooks (``_make``, ``_shape``, ``_like``, ``_operand``, ``_scalar``).
 ``PolyScalar`` alone compares and hashes like a rational, and
 ``LagrangianDensity`` alone adds its symbol checks to ``+``.  One helper,
 ``blades.require_same_metric``, raises "mixed metrics", and one,
-``blades.require``, raises "expected <kind>, got <type>".  The value classes
-fill their slots through the slot descriptors, never ``object.__setattr__``.
+``blades.require``, raises "expected <kind>, got <type>".  Only
+``indexes.check_canonical`` raises "strictly increasing", and only
+``indexes`` turns an index list into a blade mask.  The base holds the one
+``terms`` copy; only the values whose keys are masks or slot pairs override
+it.  The value classes fill their slots through the slot descriptors, never
+``object.__setattr__``.
 The source is read with ``ast``, so nothing is imported.
 """
 
@@ -91,10 +95,10 @@ def test_formal_values_inherit_the_shared_rules(name, own):
     assert not names & (SHARED | hooks) and names & {"__add__"} == own
 
 
-def _mentions(node) -> int:
-    """Raise statements under ``node`` whose text includes "mixed metrics"."""
+def _mentions(node, text: str = "mixed metrics") -> int:
+    """Raise statements under ``node`` whose text includes ``text``."""
     return sum(any(isinstance(n, ast.Constant) and isinstance(n.value, str)
-                   and "mixed metrics" in n.value for n in ast.walk(raised))
+                   and text in n.value for n in ast.walk(raised))
                for raised in ast.walk(node) if isinstance(raised, ast.Raise))
 
 
@@ -103,6 +107,27 @@ def test_one_helper_raises_mixed_metrics():
     helper = next(node for node in tree("blades.py").body
                   if isinstance(node, ast.FunctionDef) and node.name == "require_same_metric")
     assert total == _mentions(helper) == 1
+
+
+def test_one_helper_raises_strictly_increasing():
+    # the constructors, MvMatrix.entry and the parser's blade literals all check through it
+    text = "strictly increasing"
+    total = sum(_mentions(tree(path.name), text) for path in SRC.glob("*.py"))
+    helper = next(node for node in tree("indexes.py").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "check_canonical")
+    assert total == _mentions(helper, text) == 1
+
+
+@pytest.mark.parametrize("module", ["blades.py", "matrices.py", "parser.py"])
+def test_index_lists_become_masks_only_through_indexes(module):
+    imported = {alias.name for node in ast.walk(tree(module))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"check_canonical", "_MASK"}
+
+
+def test_the_base_holds_the_one_terms_copy():
+    owners = {name for name, cls in classes().items() if "terms" in body_names(cls)}
+    assert owners == {BASE, "Multivector", "MvMatrix", "LagrangianDensity"}
 
 
 def _expects_a_kind(node) -> int:

@@ -219,6 +219,22 @@ def test_tensor_slot_matrix_of_quadratic_tensor_density():
     assert tensor_slot_matrix(L, {"a": value}) == tensor_deriv(value)
 
 
+def test_tensor_slot_matrix_is_linear_in_the_density():
+    # each slot gives its own matrix and + sums them, so densities add slot by slot;
+    # the dX . dX terms cancel in the sum
+    ext, inner, tensor = DerivOp.EXT, DerivOp.INT, DerivOp.TENSOR
+    L1 = LagrangianDensity([(Fraction(1, 2), (ext, A), (ext, A)), (3, (tensor, A), (tensor, J)),
+                            (Fraction(1, 2), (tensor, A), (tensor, A))])
+    L2 = LagrangianDensity([(Fraction(-2, 3), (inner, A), (inner, J)), (1, (ext, A), (ext, J)),
+                            (Fraction(-1, 2), (tensor, A), (tensor, A))])
+    rng = rng_for(59, "unit/slot-linearity")
+    for metric in (M13, Metric(0, 3), Metric(2, 2)):
+        fields = {"A": random_field(rng, metric, 1), "J": random_field(rng, metric, 1)}
+        total = tensor_slot_matrix(L1 + L2, fields)
+        assert total == tensor_slot_matrix(L1, fields) + tensor_slot_matrix(L2, fields)
+        assert not total.is_zero()
+
+
 def test_first_variation_splits_exactly():
     rng = rng_for(53, "unit/first-variation")
     L = maxwell_density(mass=2, xi=Fraction(2, 3))
