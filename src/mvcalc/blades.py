@@ -15,33 +15,32 @@ list and s(.,.) the merge signature:
     hodge         e_I^H       = D_II s(I, Ic) e_{Ic}
     inv. hodge    e_I^(H-1)   = D_IcIc s(Ic, I) e_{Ic}
 
-Terms are stored by blade bitmask (bit i set for each i in I).  The
+A term is stored by its flat key (``poly``): the blade bitmask (bit i set
+for each i in I) plus, for a polynomial value, its packed monomial shifted
+past the dim mask bits, so a rational value's keys are its masks.  The
 wedge and the left contraction are the two rules (mask, mask) -> (sign,
 mask) of ``mvcalc.indexes``, with signs from popcounts.  The other rows
 follow from the left rule by a grade sign: e_J |_ e_I is e_I _| e_J,
 negated when |I| |J\\I| is odd, and a Hodge dual relabels e_I as e_Ic with
 the sign of e_I _| e_full, D_II s(Ic, I), negated when g (dim - g) is odd
 for hodge at grade g, or when k is odd for its inverse (D_II D_IcIc =
-(-1)^k).  Index tuples appear only at the API; ``terms`` is a tuple-keyed
-view of the masks.
+(-1)^k).  Index tuples appear only at the API.  Stored coefficients are
+exact rationals (``poly.exact``); a value records whether they are
+polynomials in the metric's k+n coordinates (``_poly``), and its views
+(``terms``, ``coefficient``, ``items``, ``scalar_value``, ``dot``, the
+text) then show a PolyScalar per blade.
 
 ``Multivector._product`` runs every binary product on one of two loops.
-An empty operand gives the zero of the stated grade at once.  A
-single-term operand (most products of a verify run) runs
-``_accumulate``, one rule call per pair: there the pairs are few, and
-preparing each term first cost more than the calls it saved.  Two
-multi-term operands run ``_accumulate_forms`` on the rule's per-mask form
-(``indexes._FORMS``): each term is looked up once, and each pair costs
-inline integer operations and no call.  When all their coefficients are
-ints or Fractions with some denominator above 1, that loop runs on
-integers: each operand is scaled to integer numerators over the lcm of
-its denominators (D_l and D_r), and each output sum becomes one Fraction
-over D_l D_r.  PolyScalar and all-int operands are multiplied as they are.
-
-Coefficients are exact: an integral rational is stored as an int, any
-other rational as a Fraction (see ``poly.exact``), and a polynomial as a
-PolyScalar in the metric's k+n coordinates (see ``poly.coefficient``).
-Floats, bools and polynomials in other variables are rejected.
+An empty operand gives the zero of the stated grade at once.  Rational
+single-term operands (most products of a verify run) run ``_accumulate``,
+one rule call per pair: there the pairs are few, and preparing each term
+first cost more than the calls it saved.  Any other operands run
+``_accumulate_forms`` on the rule's per-mask form (``indexes._FORMS``):
+each term is looked up once, and each pair costs inline integer
+operations and no call.  When two rational operands have some denominator
+above 1, that loop runs on integers: each operand is scaled to integer
+numerators over the lcm of its denominators (D_l and D_r), and each output
+sum becomes one Fraction over D_l D_r.
 
 ``Multivector`` and ``matrices.MvMatrix`` take their linear rules, copy,
 pickle and equality (every zero of a metric is equal) from ``poly._Linear``,
@@ -52,7 +51,7 @@ value, the grade.  Public constructors validate; results of valid
 operands, and copies, go through the trusted builder ``_make``, which
 fills the slots through their descriptors' ``__set__`` (``_put_*``, bound
 once).  A product runs one chain: the method, ``_product`` with the
-kernel, ``_make``.  ``dot`` runs no kernel, only the shared-key ``_Sparse._dot``.
+kernel, ``_make``.  ``dot`` runs no kernel, only ``_Sparse._dot``.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ from typing import Iterator, Mapping
 
 from .indexes import (_BLADE, _FORMS, MAX_DIM, AlgebraError, Record, _left_rule, _mask,
                       _wedge_rule, as_tuple, integer, term_items)
-from .poly import (PolyScalar, _exact_terms, _Linear, _put_terms, coefficient, number_text,
-                   signed_sum)
+from .poly import (_GUARD, PolyScalar, _exact_terms, _factor, _guarded, _Linear, _place,
+                   _put_terms, _regroup, _split, coefficient, number_text, signed_sum)
 
 
 class GradeError(AlgebraError):
@@ -83,10 +82,7 @@ class Metric(Record):
             raise AlgebraError("k and n must be nonnegative")
         if not 1 <= self.k + self.n <= MAX_DIM:
             raise AlgebraError(f"dimension k+n must lie in [1, {MAX_DIM}]")
-
-    @property
-    def dim(self) -> int:
-        return self.k + self.n
+        self.__dict__["dim"] = self.k + self.n  # read, not computed; not a field of ==/hash/repr
 
     def sign(self, index: int) -> int:
         """Metric sign of one axis: -1 time-like, +1 space-like."""
@@ -120,14 +116,14 @@ def require_same_metric(left: Metric, right: Metric) -> None:
 class _Sparse(_Linear):
     """The operand and coefficient rules shared by ``Multivector`` and ``MvMatrix``.
 
-    A value is a metric, grades and ``_terms``, mask keys to nonzero exact
-    coefficients; ``_shape()`` is (metric, *grades).  ``+`` refuses a value of
+    A value is a metric, grades, ``_poly`` and ``_terms``, flat keys to nonzero
+    exact rationals; ``_shape()`` is (metric, *grades).  ``+`` refuses a value of
     another class, metric or (both nonzero) shape with AlgebraError/GradeError,
-    and a coefficient may be a PolyScalar in the metric's coordinates.  Each
-    subclass adds its constructor, ``_make``, ``_like`` and its products.
+    and a factor may be a PolyScalar in the metric's coordinates.  Each
+    subclass adds its constructor, ``_make``, ``_like``, ``_shift`` and its products.
     """
 
-    __slots__ = ("metric",)
+    __slots__ = ("metric", "_poly")
 
     def _operand(self, other):
         require(other, type(self), self.metric)
@@ -137,24 +133,43 @@ class _Sparse(_Linear):
         return other._terms
 
     def _scalar(self, value):
-        if isinstance(value, PolyScalar):
-            return coefficient(value, self.metric.dim)  # AlgebraError in other variables
-        return _Linear._scalar(self, value)
+        return _factor(value, self.metric.dim)  # AlgebraError in other variables
 
-    def _dot(self, other, mask):
-        """sum(D a b) over the keys both values hold, walking the smaller: the one ``dot`` loop.
+    def _view(self) -> dict:
+        """{blade part: coefficient} as the views show it, a new dict."""
+        return _regroup(self._terms, self._shift(), self.metric.dim, self._poly)
 
-        D = -1 when popcount(mask(key) & t) is odd, t the time-like axes; a matrix entry
-        (I, J) passes I ^ J, since the parities of two popcounts add like an xor.
+    def _at(self, base: int):
+        """The coefficient at one blade part as the views show it, 0 when absent."""
+        return self._view().get(base, 0) if self._poly else self._terms.get(base, 0)
+
+    def _dot(self, other, parity):
+        """sum(D a b) over the blade parts both values hold: the one ``dot`` loop.
+
+        D = -1 when popcount(parity(part) & t) is odd, t the time-like axes; a matrix
+        entry (I, J) passes I ^ J, since the parities of two popcounts add like an xor.
+        Rational values walk the smaller dict; polynomial ones multiply the monomials
+        of each shared part.
         """
         left, right, t = self._terms, other._terms, (1 << self.metric.k) - 1
+        if self._poly or other._poly:
+            dim, shift, out = self.metric.dim, self._shift(), {}
+            full, right = (1 << shift) - 1, _split(right, shift)
+            for key, a in left.items():
+                if (monos := right.get(part := key & full)) is not None:
+                    ma, odd = key >> shift, (parity(part) & t).bit_count() & 1
+                    for mb, b in monos.items():
+                        term, acc = -a * b if odd else a * b, out.get(mono := ma + mb)
+                        out[mono] = term if acc is None else acc + term
+            out = _exact_terms(_guarded(out, _GUARD[dim]))
+            return PolyScalar._make(dim, out) if out else 0
         if len(right) < len(left):
             left, right = right, left
-        total = None  # the first product starts the sum: 0 + a polynomial builds a copy
+        total = None
         for key, a in left.items():
             if (b := right.get(key)) is not None:
                 term = a * b
-                if (mask(key) & t).bit_count() & 1:
+                if (parity(key) & t).bit_count() & 1:
                     total = -term if total is None else total - term
                 else:
                     total = term if total is None else total + term
@@ -164,11 +179,11 @@ class _Sparse(_Linear):
 class Multivector(_Sparse):
     """Grade-homogeneous multivector with sparse exact coefficients.
 
-    Stored by blade mask; ``terms`` is a new dict of index lists on each
-    access.  The grade annotation survives on the zero multivector, and
-    only the zero multivector may carry a grade outside [0, k+n] (such
-    grades arise as stated results of wedge overflow and of interior
-    derivatives of grade 0).
+    Stored by flat key (blade mask and monomial); ``terms`` is a new dict
+    of index lists on each access.  The grade annotation survives on the
+    zero multivector, and only the zero multivector may carry a grade
+    outside [0, k+n] (such grades arise as stated results of wedge
+    overflow and of interior derivatives of grade 0).
     """
 
     __slots__ = ("grade",)
@@ -179,36 +194,39 @@ class Multivector(_Sparse):
         require(metric, Metric)
         if type(grade) is not int:
             integer(grade, "grade")
-        clean: dict[int, object] = {}
+        dim, clean, poly = metric.dim, {}, False
         for indices, coeff in term_items(terms):
-            mask, coeff = _mask(indices, metric.dim), coefficient(coeff, metric.dim)
-            if coeff:
-                clean[mask] = coeff
+            poly |= _place(clean, _mask(indices, dim), coefficient(coeff, dim), dim)
         if clean:
-            if not 0 <= grade <= metric.dim:
-                raise GradeError(f"grade {grade} out of range for dimension {metric.dim}")
-            for mask in clean:
-                if mask.bit_count() != grade:
+            if not 0 <= grade <= dim:
+                raise GradeError(f"grade {grade} out of range for dimension {dim}")
+            for key in clean:
+                if (mask := key & (1 << dim) - 1).bit_count() != grade:
                     raise GradeError(f"index list {_BLADE[mask]!r} has grade "
                                      f"{mask.bit_count()}, expected {grade}")
         _put_metric(self, metric)
         _put_grade(self, grade)
+        _put_poly(self, poly)
         _put_terms(self, clean)
 
     @classmethod
-    def _make(cls, metric: Metric, grade: int, terms: dict) -> "Multivector":
-        """Trusted builder adopting a new dict of blade masks of ``grade`` built here."""
+    def _make(cls, metric: Metric, grade: int, terms: dict, poly: bool = False) -> "Multivector":
+        """Trusted builder adopting a new dict of flat keys of ``grade`` built here."""
         mv = object.__new__(cls)
         _put_metric(mv, metric)
         _put_grade(mv, grade)
+        _put_poly(mv, poly)
         _put_terms(mv, _exact_terms(terms))
         return mv
 
-    def _like(self, terms: dict) -> "Multivector":
-        return Multivector._make(self.metric, self.grade, terms)
+    def _like(self, terms: dict, other) -> "Multivector":
+        return Multivector._make(self.metric, self.grade, terms, self._poly or other._poly)
 
     def _shape(self) -> tuple:
         return (self.metric, self.grade)
+
+    def _shift(self) -> int:
+        return self.metric.dim
 
     # -- constructors ----------------------------------------------------
 
@@ -230,20 +248,20 @@ class Multivector(_Sparse):
     @property
     def terms(self) -> dict[tuple, object]:
         """A new dict of canonical index lists to nonzero coefficients."""
-        return {_BLADE[mask]: c for mask, c in self._terms.items()}
+        return {_BLADE[mask]: c for mask, c in self._view().items()}
 
     def coefficient(self, indices):
         """Coefficient of one blade (0 when absent)."""
-        return self._terms.get(_mask(indices, self.metric.dim), 0)
+        return self._at(_mask(indices, self.metric.dim))
 
     def scalar_value(self):
         if self.grade != 0:
             raise GradeError("scalar_value needs a grade-0 multivector")
-        return self._terms.get(0, 0)
+        return self._at(0)
 
     def items(self) -> list[tuple[tuple, object]]:
         """Terms sorted by index list; the iteration order for printing."""
-        return sorted((_BLADE[mask], c) for mask, c in self._terms.items())
+        return sorted((_BLADE[mask], c) for mask, c in self._view().items())
 
     # -- products ----------------------------------------------------------
 
@@ -254,15 +272,20 @@ class Multivector(_Sparse):
             raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
         return self._dot(other, int)
 
-    def _product(self, rule, left: dict, right: dict, grade, flip=0) -> "Multivector":
-        """The rule's products of two term dicts, summed into a Multivector of ``grade``.
+    def _product(self, rule, lhs: "Multivector", rhs: "Multivector", grade, flip=0):
+        """The rule's products of two values' terms, summed into a Multivector of ``grade``.
 
         The route each operand pair takes is set out in the module docstring.
         """
+        left, right, poly = lhs._terms, rhs._terms, lhs._poly or rhs._poly
         if not left or not right:
-            return Multivector._make(self.metric, grade, {})
+            return Multivector._make(self.metric, grade, {}, poly)
         t = (1 << self.metric.k) - 1
-        if len(left) == 1 or len(right) == 1:
+        if poly:
+            dim = self.metric.dim
+            sums = _guarded(_accumulate_forms(_FORMS[rule], t, left.items(), right.items(),
+                                              flip, (1 << dim) - 1), _GUARD[dim] << dim)
+        elif len(left) == 1 or len(right) == 1:
             sums = _accumulate(rule, t, left.items(), right.items(), flip)
         elif (lifted := _lift(left, right)) is None:
             sums = _accumulate_forms(_FORMS[rule], t, left.items(), right.items(), flip)
@@ -270,24 +293,23 @@ class Multivector(_Sparse):
             left, right, den = lifted
             sums = {mask: Fraction(acc, den) for mask, acc
                     in _accumulate_forms(_FORMS[rule], t, left, right, flip).items()}
-        return Multivector._make(self.metric, grade, sums)
+        return Multivector._make(self.metric, grade, sums, poly)
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Exterior product; grade adds (zero past the top grade)."""
         require(other, Multivector, self.metric)
-        return self._product(_wedge_rule, self._terms, other._terms, self.grade + other.grade)
+        return self._product(_wedge_rule, self, other, self.grade + other.grade)
 
     def left_contract(self, other: "Multivector") -> "Multivector":
         """Left interior product self _| other; lowers other's grade by self's."""
         require(other, Multivector, self.metric)
-        return self._product(_left_rule, self._terms, other._terms, other.grade - self.grade)
+        return self._product(_left_rule, self, other, other.grade - self.grade)
 
     def right_contract(self, other: "Multivector") -> "Multivector":
         """Right interior product self |_ other; lowers self's grade by other's."""
         require(other, Multivector, self.metric)
         grade = self.grade - other.grade
-        return self._product(_left_rule, other._terms, self._terms, grade,
-                             other.grade * grade & 1)
+        return self._product(_left_rule, other, self, grade, other.grade * grade & 1)
 
     def hodge(self) -> "Multivector":
         """Hodge complement, blade by blade: e_I -> D_II s(I, Ic) e_Ic."""
@@ -303,23 +325,24 @@ class Multivector(_Sparse):
         metric = self.metric
         full, t = (1 << metric.dim) - 1, (1 << metric.k) - 1
         out = {}
-        for mask, c in self._terms.items():
-            odd, rest = _left_rule(mask, full, t)
-            out[rest] = -c if odd ^ flip else c
-        return Multivector._make(metric, metric.dim - self.grade, out)
+        for key, c in self._terms.items():
+            odd, rest = _left_rule(mask := key & full, full, t)
+            out[key - mask + rest] = -c if odd ^ flip else c
+        return Multivector._make(metric, metric.dim - self.grade, out, self._poly)
 
     # -- canonical text -----------------------------------------------------
 
     def __str__(self) -> str:
         if self.grade == 0 and self._terms:
-            return number_text(self._terms[0])
+            return number_text(self.scalar_value())
         return signed_sum(_blade_term_text(indices, coeff) for indices, coeff in self.items())
 
     def __repr__(self) -> str:
         return f"<Multivector ({self.metric.k},{self.metric.n}) grade {self.grade}: {self}>"
 
 
-_put_metric, _put_grade = _Sparse.metric.__set__, Multivector.grade.__set__
+_put_metric, _put_poly, _put_grade = (_Sparse.metric.__set__, _Sparse._poly.__set__,
+                                     Multivector.grade.__set__)
 
 
 def require(value, kind=Multivector, metric: Metric | None = None, grade: int | None = None,
@@ -341,13 +364,14 @@ def require(value, kind=Multivector, metric: Metric | None = None, grade: int | 
 def _blade_term_text(indices: tuple, coeff) -> tuple[bool, str]:
     """(negative, magnitude text) of one blade term for ``signed_sum``.
 
-    A polynomial of several terms keeps its own signs inside parentheses;
-    a single monomial or a rational gives its sign to the term join.
+    A polynomial of several terms, whose text is a signed sum, keeps its own
+    signs inside parentheses; a single monomial or a rational gives its sign
+    to the term join.
     """
     blade = "e[" + ",".join(str(i) for i in indices) + "]"
-    if isinstance(coeff, PolyScalar) and len(coeff._terms) > 1:
-        return False, f"({coeff}) ^ {blade}"
     text = number_text(coeff)  # a single term's canonical text: "-" first when negative
+    if " + " in text or " - " in text:
+        return False, f"({text}) ^ {blade}"
     magnitude = text.removeprefix("-")
     return magnitude != text, blade if magnitude == "1" else f"{magnitude} ^ {blade}"
 
@@ -379,48 +403,44 @@ def _accumulate(rule, t: int, left, right, flip: int = 0) -> dict:
     return out
 
 
-def _accumulate_forms(form, t: int, left, right, flip: int = 0) -> dict:
+def _accumulate_forms(form, t: int, left, right, flip: int = 0, full: int = -1) -> dict:
     """``_accumulate`` on a rule's per-mask form (``indexes._FORMS``), with no call per pair.
 
     Each left term is looked up once, its time-like parity (and ``flip``) added
     to eA; then a pair (A, B) gives a term iff A & hB == 0, with mask A ^ B and
-    parity popcount(pA & B) + eA.
+    parity popcount(pA & B) + eA.  Keys may be flat (``poly``), their masks
+    ``key & full``: A ^ B is B + A for the wedge (x = 0) and B - A for the
+    contraction (x = -1), so a pair's key is its left key less 2 (A & x) plus
+    its right key, the monomial parts added.
     """
     part, x, time = form
     t &= time
     lhs, out = [], {}
-    for a, ca in left:
-        pa, ea = part[a]
-        lhs.append((a, pa, ea + (a & t).bit_count() + flip, ca))
-    rhs = [(b, b ^ x, cb) for b, cb in right]
-    for a, pa, ea, ca in lhs:
-        for b, hb, cb in rhs:
+    for ka, ca in left:
+        pa, ea = part[a := ka & full]
+        lhs.append((a, ka - 2 * (a & x), pa, ea + (a & t).bit_count() + flip, ca))
+    rhs = [(kb & full, kb & full ^ x, kb, cb) for kb, cb in right]
+    for a, lead, pa, ea, ca in lhs:
+        for b, hb, kb, cb in rhs:
             if a & hb:
                 continue
-            mask = a ^ b
+            key = lead + kb
             term = ca * cb
-            acc = out.get(mask)
+            acc = out.get(key)
             if (pa & b).bit_count() + ea & 1:
-                out[mask] = -term if acc is None else acc - term
+                out[key] = -term if acc is None else acc - term
             else:
-                out[mask] = term if acc is None else acc + term
+                out[key] = term if acc is None else acc + term
     return out
-
-
-_RATIONAL = frozenset((int, Fraction))
 
 
 def _lift(left: dict, right: dict):
     """(left, right, D_l D_r) as integer (mask, numerator) pairs, or None to stay as given.
 
-    Taken when every coefficient is an int or a Fraction and some
-    denominator exceeds 1; each operand is scaled by the lcm of its own
-    denominators.  ``Multivector._product`` asks only for two multi-term
-    operands.
+    Taken when some denominator exceeds 1; each operand is scaled by the lcm
+    of its own denominators.  ``Multivector._product`` asks only for two
+    multi-term rational operands.
     """
-    if not (_RATIONAL.issuperset(map(type, left.values()))
-            and _RATIONAL.issuperset(map(type, right.values()))):
-        return None
     # one call per term: Fraction's numerator and denominator are each a call
     ratios_l = [c.as_integer_ratio() for c in left.values()]
     ratios_r = [c.as_integer_ratio() for c in right.values()]

@@ -27,35 +27,43 @@ derivatives split the Laplacian with a grade-dependent sign:
 (verified symbolically by the verification suite; wave-equation
 rewriting refuses to run unless this check passes for its shape).
 
-Fields are blade-mask dicts.  Each operator lowers the monomials of every
-polynomial component (``poly._lower_into``) straight into the exponent
-dict of its output blade, and builds each output polynomial once.  ``d^``
-and ``d_|`` visit only the axes with a term (``indexes._STEPS``).
+Each operator is one loop over a field's flat keys (``poly``): x_i's
+exponent is a shift and a mask away (``poly._AXES``), and d_i lowers it by
+a subtract, so each term goes straight to its output key.  ``d^`` and
+``d_|`` visit only the axes with a term (``indexes._STEPS``), through
+``_DERIVS``: per mask, each axis's field offset, change of key and sign.
 """
 
 from __future__ import annotations
 
 from .blades import GradeError, Metric, Multivector, require
-from .indexes import _STEPS, _left_rule, _wedge_rule
+from .indexes import _STEPS, _Memo, _left_rule, _wedge_rule
 from .matrices import MvMatrix
-from .poly import PolyScalar, _lower_into, partial
+from .poly import _AXES, _FIELD, _GUARD, PolyScalar, _guarded
 
 
-def _polys(nvars: int, out: dict) -> dict:
-    """A key -> exponent dict map as key -> polynomial, empty dicts dropped."""
-    return {key: PolyScalar._make(nvars, terms) for key, terms in out.items() if terms}
+def _steps(rule, dim: int, k: int) -> _Memo:
+    """mask -> (x_i's field offset, key change, negate) of each axis i with a term."""
+    axes = _AXES[dim, dim]
+    return _Memo(lambda mask: tuple((axes[i], hit - mask - (1 << axes[i]), odd ^ (i < k))
+                                    for i, odd, hit in _STEPS[rule, dim, mask]))
+
+
+_DERIVS = _Memo(lambda key: _steps(*key))  # (rule, dim, k) -> _steps
 
 
 def _vector_deriv(field: Multivector, rule, time_flip: bool, shift: int) -> Multivector:
     """sum_i rule(e_i, d_i field), of grade gr + ``shift``, run with no time-like axes;
     D_ii if ``time_flip``."""
     metric, out = require(field).metric, {}
-    dim, k = metric.dim, metric.k if time_flip else 0
-    for mask, coeff in field._terms.items():
-        if isinstance(coeff, PolyScalar):
-            for i, odd, hit in _STEPS[rule, dim, mask]:
-                _lower_into(out.setdefault(hit, {}), coeff._terms, i, odd ^ (i < k))
-    return Multivector._make(metric, field.grade + shift, _polys(dim, out))
+    dim = metric.dim
+    full, steps = (1 << dim) - 1, _DERIVS[rule, dim, metric.k if time_flip else 0]
+    for key, c in field._terms.items():
+        for axis, step, negate in steps[key & full]:
+            if e := key >> axis & _FIELD:
+                d = -c * e if negate else c * e
+                out[j] = d if (acc := out.get(j := key + step)) is None else acc + d
+    return Multivector._make(metric, field.grade + shift, out, field._poly)
 
 
 def ext_deriv(field: Multivector) -> Multivector:
@@ -82,21 +90,22 @@ def right_int_deriv(field: Multivector) -> Multivector:
 def tensor_deriv(field: Multivector) -> MvMatrix:
     """Tensor derivative: row grade 1 matrix of all first partials."""
     dim, k, out = require(field).metric.dim, field.metric.k, {}
-    for mask, coeff in field._terms.items():
-        if isinstance(coeff, PolyScalar):
-            for i in range(dim):
-                out[(1 << i, mask)] = _lower_into({}, coeff._terms, i, i < k)
-    return MvMatrix._make(field.metric, 1, field.grade, _polys(dim, out))
+    for key, c in field._terms.items():
+        for i, axis in enumerate(_AXES[dim, dim]):
+            if e := key >> axis & _FIELD:  # the row e_i below the key, moved up by dim
+                out[1 << i | key - (1 << axis) << dim] = -c * e if i < k else c * e
+    return MvMatrix._make(field.metric, 1, field.grade, out, field._poly)
 
 
 def laplacian(field: Multivector) -> Multivector:
     """Component-wise d'Alembertian sum_i D_ii d_i^2, grade unchanged."""
     dim, k, out = require(field).metric.dim, field.metric.k, {}
-    for mask, c in field._terms.items():
-        if isinstance(c, PolyScalar):
-            for i in range(dim):
-                _lower_into(out.setdefault(mask, {}), _lower_into({}, c._terms, i), i, i < k)
-    return Multivector._make(field.metric, field.grade, _polys(dim, out))
+    for key, c in field._terms.items():
+        for i, axis in enumerate(_AXES[dim, dim]):
+            if (e := key >> axis & _FIELD) > 1:
+                d = -c * e * (e - 1) if i < k else c * e * (e - 1)
+                out[j] = d if (acc := out.get(j := key - (2 << axis))) is None else acc + d
+    return Multivector._make(field.metric, field.grade, out, field._poly)
 
 
 def matrix_divergence(matrix: MvMatrix) -> Multivector:
@@ -107,30 +116,43 @@ def matrix_divergence(matrix: MvMatrix) -> Multivector:
     """
     if require(matrix, MvMatrix).row_grade != 1 and matrix._terms:
         raise GradeError("matrix divergence needs row grade 1")
-    out: dict[int, dict] = {}
-    for (row, cols), coeff in matrix._terms.items():
-        if isinstance(coeff, PolyScalar):
-            _lower_into(out.setdefault(cols, {}), coeff._terms, row.bit_length() - 1)
-    return Multivector._make(matrix.metric, matrix.col_grade, _polys(matrix.metric.dim, out))
+    dim = matrix.metric.dim
+    return Multivector._make(matrix.metric, matrix.col_grade,
+                             _divergence(matrix._terms, dim, 2 * dim), matrix._poly)
 
 
 def divergence_scalar(field: Multivector):
-    """Divergence of a 1-vector field as a scalar, sum_i d_i v_i; int 0 with no polynomial."""
-    require(field, grade=1, what="divergence field")
-    terms = None
-    for mask, coeff in field._terms.items():
-        if isinstance(coeff, PolyScalar):
-            terms = _lower_into(terms or {}, coeff._terms, mask.bit_length() - 1)
-    return 0 if terms is None else PolyScalar._make(field.metric.dim, terms)
+    """Divergence of a 1-vector field as a scalar, sum_i d_i v_i; int 0 for a rational field."""
+    dim = require(field, grade=1, what="divergence field").metric.dim
+    return PolyScalar._make(dim, _divergence(field._terms, dim, dim)) if field._poly else 0
+
+
+def _divergence(terms: dict, dim: int, shift: int) -> dict:
+    """sum_i d_i of flat terms whose low dim bits are one axis e_i, monomials above ``shift``;
+    each key loses those bits (moves down by dim)."""
+    full, axes, out = (1 << dim) - 1, _AXES[shift, dim], {}
+    for key, c in terms.items():
+        if e := key >> (axis := axes[(key & full).bit_length() - 1]) & _FIELD:
+            d = c * e
+            out[j] = d if (acc := out.get(j := key - (1 << axis) >> dim)) is None else acc + d
+    return out
 
 
 def directional_deriv(direction: Multivector, field: Multivector) -> Multivector:
     """Convective derivative (v . d) a, component-wise sum_i v_i d_i a_I."""
     require(field, metric=require(direction, grade=1, what="direction").metric)
-    return Multivector._make(field.metric, field.grade, {
-        mask: sum(v * d for unit, v in direction._terms.items()
-                  if (d := partial(coeff, unit.bit_length() - 1)))
-        for mask, coeff in field._terms.items()})
+    dim, out = field.metric.dim, {}
+    full, axes, guard = (1 << dim) - 1, _AXES[dim, dim], _GUARD[dim] << dim
+    # each v_i term as (x_i's field in a key, the term's monomial part, its coefficient)
+    steps = [(axes[(unit := key & full).bit_length() - 1], key - unit, v)
+             for key, v in direction._terms.items()]
+    for key, c in field._terms.items():
+        for axis, mono, v in steps:
+            if e := key >> axis & _FIELD:
+                d = v * (c * e)
+                out[j] = d if (acc := out.get(j := key - (1 << axis) + mono)) is None else acc + d
+    return Multivector._make(field.metric, field.grade, _guarded(out, guard),
+                             field._poly or direction._poly)
 
 
 def check_laplacian_splitting(metric: Metric, grade: int, fields) -> bool:

@@ -28,9 +28,9 @@ import math
 from fractions import Fraction
 
 from .blades import AlgebraError, GradeError, Metric, Multivector, require
-from .calculus import check_laplacian_splitting, ext_deriv, int_deriv
+from .calculus import check_laplacian_splitting, ext_deriv, int_deriv, tensor_deriv
 from .indexes import Record, integer
-from .poly import PolyScalar, exact
+from .poly import exact
 from .variational import (
     DerivOp,
     FieldEquation,
@@ -156,7 +156,7 @@ def wave_form(cfg: MaxwellConfig, field_name: str = "A",
 
 
 def _is_constant(field: Multivector) -> bool:
-    return all(not isinstance(c, PolyScalar) or c.is_constant() for c in field._terms.values())
+    return tensor_deriv(field).is_zero()  # every first partial vanishes
 
 
 def gauge_transform(A: Multivector, Abar: Multivector,

@@ -11,9 +11,11 @@ through the metric sign of the shared list:
 The identity of grade l is sum_I D_II w_{I,I}.  There is no matrix
 inverse here; only the products above are defined.
 
-Entries are stored in ``_terms`` by (row mask, column mask), with index
-tuples only at the API, and the three contractions run one loop with
-D_KK from popcounts; ``dot`` and the linear structure are those of
+Entries are stored flat in ``_terms`` (see ``poly``): an entry's key is
+``rows | cols << dim`` plus its packed monomial shifted past both masks,
+with index tuples only at the API.  The three contractions run one loop,
+``_contract``, with D_KK from popcounts; ``mat_vec`` runs it on the
+transpose.  ``dot`` and the linear structure are those of
 ``blades._Sparse`` and ``poly._Linear``.
 """
 
@@ -21,13 +23,14 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .blades import AlgebraError, GradeError, Metric, Multivector, _put_metric, _Sparse, require
+from .blades import (AlgebraError, GradeError, Metric, Multivector, _put_metric, _put_poly,
+                     _Sparse, require)
 from .indexes import _BLADE, _mask, as_tuple, integer, term_items
-from .poly import _exact_terms, _put_terms, coefficient
+from .poly import _GUARD, _exact_terms, _guarded, _place, _put_terms, coefficient
 
 
 class MvMatrix(_Sparse):
-    """Sparse matrix over blade tensor bases stored by mask pair; ``terms`` is a view."""
+    """Sparse matrix over blade tensor bases stored by flat key; ``terms`` is a view."""
 
     __slots__ = ("row_grade", "col_grade")
 
@@ -36,43 +39,49 @@ class MvMatrix(_Sparse):
         require(metric, Metric)
         integer(row_grade, "row grade")
         integer(col_grade, "column grade")
-        clean: dict[tuple[int, int], object] = {}
+        dim, clean, poly = metric.dim, {}, False
         for key, coeff in term_items(terms):
             if type(key) is not tuple or len(key) != 2:
                 raise AlgebraError(f"bad matrix key {key!r}: expected a (rows, cols) pair")
-            masks = (_mask(key[0], metric.dim, "row index list"),
-                     _mask(key[1], metric.dim, "column index list"))
-            coeff = coefficient(coeff, metric.dim)
-            if coeff:
-                clean[masks] = coeff
+            part = (_mask(key[0], dim, "row index list")
+                    | _mask(key[1], dim, "column index list") << dim)
+            poly |= _place(clean, part, coefficient(coeff, dim), 2 * dim)
         if clean:
             for grade in (row_grade, col_grade):
-                if not 0 <= grade <= metric.dim:
+                if not 0 <= grade <= dim:
                     raise GradeError(f"grade {grade} out of range")
-            for rows, cols in clean:
+            for key in clean:
+                rows, cols = key & (1 << dim) - 1, key >> dim & (1 << dim) - 1
                 if rows.bit_count() != row_grade or cols.bit_count() != col_grade:
                     raise GradeError(f"entry ({_BLADE[rows]!r},{_BLADE[cols]!r}) does not "
                                      f"have grades ({row_grade},{col_grade})")
         _put_metric(self, metric)
         _put_rows(self, row_grade)
         _put_cols(self, col_grade)
+        _put_poly(self, poly)
         _put_terms(self, clean)
 
     @classmethod
-    def _make(cls, metric: Metric, row_grade: int, col_grade: int, terms: dict) -> "MvMatrix":
-        """Trusted builder adopting a new (row mask, col mask) -> coeff dict of the given grades."""
+    def _make(cls, metric: Metric, row_grade: int, col_grade: int, terms: dict,
+              poly: bool = False) -> "MvMatrix":
+        """Trusted builder adopting a new dict of flat keys of the given grades."""
         matrix = object.__new__(cls)
         _put_metric(matrix, metric)
         _put_rows(matrix, row_grade)
         _put_cols(matrix, col_grade)
+        _put_poly(matrix, poly)
         _put_terms(matrix, _exact_terms(terms))
         return matrix
 
-    def _like(self, terms: dict) -> "MvMatrix":
-        return MvMatrix._make(self.metric, self.row_grade, self.col_grade, terms)
+    def _like(self, terms: dict, other) -> "MvMatrix":
+        return MvMatrix._make(self.metric, self.row_grade, self.col_grade, terms,
+                              self._poly or other._poly)
 
     def _shape(self) -> tuple:
         return (self.metric, self.row_grade, self.col_grade)
+
+    def _shift(self) -> int:
+        return 2 * self.metric.dim
 
     @classmethod
     def zero(cls, metric: Metric, row_grade: int, col_grade: int) -> "MvMatrix":
@@ -91,23 +100,33 @@ class MvMatrix(_Sparse):
     @property
     def terms(self) -> dict[tuple, object]:
         """A new dict of (rows, cols) index lists to nonzero coefficients."""
-        return {(_BLADE[rows], _BLADE[cols]): c for (rows, cols), c in self._terms.items()}
+        return dict(self._entries())
+
+    def _entries(self) -> list:
+        """((rows, cols), coefficient) per entry, as the views show them."""
+        dim = self.metric.dim
+        return [((_BLADE[part & (1 << dim) - 1], _BLADE[part >> dim]), c)
+                for part, c in self._view().items()]
 
     def entry(self, rows, cols):
         dim = self.metric.dim
-        return self._terms.get((_mask(rows, dim, "row index list"),
-                                _mask(cols, dim, "column index list")), 0)
+        return self._at(_mask(rows, dim, "row index list")
+                        | _mask(cols, dim, "column index list") << dim)
 
     def transpose(self) -> "MvMatrix":
-        return MvMatrix._make(self.metric, self.col_grade, self.row_grade,
-                              {(cols, rows): c for (rows, cols), c in self._terms.items()})
+        dim, out = self.metric.dim, {}
+        for key, c in self._terms.items():
+            swap = (key ^ key >> dim) & (1 << dim) - 1  # rows ^ cols
+            out[key ^ swap ^ swap << dim] = c
+        return MvMatrix._make(self.metric, self.col_grade, self.row_grade, out, self._poly)
 
     def dot(self, other: "MvMatrix"):
         """Frobenius scalar product; requires matching grade shapes."""
         require(other, MvMatrix, self.metric)
         if self._shape() != other._shape():
             raise GradeError("dot needs matching grade shapes")
-        return self._dot(other, lambda key: key[0] ^ key[1])
+        dim = self.metric.dim
+        return self._dot(other, lambda part: part ^ part >> dim)
 
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         """Matrix product; contracts self's columns with other's rows."""
@@ -115,11 +134,12 @@ class MvMatrix(_Sparse):
         if self.col_grade != other.row_grade:
             raise GradeError(f"cannot contract column grade {self.col_grade} "
                              f"with row grade {other.row_grade}")
-        out = _contract(self.metric, self._terms.items(), other._terms.items())
-        return MvMatrix._make(self.metric, self.row_grade, other.col_grade, out)
+        poly = self._poly or other._poly
+        out = _contract(self.metric, self._terms, other._terms, poly)
+        return MvMatrix._make(self.metric, self.row_grade, other.col_grade, out, poly)
 
     def __repr__(self) -> str:
-        pairs = sorted(((_BLADE[r], _BLADE[c]), v) for (r, c), v in self._terms.items())
+        pairs = sorted(self._entries())
         entries = ", ".join(f"w[{','.join(map(str, r))};{','.join(map(str, c))}]*{v}"
                             for (r, c), v in pairs)
         return (f"<MvMatrix ({self.metric.k},{self.metric.n}) "
@@ -130,20 +150,26 @@ _put_rows, _put_cols = MvMatrix.row_grade.__set__, MvMatrix.col_grade.__set__
 
 
 def mat_vec(matrix: MvMatrix, vector: Multivector) -> Multivector:
-    """matrix x vector: contracts columns against the vector's blades."""
-    column = (((mask, 0), c) for mask, c in _fit(matrix, vector, "col_grade")._terms.items())
-    out = _contract(matrix.metric, matrix._terms.items(), column).items()
-    return Multivector._make(matrix.metric, matrix.row_grade, {i: c for (i, _), c in out})
+    """matrix x vector: contracts columns against the vector's blades.
+
+    Equals ``vec_mat(vector, matrix.transpose())``, and runs as that.
+    """
+    vector = _fit(matrix, vector, "col_grade")
+    return _row_times(vector, matrix.transpose())
 
 
 def vec_mat(vector: Multivector, matrix: MvMatrix) -> Multivector:
-    """vector x matrix: contracts the vector against the matrix's rows.
+    """vector x matrix: contracts the vector against the matrix's rows."""
+    return _row_times(_fit(matrix, vector, "row_grade"), matrix)
 
-    Equals ``mat_vec(matrix.transpose(), vector)``.
-    """
-    row = (((0, mask), c) for mask, c in _fit(matrix, vector, "row_grade")._terms.items())
-    out = _contract(matrix.metric, row, matrix._terms.items()).items()
-    return Multivector._make(matrix.metric, matrix.col_grade, {j: c for (_, j), c in out})
+
+def _row_times(vector: Multivector, matrix: MvMatrix) -> Multivector:
+    """The vector as the matrix entries (0, K) times the matrix: a key moves up by dim."""
+    dim, poly = matrix.metric.dim, vector._poly or matrix._poly
+    row = {key << dim: c for key, c in vector._terms.items()}
+    out = _contract(matrix.metric, row, matrix._terms, poly)
+    return Multivector._make(matrix.metric, matrix.col_grade,
+                             {key >> dim: c for key, c in out.items()}, poly)
 
 
 def _fit(matrix: MvMatrix, vector: Multivector, slot: str) -> Multivector:
@@ -153,24 +179,28 @@ def _fit(matrix: MvMatrix, vector: Multivector, slot: str) -> Multivector:
     return require(vector, Multivector, matrix.metric, grade, "vector")
 
 
-def _contract(metric: Metric, left, right) -> dict:
-    """{(I, L): sum_K D_KK a b} over mask-keyed ((I, K), a) in left and ((K, L), b) in right.
+def _contract(metric: Metric, left: dict, right: dict, poly: bool) -> dict:
+    """{(I, L): sum_K D_KK a b} over flat keys (I, K) of ``left`` and (K, L) of ``right``.
 
-    A negative product is subtracted; cancelled sums stay as zeros for ``_make``.
+    An output key is left's key without K plus right's without K, so the
+    monomial parts add (under ``_guarded`` when ``poly``).  A negative
+    product is subtracted; cancelled sums stay as zeros for ``_make``.
     """
-    t, by_row = (1 << metric.k) - 1, {}
-    for (k, cols), b in right:
-        by_row.setdefault(k, []).append((cols, b))
-    out: dict[tuple[int, int], object] = {}
-    for (rows, k), a in left:
-        odd = (k & t).bit_count() & 1
+    dim = metric.dim
+    full, t, by_row = (1 << dim) - 1, (1 << metric.k) - 1, {}
+    for key, b in right.items():
+        by_row.setdefault(k := key & full, []).append((key - k, b))
+    out: dict[int, object] = {}
+    for key, a in left.items():
+        k = key >> dim & full
+        odd, rest = (k & t).bit_count() & 1, key - (k << dim)
         for cols, b in by_row.get(k, ()):
-            key, term = (rows, cols), a * b
-            acc = out.get(key)
+            term = a * b
+            acc = out.get(out_key := rest + cols)
             if acc is None:
-                out[key] = -term if odd else term
+                out[out_key] = -term if odd else term
             elif odd:
-                out[key] = acc - term
+                out[out_key] = acc - term
             else:
-                out[key] = acc + term
-    return out
+                out[out_key] = acc + term
+    return _guarded(out, _GUARD[dim] << 2 * dim) if poly else out

@@ -9,7 +9,7 @@ directly to multivector fields over a given metric:
             | 'hodge' '(' expr ')' | 'invhodge' '(' expr ')'
             | 'd^' factor | 'd_|' factor | '(' expr ')'
     blade  := 'e[' indices ']'           indices checked by indexes._mask
-    poly   := 'x' digits ('^' digits)?
+    poly   := 'x' digits ('^' digits)?   a power of at most poly.MAX_EXPONENT
 
 and Lagrangian densities are sums of bilinear slot terms over declared
 field symbols:
@@ -38,7 +38,7 @@ from fractions import Fraction
 from .blades import AlgebraError, Metric, Multivector, require
 from .calculus import ext_deriv, int_deriv
 from .indexes import _mask
-from .poly import PolyScalar, digit_limit
+from .poly import PolyScalar, _place, digit_limit, pack
 from .variational import DerivOp, FieldSymbol, LagrangianDensity
 
 
@@ -179,7 +179,7 @@ class _ExprParser(_Parser):
                 if op.kind == "^":
                     value = value.wedge(rhs)
                 elif op.kind == ".":
-                    value = Multivector._make(self.metric, 0, {0: value.dot(rhs)})
+                    value = self._scalar(value.dot(rhs))
                 elif op.kind == "LINT":
                     value = value.left_contract(rhs)
                 else:
@@ -193,10 +193,10 @@ class _ExprParser(_Parser):
         # literals are checked here, so they are built by the trusted ``_make``
         if tok.kind == "NUMBER":
             self.advance()
-            return Multivector._make(self.metric, 0, {0: _rational(tok)})
+            return self._scalar(_rational(tok))
         if tok.kind == "POLY":
             self.advance()
-            return Multivector._make(self.metric, 0, {0: self._poly(tok)})
+            return self._scalar(self._poly(tok))
         if tok.kind == "BLADE":
             self.advance()
             return self._blade(tok)
@@ -227,6 +227,12 @@ class _ExprParser(_Parser):
         self.depth -= 1
         return value
 
+    def _scalar(self, coeff) -> Multivector:
+        """A checked coefficient as a grade-0 value."""
+        terms = {}
+        poly = _place(terms, 0, coeff, self.metric.dim)
+        return Multivector._make(self.metric, 0, terms, poly)
+
     def _poly(self, tok: Token) -> PolyScalar:
         body = tok.text[1:]
         if "^" in body:
@@ -238,7 +244,11 @@ class _ExprParser(_Parser):
         dim = self.metric.dim
         if index >= dim:
             raise ExprError(f"coordinate x{index} out of range for dimension {dim}", tok.pos)
-        return PolyScalar._make(dim, {(0,) * index + (power,) + (0,) * (dim - index - 1): 1})
+        try:
+            mono = pack((0,) * index + (power,))
+        except AlgebraError as exc:
+            raise ExprError(str(exc), tok.pos) from None
+        return PolyScalar._make(dim, {mono: 1})
 
     def _blade(self, tok: Token) -> Multivector:
         inner = tok.text[2:-1]

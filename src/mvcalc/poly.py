@@ -1,11 +1,21 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals, and the one flat term layout.
 
 Coefficient ring for multivector fields: polynomials in the coordinates
-x0..x(d-1), stored as a map from exponent tuples to coefficients.  No
-floats anywhere; arithmetic is exact.  Every rational coefficient passes
-``exact``, which stores an integral value as an ``int`` and only a
-non-integral one as a ``Fraction``, so small integers never pay for
-Fraction arithmetic.
+x0..x(d-1).  No floats anywhere; arithmetic is exact.  Every rational
+coefficient passes ``exact``, which stores an integral value as an ``int``
+and only a non-integral one as a ``Fraction``, so small integers never pay
+for Fraction arithmetic.
+
+This module alone defines the stored term layout.  A monomial is one int,
+``mono``, with a WIDTH-bit field per coordinate (``pack``, ``unpack``,
+``_AXES``) whose top bit is a guard bit: exponents run to MAX_EXPONENT,
+two of them add with no carry, and a sum that sets a guard bit
+(``_GUARD``) raises AlgebraError (``_guarded``).  ``PolyScalar`` keys its
+terms by mono; a multivector or matrix keys each rational by its blade
+part (a mask, or ``rows | cols << dim``) plus ``mono << shift``, shift
+dim or 2*dim (packed monomials: S. C. Johnson, SIGSAM Bull. 1974; Monagan
+& Pearce, CASC 2007).  ``_place``, ``_times``, ``_split`` and ``_regroup``
+store, multiply and group back such flat terms.
 
 ``_Linear``, defined here, is the one base of every value (polynomials,
 multivectors, matrices, formal expressions and densities): it holds
@@ -24,13 +34,46 @@ products with the wedge token, e.g. ``3/2 ^ x0^2 ^ x1 + x2``.
 
 from __future__ import annotations
 
-import operator
+import struct
 import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
 
-from .indexes import AlgebraError, as_tuple, integer, term_items
+from .indexes import AlgebraError, _Memo, as_tuple, integer, term_items
+
+WIDTH = 16  # bits per exponent field, its guard bit included: a little-endian "H"
+MAX_EXPONENT = (1 << WIDTH - 1) - 1
+_FIELD = (1 << WIDTH) - 1
+# nvars -> the guard bits of that many fields, and the struct of their bytes;
+# (shift, nvars) -> each field's bit offset
+_GUARD = _Memo(lambda nvars: sum(1 << WIDTH * i + WIDTH - 1 for i in range(nvars)))
+_FIELDS = _Memo(lambda nvars: struct.Struct(f"<{nvars}H"))
+_AXES = _Memo(lambda key: tuple(key[0] + WIDTH * i for i in range(key[1])))
+
+
+def _too_high():
+    raise AlgebraError(f"exponent above {MAX_EXPONENT}, the largest a term can hold")
+
+
+def _guarded(terms: dict, guard: int) -> dict:
+    """``terms``, unless a key sets a ``guard`` bit: then AlgebraError, never a carry."""
+    if any(key & guard for key in terms):
+        _too_high()
+    return terms
+
+
+def pack(exps: tuple) -> int:
+    """The mono of a tuple of nonnegative exponents; AlgebraError past MAX_EXPONENT."""
+    if max(exps, default=0) > MAX_EXPONENT:
+        _too_high()
+    return int.from_bytes(_FIELDS[len(exps)].pack(*exps), "little")
+
+
+def unpack(mono: int, nvars: int) -> tuple:
+    """The exponent tuple of a mono in ``nvars`` variables."""
+    fields = _FIELDS[nvars]
+    return fields.unpack(mono.to_bytes(fields.size, "little"))
 
 
 def exact(value) -> int | Fraction:
@@ -64,44 +107,86 @@ def coefficient(value, nvars: int):
     return exact(value)
 
 
+def _factor(value, nvars: int | None = None):
+    """``value`` as a factor: a rational, or given ``nvars`` a PolyScalar; else NotImplemented."""
+    if nvars is not None and isinstance(value, PolyScalar):
+        return coefficient(value, nvars)
+    try:
+        return exact(value)
+    except AlgebraError:
+        return NotImplemented
+
+
 def _exact_terms(terms: dict) -> dict:
-    """The caller's new dict itself when canonical (nonzero ints and polynomials, Fractions
-    with a denominator above 1), else a copy with zeros dropped and integral Fractions made ints."""
+    """The caller's new dict itself when canonical (nonzero ints, Fractions with a
+    denominator above 1), else a copy with zeros dropped and integral Fractions made ints."""
     for c in terms.values():
-        kind = type(c)
-        if not (c if kind is int else c._terms if kind is PolyScalar else c.denominator != 1):
+        if not (c if type(c) is int else c.denominator != 1):
             return {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
                     for key, c in terms.items() if c}
     return terms
 
 
-def _lower_into(out: dict, terms: dict, index: int, negate: bool = False) -> dict:
-    """Add (or with ``negate`` subtract) d/dx(index) of ``terms`` into the exponent dict ``out``."""
-    for exps, c in terms.items():
-        if e := exps[index]:
-            lowered, d = exps[:index] + (e - 1,) + exps[index + 1:], c * (-e if negate else e)
-            acc = out.get(lowered)
-            out[lowered] = d if acc is None else acc + d
+def _place(out: dict, base: int, coeff, shift: int) -> bool:
+    """Store ``coeff`` at blade part ``base``, monomials above ``shift``; True for a PolyScalar."""
+    if type(coeff) is PolyScalar:
+        for mono, c in coeff._terms.items():
+            out[base | mono << shift] = c
+        return True
+    if coeff:
+        out[base] = coeff
+    return False
+
+
+def _times(left: dict, right: dict, guard: int) -> dict:
+    """The sums of ca cb at ka + kb over all pairs of flat terms, under ``_guarded``."""
+    out = {}
+    for ka, ca in left.items():
+        for kb, cb in right.items():
+            term, acc = ca * cb, out.get(key := ka + kb)
+            out[key] = term if acc is None else acc + term
+    return _guarded(out, guard)
+
+
+def _split(terms: dict, shift: int) -> dict:
+    """Flat terms grouped by blade part: {base: {mono: coeff}}."""
+    full, out = (1 << shift) - 1, {}
+    for key, c in terms.items():
+        out.setdefault(key & full, {})[key >> shift] = c
+    return out
+
+
+def _regroup(terms: dict, shift: int, nvars: int, poly: bool) -> dict:
+    """The view {base: coeff}: a PolyScalar per blade part when ``poly``, else the rational."""
+    if not poly:
+        return dict(terms)
+    full, out = (1 << shift) - 1, {}
+    for key, c in terms.items():  # each PolyScalar is new, and filled before it is shared
+        if (coeff := out.get(base := key & full)) is None:
+            out[base] = coeff = PolyScalar._make(nvars, {})
+        coeff._terms[key >> shift] = c
     return out
 
 
 class _Linear:
     """The linear rules of every value: an exact combination of keys, shared once.
 
-    ``_terms`` maps each key to a nonzero exact coefficient.  The base owns
+    ``_terms`` maps each key to a nonzero exact rational.  The base owns
     immutability, copy and pickle, the ``terms`` copy, ``is_zero``, ``+`` and ``-``
     (one merge loop), negation, scaling and ``==``, as SymPy's ``PolyElement``
     (``sympy/polys/rings.py``) shares its ring operations over one dict.
     Each class says how it differs through hooks:
 
-    * ``_make(*shape, terms)``, the trusted builder, which adopts the new
+    * ``_make(*shape, terms, poly)``, the trusted builder, which adopts the new
       ``terms`` dict; ``_shape()``, the arguments it takes before the terms,
-      the space (a metric or a variable count) first; ``_like(terms)``, a
-      value of this shape;
+      the space (a metric or a variable count) first; ``_like(terms, other)``, a
+      value of this shape, polynomial (``_poly``, outside ``_shape()`` and ``==``)
+      if this value or the operand ``other`` is;
     * ``_operand(other)``, the term dict ``+`` merges, or NotImplemented;
     * ``_scalar(value)``, the coefficient protocol: ``value`` as a
       coefficient, or NotImplemented (AlgebraError for a polynomial in
-      other variables).
+      other variables); a sparse value's PolyScalar factor multiplies each
+      term by each monomial above its ``_shift()``.
 
     The defaults serve the formal values, which have no shape.  ``==`` reads
     ``metric`` (identity first, no call; ``_Sparse``'s slot shadows this None),
@@ -110,6 +195,7 @@ class _Linear:
 
     __slots__ = ("_terms",)
     metric = None
+    _poly = False
 
     def __setattr__(self, name, value=None):  # value defaults, so it serves as __delattr__
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -118,7 +204,7 @@ class _Linear:
     __hash__ = None
 
     @classmethod
-    def _make(cls, terms: dict):
+    def _make(cls, terms: dict, poly: bool = False):
         """Trusted builder adopting a new key -> coeff dict built from valid operands."""
         value = object.__new__(cls)
         _put_terms(value, _exact_terms(terms))
@@ -127,20 +213,17 @@ class _Linear:
     def _shape(self) -> tuple:
         return ()
 
-    def _like(self, terms: dict):
+    def _like(self, terms: dict, other):
         return self._make(*self._shape(), terms)
 
     def __reduce__(self):  # copy and pickle rebuild through the trusted builder
-        return self._make, (*self._shape(), dict(self._terms))
+        return self._make, (*self._shape(), dict(self._terms), self._poly)
 
     def _operand(self, other):
         return other._terms if isinstance(other, type(self)) else NotImplemented
 
     def _scalar(self, value):
-        try:
-            return exact(value)
-        except AlgebraError:
-            return NotImplemented
+        return _factor(value)
 
     @property
     def terms(self) -> dict:
@@ -155,7 +238,8 @@ class _Linear:
         if terms is NotImplemented:
             return NotImplemented
         if terms and not self._terms and type(other) is type(self):  # a zero takes other's shape
-            return other._like({key: -c for key, c in terms.items()} if negate else dict(terms))
+            return other._like({key: -c for key, c in terms.items()} if negate else dict(terms),
+                               self)
         out = dict(self._terms)
         for key, coeff in terms.items():
             acc = out.get(key)
@@ -163,19 +247,23 @@ class _Linear:
                 out[key] = -coeff if acc is None else acc - coeff
             else:
                 out[key] = coeff if acc is None else acc + coeff
-        return self._like(out)
+        return self._like(out, other)
 
     def __sub__(self, other):  # through __add__, so an override of it sees a difference too
         return self.__add__(other, True)
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self._terms.items()})
+        return self._like({key: -c for key, c in self._terms.items()}, self)
 
     def __mul__(self, scalar):
         scalar = self._scalar(scalar)
         if scalar is NotImplemented:
             return NotImplemented
-        return self._like({key: scalar * c for key, c in self._terms.items()})
+        if type(scalar) is PolyScalar:
+            shift = self._shift()
+            monos = {mono << shift: c for mono, c in scalar._terms.items()}
+            return self._like(_times(self._terms, monos, _GUARD[scalar.nvars] << shift), scalar)
+        return self._like({key: scalar * c for key, c in self._terms.items()}, self)
 
     __rmul__ = __mul__
 
@@ -190,16 +278,18 @@ _put_terms = _Linear._terms.__set__
 
 
 class PolyScalar(_Linear):
-    """A polynomial in x0..x(nvars-1) with exact rational coefficients; ``terms`` is a view."""
+    """A polynomial in x0..x(nvars-1) with exact rational coefficients, keyed by mono;
+    ``terms``, a view, by exponent tuple."""
 
     __slots__ = ("nvars",)
+    _poly = True
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
         if type(nvars) is not int:
             integer(nvars, "nvars")
         if nvars < 0:
             raise AlgebraError("nvars must be nonnegative")
-        clean: dict[tuple, int | Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         for exps, coeff in term_items(terms):
             exps = exps if type(exps) is tuple else as_tuple(exps, "exponent vector")
             # exponents are plain nonnegative ints: no bool, no float
@@ -207,23 +297,28 @@ class PolyScalar(_Linear):
                 raise AlgebraError(f"bad exponent vector {exps!r} for {nvars} variables")
             c = exact(coeff)
             if c:
-                clean[exps] = c
+                clean[pack(exps)] = c
         _put_nvars(self, nvars)
         _put_terms(self, clean)
 
     @classmethod
-    def _make(cls, nvars: int, terms: dict) -> "PolyScalar":
-        """Trusted builder adopting a new exponents -> coeff dict computed from valid operands."""
-        poly = object.__new__(cls)
-        _put_nvars(poly, nvars)
-        _put_terms(poly, _exact_terms(terms))
-        return poly
+    def _make(cls, nvars: int, terms: dict, poly: bool = True) -> "PolyScalar":
+        """Trusted builder adopting a new mono -> coeff dict computed from valid operands."""
+        value = object.__new__(cls)
+        _put_nvars(value, nvars)
+        _put_terms(value, _exact_terms(terms))
+        return value
 
     def _shape(self) -> tuple:
         return (self.nvars,)
 
-    def _like(self, terms: dict) -> "PolyScalar":
+    def _like(self, terms: dict, other) -> "PolyScalar":
         return PolyScalar._make(self.nvars, terms)
+
+    @property
+    def terms(self) -> dict:
+        """A new dict of exponent tuples to nonzero coefficients."""
+        return {unpack(mono, self.nvars): c for mono, c in self._terms.items()}
 
     @classmethod
     def constant(cls, nvars: int, value) -> "PolyScalar":
@@ -252,7 +347,7 @@ class PolyScalar(_Linear):
                 raise AlgebraError("mixed variable counts")
             return other._terms
         value = self._scalar(other)  # no constant polynomial is built
-        return value if value is NotImplemented else {(0,) * self.nvars: value}
+        return value if value is NotImplemented else {0: value}
 
     # bound by name, since bench/tracing.py wraps them in this class's own __dict__
     __add__ = __radd__ = _Linear.__add__
@@ -265,12 +360,7 @@ class PolyScalar(_Linear):
             return _Linear.__mul__(self, other)  # scaling by a rational, or NotImplemented
         if other.nvars != self.nvars:
             raise AlgebraError("mixed variable counts")
-        out: dict[tuple, int | Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exps = tuple(map(operator.add, ea, eb))
-                out[exps] = out.get(exps, 0) + ca * cb
-        return PolyScalar._make(self.nvars, out)
+        return PolyScalar._make(self.nvars, _times(self._terms, other._terms, _GUARD[self.nvars]))
 
     __rmul__ = __mul__
 
@@ -292,7 +382,7 @@ class PolyScalar(_Linear):
             value = exact(other)
         except AlgebraError:
             return NotImplemented
-        return self._terms == ({(0,) * self.nvars: value} if value else {})
+        return self._terms == ({0: value} if value else {})
 
     def __hash__(self):
         # a constant compares equal to its rational value, so it must hash
@@ -309,35 +399,40 @@ class PolyScalar(_Linear):
             integer(index, "variable index")
         if not 0 <= index < self.nvars:
             raise AlgebraError(f"variable index {index} out of range")
-        return PolyScalar._make(self.nvars, _lower_into({}, self._terms, index))
+        off = WIDTH * index
+        return PolyScalar._make(self.nvars, {mono - (1 << off): c * e for mono, c
+                                             in self._terms.items() if (e := mono >> off & _FIELD)})
 
     def evaluate(self, point: Sequence) -> int | Fraction:
         if len(point) != self.nvars:
             raise AlgebraError("point has wrong length")
         values = [exact(v) for v in point]
         total = 0
-        for exps, c in self._terms.items():
+        for mono, c in self._terms.items():
             term = c
-            for v, e in zip(values, exps):
+            for v, e in zip(values, unpack(mono, self.nvars)):
                 term *= v ** e
             total += term
         return exact(total)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self._terms)
+        return not any(self._terms)  # the constant term's mono is 0
 
     def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise AlgebraError("polynomial is not constant")
-        return self._terms.get((0,) * self.nvars, 0)
+        return self._terms.get(0, 0)
 
     # -- canonical text --------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, int | Fraction]]:
         # graded lex, leading (highest) monomial first
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        terms = [(unpack(mono, self.nvars), c) for mono, c in self._terms.items()]
+        return sorted(terms, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self) -> str:
+        if self.is_constant():  # as its rational: a polynomial value's rational blades print so
+            return number_text(self._terms.get(0, 0))
         return signed_sum((c < 0, monomial_text(e, abs(c))) for e, c in self.sorted_terms())
 
     def __repr__(self) -> str:

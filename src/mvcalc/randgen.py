@@ -9,9 +9,10 @@ checked are multilinear in the coefficients, so sparse low-degree fields
 exercise every sign path while keeping exact arithmetic cheap.
 
 Terms are canonical by construction (coefficients from ``_COEFFS``, index
-lists from ``metric.blades``, exponent tuples of length ``nvars``), so each
-value is built by its trusted ``_make``, not a validating constructor;
-tests/golden/randgen_streams.sha256 pins the streams.
+lists from ``metric.blades``, and each drawn term one flat key: its blade
+part plus a unit at the exponent field of each drawn coordinate, from
+``poly._AXES``), so each value is built by its trusted ``_make``, not a
+validating constructor; tests/golden/randgen_streams.sha256 pins the streams.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from .blades import Metric, Multivector
 from .indexes import _MASK, AlgebraError
 from .matrices import MvMatrix
-from .poly import PolyScalar
+from .poly import _AXES, MAX_EXPONENT, PolyScalar, _too_high
 
 SEED_PREFIX = "mvcalc-v1"
 
@@ -39,32 +40,38 @@ def rng_for(seed: int, name: str) -> random.Random:
 
 def random_poly(rng: random.Random, nvars: int, max_terms: int = 3,
                 max_degree: int = 3) -> PolyScalar:
-    """Sparse random polynomial; may be zero."""
+    """Sparse random polynomial; may be zero.  ``max_degree`` is at most MAX_EXPONENT."""
     if type(nvars) is not int or nvars < 0:
         raise AlgebraError(f"bad nvars {nvars!r}: a nonnegative int is required")
-    terms: dict[tuple, int] = {}
+    return PolyScalar._make(nvars, _draw(rng, {}, 0, _AXES[0, nvars], max_terms, max_degree))
+
+
+def _draw(rng: random.Random, out: dict, base: int, axes: tuple, max_terms: int,
+          max_degree: int) -> dict:
+    """``out`` with one random polynomial's terms added at blade part ``base``; ``axes``
+    are the bit offsets of its coordinates' exponent fields.  A sum of zero stays, for
+    ``_make`` to drop."""
+    if max_degree > MAX_EXPONENT:
+        _too_high()
     for _ in range(rng.randint(1, max_terms)):
-        exps = [0] * nvars
+        key = base
         for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(nvars)] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + rng.choice(_COEFFS)
-    return PolyScalar._make(nvars, terms)  # a sum of zero is dropped there
+            key += 1 << axes[rng.randrange(len(axes))]
+        out[key] = out.get(key, 0) + rng.choice(_COEFFS)
+    return out
 
 
 def random_field(rng: random.Random, metric: Metric, grade: int,
                  max_terms: int = 3, max_degree: int = 3) -> Multivector:
     """Random grade-``grade`` field with sparse polynomial components."""
-    terms: dict[int, PolyScalar] = {}
+    terms: dict[int, int] = {}
     blades = list(metric.blades(grade))
     rng.shuffle(blades)
     keep = rng.randint(1, len(blades)) if blades else 0
-    dim = metric.dim
+    axes = _AXES[metric.dim, metric.dim]
     for indices in blades[:keep]:
-        p = random_poly(rng, dim, max_terms, max_degree)
-        if p:
-            terms[_MASK[indices]] = p
-    return Multivector._make(metric, grade, terms)
+        _draw(rng, terms, _MASK[indices], axes, max_terms, max_degree)
+    return Multivector._make(metric, grade, terms, True)
 
 
 def random_constant_field(rng: random.Random, metric: Metric,
@@ -79,15 +86,15 @@ def random_matrix_field(rng: random.Random, metric: Metric, row_grade: int,
                         col_grade: int, max_terms: int = 2,
                         max_degree: int = 2) -> MvMatrix:
     """Random matrix field, sparse in both slots."""
-    terms: dict[tuple[int, int], PolyScalar] = {}
+    terms: dict[int, int] = {}
+    dim = metric.dim
     for rows in metric.blades(row_grade):
         for cols in metric.blades(col_grade):
             if rng.random() < 0.6:
                 continue
-            p = random_poly(rng, metric.dim, max_terms, max_degree)
-            if p:
-                terms[(_MASK[rows], _MASK[cols])] = p
-    return MvMatrix._make(metric, row_grade, col_grade, terms)
+            _draw(rng, terms, _MASK[rows] | _MASK[cols] << dim, _AXES[2 * dim, dim], max_terms,
+                  max_degree)
+    return MvMatrix._make(metric, row_grade, col_grade, terms, True)
 
 
 def field_cases(rng: random.Random, metric: Metric, grade: int,
@@ -103,11 +110,9 @@ def field_cases(rng: random.Random, metric: Metric, grade: int,
     if len(cases) < count:
         cases.append(random_constant_field(rng, metric, grade))
     if blades and len(cases) < count:
-        indices = rng.choice(blades)
-        exps = [0] * metric.dim
-        exps[rng.randrange(metric.dim)] = 1
-        mono = PolyScalar._make(metric.dim, {tuple(exps): rng.choice(_COEFFS)})
-        cases.append(Multivector._make(metric, grade, {_MASK[indices]: mono}))
+        axes = _AXES[metric.dim, metric.dim]  # a blade, then the coordinate of its monomial
+        key = _MASK[rng.choice(blades)] + (1 << axes[rng.randrange(metric.dim)])
+        cases.append(Multivector._make(metric, grade, {key: rng.choice(_COEFFS)}, True))
     while len(cases) < count:
         cases.append(random_field(rng, metric, grade))
     return cases[:count]

@@ -53,7 +53,7 @@ from .blades import AlgebraError, GradeError, Metric, Multivector, require
 from .calculus import matrix_divergence
 from .indexes import Record, _left_rule, _wedge_rule, as_tuple, integer
 from .matrices import MvMatrix, mat_vec
-from .poly import _exact_terms, _Linear, _put_terms, exact, number_text, signed_sum
+from .poly import _exact_terms, _Linear, _place, _put_terms, exact, number_text, signed_sum
 
 ROLES = ("dynamical", "source")
 
@@ -240,11 +240,12 @@ class LagrangianDensity(_Linear):
     def value(self, assignment: Mapping):
         """Evaluate the density on concrete fields; a scalar, exact."""
         require(assignment, Mapping)
-        total = 0
+        total = None  # the first term starts the sum: 0 + a polynomial would copy it
         for ((lop, lsym), (rop, rsym)), coeff in self._terms.items():
             left = _chain_value(lop.chain, lsym, assignment)
-            total = total + coeff * left.dot(_chain_value(rop.chain, rsym, assignment))
-        return total
+            term = coeff * left.dot(_chain_value(rop.chain, rsym, assignment))
+            total = term if total is None else total + term
+        return 0 if total is None else total
 
     def __repr__(self):
         parts = [f"{coeff}*({lop.value or 'id'} {lsym.name} . {rop.value or 'id'} {rsym.name})"
@@ -483,15 +484,16 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
                 continue
             # ext: e_K |_ e_i = s(i, K\i) e_{K\i} = (-1)^(|K|-1) e_i _| e_K;
             # int: e_K ^ e_i = s(K, i) e_{K+i}
-            ext, slot = op is DerivOp.EXT, {}
-            for K, vK in other_val._terms.items():
+            ext, slot, dim = op is DerivOp.EXT, {}, metric.dim
+            for K, vK in other_val._view().items():
                 flip = K.bit_count() - 1 & 1 if ext else 0
-                for i in range(metric.dim):
+                for i in range(dim):
                     if (hit := _left_rule(1 << i, K, 0) if ext
                             else _wedge_rule(K, 1 << i, 0)) is not None:
                         sig = 1 if ext else metric.sign(i)
-                        slot[1 << i, hit[1]] = coeff * (-sig if hit[0] ^ flip else sig) * vK
-            total = total + MvMatrix._make(metric, 1, a.grade, slot)
+                        entry = coeff * (-sig if hit[0] ^ flip else sig) * vK
+                        _place(slot, 1 << i | hit[1] << dim, entry, 2 * dim)  # at (e_i, e_hit)
+            total = total + MvMatrix._make(metric, 1, a.grade, slot, other_val._poly)
     return total
 
 
@@ -539,9 +541,12 @@ def verify_tensor_exterior_identity(L: LagrangianDensity, metric: Metric,
     matrix divergence.  Disagreements are reported as (k, n, s, index).
     """
     a, _ = _dynamical_ops(L)
+    require(metric, Metric)
     rhs = euler_lagrange_exterior(L).rhs
     bad = []
     for idx, assignment in enumerate(require(fields, Iterable)):
+        for value in require(assignment, Mapping).values():
+            require(value, Multivector, metric)
         exterior = rhs.evaluate(assignment, metric, a.grade)
         tensor = matrix_divergence(tensor_slot_matrix(L, assignment))
         if exterior != tensor:

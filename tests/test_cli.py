@@ -500,3 +500,30 @@ def test_rational_literals_take_ascii_digits_only(flag, literal):
 
 def test_rational_literals_may_be_surrounded_by_unicode_whitespace():
     assert _derive_with("--m", "　 2\xa0") == (0, "d_| ( d^ A ) + 4 * A = J\n", "")
+
+
+# The ``mvcalc eval`` requests whose output tests/golden/poly_eval_cli.txt holds, in its order,
+# and which the tier-1 workflow runs as processes: mixed rational and polynomial blades,
+# multi-term polynomials, derivatives that leave constants, the Hodge duals, text and JSON
+POLY_EVAL = [
+    ["x0 ^ e[0] + 3 ^ e[1] - 1/2 ^ e[2]", "--k", "1", "--n", "3"],
+    ["x0 ^ e[0] + 3 ^ e[1] - 1/2 ^ e[2]", "--k", "1", "--n", "3", "--format", "json"],
+    ["(x0 + 2 ^ x1^2 - 3/2 ^ x2) ^ e[1] + x3 ^ e[2]", "--k", "1", "--n", "3"],
+    ["d^ (x0 ^ e[1] + x1 ^ x2 ^ e[3])", "--k", "1", "--n", "3"],
+    ["d_| (x1 ^ e[1] + x2 ^ e[2])", "--k", "1", "--n", "3", "--format", "json"],
+    ["hodge(x0 ^ e[0] - 2 ^ x1^2 ^ e[1] + 5 ^ e[3])", "--k", "1", "--n", "3"],
+    ["(x0 ^ e[0] + x1 ^ e[1] + e[2]) ^ (x1 ^ e[0] - e[2])", "--k", "1", "--n", "3",
+     "--format", "json"],
+    ["(x0 ^ e[0] + e[1]) . (x0 ^ e[0] + x1 ^ e[1])", "--k", "1", "--n", "3"],
+    ["(x0 + 1) ^ (x0 - 1)", "--k", "0", "--n", "2"],
+    ["invhodge(d^ (x0^2 ^ x3 ^ e[1] + x2 ^ e[0]))", "--k", "2", "--n", "2", "--format", "json"],
+]
+POLY_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "poly_eval_cli.txt"
+
+
+def test_polynomial_eval_output_matches_the_golden_file():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for argv in POLY_EVAL:
+            assert cli.run(["eval", *argv]) == 0, argv
+    assert out.getvalue() == POLY_GOLDEN.read_text()

@@ -61,6 +61,8 @@ CALLS = {
         lambda bad: verify_tensor_exterior_identity(L, M13, bad),
     "verify_tensor_exterior_identity-assignment":
         lambda bad: verify_tensor_exterior_identity(L, M13, [bad]),
+    "verify_tensor_exterior_identity-metric":
+        lambda bad: verify_tensor_exterior_identity(L, bad, [{"A": V}]),
     "vderiv-density": lambda bad: vderiv(bad, (DerivOp.ID, A)),
     "euler_lagrange_exterior": euler_lagrange_exterior,
     "derive_equations": derive_equations,
@@ -118,3 +120,16 @@ def test_a_grade_mismatch_names_the_operand(call, message):
 ], ids=["zero-matrix", "zero-vector", "zero-offset"])
 def test_a_zero_operand_takes_any_grade(call):
     assert call().metric is M13
+
+
+def test_the_identity_check_refuses_a_metric_that_is_not_a_metric():
+    # it used to return IdentityReport(metric=3, ...)
+    with pytest.raises(AlgebraError, match="^expected Metric, got int$"):
+        verify_tensor_exterior_identity(L, 3, [{"A": V}])
+
+
+def test_the_identity_check_refuses_fields_on_another_metric():
+    # fields on (1, 3) checked as (0, 4) used to give a passing report naming (0, 4)
+    with pytest.raises(AlgebraError, match="^mixed metrics$"):
+        verify_tensor_exterior_identity(L, Metric(0, 4), [{"A": V}])
+    assert verify_tensor_exterior_identity(L, M13, [{"A": V}]).ok

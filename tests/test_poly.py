@@ -163,17 +163,17 @@ def test_terms_is_a_view_that_cannot_change_the_value():
 
 
 def test_exact_terms_normalises_each_pair_into_a_new_dict():
-    x0 = PolyScalar.variable(2, 0)
-    pairs = {(0, 0): 0, (0, 1): Fraction(0), (0, 2): x0 - x0, (1, 0): Fraction(6, 3),
-             (1, 1): Fraction(1, 2), (2, 0): x0}
+    # stored coefficients are rationals only: a polynomial's monomials are keys of their own
+    pairs = {(0, 0): 0, (0, 1): Fraction(0), (0, 2): Fraction(0, 5), (1, 0): Fraction(6, 3),
+             (1, 1): Fraction(1, 2), (2, 0): -7}
     given_pairs = dict(pairs)
     out = _exact_terms(pairs)
-    assert out == {(1, 0): 2, (1, 1): Fraction(1, 2), (2, 0): x0}
+    assert out == {(1, 0): 2, (1, 1): Fraction(1, 2), (2, 0): -7}
     assert type(out[(1, 0)]) is int and type(out[(1, 1)]) is Fraction
     assert out is not pairs and pairs == given_pairs
     # the adoption rule: a canonical dict is kept, one non-canonical coefficient makes a copy
     assert _exact_terms(out) is out and _exact_terms({}) == {}
     for key, c in pairs.items():
         if c not in out.values():
-            given = {(2, 0): x0, key: c}
-            assert _exact_terms(given) is not given and given == {(2, 0): x0, key: c}
+            given = {(2, 0): -7, key: c}
+            assert _exact_terms(given) is not given and given == {(2, 0): -7, key: c}

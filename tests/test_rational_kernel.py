@@ -1,11 +1,11 @@
 """Blade products on each route of the kernel, checked against termwise sums.
 
 ``Multivector._product`` picks a route per product: an empty operand gives
-the zero of the stated grade, a single-term operand runs ``_accumulate``
-(one rule call per pair), and two multi-term operands run
-``_accumulate_forms`` on the rule's per-mask form.  On that last route,
-operands whose coefficients are all ints and Fractions, with some
-denominator above 1, are multiplied as integer numerators over D_l D_r
+the zero of the stated grade, a single-term rational operand runs
+``_accumulate`` (one rule call per pair), and any other operands run
+``_accumulate_forms`` on the rule's per-mask form, polynomial ones on
+their flat keys.  On that last route, two rational operands with some
+denominator above 1 are multiplied as integer numerators over D_l D_r
 (``_lift``).  ``dot`` runs none of them: it sums over shared blades.  Each
 product is checked against the sum of its single-term products, which take
 the rule-call route, and every coefficient must come out in canonical form:
@@ -76,11 +76,17 @@ def _should_lift(a, b):
             and any(type(c) is Fraction for c in coeffs))
 
 
+def _polynomial(value):
+    return any(isinstance(c, PolyScalar) for c in value.terms.values())
+
+
 def _expected_route(kind, a, b):
     """The kernel calls one product of ``a`` and ``b`` should make, in order; ``dot``
     sums over shared blades and makes none."""
     if kind == "dot" or a.is_zero() or b.is_zero():
         return []
+    if _polynomial(a) or _polynomial(b):
+        return ["forms"]
     if len(a.terms) == 1 or len(b.terms) == 1:
         return ["pairs"]
     return ["lifted" if _should_lift(a, b) else "as given", "forms"]
@@ -277,8 +283,10 @@ def test_every_route_matches_termwise_sums(route, k, n, left_coeffs, right_coeff
                 else:
                     assert got == _termwise(kind, a, b), (kind, a, b)
     # a Fraction draw may be integral, so an int-and-Fraction pair can stay as given too
-    rational = "poly" not in (left_coeffs, right_coeffs)
-    lifts = rational and "fraction" in (left_coeffs, right_coeffs)
+    if "poly" in (left_coeffs, right_coeffs):
+        assert seen == {(), ("forms",)}
+        return
+    lifts = "fraction" in (left_coeffs, right_coeffs)
     assert {(), ("pairs",), ("lifted" if lifts else "as given", "forms")} <= seen
     assert lifts or ("lifted", "forms") not in seen
 

@@ -173,3 +173,15 @@ def test_verify_names_load_on_demand():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         mvcalc.no_such_name
     assert not hasattr(mvcalc, "SUITES")
+
+
+def test_metric_stores_its_dimension_once():
+    # dim is read on every flat-key split, so it is a stored value, not a k + n property;
+    # equality, hash and repr still read (k, n) only
+    metric = Metric(1, 3)
+    assert vars(metric)["dim"] == metric.dim == 4 and "dim" not in Metric._fields
+    assert not isinstance(getattr(Metric, "dim", None), property)
+    for twin in (copy.copy(metric), copy.deepcopy(metric), pickle.loads(pickle.dumps(metric))):
+        assert twin.dim == 4 and twin == metric and hash(twin) == hash((1, 3))
+    with pytest.raises(AttributeError, match="cannot assign to field 'dim'"):
+        metric.dim = 5

@@ -11,8 +11,8 @@ hooks (``_make``, ``_shape``, ``_like``, ``_operand``, ``_scalar``).
 ``blades.require``, raises "expected <kind>, got <type>".  Only
 ``indexes.check_canonical`` raises "strictly increasing", and only
 ``indexes`` turns an index list into a blade mask.  The base holds the one
-``terms`` copy; only the values whose keys are masks or slot pairs override
-it.  The value classes fill their slots through the slot descriptors, never
+``terms`` copy; only the values whose keys are flat keys, packed monomials or
+slot pairs override it.  The value classes fill their slots through the slot descriptors, never
 ``object.__setattr__``.
 The source is read with ``ast``, so nothing is imported.
 """
@@ -127,7 +127,7 @@ def test_index_lists_become_masks_only_through_indexes(module):
 
 def test_the_base_holds_the_one_terms_copy():
     owners = {name for name, cls in classes().items() if "terms" in body_names(cls)}
-    assert owners == {BASE, "Multivector", "MvMatrix", "LagrangianDensity"}
+    assert owners == {BASE, "PolyScalar", "Multivector", "MvMatrix", "LagrangianDensity"}
 
 
 def _expects_a_kind(node) -> int:
