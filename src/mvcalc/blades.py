@@ -30,17 +30,15 @@ polynomials in the metric's k+n coordinates (``_poly``), and its views
 (``terms``, ``coefficient``, ``items``, ``scalar_value``, ``dot``, the
 text) then show a PolyScalar per blade.
 
-``Multivector._product`` runs every binary product on one of two loops.
-An empty operand gives the zero of the stated grade at once.  Rational
-single-term operands (most products of a verify run) run ``_accumulate``,
-one rule call per pair: there the pairs are few, and preparing each term
-first cost more than the calls it saved.  Any other operands run
-``_accumulate_forms`` on the rule's per-mask form (``indexes._FORMS``):
-each term is looked up once, and each pair costs inline integer
-operations and no call.  When two rational operands have some denominator
-above 1, that loop runs on integers: each operand is scaled to integer
-numerators over the lcm of its denominators (D_l and D_r), and each output
-sum becomes one Fraction over D_l D_r.
+``Multivector._product`` runs every binary product.  An empty operand gives
+the zero of the stated grade at once.  Two single-term rational operands
+(most products of a verify run) take one inline step: one rule call and one
+product ca cb, an int when integral.  Others run ``_accumulate_forms`` on
+the rule's per-mask form (``indexes._FORMS``): each term is looked up once,
+and a pair costs no call.  When rational operands have some denominator
+above 1, that loop (and ``dot``'s) runs on integers (``_lift``): each
+operand is scaled to integer numerators over the lcm of its denominators,
+D_l and D_r, and each sum becomes one Fraction over D_l D_r.
 
 ``Multivector`` and ``matrices.MvMatrix`` take their linear rules, copy,
 pickle and equality (every zero of a metric is equal) from ``poly._Linear``,
@@ -50,8 +48,10 @@ one operand check of every module: the type, the metric (through
 value, the grade.  Public constructors validate; results of valid
 operands, and copies, go through the trusted builder ``_make``, which
 fills the slots through their descriptors' ``__set__`` (``_put_*``, bound
-once).  A product runs one chain: the method, ``_product`` with the
-kernel, ``_make``.  ``dot`` runs no kernel, only ``_Sparse._dot``.
+once); ``_adopt`` fills them with no coefficient scan, for results
+canonical as built (the inline step, empty operands, Hodge duals).  A
+product runs one chain: the method, ``_product``, then ``_adopt`` or the
+kernel and ``_make``.  ``dot`` runs no kernel, only ``_Sparse._dot``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from typing import Iterator, Mapping
 from .indexes import (_BLADE, _FORMS, MAX_DIM, AlgebraError, Record, _left_rule, _mask,
                       _wedge_rule, as_tuple, integer, term_items)
 from .poly import (_GUARD, PolyScalar, _exact_terms, _factor, _guarded, _Linear, _place,
-                   _put_terms, _regroup, _split, coefficient, number_text, signed_sum)
+                   _put_terms, _split, coefficient, exact, poly_text, signed_sum)
 
 
 class GradeError(AlgebraError):
@@ -137,19 +137,29 @@ class _Sparse(_Linear):
 
     def _view(self) -> dict:
         """{blade part: coefficient} as the views show it, a new dict."""
-        return _regroup(self._terms, self._shift(), self.metric.dim, self._poly)
+        if not self._poly:
+            return dict(self._terms)
+        full, out = (1 << (shift := self._shift())) - 1, {}
+        for key, c in self._terms.items():  # each PolyScalar is new, and filled before it is shared
+            if (coeff := out.get(base := key & full)) is None:
+                out[base] = coeff = PolyScalar._make(self.metric.dim, {})
+            coeff._terms[key >> shift] = c
+        return out
 
     def _at(self, base: int):
         """The coefficient at one blade part as the views show it, 0 when absent."""
-        return self._view().get(base, 0) if self._poly else self._terms.get(base, 0)
+        if not self._poly:
+            return self._terms.get(base, 0)
+        monos = _split(self._terms, self._shift()).get(base)  # one PolyScalar, not one per blade
+        return PolyScalar._make(self.metric.dim, monos) if monos else 0
 
     def _dot(self, other, parity):
         """sum(D a b) over the blade parts both values hold: the one ``dot`` loop.
 
         D = -1 when popcount(parity(part) & t) is odd, t the time-like axes; a matrix
         entry (I, J) passes I ^ J, since the parities of two popcounts add like an xor.
-        Rational values walk the smaller dict; polynomial ones multiply the monomials
-        of each shared part.
+        Rational values walk the smaller dict (two multi-term ones lifted as ``_product``
+        lifts them); polynomial ones multiply the monomials of each shared part.
         """
         left, right, t = self._terms, other._terms, (1 << self.metric.k) - 1
         if self._poly or other._poly:
@@ -161,8 +171,8 @@ class _Sparse(_Linear):
                     for mb, b in monos.items():
                         term, acc = -a * b if odd else a * b, out.get(mono := ma + mb)
                         out[mono] = term if acc is None else acc + term
-            out = _exact_terms(_guarded(out, _GUARD[dim]))
-            return PolyScalar._make(dim, out) if out else 0
+            return PolyScalar._make(dim, _guarded(out, _GUARD[dim])) or 0  # a zero is falsy
+        left, right, den = len(left) > 1 < len(right) and _lift(left, right) or (left, right, 1)
         if len(right) < len(left):
             left, right = right, left
         total = None
@@ -173,7 +183,7 @@ class _Sparse(_Linear):
                     total = -term if total is None else total - term
                 else:
                     total = term if total is None else total + term
-        return 0 if total is None else _exact_terms({0: total}).get(0, 0)
+        return 0 if total is None else exact(Fraction(total, den) if den != 1 else total)
 
 
 class Multivector(_Sparse):
@@ -260,7 +270,7 @@ class Multivector(_Sparse):
         return self._at(0)
 
     def items(self) -> list[tuple[tuple, object]]:
-        """Terms sorted by index list; the iteration order for printing."""
+        """Terms sorted by index list, the order the text form lists them in."""
         return sorted((_BLADE[mask], c) for mask, c in self._view().items())
 
     # -- products ----------------------------------------------------------
@@ -279,20 +289,25 @@ class Multivector(_Sparse):
         """
         left, right, poly = lhs._terms, rhs._terms, lhs._poly or rhs._poly
         if not left or not right:
-            return Multivector._make(self.metric, grade, {}, poly)
+            return _adopt(self.metric, grade, {}, poly)
         t = (1 << self.metric.k) - 1
+        if not poly and len(left) == 1 == len(right):
+            (a, ca), = left.items()
+            (b, cb), = right.items()
+            if (hit := rule(a, b, t)) is None:
+                return _adopt(self.metric, grade, {}, False)
+            term = ca * cb  # nonzero, as both factors are
+            if type(term) is Fraction and term.denominator == 1:
+                term = term.numerator
+            return _adopt(self.metric, grade, {hit[1]: -term if hit[0] ^ flip else term}, False)
+        dim = self.metric.dim
+        left, right, den = not poly and _lift(left, right) or (left, right, 1)
+        sums = _accumulate_forms(_FORMS[rule], t, left.items(), right.items(), flip,
+                                 (1 << dim) - 1)
         if poly:
-            dim = self.metric.dim
-            sums = _guarded(_accumulate_forms(_FORMS[rule], t, left.items(), right.items(),
-                                              flip, (1 << dim) - 1), _GUARD[dim] << dim)
-        elif len(left) == 1 or len(right) == 1:
-            sums = _accumulate(rule, t, left.items(), right.items(), flip)
-        elif (lifted := _lift(left, right)) is None:
-            sums = _accumulate_forms(_FORMS[rule], t, left.items(), right.items(), flip)
-        else:
-            left, right, den = lifted
-            sums = {mask: Fraction(acc, den) for mask, acc
-                    in _accumulate_forms(_FORMS[rule], t, left, right, flip).items()}
+            _guarded(sums, _GUARD[dim] << dim)
+        elif den != 1:
+            sums = {mask: Fraction(acc, den) for mask, acc in sums.items()}
         return Multivector._make(self.metric, grade, sums, poly)
 
     def wedge(self, other: "Multivector") -> "Multivector":
@@ -328,14 +343,18 @@ class Multivector(_Sparse):
         for key, c in self._terms.items():
             odd, rest = _left_rule(mask := key & full, full, t)
             out[key - mask + rest] = -c if odd ^ flip else c
-        return Multivector._make(metric, metric.dim - self.grade, out, self._poly)
+        return _adopt(metric, metric.dim - self.grade, out, self._poly)
 
     # -- canonical text -----------------------------------------------------
 
+    def _texts(self) -> list[tuple[tuple, str]]:
+        """(index list, coefficient text) per term, sorted by index list: the text and JSON."""
+        dim = self.metric.dim  # a rational value's coefficients are its constant terms
+        return sorted((_BLADE[mask], poly_text(monos, dim))
+                      for mask, monos in _split(self._terms, dim).items())
+
     def __str__(self) -> str:
-        if self.grade == 0 and self._terms:
-            return number_text(self.scalar_value())
-        return signed_sum(_blade_term_text(indices, coeff) for indices, coeff in self.items())
+        return signed_sum(_blade_term_text(indices, text) for indices, text in self._texts())
 
     def __repr__(self) -> str:
         return f"<Multivector ({self.metric.k},{self.metric.n}) grade {self.grade}: {self}>"
@@ -343,6 +362,16 @@ class Multivector(_Sparse):
 
 _put_metric, _put_poly, _put_grade = (_Sparse.metric.__set__, _Sparse._poly.__set__,
                                      Multivector.grade.__set__)
+
+
+def _adopt(metric: Metric, grade: int, terms: dict, poly: bool) -> Multivector:
+    """``Multivector._make`` with no coefficient scan, for a new dict canonical as built."""
+    mv = object.__new__(Multivector)
+    _put_metric(mv, metric)
+    _put_grade(mv, grade)
+    _put_poly(mv, poly)
+    _put_terms(mv, terms)
+    return mv
 
 
 def require(value, kind=Multivector, metric: Metric | None = None, grade: int | None = None,
@@ -361,15 +390,16 @@ def require(value, kind=Multivector, metric: Metric | None = None, grade: int | 
     return value
 
 
-def _blade_term_text(indices: tuple, coeff) -> tuple[bool, str]:
-    """(negative, magnitude text) of one blade term for ``signed_sum``.
+def _blade_term_text(indices: tuple, text: str) -> tuple[bool, str]:
+    """(negative, magnitude text) of one blade term for ``signed_sum``, given its coefficient's.
 
-    A polynomial of several terms, whose text is a signed sum, keeps its own
-    signs inside parentheses; a single monomial or a rational gives its sign
-    to the term join.
+    A scalar term is its coefficient's text alone.  A polynomial of several
+    terms, whose text is a signed sum, keeps its own signs inside parentheses;
+    a single monomial or a rational gives its "-" to the term join.
     """
+    if not indices:
+        return False, text
     blade = "e[" + ",".join(str(i) for i in indices) + "]"
-    text = number_text(coeff)  # a single term's canonical text: "-" first when negative
     if " + " in text or " - " in text:
         return False, f"({text}) ^ {blade}"
     magnitude = text.removeprefix("-")
@@ -379,39 +409,15 @@ def _blade_term_text(indices: tuple, coeff) -> tuple[bool, str]:
 # -- bitmask kernel -------------------------------------------------------------
 
 
-def _accumulate(rule, t: int, left, right, flip: int = 0) -> dict:
-    """The sums of the rule's products of every (left, right) pair of (mask, coeff), by mask.
+def _accumulate_forms(form, t: int, left, right, flip: int, full: int) -> dict:
+    """Sums by key of a rule's products over all term pairs, with no call per pair.
 
-    ``flip=1`` negates every product; a negative product is subtracted, not
-    multiplied by -1.  Cancelled sums stay as zeros for ``_make`` to drop.
-    """
-    out = {}
-    for a, ca in left:
-        for b, cb in right:
-            hit = rule(a, b, t)
-            if hit is None:
-                continue
-            odd, mask = hit
-            term = ca * cb
-            acc = out.get(mask)
-            if acc is None:
-                out[mask] = -term if odd ^ flip else term
-            elif odd ^ flip:
-                out[mask] = acc - term
-            else:
-                out[mask] = acc + term
-    return out
-
-
-def _accumulate_forms(form, t: int, left, right, flip: int = 0, full: int = -1) -> dict:
-    """``_accumulate`` on a rule's per-mask form (``indexes._FORMS``), with no call per pair.
-
-    Each left term is looked up once, its time-like parity (and ``flip``) added
-    to eA; then a pair (A, B) gives a term iff A & hB == 0, with mask A ^ B and
-    parity popcount(pA & B) + eA.  Keys may be flat (``poly``), their masks
-    ``key & full``: A ^ B is B + A for the wedge (x = 0) and B - A for the
-    contraction (x = -1), so a pair's key is its left key less 2 (A & x) plus
-    its right key, the monomial parts added.
+    Each left term is looked up once in the rule's per-mask form (``indexes._FORMS``),
+    its time-like parity (and ``flip``) added to eA; a pair (A, B) gives a term iff
+    A & hB == 0, with mask A ^ B and parity popcount(pA & B) + eA.  Keys may be flat
+    (``poly``), their masks ``key & full``: A ^ B is B + A for the wedge (x = 0) and
+    B - A for the contraction (x = -1), so a pair's key is its left key less 2 (A & x)
+    plus its right key.  Cancelled sums stay as zeros for ``_make`` to drop.
     """
     part, x, time = form
     t &= time
@@ -435,11 +441,10 @@ def _accumulate_forms(form, t: int, left, right, flip: int = 0, full: int = -1) 
 
 
 def _lift(left: dict, right: dict):
-    """(left, right, D_l D_r) as integer (mask, numerator) pairs, or None to stay as given.
+    """(left, right, D_l D_r), each operand as {key: integer numerator}, or None to stay as given.
 
     Taken when some denominator exceeds 1; each operand is scaled by the lcm
-    of its own denominators.  ``Multivector._product`` asks only for two
-    multi-term rational operands.
+    of its own denominators.  Asked only for two rational operands, not both single terms.
     """
     # one call per term: Fraction's numerator and denominator are each a call
     ratios_l = [c.as_integer_ratio() for c in left.values()]
@@ -448,6 +453,6 @@ def _lift(left: dict, right: dict):
     den_r = lcm(*{d for _, d in ratios_r})
     if den_l == den_r == 1:
         return None
-    return ([(m, n * (den_l // d)) for m, (n, d) in zip(left, ratios_l)],
-            [(m, n * (den_r // d)) for m, (n, d) in zip(right, ratios_r)],
+    return ({m: n * (den_l // d) for m, (n, d) in zip(left, ratios_l)},
+            {m: n * (den_r // d) for m, (n, d) in zip(right, ratios_r)},
             den_l * den_r)

@@ -134,10 +134,7 @@ def dumps_value(value: Multivector) -> str:
     return _canonical({
         "metric": {"k": value.metric.k, "n": value.metric.n},
         "grade": value.grade,
-        "terms": [
-            {"indices": list(indices), "coeff": number_text(coeff)}
-            for indices, coeff in value.items()
-        ],
+        "terms": [{"indices": list(indices), "coeff": text} for indices, text in value._texts()],
     })
 
 

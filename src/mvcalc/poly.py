@@ -14,8 +14,8 @@ two of them add with no carry, and a sum that sets a guard bit
 terms by mono; a multivector or matrix keys each rational by its blade
 part (a mask, or ``rows | cols << dim``) plus ``mono << shift``, shift
 dim or 2*dim (packed monomials: S. C. Johnson, SIGSAM Bull. 1974; Monagan
-& Pearce, CASC 2007).  ``_place``, ``_times``, ``_split`` and ``_regroup``
-store, multiply and group back such flat terms.
+& Pearce, CASC 2007).  ``_place``, ``_times`` and ``_split`` store,
+multiply and group back such flat terms.
 
 ``_Linear``, defined here, is the one base of every value (polynomials,
 multivectors, matrices, formal expressions and densities): it holds
@@ -153,18 +153,6 @@ def _split(terms: dict, shift: int) -> dict:
     full, out = (1 << shift) - 1, {}
     for key, c in terms.items():
         out.setdefault(key & full, {})[key >> shift] = c
-    return out
-
-
-def _regroup(terms: dict, shift: int, nvars: int, poly: bool) -> dict:
-    """The view {base: coeff}: a PolyScalar per blade part when ``poly``, else the rational."""
-    if not poly:
-        return dict(terms)
-    full, out = (1 << shift) - 1, {}
-    for key, c in terms.items():  # each PolyScalar is new, and filled before it is shared
-        if (coeff := out.get(base := key & full)) is None:
-            out[base] = coeff = PolyScalar._make(nvars, {})
-        coeff._terms[key >> shift] = c
     return out
 
 
@@ -426,14 +414,10 @@ class PolyScalar(_Linear):
     # -- canonical text --------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, int | Fraction]]:
-        # graded lex, leading (highest) monomial first
-        terms = [(unpack(mono, self.nvars), c) for mono, c in self._terms.items()]
-        return sorted(terms, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return _graded(self._terms, self.nvars)
 
     def __str__(self) -> str:
-        if self.is_constant():  # as its rational: a polynomial value's rational blades print so
-            return number_text(self._terms.get(0, 0))
-        return signed_sum((c < 0, monomial_text(e, abs(c))) for e, c in self.sorted_terms())
+        return poly_text(self._terms, self.nvars)
 
     def __repr__(self) -> str:
         return f"PolyScalar({self.nvars}, {self})"
@@ -484,6 +468,19 @@ def partial(coeff, index: int):
     if type(index) is not int:
         integer(index, "variable index")
     return 0
+
+
+def _graded(terms: dict, nvars: int) -> list[tuple[tuple, int | Fraction]]:
+    """The (exponents, coeff) pairs of {mono: coeff}, graded lex, leading (highest) first."""
+    pairs = [(unpack(mono, nvars), c) for mono, c in terms.items()]
+    return sorted(pairs, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+
+def poly_text(terms: dict, nvars: int) -> str:
+    """Canonical text of the polynomial {mono: coeff}; a constant's is its rational's."""
+    if not any(terms):  # the constant term's mono is 0
+        return number_text(terms.get(0, 0))
+    return signed_sum((c < 0, monomial_text(e, abs(c))) for e, c in _graded(terms, nvars))
 
 
 def monomial_text(exps: tuple, coeff: int | Fraction) -> str:

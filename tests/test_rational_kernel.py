@@ -1,15 +1,16 @@
 """Blade products on each route of the kernel, checked against termwise sums.
 
 ``Multivector._product`` picks a route per product: an empty operand gives
-the zero of the stated grade, a single-term rational operand runs
-``_accumulate`` (one rule call per pair), and any other operands run
+the zero of the stated grade, two single-term rational operands take one
+inline step (one rule call and no kernel call), and any other operands run
 ``_accumulate_forms`` on the rule's per-mask form, polynomial ones on
 their flat keys.  On that last route, two rational operands with some
 denominator above 1 are multiplied as integer numerators over D_l D_r
-(``_lift``).  ``dot`` runs none of them: it sums over shared blades.  Each
+(``_lift``).  ``dot`` runs no product kernel: it sums over shared blades,
+and two multi-term rational operands go through ``_lift`` there too.  Each
 product is checked against the sum of its single-term products, which take
-the rule-call route, and every coefficient must come out in canonical form:
-an int when integral, a Fraction otherwise, never zero.  A spy on the three
+the inline step, and every coefficient must come out in canonical form:
+an int when integral, a Fraction otherwise, never zero.  A spy on the two
 kernel functions checks the route itself.
 """
 
@@ -23,6 +24,7 @@ import pytest
 
 from mvcalc import blades
 from mvcalc.blades import Metric, Multivector, _lift
+from mvcalc.matrices import MvMatrix
 from mvcalc.poly import PolyScalar
 
 PRODUCTS = ("wedge", "left_contract", "right_contract", "dot")
@@ -69,11 +71,10 @@ def _termwise(kind, a, b):
     return reduce(operator.add, (getattr(p, kind)(q) for p, q in itertools.product(*pieces)))
 
 
-def _should_lift(a, b):
+def _lift_tag(a, b):
+    """What ``_lift`` makes of two rational operands: "lifted" iff some term is a Fraction."""
     coeffs = list(a.terms.values()) + list(b.terms.values())
-    return (len(a.terms) > 1 and len(b.terms) > 1
-            and all(type(c) in (int, Fraction) for c in coeffs)
-            and any(type(c) is Fraction for c in coeffs))
+    return "lifted" if any(type(c) is Fraction for c in coeffs) else "as given"
 
 
 def _polynomial(value):
@@ -81,20 +82,21 @@ def _polynomial(value):
 
 
 def _expected_route(kind, a, b):
-    """The kernel calls one product of ``a`` and ``b`` should make, in order; ``dot``
-    sums over shared blades and makes none."""
-    if kind == "dot" or a.is_zero() or b.is_zero():
+    """The kernel calls one product of ``a`` and ``b`` should make, in order."""
+    if a.is_zero() or b.is_zero():
         return []
     if _polynomial(a) or _polynomial(b):
-        return ["forms"]
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return ["pairs"]
-    return ["lifted" if _should_lift(a, b) else "as given", "forms"]
+        return [] if kind == "dot" else ["forms"]
+    if kind == "dot":
+        return [_lift_tag(a, b)] if len(a.terms) > 1 and len(b.terms) > 1 else []
+    if len(a.terms) == 1 == len(b.terms):
+        return []
+    return [_lift_tag(a, b), "forms"]
 
 
 @pytest.fixture
 def route(monkeypatch):
-    """The kernel calls made since the last clear: "pairs", "lifted"/"as given", "forms"."""
+    """The kernel calls made since the last clear: "lifted"/"as given", "forms"."""
     calls = []
 
     def spy(name, tag):
@@ -106,7 +108,6 @@ def route(monkeypatch):
             return result
         monkeypatch.setattr(blades, name, wrapper)
 
-    spy("_accumulate", lambda _: "pairs")
     spy("_accumulate_forms", lambda _: "forms")
     spy("_lift", lambda lifted: "as given" if lifted is None else "lifted")
     return calls
@@ -198,12 +199,18 @@ def test_operands_outside_the_rule_decline_the_lift(route):
     poly = Multivector(M13, 1, {(0,): x0, (2,): THIRD})
     ints = Multivector(M13, 1, {(0,): 2, (3,): -5})
     single = Multivector(M13, 1, {(2,): Fraction(5, 7)})
-    for a, b in [(poly, fractions), (fractions, poly), (ints, ints),
-                 (single, fractions), (fractions, single)]:
+    for a, b in [(poly, fractions), (fractions, poly), (ints, ints), (single, single)]:
         for kind in PRODUCTS:
             route.clear()
             got = getattr(a, kind)(b)
             assert "lifted" not in route and route == _expected_route(kind, a, b)
+            assert got == _termwise(kind, a, b)
+    # one single-term operand is not enough to stay off the lift
+    for a, b in [(single, fractions), (fractions, single)]:
+        for kind in PRODUCTS:
+            route.clear()
+            got = getattr(a, kind)(b)
+            assert route == ([] if kind == "dot" else ["lifted", "forms"])
             assert got == _termwise(kind, a, b)
     assert fractions.wedge(poly).coefficient((0, 1)) == -(x0 * THIRD)
     assert _lift(ints._terms, fractions._terms) is not None
@@ -218,6 +225,68 @@ def test_hodge_duals_run_no_product_kernel(route):
         route.clear()
         assert value.hodge().inv_hodge() == value == value.inv_hodge().hodge()
         assert route == []
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 2), (3, 1)])
+def test_single_term_products_with_integral_fraction_products_give_ints(route, k, n):
+    # 1/2 * 2, 2/3 * 3/2, -3/4 * 4/3 and 2 * 1/2: the one inline step must store an int
+    metric = Metric(k, n)
+    pairs = [(HALF, 2), (Fraction(2, 3), Fraction(3, 2)), (Fraction(-3, 4), Fraction(4, 3)),
+             (2, HALF)]
+    hits = 0
+    for kind in PRODUCTS:
+        for ga, gb in _grade_pairs(kind, metric.dim):
+            for I, J in itertools.product(metric.blades(ga), metric.blades(gb)):
+                unit = getattr(Multivector.blade(metric, I), kind)(Multivector.blade(metric, J))
+                for ca, cb in pairs:
+                    route.clear()
+                    got = getattr(Multivector.blade(metric, I, ca), kind)(
+                        Multivector.blade(metric, J, cb))
+                    assert route == [] and got == unit * int(ca * cb), (kind, I, J)
+                    _assert_canonical(got)
+                    hits += bool(got)
+                    if kind != "dot":
+                        assert all(type(c) is int for c in got.terms.values())
+    assert hits
+
+
+@pytest.mark.parametrize("k, n", [(0, 4), (1, 3), (2, 3)])
+def test_dot_on_integer_numerators_matches_fraction_sums(route, k, n):
+    metric = Metric(k, n)
+    rng = random.Random(f"rational-dot:{k}:{n}")
+    seen = set()
+    for grade in range(1, metric.dim):
+        for _ in range(20):
+            # mixed operands: a Fraction at every other (a) or every third (b) blade
+            a, b = (Multivector(metric, grade, {
+                I: Fraction(_int(rng, pos), rng.randint(1, 9)) if pos % step == 0
+                else _int(rng, pos) for pos, I in enumerate(metric.blades(grade))})
+                for step in (2, 3))
+            reference = sum((Fraction(c) * b.coefficient(I) * metric.sign_of(I)
+                             for I, c in a.terms.items()), Fraction(0))
+            route.clear()
+            got = a.dot(b)
+            assert got == reference and route == _expected_route("dot", a, b)
+            _assert_canonical(got)
+            seen.add(tuple(route))
+    assert ("lifted",) in seen
+    # an integral sum and one that cancels to 0 come back as ints
+    a = Multivector(E4, 1, {(0,): HALF, (1,): THIRD, (2,): 2})
+    integral = a.dot(Multivector(E4, 1, {(0,): 1, (1,): Fraction(3, 2), (2,): 3}))
+    assert integral == 7 and type(integral) is int
+    cancelled = a.dot(Multivector(E4, 1, {(0,): Fraction(2, 3), (1,): -1, (3,): 5}))
+    assert cancelled == 0 and type(cancelled) is int
+
+
+def test_matrix_dot_on_integer_numerators():
+    rows = {((0,), (1,)): HALF, ((1,), (1,)): 3, ((2,), (0,)): Fraction(-5, 7)}
+    cols = {((0,), (1,)): 4, ((1,), (1,)): THIRD, ((2,), (0,)): Fraction(7, 5)}
+    a, b = MvMatrix(M13, 1, 1, rows), MvMatrix(M13, 1, 1, cols)
+    # D_II D_JJ is -1, +1 and -1 on (1, 3): the sum -2 + 1 + 1 cancels
+    got = a.dot(b)
+    assert got == 0 and type(got) is int
+    integral = a.dot(MvMatrix(M13, 1, 1, {((0,), (1,)): 2, ((1,), (1,)): Fraction(4, 3)}))
+    assert integral == 3 and type(integral) is int  # -1 + 4
 
 
 def test_dot_is_canonical_on_the_unlifted_path_too():
@@ -287,7 +356,8 @@ def test_every_route_matches_termwise_sums(route, k, n, left_coeffs, right_coeff
         assert seen == {(), ("forms",)}
         return
     lifts = "fraction" in (left_coeffs, right_coeffs)
-    assert {(), ("pairs",), ("lifted" if lifts else "as given", "forms")} <= seen
+    tag = "lifted" if lifts else "as given"
+    assert {(), (tag,), (tag, "forms")} <= seen
     assert lifts or ("lifted", "forms") not in seen
 
 

@@ -14,11 +14,14 @@ be canonical index tuples of the result's grade, and ``items()`` must
 give them in sorted order.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import mvcalc
+from mvcalc import blades
 from mvcalc.blades import Metric, Multivector
 from mvcalc.calculus import (directional_deriv, ext_deriv, int_deriv, laplacian,
                              matrix_divergence, tensor_deriv)
@@ -28,6 +31,9 @@ from mvcalc.poly import PolyScalar
 from mvcalc.randgen import (field_cases, random_constant_field, random_field,
                             random_matrix_field, random_poly, rng_for)
 from mvcalc.variational import DerivOp, FieldSymbol, LagrangianDensity, tensor_slot_matrix
+from mvcalc.verify import run_suites
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mvcalc"
 
 METRICS = [Metric(k, dim - k) for dim in range(1, 6) for k in range(dim + 1)]
 
@@ -134,6 +140,37 @@ def test_generators_build_through_no_validating_constructor(monkeypatch):
             random_matrix_field(rng, metric, 1, grade)
             random_matrix_field(rng, metric, grade, grade)
     assert built == []
+
+
+def test_adopted_terms_are_canonical_as_built(monkeypatch):
+    # blades._adopt skips _make's coefficient scan, so every dict it is handed must
+    # already hold only nonzero ints and Fractions with a denominator above 1, keyed
+    # by blades of the stated grade
+    real, adopted = blades._adopt, []
+
+    def guard(metric, grade, terms, poly):
+        full = (1 << metric.dim) - 1
+        for key, c in terms.items():
+            assert (type(c) is int and c) or (type(c) is Fraction and c.denominator > 1), c
+            assert (key & full).bit_count() == grade, (key, grade)
+        adopted.append(len(terms))
+        return real(metric, grade, terms, poly)
+
+    monkeypatch.setattr(blades, "_adopt", guard)
+    outcomes = run_suites("algebra", seed=42, trials=2)
+    assert outcomes and all(item.ok for item in outcomes)
+    assert 0 in adopted and 1 in adopted and max(adopted) > 1  # empty, 1x1 and dual results
+
+
+def test_only_the_product_step_and_the_duals_adopt():
+    # _adopt is sound only where the result is canonical by construction
+    callers = set()
+    for module in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                callers |= {(module.name, node.name) for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and "_adopt" in ast.unparse(call.func)}
+    assert callers == {("blades.py", "_product"), ("blades.py", "_dual")}
 
 
 def test_poly_results_are_canonical():
