@@ -35,10 +35,13 @@ the zero of the stated grade at once.  Two single-term rational operands
 (most products of a verify run) take one inline step: one rule call and one
 product ca cb, an int when integral.  Others run ``_accumulate_forms`` on
 the rule's per-mask form (``indexes._FORMS``): each term is looked up once,
-and a pair costs no call.  When rational operands have some denominator
-above 1, that loop (and ``dot``'s) runs on integers (``_lift``): each
-operand is scaled to integer numerators over the lcm of its denominators,
-D_l and D_r, and each sum becomes one Fraction over D_l D_r.
+and a pair costs no call.  A left term of grade g_l meets only C(dim - g_l, m)
+right masks (``indexes._SUBSETS``; m = g_r, less g_l for a contraction), and a
+product with none is the stated zero at once.  Rational operands probe the
+right dict for them when they are fewer than its terms; others (polynomial
+ones always) test every pair.  Rational operands with some denominator above
+1 (in ``dot`` too) run on integers (``_lift``): numerators over the lcm of
+each one's denominators, D_l and D_r, and each sum one Fraction over D_l D_r.
 
 ``Multivector`` and ``matrices.MvMatrix`` take their linear rules, copy,
 pickle and equality (every zero of a metric is equal) from ``poly._Linear``,
@@ -49,7 +52,7 @@ value, the grade.  Public constructors validate; results of valid
 operands, and copies, go through the trusted builder ``_make``, which
 fills the slots through their descriptors' ``__set__`` (``_put_*``, bound
 once); ``_adopt`` fills them with no coefficient scan, for results
-canonical as built (the inline step, empty operands, Hodge duals).  A
+canonical as built (the inline step, empty results, Hodge duals).  A
 product runs one chain: the method, ``_product``, then ``_adopt`` or the
 kernel and ``_make``.  ``dot`` runs no kernel, only ``_Sparse._dot``.
 """
@@ -58,11 +61,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Iterator, Mapping
 
-from .indexes import (_BLADE, _FORMS, MAX_DIM, AlgebraError, Record, _left_rule, _mask,
-                      _wedge_rule, as_tuple, integer, term_items)
+from .indexes import (_BLADE, _FORMS, _SUBSETS, MAX_DIM, AlgebraError, Record, _left_rule,
+                      _mask, _wedge_rule, as_tuple, integer, term_items)
 from .poly import (_GUARD, PolyScalar, _exact_terms, _factor, _guarded, _Linear, _place,
                    _put_terms, _split, coefficient, exact, poly_text, signed_sum)
 
@@ -150,7 +153,8 @@ class _Sparse(_Linear):
         """The coefficient at one blade part as the views show it, 0 when absent."""
         if not self._poly:
             return self._terms.get(base, 0)
-        monos = _split(self._terms, self._shift()).get(base)  # one PolyScalar, not one per blade
+        full = (1 << (shift := self._shift())) - 1  # that blade's keys alone, not a regroup
+        monos = {key >> shift: c for key, c in self._terms.items() if key & full == base}
         return PolyScalar._make(self.metric.dim, monos) if monos else 0
 
     def _dot(self, other, parity):
@@ -300,10 +304,13 @@ class Multivector(_Sparse):
             if type(term) is Fraction and term.denominator == 1:
                 term = term.numerator
             return _adopt(self.metric, grade, {hit[1]: -term if hit[0] ^ flip else term}, False)
-        dim = self.metric.dim
+        dim, form = self.metric.dim, _FORMS[rule]
+        m = rhs.grade - (lhs.grade & form[1])  # |S| of each B = (A & x) | S a term can meet
+        if not 0 <= m <= dim - lhs.grade:
+            return _adopt(self.metric, grade, {}, poly)
         left, right, den = not poly and _lift(left, right) or (left, right, 1)
-        sums = _accumulate_forms(_FORMS[rule], t, left.items(), right.items(), flip,
-                                 (1 << dim) - 1)
+        probe = None if poly or comb(dim - lhs.grade, m) >= len(right) else m
+        sums = _accumulate_forms(form, t, left, right, flip, (1 << dim) - 1, probe)
         if poly:
             _guarded(sums, _GUARD[dim] << dim)
         elif den != 1:
@@ -409,7 +416,7 @@ def _blade_term_text(indices: tuple, text: str) -> tuple[bool, str]:
 # -- bitmask kernel -------------------------------------------------------------
 
 
-def _accumulate_forms(form, t: int, left, right, flip: int, full: int) -> dict:
+def _accumulate_forms(form, t: int, left: dict, right: dict, flip: int, full: int, probe) -> dict:
     """Sums by key of a rule's products over all term pairs, with no call per pair.
 
     Each left term is looked up once in the rule's per-mask form (``indexes._FORMS``),
@@ -417,15 +424,30 @@ def _accumulate_forms(form, t: int, left, right, flip: int, full: int) -> dict:
     A & hB == 0, with mask A ^ B and parity popcount(pA & B) + eA.  Keys may be flat
     (``poly``), their masks ``key & full``: A ^ B is B + A for the wedge (x = 0) and
     B - A for the contraction (x = -1), so a pair's key is its left key less 2 (A & x)
-    plus its right key.  Cancelled sums stay as zeros for ``_make`` to drop.
+    plus its right key.  ``probe`` = m: look up each B = (A & x) | S, S in
+    ``_SUBSETS[full ^ A, m]``, in ``right``; None: test every pair.  Zeros stay in.
     """
     part, x, time = form
     t &= time
-    lhs, out = [], {}
-    for ka, ca in left:
+    lhs, out, get = [], {}, right.get
+    for ka, ca in left.items():
         pa, ea = part[a := ka & full]
         lhs.append((a, ka - 2 * (a & x), pa, ea + (a & t).bit_count() + flip, ca))
-    rhs = [(kb & full, kb & full ^ x, kb, cb) for kb, cb in right]
+    if probe is not None:
+        for a, lead, pa, ea, ca in lhs:
+            ax = a & x
+            for s in _SUBSETS[full ^ a, probe]:
+                if (cb := get(b := s | ax)) is None:
+                    continue
+                key = lead + b
+                term = ca * cb
+                acc = out.get(key)
+                if (pa & b).bit_count() + ea & 1:
+                    out[key] = -term if acc is None else acc - term
+                else:
+                    out[key] = term if acc is None else acc + term
+        return out
+    rhs = [(kb & full, kb & full ^ x, kb, cb) for kb, cb in right.items()]
     for a, lead, pa, ea, ca in lhs:
         for b, hb, kb, cb in rhs:
             if a & hb:

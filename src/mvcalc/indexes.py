@@ -35,7 +35,10 @@ Y) mod 2, which is the wedge row.  Counted from A's side, N(B, A) =
 #{a <= b} - |A & B| = popcount(upto(A) & B) - m mod 2, where m = |A| is
 the grade of the contained operand.  The left contraction's sign
 s(B\\A, A) (A <= B) drops the m(m-1)/2 pairs inside A from N(B, A), and
-m + C(m, 2) = C(m+1, 2) gives the T term.
+m + C(m, 2) = C(m+1, 2) gives the T term.  So A meets only the B = (A & x) |
+S, S a subset of the free axes full ^ A with j = |B| - |A & x| bits; products
+probe ``_SUBSETS[free, j]`` when shorter than the right operand.  Like ``_STEPS``
+it grows only as used, to at most 3^dim masks over all keys (6,561 at dim 8).
 
 The derivatives ``d^`` and ``d_|`` walk ``_STEPS``: per (rule, dimension,
 mask), only the axes e_i that give a term, with their parity and mask.
@@ -46,6 +49,7 @@ here too: every module imports this one, and ``dataclasses`` stays unloaded.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 # Hard cap on the ambient dimension; blade counts explode past this.
@@ -247,6 +251,10 @@ _FORMS = {
     _wedge_rule: (_Memo(lambda a: (_ABOVE[a], 0)), 0, 0),
     _left_rule: (_Memo(lambda a: (_UPTO[a], (a.bit_count() + 1) >> 1 & 1)), -1, -1),
 }
+
+# Probe table, lazy: (free, j) -> the j-bit submasks S of free, ascending (see above).
+_SUBSETS = _Memo(lambda key: tuple(sorted(map(sum, combinations(
+    [1 << i for i in _BLADE[key[0]]], key[1])))))
 
 # Derivative step table, lazy: (rule, dim, A) -> the (i, odd, mask) of each axis i < dim
 # with a term rule(e_i, e_A, no time-like axes) = (-1)^odd e_mask, in axis order.

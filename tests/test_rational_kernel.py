@@ -4,19 +4,25 @@
 the zero of the stated grade, two single-term rational operands take one
 inline step (one rule call and no kernel call), and any other operands run
 ``_accumulate_forms`` on the rule's per-mask form, polynomial ones on
-their flat keys.  On that last route, two rational operands with some
-denominator above 1 are multiplied as integer numerators over D_l D_r
-(``_lift``).  ``dot`` runs no product kernel: it sums over shared blades,
-and two multi-term rational operands go through ``_lift`` there too.  Each
-product is checked against the sum of its single-term products, which take
-the inline step, and every coefficient must come out in canonical form:
-an int when integral, a Fraction otherwise, never zero.  A spy on the two
-kernel functions checks the route itself.
+their flat keys, unless no pair can meet: then the product is the stated
+zero with no kernel call.  A left blade A meets only the C(dim - g_l, m)
+right blades B = (A & x) | S, S an m-subset of the axes outside A.  The
+kernel probes the right operand for those (``probe``) when they are fewer
+than its terms and both operands are rational; otherwise it tests every
+pair (``scan``).  Two rational operands with some denominator above 1 are
+multiplied as integer numerators over D_l D_r (``_lift``).  ``dot`` runs
+no product kernel: it sums over shared blades, and two multi-term rational
+operands go through ``_lift`` there too.  Each product is checked against
+the sum of its single-term products, which take the inline step, and every
+coefficient must come out in canonical form: an int when integral, a
+Fraction otherwise, never zero.  A spy on the two kernel functions checks
+the route itself.
 """
 
 from fractions import Fraction
 from functools import reduce
 import itertools
+import math
 import operator
 import random
 
@@ -85,18 +91,24 @@ def _expected_route(kind, a, b):
     """The kernel calls one product of ``a`` and ``b`` should make, in order."""
     if a.is_zero() or b.is_zero():
         return []
-    if _polynomial(a) or _polynomial(b):
-        return [] if kind == "dot" else ["forms"]
+    poly = _polynomial(a) or _polynomial(b)
     if kind == "dot":
-        return [_lift_tag(a, b)] if len(a.terms) > 1 and len(b.terms) > 1 else []
-    if len(a.terms) == 1 == len(b.terms):
+        return [_lift_tag(a, b)] if not poly and len(a.terms) > 1 and len(b.terms) > 1 else []
+    if not poly and len(a.terms) == 1 == len(b.terms):
         return []
-    return [_lift_tag(a, b), "forms"]
+    lhs, rhs = (b, a) if kind == "right_contract" else (a, b)
+    # |S| = m for the wedge's B = S and for the contraction's B = A | S
+    m, free = rhs.grade - (0 if kind == "wedge" else lhs.grade), a.metric.dim - lhs.grade
+    if not 0 <= m <= free:
+        return []
+    if poly:
+        return ["scan"]
+    return [_lift_tag(a, b), "probe" if math.comb(free, m) < len(rhs.terms) else "scan"]
 
 
 @pytest.fixture
 def route(monkeypatch):
-    """The kernel calls made since the last clear: "lifted"/"as given", "forms"."""
+    """The kernel calls made since the last clear: "lifted"/"as given", "probe"/"scan"."""
     calls = []
 
     def spy(name, tag):
@@ -104,12 +116,13 @@ def route(monkeypatch):
 
         def wrapper(*args):
             result = real(*args)
-            calls.append(tag(result))
+            calls.append(tag(result, args))
             return result
         monkeypatch.setattr(blades, name, wrapper)
 
-    spy("_accumulate_forms", lambda _: "forms")
-    spy("_lift", lambda lifted: "as given" if lifted is None else "lifted")
+    # the kernel's last argument is the probe grade m, or None for the pair scan
+    spy("_accumulate_forms", lambda _, args: "scan" if args[-1] is None else "probe")
+    spy("_lift", lambda lifted, _: "as given" if lifted is None else "lifted")
     return calls
 
 
@@ -150,14 +163,22 @@ def test_lifted_products_match_termwise_sums(route, k, n, left_style, right_styl
             _check(kind, a, b)
 
 
-@pytest.mark.parametrize("kind, ga, gb", [("wedge", 2, 3), ("left_contract", 2, 4),
-                                          ("right_contract", 5, 2), ("dot", 3, 3)])
-def test_lifted_products_in_dimension_seven(kind, ga, gb):
-    metric = Metric(2, 5)
-    rng = random.Random(f"rational-kernel:7:{kind}")
+DENSE = [("wedge", 2, 3), ("wedge", 1, 4), ("left_contract", 2, 4), ("left_contract", 1, 3),
+         ("right_contract", 5, 2), ("right_contract", 4, 1)]
+
+
+@pytest.mark.parametrize("kind, ga, gb", DENSE + [("dot", 3, 3)])
+@pytest.mark.parametrize("k, n", [(2, 5), (1, 7)])
+def test_lifted_products_in_dimensions_seven_and_eight(route, k, n, kind, ga, gb):
+    # every blade of both grades: the C(dim - g_l, m) blades a left term can meet are
+    # fewer than the right operand's terms, so the kernel probes for them
+    metric = Metric(k, n)
+    rng = random.Random(f"rational-kernel:{metric.dim}:{kind}:{ga}")
     a, b = _operand(rng, metric, ga, "large"), _operand(rng, metric, gb, "mixed")
     assert _lift(a._terms, b._terms) is not None
-    _check(kind, a, b)
+    route.clear()
+    _check(kind, a, b)  # the termwise products are single terms, which call no kernel
+    assert route == _expected_route(kind, a, b) == ["lifted"] + ["probe"] * (kind != "dot")
 
 
 E4 = Metric(0, 4)
@@ -210,7 +231,8 @@ def test_operands_outside_the_rule_decline_the_lift(route):
         for kind in PRODUCTS:
             route.clear()
             got = getattr(a, kind)(b)
-            assert route == ([] if kind == "dot" else ["lifted", "forms"])
+            assert route == _expected_route(kind, a, b)
+            assert route[:1] == ([] if kind == "dot" else ["lifted"])
             assert got == _termwise(kind, a, b)
     assert fractions.wedge(poly).coefficient((0, 1)) == -(x0 * THIRD)
     assert _lift(ints._terms, fractions._terms) is not None
@@ -353,12 +375,12 @@ def test_every_route_matches_termwise_sums(route, k, n, left_coeffs, right_coeff
                     assert got == _termwise(kind, a, b), (kind, a, b)
     # a Fraction draw may be integral, so an int-and-Fraction pair can stay as given too
     if "poly" in (left_coeffs, right_coeffs):
-        assert seen == {(), ("forms",)}
+        assert seen == {(), ("scan",)}
         return
     lifts = "fraction" in (left_coeffs, right_coeffs)
     tag = "lifted" if lifts else "as given"
-    assert {(), (tag,), (tag, "forms")} <= seen
-    assert lifts or ("lifted", "forms") not in seen
+    assert {(), (tag,), (tag, "probe"), (tag, "scan")} <= seen
+    assert lifts or not any(route[:1] == ("lifted",) for route in seen)
 
 
 @pytest.mark.parametrize("kind", PRODUCTS)
@@ -377,3 +399,50 @@ def test_an_empty_operand_gives_the_stated_zero(route, kind):
             else:
                 assert got.is_zero() and got.grade == _stated_grade(kind, ga, gb)
     assert route == []
+
+
+# -- the right-hand source: probe for the blades a term can meet, or scan every pair
+
+
+@pytest.mark.parametrize("kind, ga, gb", DENSE)
+def test_sparse_products_scan(route, kind, ga, gb):
+    metric = Metric(2, 5)
+    rng = random.Random(f"rational-kernel:scan:{kind}")
+    for size in (2, 3, 5):
+        a, b = (_sized(rng, metric, g, size, "fraction") for g in (ga, gb))
+        route.clear()
+        _check(kind, a, b)
+        assert route == _expected_route(kind, a, b) == [_lift_tag(a, b), "scan"]
+
+
+@pytest.mark.parametrize("coeffs", COEFFS)
+def test_products_no_pair_can_meet_call_no_kernel(route, coeffs):
+    # contractions of a higher grade into a lower one and wedges past the top grade: with
+    # several terms on both sides they pass the inline step, and must stop before the lift
+    rng = random.Random(f"rational-kernel:none:{coeffs}")
+    for kind, ga, gb in [("left_contract", 3, 2), ("right_contract", 1, 3), ("wedge", 3, 2),
+                         ("wedge", 2, 4), ("left_contract", 4, 1)]:
+        a, b = (_sized(rng, E4, g, 2, coeffs) for g in (ga, gb))
+        assert len(a.terms) > 1 or len(b.terms) > 1
+        route.clear()
+        got = getattr(a, kind)(b)
+        assert route == _expected_route(kind, a, b) == []
+        assert got.is_zero() and got.grade == _stated_grade(kind, ga, gb)
+        assert got == _termwise(kind, a, b)
+
+
+@pytest.mark.parametrize("kind", ["wedge", "left_contract", "right_contract"])
+@pytest.mark.parametrize("k, n", [(0, 6), (2, 5)])
+def test_one_by_n_products_match_termwise_sums(route, k, n, kind):
+    # one term against a dense operand, on either side: the right operand's size decides
+    metric = Metric(k, n)
+    rng = random.Random(f"rational-kernel:1xN:{k}:{n}:{kind}")
+    seen = set()
+    for ga, gb in _grade_pairs(kind, metric.dim):
+        for sizes in [(1, None), (None, 1)]:
+            a, b = (_sized(rng, metric, g, size, "fraction") for g, size in zip((ga, gb), sizes))
+            route.clear()
+            _check(kind, a, b)
+            assert route == _expected_route(kind, a, b), (ga, gb, sizes)
+            seen.add(tuple(route[1:]))
+    assert seen == {(), ("probe",), ("scan",)}

@@ -1,13 +1,15 @@
 """The blade-mask tables and the sign rules are defined in ``indexes`` alone.
 
-``mvcalc.indexes`` owns ``_Memo``, the mask tables, the two sign rules
-and their per-mask forms, and every other module imports them.  A copy
+``mvcalc.indexes`` owns ``_Memo``, the mask tables, the two sign rules,
+their per-mask forms and the probe table, and every other module imports
+them.  A copy
 defined anywhere else would be a second sign implementation, one that the
 verify properties on the public index helpers no longer check.  The
 ownership tests read the source with ``ast`` and import nothing.  The
 last tests check the per-mask forms against the rules on every mask pair
-of dimensions 1-6, and the derivative step table against the rules and a
-bit-count oracle on every mask of those dimensions.
+of dimensions 1-6, the probe table against a filter of every mask, and the
+derivative step table against the rules and a bit-count oracle on every
+mask of those dimensions.
 """
 
 import ast
@@ -19,7 +21,7 @@ from mvcalc import indexes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mvcalc"
 OWNED = {"_Memo", "_MASK", "_BLADE", "_ABOVE", "_wedge_rule", "_left_rule", "_UPTO", "_FORMS",
-         "_STEPS"}
+         "_SUBSETS", "_STEPS"}
 
 
 def bound_names(module: str) -> dict[str, int]:
@@ -72,6 +74,21 @@ def test_per_mask_forms_agree_with_the_rules(rule, dim):
                 for flip in (0, 1):
                     assert (odd + flip & 1, a ^ b) == (expected[0] ^ flip, expected[1]), \
                         (dim, k, a, b, flip)
+
+
+@pytest.mark.parametrize("rule", ["_wedge_rule", "_left_rule"])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_probe_candidates_are_the_masks_a_term_meets(rule, dim):
+    # a product probes B = (A & x) | S for S in _SUBSETS[full ^ A, m]: exactly the masks of
+    # grade |A & x| + m with A & hB == 0, each once, ascending; none once m passes dim - |A|
+    x = indexes._FORMS[getattr(indexes, rule)][1]
+    full, masks = (1 << dim) - 1, range(1 << dim)
+    for a in masks:
+        for m in range(dim + 1):
+            candidates = [a & x | s for s in indexes._SUBSETS[full ^ a, m]]
+            grade = (a & x).bit_count() + m
+            assert candidates == [b for b in masks
+                                  if b.bit_count() == grade and a & (b ^ x) == 0], (dim, a, m)
 
 
 @pytest.mark.parametrize("rule", ["_wedge_rule", "_left_rule"])
