@@ -27,19 +27,21 @@ derivatives split the Laplacian with a grade-dependent sign:
 (verified symbolically by the verification suite; wave-equation
 rewriting refuses to run unless this check passes for its shape).
 
-Each operator is one loop over a field's flat keys (``poly``): x_i's
-exponent is a shift and a mask away (``poly._AXES``), and d_i lowers it by
-a subtract, so each term goes straight to its output key.  ``d^`` and
-``d_|`` visit only the axes with a term (``indexes._STEPS``), through
-``_DERIVS``: per mask, each axis's field offset, change of key and sign.
+Each operator but the convective one is one loop over a field's flat keys
+(``poly``): x_i's exponent is a shift and a mask away (``poly._AXES``), and
+d_i lowers it by a subtract, so each term goes straight to its output key.
+``d^`` and ``d_|`` visit only the axes with a term (``indexes._STEPS``),
+through ``_DERIVS``: per mask, each axis's field offset, change of key and
+sign.  ``tensor_deriv`` fills one row per axis for ``matrices._stack``, and
+(v . d) a is ``vec_mat(v, tensor_deriv(a))``, with no loop of its own.
 """
 
 from __future__ import annotations
 
 from .blades import GradeError, Metric, Multivector, require
 from .indexes import _STEPS, _Memo, _left_rule, _wedge_rule
-from .matrices import MvMatrix
-from .poly import _AXES, _FIELD, _GUARD, PolyScalar, _guarded
+from .matrices import MvMatrix, _stack, vec_mat
+from .poly import _AXES, _FIELD, PolyScalar
 
 
 def _steps(rule, dim: int, k: int) -> _Memo:
@@ -88,13 +90,11 @@ def right_int_deriv(field: Multivector) -> Multivector:
 
 
 def tensor_deriv(field: Multivector) -> MvMatrix:
-    """Tensor derivative: row grade 1 matrix of all first partials."""
-    dim, k, out = require(field).metric.dim, field.metric.k, {}
-    for key, c in field._terms.items():
-        for i, axis in enumerate(_AXES[dim, dim]):
-            if e := key >> axis & _FIELD:  # the row e_i below the key, moved up by dim
-                out[1 << i | key - (1 << axis) << dim] = -c * e if i < k else c * e
-    return MvMatrix._make(field.metric, 1, field.grade, out, field._poly)
+    """Tensor derivative: row grade 1 matrix of all first partials, row e_i D_ii d_i a."""
+    dim, k, terms = require(field).metric.dim, field.metric.k, field._terms.items()
+    rows = [{key - (1 << axis): c * (-e if i < k else e) for key, c in terms
+             if (e := key >> axis & _FIELD)} for i, axis in enumerate(_AXES[dim, dim])]
+    return _stack(field.metric, field.grade, rows, field._poly)
 
 
 def laplacian(field: Multivector) -> Multivector:
@@ -139,20 +139,10 @@ def _divergence(terms: dict, dim: int, shift: int) -> dict:
 
 
 def directional_deriv(direction: Multivector, field: Multivector) -> Multivector:
-    """Convective derivative (v . d) a, component-wise sum_i v_i d_i a_I."""
+    """Convective derivative (v . d) a, component-wise sum_i v_i d_i a_I: the
+    ``vec_mat`` product's D_ii cancels the D_ii of ``tensor_deriv``'s row e_i."""
     require(field, metric=require(direction, grade=1, what="direction").metric)
-    dim, out = field.metric.dim, {}
-    full, axes, guard = (1 << dim) - 1, _AXES[dim, dim], _GUARD[dim] << dim
-    # each v_i term as (x_i's field in a key, the term's monomial part, its coefficient)
-    steps = [(axes[(unit := key & full).bit_length() - 1], key - unit, v)
-             for key, v in direction._terms.items()]
-    for key, c in field._terms.items():
-        for axis, mono, v in steps:
-            if e := key >> axis & _FIELD:
-                d = v * (c * e)
-                out[j] = d if (acc := out.get(j := key - (1 << axis) + mono)) is None else acc + d
-    return Multivector._make(field.metric, field.grade, _guarded(out, guard),
-                             field._poly or direction._poly)
+    return vec_mat(direction, tensor_deriv(field))
 
 
 def check_laplacian_splitting(metric: Metric, grade: int, fields) -> bool:

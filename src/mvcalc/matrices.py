@@ -15,7 +15,8 @@ Entries are stored flat in ``_terms`` (see ``poly``): an entry's key is
 ``rows | cols << dim`` plus its packed monomial shifted past both masks,
 with index tuples only at the API.  The three contractions run one loop,
 ``_contract``, with D_KK from popcounts; ``mat_vec`` runs it on the
-transpose.  ``dot`` and the linear structure are those of
+transpose.  ``_stack`` builds a row-grade-1 matrix from one row per axis,
+the one writer of that layout.  ``dot`` and the linear structure are those of
 ``blades._Sparse`` and ``poly._Linear``.
 """
 
@@ -170,6 +171,13 @@ def _row_times(vector: Multivector, matrix: MvMatrix) -> Multivector:
     out = _contract(matrix.metric, row, matrix._terms, poly)
     return Multivector._make(matrix.metric, matrix.col_grade,
                              {key >> dim: c for key, c in out.items()}, poly)
+
+
+def _stack(metric: Metric, grade: int, rows: list, poly: bool) -> MvMatrix:
+    """sum_i e_i (x) rows[i], each row the flat terms of a grade-``grade`` field moved up by dim."""
+    dim = metric.dim
+    return MvMatrix._make(metric, 1, grade, {1 << i | key << dim: c for i, row in enumerate(rows)
+                                             for key, c in row.items()}, poly)
 
 
 def _fit(matrix: MvMatrix, vector: Multivector, slot: str) -> Multivector:

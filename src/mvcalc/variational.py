@@ -31,9 +31,10 @@ dynamical symbol a (grade s):
                               - (-1)^s d^ vderiv(L, d_| a)
 
 ``verify_tensor_exterior_identity`` checks that both routes agree after
-substituting random polynomial fields; the tensor side is evaluated
-through an explicit slot-matrix chain rule (``tensor_slot_matrix``), not
-through the exterior-route formulas, so the comparison is meaningful.
+substituting random polynomial fields.  The tensor side is the chain rule
+of ``tensor_slot_matrix``, whose d^ and d_| slots run on the blade product
+kernel (rows W |_ e^i and W ^ e^i); the exterior side runs d^ and d_| on
+their own step tables, so the comparison is meaningful.
 
 ``first_variation`` decomposes the first-order change of L under
 a -> a + t*eps into a bulk part (the equation residual dotted with eps)
@@ -51,9 +52,9 @@ from typing import NamedTuple
 from . import calculus
 from .blades import AlgebraError, GradeError, Metric, Multivector, require
 from .calculus import matrix_divergence
-from .indexes import Record, _left_rule, _wedge_rule, as_tuple, integer
-from .matrices import MvMatrix, mat_vec
-from .poly import _exact_terms, _Linear, _place, _put_terms, exact, number_text, signed_sum
+from .indexes import Record, as_tuple, integer
+from .matrices import MvMatrix, _stack, mat_vec
+from .poly import _exact_terms, _Linear, _put_terms, exact, number_text, signed_sum
 
 ROLES = ("dynamical", "source")
 
@@ -461,39 +462,32 @@ def tensor_slot_matrix(L: LagrangianDensity, assignment: Mapping) -> MvMatrix:
 
     Chain rule through the slot expressions: each d^ / d_| / dX slot of
     the dynamical symbol is expanded in the entries of dX a, and the
-    other factor of its term is evaluated on the concrete fields.  Each slot
-    is one matrix, ``+`` sums them, and the entry at (i, I) of a slot is
+    partner W, the other factor of its term, is evaluated on the concrete
+    fields.  With e^i = D_ii e_i the reciprocal frame, the row e_i of a
+    slot is coeff times
 
-        ext slot:  coeff * s(i, I) * other_{i+I}           for i not in I
-        int slot:  coeff * D_ii * s(I\\i, i) * other_{I\\i}  for i in I
-        dX  slot:  coeff * other_{(i), I}
+        ext slot:  W |_ e^i       entry (i, I): s(i, I) W_{i+I}          for i not in I
+        int slot:  W ^ e^i        entry (i, I): D_ii s(I\\i, i) W_{I\\i}  for i in I
+        dX  slot:  row i of W     entry (i, I): W_{(i), I}
 
-    Used by the first-variation decomposition and as the tensor side of
-    the two-route identity check.
+    each product the engine's own.  Each slot is one matrix and ``+`` sums
+    them.  Used by the first-variation decomposition and as the tensor side
+    of the two-route identity check.
     """
     a, _ = _dynamical_ops(L)
     metric = _chain_value((), a, require(assignment, Mapping)).metric
+    frame = [Multivector.blade(metric, (i,), metric.sign(i)) for i in range(metric.dim)]
     total = MvMatrix._make(metric, 1, a.grade, {})
     for (left, right), coeff in L._terms.items():
         for (op, sym), other in ((left, right), (right, left)):
             if sym != a or op is DerivOp.ID:
                 continue
-            other_val = _chain_value(other[0].chain, other[1], assignment, metric)
-            if op is DerivOp.TENSOR:
-                total = total + other_val * coeff
-                continue
-            # ext: e_K |_ e_i = s(i, K\i) e_{K\i} = (-1)^(|K|-1) e_i _| e_K;
-            # int: e_K ^ e_i = s(K, i) e_{K+i}
-            ext, slot, dim = op is DerivOp.EXT, {}, metric.dim
-            for K, vK in other_val._view().items():
-                flip = K.bit_count() - 1 & 1 if ext else 0
-                for i in range(dim):
-                    if (hit := _left_rule(1 << i, K, 0) if ext
-                            else _wedge_rule(K, 1 << i, 0)) is not None:
-                        sig = 1 if ext else metric.sign(i)
-                        entry = coeff * (-sig if hit[0] ^ flip else sig) * vK
-                        _place(slot, 1 << i | hit[1] << dim, entry, 2 * dim)  # at (e_i, e_hit)
-            total = total + MvMatrix._make(metric, 1, a.grade, slot, other_val._poly)
+            value = _chain_value(other[0].chain, other[1], assignment, metric)
+            if op is not DerivOp.TENSOR:
+                product = Multivector.right_contract if op is DerivOp.EXT else Multivector.wedge
+                value = _stack(metric, a.grade, [product(value, e)._terms for e in frame],
+                               value._poly)
+            total = total + value * coeff
     return total
 
 
@@ -536,9 +530,10 @@ def verify_tensor_exterior_identity(L: LagrangianDensity, metric: Metric,
     """Check that the exterior and tensor EL routes agree on given fields.
 
     ``fields`` is a sequence of symbol-name -> concrete-field mappings.
-    The exterior side evaluates the formal rhs of euler_lagrange_exterior;
-    the tensor side goes through tensor_slot_matrix and the concrete
-    matrix divergence.  Disagreements are reported as (k, n, s, index).
+    The exterior side evaluates the formal rhs of euler_lagrange_exterior,
+    whose d^ and d_| run on ``calculus``'s step tables; the tensor side is
+    the matrix divergence of tensor_slot_matrix, whose rows run through the
+    product kernel.  Disagreements are reported as (k, n, s, index).
     """
     a, _ = _dynamical_ops(L)
     require(metric, Metric)

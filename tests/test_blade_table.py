@@ -3,11 +3,14 @@
 Every pair of basis blades in every (k, n) with k + n <= 5 goes through
 ``wedge``, both contractions, ``dot``, ``hodge`` and ``inv_hodge``, and
 every blade times a coordinate goes through the three first-order
-derivatives.  The right contraction and both duals, which the library
-derives from the left-contraction rule, are also checked on multi-term
-operands through k + n <= 6.  Expected values follow the product table in the
-``mvcalc.blades`` docstring and the derivative sums in the
-``mvcalc.calculus`` docstring, with signs from the swap-counting
+derivatives.  Every blade in every (k, n) with k + n <= 4 goes, as the
+partner of a d^ or d_| slot, through ``tensor_slot_matrix``.  The right
+contraction and both duals, which the library derives from the
+left-contraction rule, are also checked on multi-term operands through
+k + n <= 6.  Expected values follow the product table in the
+``mvcalc.blades`` docstring, the derivative sums in the
+``mvcalc.calculus`` docstring and the slot entries in the
+``tensor_slot_matrix`` docstring, with signs from the swap-counting
 ``transposition_parity`` on concatenated index tuples and metric signs
 counted directly, so nothing here shares code with the product kernel.
 """
@@ -21,7 +24,9 @@ import pytest
 from mvcalc import blades, calculus
 from mvcalc.blades import Metric, Multivector
 from mvcalc.calculus import ext_deriv, int_deriv, right_int_deriv
+from mvcalc.matrices import MvMatrix
 from mvcalc.poly import PolyScalar
+from mvcalc.variational import DerivOp, FieldSymbol, LagrangianDensity, tensor_slot_matrix
 from mvcalc.verify import transposition_parity
 
 METRICS = [(k, dim - k) for dim in range(1, 6) for k in range(dim + 1)]
@@ -42,11 +47,19 @@ DERIVATIVE_ROWS = [
 ]
 
 
+SLOT_ROWS = [
+    "ext slot:  W |_ e^i       entry (i, I): s(i, I) W_{i+I}          for i not in I",
+    "int slot:  W ^ e^i        entry (i, I): D_ii s(I\\i, i) W_{I\\i}  for i in I",
+]
+
+
 def test_docstrings_carry_the_tables_checked_here():
     for row in BLADE_ROWS:
         assert row in blades.__doc__
     for row in DERIVATIVE_ROWS:
         assert row in calculus.__doc__
+    for row in SLOT_ROWS:
+        assert row in tensor_slot_matrix.__doc__
 
 
 def _all_blades(dim):
@@ -147,6 +160,40 @@ def test_first_derivatives_match_the_sums(k, n):
             metric, len(I) - 1, rest, None if rest is None else _s(rest, (j,)) * one))
         _assert_same(right_int_deriv(field), _expect(
             metric, len(I) - 1, rest, None if rest is None else _s((j,), rest) * one))
+
+
+METRICS_TO_4 = [(k, dim - k) for dim in range(1, 5) for k in range(dim + 1)]
+
+
+@pytest.mark.parametrize("kind", ["fraction", "poly"])
+@pytest.mark.parametrize("k, n", METRICS_TO_4)
+def test_slot_matrix_entries_match_the_docstring(k, n, kind):
+    # c (D a . W) with W = w e_K: a d^ slot has one entry per i in K, at (i, K\i), and a
+    # d_| slot one per i not in K, at (i, K+i), each with the docstring's sign
+    metric = Metric(k, n)
+    w, _ = _coefficients(kind, metric.dim)
+    c = Fraction(-5, 3)
+    for K in _all_blades(metric.dim):
+        partner = (DerivOp.ID, FieldSymbol("W", len(K), "source"))
+        for op, grade in ((DerivOp.EXT, len(K) - 1), (DerivOp.INT, len(K) + 1)):
+            if not 0 <= grade <= metric.dim:
+                continue
+            L = LagrangianDensity([(c, (op, FieldSymbol("a", grade)), partner)])
+            entries = {}
+            for i in range(metric.dim):
+                if op is DerivOp.EXT and i in K:
+                    rest = _minus(K, (i,))
+                    entries[(i,), rest] = c * _s((i,), rest) * w
+                elif op is DerivOp.INT and i not in K:
+                    sign, merged = transposition_parity(K + (i,))
+                    entries[(i,), merged] = c * metric.sign(i) * sign * w
+            result = tensor_slot_matrix(L, {"a": Multivector.zero(metric, grade),
+                                            "W": Multivector.blade(metric, K, w)})
+            expected = MvMatrix(metric, 1, grade, entries)
+            assert (result.row_grade, result.col_grade) == (1, grade), (K, op)
+            assert result.terms == expected.terms, (K, op)
+            assert {key: type(v) for key, v in result.terms.items()} == {
+                key: type(v) for key, v in expected.terms.items()}, (K, op)
 
 
 METRICS_TO_6 = [(k, dim - k) for dim in range(1, 7) for k in range(dim + 1)]

@@ -5,11 +5,13 @@ their per-mask forms and the probe table, and every other module imports
 them.  A copy
 defined anywhere else would be a second sign implementation, one that the
 verify properties on the public index helpers no longer check.  The
-ownership tests read the source with ``ast`` and import nothing.  The
-last tests check the per-mask forms against the rules on every mask pair
-of dimensions 1-6, the probe table against a filter of every mask, and the
-derivative step table against the rules and a bit-count oracle on every
-mask of those dimensions.
+ownership tests read the source with ``ast`` and import nothing.  Two
+more keep the variational layer on the engine's public products:
+``variational`` and ``em`` reach no sign rule and none of the flat-key
+helpers of ``poly``.  The last tests check the per-mask forms against the
+rules on every mask pair of dimensions 1-6, the probe table against a
+filter of every mask, and the derivative step table against the rules and
+a bit-count oracle on every mask of those dimensions.
 """
 
 import ast
@@ -50,6 +52,21 @@ OTHERS = sorted(path.name for path in SRC.glob("*.py") if path.name != "indexes.
 def test_no_other_module_defines_a_table_or_rule(module):
     found = {name: line for name, line in bound_names(module).items() if name in OWNED}
     assert not found, f"{module} defines {found}"
+
+
+ENGINE_INTERNALS = {"_left_rule", "_wedge_rule", "_place", "_split", "_AXES", "_GUARD",
+                    "_guarded", "_FIELD"}
+
+
+@pytest.mark.parametrize("module", ["variational.py", "em.py"])
+def test_the_variational_layer_reaches_no_sign_rule_or_flat_key_helper(module):
+    # a name imported from another module, or read off one as an attribute
+    found = {}
+    for node in ast.walk(ast.parse((SRC / module).read_text())):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                 else [node.attr] if isinstance(node, ast.Attribute) else [])
+        found.update((name, node.lineno) for name in names if name in ENGINE_INTERNALS)
+    assert not found, f"{module} reaches {found}"
 
 
 @pytest.mark.parametrize("rule", ["_wedge_rule", "_left_rule"])
