@@ -157,21 +157,21 @@ class _Sparse(_Linear):
         monos = {key >> shift: c for key, c in self._terms.items() if key & full == base}
         return PolyScalar._make(self.metric.dim, monos) if monos else 0
 
-    def _dot(self, other, parity):
+    def _dot(self, other, t):
         """sum(D a b) over the blade parts both values hold: the one ``dot`` loop.
 
-        D = -1 when popcount(parity(part) & t) is odd, t the time-like axes; a matrix
-        entry (I, J) passes I ^ J, since the parities of two popcounts add like an xor.
+        D = -1 when popcount(part & t) is odd, t the time-like mask; a matrix entry
+        (I, J) passes the time-like axes of both masks, as D_II D_JJ adds their parities.
         Rational values walk the smaller dict (two multi-term ones lifted as ``_product``
         lifts them); polynomial ones multiply the monomials of each shared part.
         """
-        left, right, t = self._terms, other._terms, (1 << self.metric.k) - 1
+        left, right = self._terms, other._terms
         if self._poly or other._poly:
             dim, shift, out = self.metric.dim, self._shift(), {}
             full, right = (1 << shift) - 1, _split(right, shift)
             for key, a in left.items():
                 if (monos := right.get(part := key & full)) is not None:
-                    ma, odd = key >> shift, (parity(part) & t).bit_count() & 1
+                    ma, odd = key >> shift, (part & t).bit_count() & 1
                     for mb, b in monos.items():
                         term, acc = -a * b if odd else a * b, out.get(mono := ma + mb)
                         out[mono] = term if acc is None else acc + term
@@ -183,7 +183,7 @@ class _Sparse(_Linear):
         for key, a in left.items():
             if (b := right.get(key)) is not None:
                 term = a * b
-                if (parity(key) & t).bit_count() & 1:
+                if (key & t).bit_count() & 1:
                     total = -term if total is None else total - term
                 else:
                     total = term if total is None else total + term
@@ -284,7 +284,7 @@ class Multivector(_Sparse):
         require(other, Multivector, self.metric)
         if self.grade != other.grade:
             raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
-        return self._dot(other, int)
+        return self._dot(other, (1 << self.metric.k) - 1)
 
     def _product(self, rule, lhs: "Multivector", rhs: "Multivector", grade, flip=0):
         """The rule's products of two values' terms, summed into a Multivector of ``grade``.

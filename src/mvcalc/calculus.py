@@ -24,8 +24,8 @@ derivatives split the Laplacian with a grade-dependent sign:
 
     int_deriv(ext_deriv(a)) - ext_deriv(int_deriv(a)) = (-1)^gr(a) laplacian(a)
 
-(verified symbolically by the verification suite; wave-equation
-rewriting refuses to run unless this check passes for its shape).
+(checked exactly on sampled fields by the verification suite; wave-equation
+rewriting refuses to run unless it holds on six probe fields of its shape).
 
 Each operator but the convective one is one loop over a field's flat keys
 (``poly``): x_i's exponent is a shift and a mask away (``poly._AXES``), and

@@ -13,19 +13,20 @@ Exit codes: 0 on success, 1 when verification finds a failing property,
 2 on usage or parse errors (diagnostics go to stderr).  Output for a
 fixed invocation is byte-identical across runs.
 
-How ``run`` parses a request: the parser is built once per process and
+How ``run`` parses a request: the parsers are built from one table of
+each subcommand's arguments (``_SUBCOMMANDS``), once per process, and
 shared.  When the first argument is exactly a subcommand name, the rest
-is read from that subcommand parser's own store actions: exact option
-strings each followed by a value that does not start with ``-``, and
-positionals, each value through its action's ``type`` and ``choices``,
-every required argument present.  Anything else (``-h``, ``--lag``,
-``--k=1``, ``--``, ``-1``, a missing or extra argument, a refused value)
-makes the reader decline, and the rest goes to that subcommand's parser
-(``parse_known_args``), the same call the top-level parser would make.
-An argv that does not start with a subcommand, and one whose rest that
-parser leaves arguments from, goes through the top-level parser.  So
-argparse prints every error and all help, and every exit code and byte
-of stdout and stderr is what argparse gives for the full parse.
+is read from that table: exact option strings each followed by a value
+that does not start with ``-``, and positionals, each value through its
+argument's ``type`` and ``choices``, every required argument present.
+Anything else (``-h``, ``--lag``, ``--k=1``, ``--``, ``-1``, a missing or
+extra argument, a refused value) makes the reader decline, and the rest
+goes to that subcommand's parser (``parse_known_args``), the same call
+the top-level parser would make.  An argv that does not start with a
+subcommand, and one whose rest that parser leaves arguments from, goes
+through the top-level parser.  So argparse prints every error and all
+help, and every exit code and byte of stdout and stderr is what argparse
+gives for the full parse.
 """
 
 from __future__ import annotations
@@ -81,58 +82,50 @@ def _rational(text: str) -> Fraction:
     return value
 
 
+_METRIC = (("--k", dict(type=int, required=True, help="number of time axes")),
+           ("--n", dict(type=int, required=True, help="number of space axes")))
+_FORMAT = ("--format", dict(choices=("text", "json"), default="text"))
+
+# each subcommand's help and its arguments, as (name, add_argument keywords) in help order;
+# the parsers are built from this table and ``_read`` reads requests from it
+_SUBCOMMANDS = {
+    "derive": ("derive the field equations of a quadratic density", (
+        *_METRIC,
+        ("--r", dict(type=int, help="grade of the field strength")),
+        ("--preset", dict(choices=("maxwell", "electrostatics", "dual"), default="maxwell",
+                          help="theory template (default: maxwell)")),
+        ("--m", dict(type=_rational, default=Fraction(0), help="mass parameter")),
+        ("--xi", dict(type=_rational, help="gauge-fixing parameter")),
+        ("--lagrangian", dict(help="explicit density such as '1/2*(d^A . d^A) + (J . A)'; "
+                                   "overrides --preset")),
+        ("--symbols", dict(help="field declarations for --lagrangian, as name:grade:role,...")),
+        _FORMAT)),
+    "verify": ("run the property suites", (
+        ("--suite", dict(choices=_SUITE_NAMES + ("all",), default="all",
+                         help="which suite to run (default: all)")),
+        ("--seed", dict(type=int, default=42)),
+        ("--trials", dict(type=int, default=40, help="randomized cases per sweep point")))),
+    "eval": ("evaluate a multivector expression", (
+        ("expr", dict(help="expression such as 'd^ (x0 ^ e[1]) _| e[0,1]'")),
+        *_METRIC, _FORMAT)),
+}
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """A new top-level parser and its subcommand parsers, by name, from ``_SUBCOMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="mvcalc", description="exterior-algebra field equations over flat space-times")
+    sub, subparsers = parser.add_subparsers(dest="command", required=True), {}
+    for name, (text, arguments) in _SUBCOMMANDS.items():
+        subparsers[name] = sub.add_parser(name, help=text)
+        for flag, keywords in arguments:
+            subparsers[name].add_argument(flag, **keywords)
+    return parser, subparsers
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     """A new parser for the three subcommands (``run`` shares one)."""
-    parser = argparse.ArgumentParser(
-        prog="mvcalc",
-        description="exterior-algebra field equations over flat space-times",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    derive = sub.add_parser(
-        "derive", help="derive the field equations of a quadratic density"
-    )
-    derive.add_argument("--k", type=int, required=True, help="number of time axes")
-    derive.add_argument("--n", type=int, required=True, help="number of space axes")
-    derive.add_argument("--r", type=int, help="grade of the field strength")
-    derive.add_argument(
-        "--preset",
-        choices=("maxwell", "electrostatics", "dual"),
-        default="maxwell",
-        help="theory template (default: maxwell)",
-    )
-    derive.add_argument("--m", type=_rational, default=Fraction(0), help="mass parameter")
-    derive.add_argument(
-        "--xi", type=_rational, default=None, help="gauge-fixing parameter"
-    )
-    derive.add_argument(
-        "--lagrangian",
-        help="explicit density such as '1/2*(d^A . d^A) + (J . A)'; overrides --preset",
-    )
-    derive.add_argument(
-        "--symbols",
-        help="field declarations for --lagrangian, as name:grade:role,...",
-    )
-    derive.add_argument("--format", choices=("text", "json"), default="text")
-
-    verify = sub.add_parser("verify", help="run the property suites")
-    verify.add_argument(
-        "--suite",
-        choices=_SUITE_NAMES + ("all",),
-        default="all",
-        help="which suite to run (default: all)",
-    )
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument(
-        "--trials", type=int, default=40, help="randomized cases per sweep point"
-    )
-
-    evaluate = sub.add_parser("eval", help="evaluate a multivector expression")
-    evaluate.add_argument("expr", help="expression such as 'd^ (x0 ^ e[1]) _| e[0,1]'")
-    evaluate.add_argument("--k", type=int, required=True, help="number of time axes")
-    evaluate.add_argument("--n", type=int, required=True, help="number of space axes")
-    evaluate.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+    return _build()[0]
 
 
 def _parse_symbol_decls(text: str) -> dict[str, FieldSymbol]:
@@ -206,25 +199,28 @@ def _arg_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     Sharing is safe: ``parse_args`` returns a new namespace each time and
     never changes the parser, the defaults are immutable, and errors
     leave through SystemExit without keeping state.  The subcommand map
-    is read from the ``choices`` of the parser's one positional (argparse
-    has no public accessor for it) and maps each name to its parser and
-    reader table, so clearing this cache resets all three.
+    sends each name to its parser and reader table, so clearing this
+    cache resets all three.
     """
-    parser = build_arg_parser()
-    (action,) = parser._subparsers._group_actions
-    return parser, {name: (sub, _reader_table(sub)) for name, sub in action.choices.items()}
+    parser, subparsers = _build()
+    return parser, {name: (sub, _reader_table(name)) for name, sub in subparsers.items()}
 
 
-def _reader_table(sub: argparse.ArgumentParser) -> tuple:
-    """(option string -> store action, positionals, required dests, defaults) of ``sub``."""
-    stores = [a for a in sub._actions if type(a) is argparse._StoreAction]
+def _reader_table(name: str) -> tuple:
+    """(option string -> entry, positional entries, required dests, defaults) of a subcommand.
+
+    An entry is the (dest, type, choices) of one argument; each name here is its dest
+    without the leading dashes, as argparse derives it.
+    """
+    arguments = _SUBCOMMANDS[name][1]
     # argparse passes an unseen str default through ``type``; these have none to pass
-    assert all(a.type is None for a in stores if isinstance(a.default, str))
-    return ({option: a for a in stores for option in a.option_strings},
-            [a for a in stores if not a.option_strings],
-            {a.dest for a in sub._actions if a.required},
-            {a.dest: a.default for a in sub._actions
-             if argparse.SUPPRESS not in (a.dest, a.default)})
+    assert not any(isinstance(kw.get("default"), str) and "type" in kw for _, kw in arguments)
+    entries = {flag: argparse.Namespace(dest=flag.lstrip("-"), type=kw.get("type"),
+                                        choices=kw.get("choices")) for flag, kw in arguments}
+    return ({flag: entry for flag, entry in entries.items() if flag.startswith("-")},
+            [entry for flag, entry in entries.items() if not flag.startswith("-")],
+            {entries[flag].dest for flag, kw in arguments if kw.get("required", flag[0] != "-")},
+            {entries[flag].dest: kw.get("default") for flag, kw in arguments})
 
 
 def _read(argv: list, options: dict, positionals: list, required: set, defaults: dict):

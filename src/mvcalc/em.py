@@ -132,9 +132,9 @@ def wave_form(cfg: MaxwellConfig, field_name: str = "A",
 
         d_| ( d^ a ) - d^ ( d_| a ) = (-1)^gr(a) lap a,
 
-    which is re-verified symbolically for this metric and grade before
-    use; if the check fails the rewrite refuses rather than emit an
-    unsound equation.
+    which is checked exactly on six seeded ``field_cases`` probe fields of
+    this metric and grade before use; if the check fails the rewrite
+    refuses rather than emit an unsound equation.
     """
     if require(cfg, MaxwellConfig).xi is None:
         raise AlgebraError("wave form needs the gauge-fixing term; set xi")

@@ -126,8 +126,8 @@ class MvMatrix(_Sparse):
         require(other, MvMatrix, self.metric)
         if self._shape() != other._shape():
             raise GradeError("dot needs matching grade shapes")
-        dim = self.metric.dim
-        return self._dot(other, lambda part: part ^ part >> dim)
+        t = (1 << self.metric.k) - 1
+        return self._dot(other, t | t << self.metric.dim)
 
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         """Matrix product; contracts self's columns with other's rows."""

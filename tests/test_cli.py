@@ -1,3 +1,4 @@
+import ast
 import collections
 import contextlib
 import io
@@ -281,23 +282,37 @@ def test_shared_parser_leaks_no_state_between_requests():
 
 
 def test_run_builds_the_parser_once_per_process(monkeypatch):
-    build = cli.build_arg_parser
+    build = cli._build
     built = []
 
     def counting_build():
         built.append(1)
         return build()
 
-    monkeypatch.setattr(cli, "build_arg_parser", counting_build)
+    monkeypatch.setattr(cli, "_build", counting_build)
     cli._arg_parser.cache_clear()
     for argv in MIXED_REQUESTS * 3:
         call(argv)
     assert len(built) == 1
-    assert build() is not build()  # the public builder still hands out new parsers
+    # the public builder still hands out new parsers
+    assert cli.build_arg_parser() is not cli.build_arg_parser()
     # importing the CLI builds nothing; the first request does
     probe = "import mvcalc.cli as c; print(c._arg_parser.cache_info().currsize)"
     assert subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True).stdout == "0\n"
+
+
+def test_cli_reads_no_private_argparse_name():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    names = collections.Counter(
+        node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name)
+        else node.value for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name, ast.Constant)))
+    private = {"_actions", "_StoreAction", "_subparsers", "_group_actions",
+               "_option_string_actions"}
+    assert not private & names.keys()
+    # the arguments derive and eval share are declared once
+    assert [names[flag] for flag in ("--k", "--n", "--format")] == [1, 1, 1]
 
 
 def _derive_with(*flags):

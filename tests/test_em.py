@@ -114,6 +114,13 @@ def test_wave_form_needs_gauge_fixing():
         wave_form(MaxwellConfig(M13, 2))
 
 
+def test_wave_form_refuses_when_the_splitting_check_fails(monkeypatch):
+    monkeypatch.setattr("mvcalc.em.check_laplacian_splitting", lambda *args: False)
+    message = r"metric \(1,3\) grade 1; wave rewrite would be unsound"
+    with pytest.raises(AlgebraError, match=message):
+        wave_form(MaxwellConfig(Metric(1, 3), 2, xi=1))
+
+
 def test_wave_form_matches_displayed_equation():
     rng = rng_for(73, "unit/wave-residual")
     for r in (2, 3, 4):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mvcalc import indexes, verify
+from mvcalc import indexes, variational, verify
 from mvcalc.blades import AlgebraError, Multivector
 from mvcalc.randgen import rng_for
 from mvcalc.verify import (
@@ -149,6 +149,16 @@ def test_blade_sweeps_catch_a_wrong_wedge_sign(monkeypatch):
         else wedge(self, other))
     for name in ("wedge_graded_commutativity", "wedge_associative"):
         assert _failing_cases(name), name
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9, 42])
+def test_route_property_catches_a_wrong_chain_rule_at_two_trials(monkeypatch, seed):
+    # a negated slot matrix only shows on a field with second derivatives
+    slot_matrix = variational.tensor_slot_matrix
+    monkeypatch.setattr(variational, "tensor_slot_matrix", lambda L, a: -slot_matrix(L, a))
+    name = "exterior_route_matches_tensor_route"
+    prop = verify.SUITES["variational"][name]
+    assert sum(not ok for _, ok in prop(rng_for(seed, f"variational/{name}"), 2))
 
 
 def test_first_failing_label_is_rendered_as_written(monkeypatch):
