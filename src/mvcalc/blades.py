@@ -60,12 +60,12 @@ kernel and ``_make``.  ``dot`` runs no kernel, only ``_Sparse._dot``.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterator, Mapping
 
-from .indexes import (_BLADE, _FORMS, _SUBSETS, MAX_DIM, AlgebraError, Record, _left_rule,
-                      _mask, _wedge_rule, as_tuple, integer, term_items)
+from .indexes import (_BLADE, _FORMS, _SUBSETS, MAX_DIM, AlgebraError, Record, _check_ints,
+                      _left_rule, _mask, _wedge_rule, as_tuple, integer, term_items)
 from .poly import (_GUARD, PolyScalar, _exact_terms, _factor, _guarded, _Linear, _place,
                    _put_terms, _split, coefficient, exact, poly_text, signed_sum)
 
@@ -251,6 +251,7 @@ class Multivector(_Sparse):
     @classmethod
     def blade(cls, metric: Metric, indices, coeff=1) -> "Multivector":
         indices = as_tuple(indices, "index list")
+        _check_ints(indices)  # before the key is hashed: a list inside is unhashable
         return cls(metric, len(indices), {indices: coeff})
 
     @classmethod

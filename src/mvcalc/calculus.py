@@ -149,6 +149,7 @@ def check_laplacian_splitting(metric: Metric, grade: int, fields) -> bool:
     """Check int(ext a) - ext(int a) == (-1)^grade laplacian(a) on given fields."""
     sign = -1 if grade & 1 else 1
     for a in fields:
+        require(a, Multivector, metric, grade, "field")
         lhs = int_deriv(ext_deriv(a)) - ext_deriv(int_deriv(a))
         if lhs != sign * laplacian(a):
             return False

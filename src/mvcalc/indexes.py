@@ -50,7 +50,6 @@ here too: every module imports this one, and ``dataclasses`` stays unloaded.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
 
 # Hard cap on the ambient dimension; blade counts explode past this.
 MAX_DIM = 16
@@ -93,10 +92,19 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or a stand-in where Python cannot print it
+    (a list nested past the recursion limit, an int past the int-to-text limit)."""
+    try:
+        return repr(value)
+    except (RecursionError, ValueError):
+        return f"<{type(value).__name__} too large to print>"
+
+
 def integer(value, what: str) -> int:
     """``value`` if a plain int, else AlgebraError (hot loops test the type first)."""
     if type(value) is not int:
-        raise AlgebraError(f"bad {what}: integers only, got {value!r}")
+        raise AlgebraError(f"bad {what}: integers only, got {_shown(value)}")
     return value
 
 
@@ -115,7 +123,7 @@ def as_tuple(value, what: str) -> tuple:
     and sets would otherwise read as index or exponent lists.
     """
     if not isinstance(value, (tuple, list)):
-        raise AlgebraError(f"bad {what}: expected a tuple or list, got {value!r}")
+        raise AlgebraError(f"bad {what}: expected a tuple or list, got {_shown(value)}")
     return tuple(value)
 
 
@@ -127,7 +135,7 @@ def _check_ints(indices: tuple) -> None:
 
 def _out_of_range(indices: tuple, dim: int) -> AlgebraError:
     bad = next(i for i in indices if not 0 <= i < dim)
-    return AlgebraError(f"index {bad} out of range for dimension {dim}")
+    return AlgebraError(f"index {_shown(bad)} out of range for dimension {dim}")
 
 
 def _dimension(dim) -> int:
@@ -136,7 +144,7 @@ def _dimension(dim) -> int:
     return dim
 
 
-def check_canonical(indices: tuple, dim: Optional[int] = None) -> None:
+def check_canonical(indices: tuple, dim: int | None = None) -> None:
     """AlgebraError unless the tuple is strictly increasing ints, in [0, dim) if given."""
     _check_ints(indices)  # before the order: an int against a str raises TypeError
     if not all(a < b for a, b in zip(indices, indices[1:])):
@@ -153,7 +161,7 @@ def _mask(raw, dim: int = MAX_DIM, what: str = "index list") -> int:
     return _MASK[indices]
 
 
-def sort_signature(raw, dim: Optional[int] = None) -> tuple[int, tuple]:
+def sort_signature(raw, dim: int | None = None) -> tuple[int, tuple]:
     """Signature of the permutation sorting ``raw``, plus the sorted tuple.
 
     Returns ``(0, ())`` when an index repeats (the corresponding blade
@@ -192,7 +200,7 @@ def complement(indices, dim: int) -> tuple:
     return _BLADE[_mask(indices, dim) ^ ((1 << dim) - 1)]
 
 
-def subtract(whole, part) -> Optional[tuple]:
+def subtract(whole, part) -> tuple | None:
     """``whole`` with ``part`` removed, or None when ``part`` is not contained.
 
     Absence is a value here, not an error: callers use None as the zero

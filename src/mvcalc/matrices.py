@@ -22,12 +22,12 @@ the one writer of that layout.  ``dot`` and the linear structure are those of
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .blades import (AlgebraError, GradeError, Metric, Multivector, _put_metric, _put_poly,
                      _Sparse, require)
 from .indexes import _BLADE, _mask, as_tuple, integer, term_items
-from .poly import _GUARD, _exact_terms, _guarded, _place, _put_terms, coefficient
+from .poly import _GUARD, _exact_terms, _guarded, _place, _put_terms, coefficient, number_text
 
 
 class MvMatrix(_Sparse):
@@ -141,7 +141,7 @@ class MvMatrix(_Sparse):
 
     def __repr__(self) -> str:
         pairs = sorted(self._entries())
-        entries = ", ".join(f"w[{','.join(map(str, r))};{','.join(map(str, c))}]*{v}"
+        entries = ", ".join(f"w[{','.join(map(str, r))};{','.join(map(str, c))}]*{number_text(v)}"
                             for (r, c), v in pairs)
         return (f"<MvMatrix ({self.metric.k},{self.metric.n}) "
                 f"grades ({self.row_grade},{self.col_grade}): {entries or '0'}>")

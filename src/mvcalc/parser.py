@@ -23,6 +23,13 @@ every unary '-', 'd^', 'd_|', parenthesis and hodge/invhodge call that
 encloses a factor; a deeper one raises ExprError at the offset of the
 first token past the cap.
 
+Tokens are plain ``(kind, text, offset)`` tuples.  Each binary operator
+and each dual maps to the *name* of the Multivector method it calls, and
+the method is looked up on the value at each call, so a wrapper set on
+the class after import (as the benchmark's tracer sets one) sees every
+product the parser makes; ``d^`` and ``d_|`` are called through this
+module's own names for the same reason.
+
 Every error carries the character offset it was raised at; a value that
 is not a str fails at offset 0.  The canonical text printed for a
 multivector parses back to an equal value, which the round-trip property
@@ -71,20 +78,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.pos})"
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, whitespace dropped, ending with an EOF token.
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, offset)`` tokens of ``text``, whitespace dropped, ending with
+    ``("EOF", "", len(text))``.
 
     One ``finditer`` scan: each match must start where the last one ended,
     since a gap is text no token matches; the first such character raises
@@ -99,56 +95,61 @@ def tokenize(text: str) -> list[Token]:
             break
         kind = m.lastgroup
         if kind != "WS":
-            tokens.append(Token(m.group() if kind == "OP" else kind, m.group(), start))
+            tokens.append((m.group() if kind == "OP" else kind, m.group(), start))
         pos = m.end()
     if pos != len(text):
         raise ExprError(f"unknown token {text[pos]!r}", pos)
-    tokens.append(Token("EOF", "", pos))
+    tokens.append(("EOF", "", pos))
     return tokens
 
 
-def _int(text: str, tok: Token) -> int:
+def _int(text: str, offset: int) -> int:
     try:
         return int(text)
     except ValueError:  # a digit run longer than Python's int-from-text limit
-        raise ExprError(f"number longer than {digit_limit()} digits", tok.pos) from None
+        raise ExprError(f"number longer than {digit_limit()} digits", offset) from None
 
 
-def _rational(tok: Token) -> Fraction:
-    num, _, den = tok.text.partition("/")
-    den = _int(den or "1", tok)
+def _rational(text: str, offset: int) -> Fraction:
+    num, _, den = text.partition("/")
+    den = _int(den or "1", offset)
     if den == 0:
-        raise ExprError("zero denominator", tok.pos)
-    return Fraction(_int(num, tok), den)
+        raise ExprError("zero denominator", offset)
+    return Fraction(_int(num, offset), den)
 
 
 class _Parser:
     def __init__(self, text: str):
         if not isinstance(text, str):
             raise ExprError(f"expected text, got {type(text).__name__}", 0)
-        self.text = text
         self.tokens = tokenize(text)
         self.index = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
+    def kind(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.index][0]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise ExprError(f"expected {kind!r}, found {found!r}", tok.pos)
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        found, text, offset = self.tokens[self.index]
+        if found != kind:
+            raise ExprError(f"expected {kind!r}, found {text or 'end of input'!r}", offset)
         return self.advance()
 
     def expect_eof(self):
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ExprError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        kind, text, offset = self.tokens[self.index]
+        if kind != "EOF":
+            raise ExprError(f"unexpected trailing input {text!r}", offset)
+
+
+# operator kind or dual name -> Multivector method name, looked up on the value per call
+_SUMS = {"+": "__add__", "-": "__sub__"}
+_PRODUCTS = {"^": "wedge", ".": "dot", "LINT": "left_contract", "RINT": "right_contract"}
+_DUALS = {"hodge": "hodge", "invhodge": "inv_hodge"}
 
 
 class _ExprParser(_Parser):
@@ -160,70 +161,61 @@ class _ExprParser(_Parser):
         self.depth = 0
 
     def expr(self) -> Multivector:
-        value = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            try:
-                value = value + rhs if op.kind == "+" else value - rhs
-            except AlgebraError as exc:
-                raise ExprError(str(exc), op.pos) from None
-        return value
+        return self._chain(self.term, _SUMS)
 
     def term(self) -> Multivector:
-        value = self.factor()
-        while self.peek().kind in ("^", ".", "LINT", "RINT"):
-            op = self.advance()
-            rhs = self.factor()
+        return self._chain(self.factor, _PRODUCTS)
+
+    def _chain(self, operand, methods: dict[str, str]) -> Multivector:
+        """``operand (op operand)*`` for the operators of ``methods``, left to right; an
+        AlgebraError of an operator is an ExprError at its offset."""
+        value = operand()
+        while (kind := self.kind()) in methods:
+            offset = self.advance()[2]
+            rhs = operand()
             try:
-                if op.kind == "^":
-                    value = value.wedge(rhs)
-                elif op.kind == ".":
-                    value = self._scalar(value.dot(rhs))
-                elif op.kind == "LINT":
-                    value = value.left_contract(rhs)
-                else:
-                    value = value.right_contract(rhs)
+                value = getattr(value, methods[kind])(rhs)
+                if kind == ".":
+                    value = self._scalar(value)
             except AlgebraError as exc:
-                raise ExprError(str(exc), op.pos) from None
+                raise ExprError(str(exc), offset) from None
         return value
 
     def factor(self) -> Multivector:
-        tok = self.peek()
+        kind, text, offset = self.tokens[self.index]
         # literals are checked here, so they are built by the trusted ``_make``
-        if tok.kind == "NUMBER":
-            self.advance()
-            return self._scalar(_rational(tok))
-        if tok.kind == "POLY":
-            self.advance()
-            return self._scalar(self._poly(tok))
-        if tok.kind == "BLADE":
-            self.advance()
-            return self._blade(tok)
-        if tok.kind == "NAME" and tok.text not in ("hodge", "invhodge"):
-            raise ExprError(f"unknown name {tok.text!r}", tok.pos)
-        if tok.kind not in ("DEXT", "DINT", "-", "(", "NAME"):
-            found = tok.text or "end of input"
-            raise ExprError(f"expected a value, found {found!r}", tok.pos)
+        if kind == "NUMBER":
+            self.index += 1
+            return self._scalar(_rational(text, offset))
+        if kind == "POLY":
+            self.index += 1
+            return self._scalar(self._poly(text, offset))
+        if kind == "BLADE":
+            self.index += 1
+            return self._blade(text, offset)
+        if kind == "NAME" and text not in _DUALS:
+            raise ExprError(f"unknown name {text!r}", offset)
+        if kind not in ("DEXT", "DINT", "-", "(", "NAME"):
+            raise ExprError(f"expected a value, found {text or 'end of input'!r}", offset)
         # every remaining form encloses another factor or expression
         if self.depth == MAX_NESTING:
-            raise ExprError(f"expression nested deeper than {MAX_NESTING} levels", tok.pos)
+            raise ExprError(f"expression nested deeper than {MAX_NESTING} levels", offset)
         self.depth += 1
-        self.advance()
-        if tok.kind == "DEXT":
+        self.index += 1
+        if kind == "DEXT":
             value = ext_deriv(self.factor())
-        elif tok.kind == "DINT":
+        elif kind == "DINT":
             value = int_deriv(self.factor())
-        elif tok.kind == "-":
+        elif kind == "-":
             value = -self.factor()
-        elif tok.kind == "(":
+        elif kind == "(":
             value = self.expr()
             self.expect(")")
         else:
             self.expect("(")
             value = self.expr()
             self.expect(")")
-            value = value.hodge() if tok.text == "hodge" else value.inv_hodge()
+            value = getattr(value, _DUALS[text])()
         self.depth -= 1
         return value
 
@@ -233,36 +225,36 @@ class _ExprParser(_Parser):
         poly = _place(terms, 0, coeff, self.metric.dim)
         return Multivector._make(self.metric, 0, terms, poly)
 
-    def _poly(self, tok: Token) -> PolyScalar:
-        body = tok.text[1:]
+    def _poly(self, text: str, offset: int) -> PolyScalar:
+        body = text[1:]
         if "^" in body:
             index_text, power_text = body.split("^")
-            power = _int(power_text, tok)
+            power = _int(power_text, offset)
         else:
             index_text, power = body, 1
-        index = _int(index_text, tok)
+        index = _int(index_text, offset)
         dim = self.metric.dim
         if index >= dim:
-            raise ExprError(f"coordinate x{index} out of range for dimension {dim}", tok.pos)
+            raise ExprError(f"coordinate x{index} out of range for dimension {dim}", offset)
         try:
             mono = pack((0,) * index + (power,))
         except AlgebraError as exc:
-            raise ExprError(str(exc), tok.pos) from None
+            raise ExprError(str(exc), offset) from None
         return PolyScalar._make(dim, {mono: 1})
 
-    def _blade(self, tok: Token) -> Multivector:
-        inner = tok.text[2:-1]
+    def _blade(self, text: str, offset: int) -> Multivector:
+        inner = text[2:-1]
         try:
             if not inner.isascii():  # int() reads every Unicode digit
                 raise ValueError
             inner = inner.strip()
             indices = tuple(int(part) for part in inner.split(",")) if inner else ()
         except ValueError:
-            raise ExprError(f"bad blade literal {tok.text!r}", tok.pos) from None
+            raise ExprError(f"bad blade literal {text!r}", offset) from None
         try:
             mask = _mask(indices, self.metric.dim)
         except AlgebraError as exc:
-            raise ExprError(f"blade {exc}", tok.pos) from None
+            raise ExprError(f"blade {exc}", offset) from None
         return Multivector._make(self.metric, len(indices), {mask: 1})
 
 
@@ -275,6 +267,7 @@ def parse_expr(text: str, metric: Metric) -> Multivector:
 
 
 _SLOT_OPS = {"DEXT": DerivOp.EXT, "DINT": DerivOp.INT, "DTENS": DerivOp.TENSOR}
+_SIGNS = {"+": Fraction(1), "-": Fraction(-1)}
 
 
 class _LagrangianParser(_Parser):
@@ -283,25 +276,20 @@ class _LagrangianParser(_Parser):
         self.symbols = symbols
 
     def lagrangian(self) -> LagrangianDensity:
-        terms = [self.lterm(self._leading_sign())]
-        while self.peek().kind in ("+", "-"):
-            sign = Fraction(1) if self.advance().kind == "+" else Fraction(-1)
-            terms.append(self.lterm(sign))
+        sign = _SIGNS[self.advance()[0]] if self.kind() == "-" else _SIGNS["+"]
+        terms = [self.lterm(sign)]
+        while self.kind() in _SIGNS:
+            terms.append(self.lterm(_SIGNS[self.advance()[0]]))
         try:
             return LagrangianDensity(terms)
         except AlgebraError as exc:
             raise ExprError(str(exc), 0) from None
 
-    def _leading_sign(self) -> Fraction:
-        if self.peek().kind == "-":
-            self.advance()
-            return Fraction(-1)
-        return Fraction(1)
-
     def lterm(self, sign: Fraction) -> tuple:
         coeff = sign
-        if self.peek().kind == "NUMBER":
-            coeff = sign * _rational(self.advance())
+        if self.kind() == "NUMBER":
+            _, text, offset = self.advance()
+            coeff = sign * _rational(text, offset)
             self.expect("*")
         self.expect("(")
         left = self.slot()
@@ -312,15 +300,13 @@ class _LagrangianParser(_Parser):
 
     def slot(self) -> tuple:
         op = DerivOp.ID
-        if self.peek().kind in _SLOT_OPS:
-            op = _SLOT_OPS[self.advance().kind]
-        tok = self.expect("NAME")
-        symbol = self.symbols.get(tok.text)
+        if self.kind() in _SLOT_OPS:
+            op = _SLOT_OPS[self.advance()[0]]
+        _, name, offset = self.expect("NAME")
+        symbol = self.symbols.get(name)
         if symbol is None:
             known = ", ".join(sorted(self.symbols)) or "none"
-            raise ExprError(
-                f"unknown field symbol {tok.text!r} (declared: {known})", tok.pos
-            )
+            raise ExprError(f"unknown field symbol {name!r} (declared: {known})", offset)
         return (op, symbol)
 
 

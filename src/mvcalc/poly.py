@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import struct
 import sys
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping, Sequence
 
-from .indexes import AlgebraError, _Memo, as_tuple, integer, term_items
+from .indexes import AlgebraError, _Memo, _shown, as_tuple, integer, term_items
 
 WIDTH = 16  # bits per exponent field, its guard bit included: a little-endian "H"
 MAX_EXPONENT = (1 << WIDTH - 1) - 1
@@ -89,7 +89,7 @@ def exact(value) -> int | Fraction:
         # bool subclasses int and therefore registers as Rational; reject it
         # before the Rational branch can quietly coerce True to 1
         if kind is bool or not isinstance(value, Rational):
-            raise AlgebraError(f"exact rational coefficient required, got {value!r}")
+            raise AlgebraError(f"exact rational coefficient required, got {_shown(value)}")
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import calculus
 from .blades import AlgebraError, GradeError, Metric, Multivector, require
@@ -59,7 +58,7 @@ from .poly import _exact_terms, _Linear, _put_terms, exact, number_text, signed_
 ROLES = ("dynamical", "source")
 
 
-class ChainOp(NamedTuple):
+class ChainOp(Record):
     """One operator-chain token: rendered text, grade shift, calculus function."""
 
     text: str

@@ -27,8 +27,8 @@ differences of the density, which are exact for quadratic densities.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
 
 from .blades import AlgebraError, GradeError, Metric, Multivector
 from .calculus import (

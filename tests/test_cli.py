@@ -542,3 +542,48 @@ def test_polynomial_eval_output_matches_the_golden_file():
         for argv in POLY_EVAL:
             assert cli.run(["eval", *argv]) == 0, argv
     assert out.getvalue() == POLY_GOLDEN.read_text()
+
+
+# One request per ExprError raise site in mvcalc.parser that the CLI reaches, in the order
+# tests/golden/parse_errors_cli.txt holds their stderr line and exit code; the tier-1
+# workflow runs the same requests as processes.  The golden file predates the parser's
+# tuple tokens and its single operator loop, which must keep every message and offset.
+PARSE_ERRORS = [
+    ["eval", "e[0] $ e[1]"],
+    ["eval", "e[0] ^ " + "9" * 5000],
+    ["eval", "e[0] ^ 1/0"],
+    ["eval", "(e[0] + e[1]"],
+    ["eval", "hodge e[0]"],
+    ["eval", "e[0] )"],
+    ["eval", "e[0] ^ grad(e[1])"],
+    ["eval", "e[0] ^ )"],
+    ["eval", "(" * 101 + "e[0]" + ")" * 101],
+    ["eval", "e[0] ^ x4"],
+    ["eval", "e[0] ^ x0^32768"],
+    ["eval", "e[0] ^ e[0;1]"],
+    ["eval", "e[0] ^ e[1,1]"],
+    ["eval", "e[0] ^ e[4]"],
+    ["eval", "e[0] + e[0,1]"],
+    ["eval", "e[0] - e[0,1]"],
+    ["eval", "e[0] . e[0,1]"],
+    ["derive", "--lagrangian", "(A . A) $"],
+    ["derive", "--lagrangian", "1/0*(A . A)"],
+    ["derive", "--lagrangian", "2 (A . A)"],
+    ["derive", "--lagrangian", "(A . A) )"],
+    ["derive", "--lagrangian", "(d^A . d^B)"],
+    ["derive", "--lagrangian", "(A . A) + (J . J)", "--symbols", "A:1:dynamical,J:1:dynamical"],
+]
+PARSE_ERRORS_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "parse_errors_cli.txt"
+
+
+def test_parse_errors_match_the_golden_file():
+    lines = []
+    for command, *rest in PARSE_ERRORS:
+        if command == "derive" and "--symbols" not in rest:
+            rest += ["--symbols", "A:1:dynamical"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run([command, *rest, "--k", "1", "--n", "3"])
+        assert out.getvalue() == ""
+        lines.append(f"{err.getvalue()}exit {code}\n")
+    assert "".join(lines) == PARSE_ERRORS_GOLDEN.read_text()

@@ -10,12 +10,13 @@ grades.  Deterministic: no hypothesis.
 import pytest
 
 from mvcalc import (AlgebraError, DerivOp, FieldEquation, FieldSymbol, FormalExpr, GradeError,
-                    LagrangianDensity, Metric, Multivector, MvMatrix)
-from mvcalc.calculus import directional_deriv, divergence_scalar
+                    LagrangianDensity, Metric, Multivector, MvMatrix, PolyScalar)
+from mvcalc.calculus import check_laplacian_splitting, directional_deriv, divergence_scalar
 from mvcalc.em import (MaxwellConfig, build_dual_lagrangian, build_lagrangian, derive_equations,
                        dual_theory, gauge_transform, wave_form)
 from mvcalc.matrices import mat_vec, vec_mat
 from mvcalc.parser import parse_expr, parse_lagrangian
+from mvcalc.randgen import random_field, rng_for
 from mvcalc.variational import (euler_lagrange_exterior, first_variation, tensor_slot_matrix,
                                 vderiv, verify_tensor_exterior_identity)
 
@@ -133,3 +134,62 @@ def test_the_identity_check_refuses_fields_on_another_metric():
     with pytest.raises(AlgebraError, match="^mixed metrics$"):
         verify_tensor_exterior_identity(L, Metric(0, 4), [{"A": V}])
     assert verify_tensor_exterior_identity(L, M13, [{"A": V}]).ok
+
+
+def test_the_laplacian_splitting_check_refuses_fields_of_another_metric_or_grade():
+    # a grade-2 field on (0, 4) checked as a grade-1 field on (1, 3) used to pass
+    other = random_field(rng_for(5, "unit/laplacian-splitting"), Metric(0, 4), 2)
+    with pytest.raises(AlgebraError, match="^mixed metrics$"):
+        check_laplacian_splitting(M13, 1, [other])
+    with pytest.raises(GradeError, match="^field has grade 2, expected 1$"):
+        check_laplacian_splitting(M13, 1, [V, W])
+    # a zero field takes any grade, as every other operand does
+    assert check_laplacian_splitting(M13, 1, [Multivector.zero(M13, 3), V])
+
+
+def nested_list(depth: int) -> list:
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_a_blade_of_a_list_inside_its_index_list_raises_algebra_error():
+    # the index list used to be hashed as a dict key first: TypeError: unhashable type: 'list'
+    with pytest.raises(AlgebraError, match=r"^bad index: integers only, got \[0\]$"):
+        Multivector.blade(M13, [[0]])
+    with pytest.raises(AlgebraError, match=r"^bad index: integers only, got \[0\]$"):
+        V.coefficient([[0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: V.coefficient(bad),
+    lambda bad: V.coefficient([bad]),
+    lambda bad: B.entry(bad, (1,)),
+    lambda bad: B.entry((0,), [bad]),
+], ids=["coefficient", "coefficient-inner", "entry-rows", "entry-cols"])
+@pytest.mark.parametrize("bad", [nested_list(3000), [10 ** 5000]], ids=["deep", "long"])
+def test_an_index_too_large_to_print_raises_algebra_error(call, bad):
+    # its repr used to raise RecursionError or ValueError while the message was built
+    with pytest.raises(AlgebraError, match="too large to print>"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: Multivector(M13, 1, {(0,): bad}),
+    lambda bad: PolyScalar(1, {(0,): bad}),
+], ids=["blade-coefficient", "poly-coefficient"])
+@pytest.mark.parametrize("bad", [nested_list(3000), [10 ** 5000]], ids=["deep", "long"])
+def test_a_value_too_large_to_print_raises_algebra_error(call, bad):
+    with pytest.raises(AlgebraError, match="too large to print>"):
+        call(bad)
+
+
+def test_a_matrix_entry_too_long_to_print_raises_algebra_error():
+    # str() used to raise a plain ValueError from the int-to-text limit
+    huge = MvMatrix(M13, 1, 1, {((0,), (1,)): 10 ** 5000})
+    with pytest.raises(AlgebraError, match="^exact value too long to print"):
+        str(huge)
+    with pytest.raises(AlgebraError, match="^exact value too long to print"):
+        str(Multivector.blade(M13, (0,), 10 ** 5000))
+    assert str(MvMatrix(M13, 1, 1, {((0,), (1,)): 3})) == "<MvMatrix (1,3) grades (1,1): w[0;1]*3>"

@@ -1,11 +1,12 @@
 """The frozen value records, and what ``import mvcalc.cli`` loads.
 
-The six records share one base, ``indexes.Record``; these tests pin the
+The records share one base, ``indexes.Record``; these tests pin the
 behaviour they had as frozen dataclasses: construction, reprs, equality
 and hashing, refused assignment, ``__post_init__`` checks, copy and
 pickle.
 """
 
+import ast
 import copy
 import pickle
 import subprocess
@@ -18,7 +19,8 @@ import pytest
 import mvcalc
 from mvcalc import AlgebraError, GradeError, Metric, MaxwellConfig, FieldSymbol, FieldEquation
 from mvcalc import derive_equations
-from mvcalc.variational import IdentityReport
+from mvcalc.indexes import Record
+from mvcalc.variational import CHAIN_OPS, ChainOp, IdentityReport
 from mvcalc.verify import PropertyOutcome
 
 _EQ = derive_equations(MaxwellConfig(Metric(1, 3), 2))
@@ -185,3 +187,23 @@ def test_metric_stores_its_dimension_once():
         assert twin.dim == 4 and twin == metric and hash(twin) == hash((1, 3))
     with pytest.raises(AttributeError, match="cannot assign to field 'dim'"):
         metric.dim = 5
+
+
+def test_chain_operators_are_records():
+    assert all(type(op) is ChainOp for op in CHAIN_OPS.values())
+    assert issubclass(ChainOp, Record)
+    assert repr(CHAIN_OPS["ext"]) == "ChainOp(text='d^', shift=1, function='ext_deriv')"
+    assert CHAIN_OPS["tensor"] == ChainOp("dX", None, "tensor_deriv")
+
+
+def test_no_module_imports_typing():
+    # annotations are strings here, so typing would be loaded for nothing at each CLI start
+    for path in sorted(Path(mvcalc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            assert "typing" not in modules, f"{path.name} line {node.lineno}"
