@@ -50,11 +50,12 @@ one operand check of every module: the type, the metric (through
 ``require_same_metric``, the one "mixed metrics" check) and, for a nonzero
 value, the grade.  Public constructors validate; results of valid
 operands, and copies, go through the trusted builder ``_make``, which
-fills the slots through their descriptors' ``__set__`` (``_put_*``, bound
-once); ``_adopt`` fills them with no coefficient scan, for results
-canonical as built (the inline step, empty results, Hodge duals).  A
-product runs one chain: the method, ``_product``, then ``_adopt`` or the
-kernel and ``_make``.  ``dot`` runs no kernel, only ``_Sparse._dot``.
+cleans the new dict (``poly._exact_terms``) and hands it to ``_adopt``, the
+one writer of a trusted Multivector's slots (through their descriptors'
+``__set__``, ``_put_*``, bound once).  Results canonical as built (the
+inline step, empty results, Hodge duals) go to ``_adopt`` with no
+coefficient scan.  A product runs one chain: the method, ``_product``, then
+``_adopt`` or the kernel and ``_make``.  ``dot`` runs no kernel, only ``_Sparse._dot``.
 """
 
 from __future__ import annotations
@@ -122,8 +123,10 @@ class _Sparse(_Linear):
     A value is a metric, grades, ``_poly`` and ``_terms``, flat keys to nonzero
     exact rationals; ``_shape()`` is (metric, *grades).  ``+`` refuses a value of
     another class, metric or (both nonzero) shape with AlgebraError/GradeError,
-    and a factor may be a PolyScalar in the metric's coordinates.  Each
-    subclass adds its constructor, ``_make``, ``_like``, ``_shift`` and its products.
+    and a factor may be a PolyScalar in the metric's coordinates.  A key's
+    monomial starts past one dim-bit mask per grade (``_shift``), and the
+    views regroup the terms by blade part through ``poly._split``.  Each
+    subclass adds its constructor, ``_make``, ``_shape`` and its products.
     """
 
     __slots__ = ("metric", "_poly")
@@ -138,16 +141,16 @@ class _Sparse(_Linear):
     def _scalar(self, value):
         return _factor(value, self.metric.dim)  # AlgebraError in other variables
 
+    def _shift(self) -> int:
+        return (len(self._shape()) - 1) * self.metric.dim
+
     def _view(self) -> dict:
         """{blade part: coefficient} as the views show it, a new dict."""
         if not self._poly:
             return dict(self._terms)
-        full, out = (1 << (shift := self._shift())) - 1, {}
-        for key, c in self._terms.items():  # each PolyScalar is new, and filled before it is shared
-            if (coeff := out.get(base := key & full)) is None:
-                out[base] = coeff = PolyScalar._make(self.metric.dim, {})
-            coeff._terms[key >> shift] = c
-        return out
+        dim = self.metric.dim
+        return {base: PolyScalar._make(dim, monos)
+                for base, monos in _split(self._terms, self._shift()).items()}
 
     def _at(self, base: int):
         """The coefficient at one blade part as the views show it, 0 when absent."""
@@ -226,21 +229,10 @@ class Multivector(_Sparse):
     @classmethod
     def _make(cls, metric: Metric, grade: int, terms: dict, poly: bool = False) -> "Multivector":
         """Trusted builder adopting a new dict of flat keys of ``grade`` built here."""
-        mv = object.__new__(cls)
-        _put_metric(mv, metric)
-        _put_grade(mv, grade)
-        _put_poly(mv, poly)
-        _put_terms(mv, _exact_terms(terms))
-        return mv
-
-    def _like(self, terms: dict, other) -> "Multivector":
-        return Multivector._make(self.metric, self.grade, terms, self._poly or other._poly)
+        return _adopt(metric, grade, _exact_terms(terms), poly)
 
     def _shape(self) -> tuple:
         return (self.metric, self.grade)
-
-    def _shift(self) -> int:
-        return self.metric.dim
 
     # -- constructors ----------------------------------------------------
 
@@ -373,7 +365,8 @@ _put_metric, _put_poly, _put_grade = (_Sparse.metric.__set__, _Sparse._poly.__se
 
 
 def _adopt(metric: Metric, grade: int, terms: dict, poly: bool) -> Multivector:
-    """``Multivector._make`` with no coefficient scan, for a new dict canonical as built."""
+    """The one writer of a trusted Multivector's slots: ``Multivector._make`` with no
+    coefficient scan, for a new dict canonical as built."""
     mv = object.__new__(Multivector)
     _put_metric(mv, metric)
     _put_grade(mv, grade)

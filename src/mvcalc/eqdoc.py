@@ -35,7 +35,7 @@ import re
 from fractions import Fraction
 
 from .blades import AlgebraError, Metric, Multivector
-from .indexes import integer
+from .indexes import _shown, integer
 from .poly import exact, number_text
 from .variational import ROLES, VECTOR_OPS, FieldEquation, FieldSymbol, FormalExpr, _symbol_table
 
@@ -78,7 +78,7 @@ def _coeff(value):
             value = Fraction(value)
         return exact(value)  # any other string, float or bool is refused here
     except (ValueError, ZeroDivisionError) as exc:  # AlgebraError is a ValueError
-        raise AlgebraError(f"bad coefficient {value!r}") from exc
+        raise AlgebraError(f"bad coefficient {_shown(value)}") from exc
 
 
 def _terms_from_doc(entries, symbols: dict) -> FormalExpr:
@@ -88,10 +88,10 @@ def _terms_from_doc(entries, symbols: dict) -> FormalExpr:
     for entry in entries:
         name = _need(entry, "symbol")
         if not isinstance(name, str) or name not in symbols:
-            raise AlgebraError(f"term references undeclared symbol {name!r}")
+            raise AlgebraError(f"term references undeclared symbol {_shown(name)}")
         ops = _need(entry, "ops")
         if not isinstance(ops, list) or any(op not in VECTOR_OPS for op in ops):
-            raise AlgebraError(f"bad ops list {ops!r}")
+            raise AlgebraError(f"bad ops list {_shown(ops)}")
         terms.append((tuple(ops), symbols[name], _coeff(_need(entry, "coeff"))))
     return FormalExpr(terms)
 
@@ -101,15 +101,15 @@ def doc_to_equation(doc: dict) -> tuple[FieldEquation, Metric]:
     try:
         metric = Metric(_need(metric_doc, "k"), _need(metric_doc, "n"))
     except AlgebraError as exc:
-        raise AlgebraError(f"bad metric entry {metric_doc!r}: {exc}") from exc
+        raise AlgebraError(f"bad metric entry {_shown(metric_doc)}: {exc}") from exc
     symbol_doc = _need(doc, "symbols")
     if not isinstance(symbol_doc, dict):
-        raise AlgebraError(f"symbols must be an object, got {symbol_doc!r}")
+        raise AlgebraError(f"symbols must be an object, got {_shown(symbol_doc)}")
     symbols = {}
     for name, entry in symbol_doc.items():
         role = _need(entry, "role")
         if role not in ROLES:
-            raise AlgebraError(f"bad role {role!r} for symbol {name!r}")
+            raise AlgebraError(f"bad role {_shown(role)} for symbol {_shown(name)}")
         symbols[name] = FieldSymbol(name, _need(entry, "grade"), role)
     grade = integer(_need(doc, "grade"), "grade")
     eq = FieldEquation(

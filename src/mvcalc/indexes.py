@@ -82,7 +82,7 @@ class Record:
             setattr(cls, name, methods[name])
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 
 from .blades import (AlgebraError, GradeError, Metric, Multivector, _put_metric, _put_poly,
                      _Sparse, require)
-from .indexes import _BLADE, _mask, as_tuple, integer, term_items
+from .indexes import _BLADE, _mask, _shown, as_tuple, integer, term_items
 from .poly import _GUARD, _exact_terms, _guarded, _place, _put_terms, coefficient, number_text
 
 
@@ -43,7 +43,7 @@ class MvMatrix(_Sparse):
         dim, clean, poly = metric.dim, {}, False
         for key, coeff in term_items(terms):
             if type(key) is not tuple or len(key) != 2:
-                raise AlgebraError(f"bad matrix key {key!r}: expected a (rows, cols) pair")
+                raise AlgebraError(f"bad matrix key {_shown(key)}: expected a (rows, cols) pair")
             part = (_mask(key[0], dim, "row index list")
                     | _mask(key[1], dim, "column index list") << dim)
             poly |= _place(clean, part, coefficient(coeff, dim), 2 * dim)
@@ -74,15 +74,8 @@ class MvMatrix(_Sparse):
         _put_terms(matrix, _exact_terms(terms))
         return matrix
 
-    def _like(self, terms: dict, other) -> "MvMatrix":
-        return MvMatrix._make(self.metric, self.row_grade, self.col_grade, terms,
-                              self._poly or other._poly)
-
     def _shape(self) -> tuple:
         return (self.metric, self.row_grade, self.col_grade)
-
-    def _shift(self) -> int:
-        return 2 * self.metric.dim
 
     @classmethod
     def zero(cls, metric: Metric, row_grade: int, col_grade: int) -> "MvMatrix":

@@ -167,9 +167,10 @@ class _Linear:
 
     * ``_make(*shape, terms, poly)``, the trusted builder, which adopts the new
       ``terms`` dict; ``_shape()``, the arguments it takes before the terms,
-      the space (a metric or a variable count) first; ``_like(terms, other)``, a
-      value of this shape, polynomial (``_poly``, outside ``_shape()`` and ``==``)
-      if this value or the operand ``other`` is;
+      the space (a metric or a variable count) first; ``_like(terms, other)``,
+      ``_make`` of this shape, polynomial (``_poly``, outside ``_shape()`` and ``==``)
+      if this value or the operand ``other`` is (``PolyScalar`` alone overrides
+      it, as its operand may be a bare rational);
     * ``_operand(other)``, the term dict ``+`` merges, or NotImplemented;
     * ``_scalar(value)``, the coefficient protocol: ``value`` as a
       coefficient, or NotImplemented (AlgebraError for a polynomial in
@@ -202,7 +203,7 @@ class _Linear:
         return ()
 
     def _like(self, terms: dict, other):
-        return self._make(*self._shape(), terms)
+        return self._make(*self._shape(), terms, self._poly or other._poly)
 
     def __reduce__(self):  # copy and pickle rebuild through the trusted builder
         return self._make, (*self._shape(), dict(self._terms), self._poly)

@@ -51,7 +51,7 @@ from fractions import Fraction
 from . import calculus
 from .blades import AlgebraError, GradeError, Metric, Multivector, require
 from .calculus import matrix_divergence
-from .indexes import Record, as_tuple, integer
+from .indexes import Record, _shown, as_tuple, integer
 from .matrices import MvMatrix, _stack, mat_vec
 from .poly import _exact_terms, _Linear, _put_terms, exact, number_text, signed_sum
 
@@ -106,11 +106,11 @@ class FieldSymbol(Record):
         if type(self.name) is not str or not self.name or not self.name[0].isalpha() or not all(
             ch.isalnum() or ch == "_" for ch in self.name
         ):
-            raise AlgebraError(f"bad field symbol name {self.name!r}")
+            raise AlgebraError(f"bad field symbol name {_shown(self.name)}")
         if integer(self.grade, f"grade for symbol {self.name!r}") < 0:
             raise GradeError(f"field symbol grade must be nonnegative, got {self.grade}")
         if self.role not in ROLES:
-            raise AlgebraError(f"role must be one of {ROLES}, got {self.role!r}")
+            raise AlgebraError(f"role must be one of {ROLES}, got {_shown(self.role)}")
 
 
 Slot = tuple  # (DerivOp, FieldSymbol)
@@ -132,11 +132,11 @@ def _slot(slot) -> Slot:
     except (TypeError, ValueError):
         sym = None
     if not isinstance(sym, FieldSymbol):
-        raise AlgebraError(f"a slot is an (operator, FieldSymbol) pair, got {slot!r}")
+        raise AlgebraError(f"a slot is an (operator, FieldSymbol) pair, got {_shown(slot)}")
     try:
         return DerivOp(op), sym
-    except ValueError:
-        raise AlgebraError(f"unknown slot operator {op!r}") from None
+    except (ValueError, RecursionError):  # Enum's own message prints op, and can fail at that
+        raise AlgebraError(f"unknown slot operator {_shown(op)}") from None
 
 
 def _chain_grade(chain: tuple, grade: int):
@@ -172,7 +172,7 @@ def _triples(terms, what: str, shape: str):
         try:
             first, second, third = term
         except (TypeError, ValueError):
-            raise AlgebraError(f"a {what} term is {shape}, got {term!r}") from None
+            raise AlgebraError(f"a {what} term is {shape}, got {_shown(term)}") from None
         yield first, second, third
 
 
@@ -248,7 +248,8 @@ class LagrangianDensity(_Linear):
         return 0 if total is None else total
 
     def __repr__(self):
-        parts = [f"{coeff}*({lop.value or 'id'} {lsym.name} . {rop.value or 'id'} {rsym.name})"
+        parts = [f"{number_text(coeff)}*({lop.value or 'id'} {lsym.name} . "
+                 f"{rop.value or 'id'} {rsym.name})"
                  for ((lop, lsym), (rop, rsym)), coeff in self._terms.items()]
         return f"<LagrangianDensity {' + '.join(parts) or '0'}>"
 
@@ -271,7 +272,7 @@ class FormalExpr(_Linear):
             require(symbol, FieldSymbol)
             for op in chain:
                 if type(op) is not str or op not in CHAIN_OPS:
-                    raise AlgebraError(f"unknown operator token {op!r}")
+                    raise AlgebraError(f"unknown operator token {_shown(op)}")
                 if op not in VECTOR_OPS and len(chain) > 1:
                     raise AlgebraError(f"{CHAIN_OPS[op].text} may only appear as a standalone chain")
             key = (chain, symbol)
@@ -303,7 +304,7 @@ class FormalExpr(_Linear):
     def apply(self, op: str) -> "FormalExpr":
         """Prepend a derivative operator to every chain (outermost position)."""
         if op not in VECTOR_OPS:
-            raise AlgebraError(f"cannot apply operator {op!r} to a formal expression")
+            raise AlgebraError(f"cannot apply operator {_shown(op)} to a formal expression")
         if self.is_matrix:
             raise AlgebraError("cannot apply a vector operator to a matrix expression")
         return FormalExpr._make({((op,) + ch, sym): c for (ch, sym), c in self._terms.items()})

@@ -4,13 +4,17 @@ An ``int``, ``None`` or ``str`` where a metric, multivector, matrix,
 density, configuration, grade, symbol table, field assignment or formal
 term belongs raises ``AlgebraError``, never the ``AttributeError``,
 ``TypeError`` or ``KeyError`` of reading it.  A grade mismatch names the operand and both
-grades.  Deterministic: no hypothesis.
+grades.  A value Python cannot print (a list nested 3,000 deep, an int past the
+int-to-text limit) still raises ``AlgebraError``, as messages print outside values
+through ``indexes._shown``.  Deterministic: no hypothesis.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from mvcalc import (AlgebraError, DerivOp, FieldEquation, FieldSymbol, FormalExpr, GradeError,
-                    LagrangianDensity, Metric, Multivector, MvMatrix, PolyScalar)
+                    LagrangianDensity, Metric, Multivector, MvMatrix, PolyScalar, doc_to_equation)
 from mvcalc.calculus import check_laplacian_splitting, directional_deriv, divergence_scalar
 from mvcalc.em import (MaxwellConfig, build_dual_lagrangian, build_lagrangian, derive_equations,
                        dual_theory, gauge_transform, wave_form)
@@ -175,12 +179,41 @@ def test_an_index_too_large_to_print_raises_algebra_error(call, bad):
         call(bad)
 
 
+def doc_with(where: str, bad) -> dict:
+    """A valid equation document with ``bad`` put in at one place."""
+    term = {"symbol": "A", "ops": [], "coeff": "1"}
+    doc = {"metric": {"k": 1, "n": 3}, "grade": 1, "lhs": [term], "rhs": [],
+           "symbols": {"A": {"grade": 1, "role": "dynamical"}}}
+    if where == "k":
+        doc["metric"]["k"] = bad
+    elif where == "symbols":
+        doc["symbols"] = bad
+    elif where == "role":
+        doc["symbols"]["A"]["role"] = bad
+    else:
+        term[where] = bad
+    return doc
+
+
 @pytest.mark.parametrize("call", [
     lambda bad: Multivector(M13, 1, {(0,): bad}),
     lambda bad: PolyScalar(1, {(0,): bad}),
-], ids=["blade-coefficient", "poly-coefficient"])
+    lambda bad: FieldSymbol(bad, 1),
+    lambda bad: FieldSymbol("A", 1, bad),
+    lambda bad: LagrangianDensity([(1, bad, (DerivOp.ID, A))]),
+    lambda bad: LagrangianDensity([(1, (bad, A), (DerivOp.ID, A))]),
+    lambda bad: LagrangianDensity([bad]),
+    lambda bad: FormalExpr([bad]),
+    lambda bad: FormalExpr([((bad,), A, 1)]),
+    lambda bad: FormalExpr.single((), A).apply(bad),
+    *(lambda bad, where=where: doc_to_equation(doc_with(where, bad))
+      for where in ("k", "symbols", "role", "symbol", "ops", "coeff")),
+], ids=["blade-coefficient", "poly-coefficient", "symbol-name", "symbol-role", "density-slot",
+        "density-slot-operator", "density-term", "formal-term", "formal-operator", "apply",
+        "doc-k", "doc-symbols", "doc-role", "doc-term-symbol", "doc-ops", "doc-coeff"])
 @pytest.mark.parametrize("bad", [nested_list(3000), [10 ** 5000]], ids=["deep", "long"])
 def test_a_value_too_large_to_print_raises_algebra_error(call, bad):
+    # its repr used to raise RecursionError or ValueError while the message was built
     with pytest.raises(AlgebraError, match="too large to print>"):
         call(bad)
 
@@ -193,3 +226,17 @@ def test_a_matrix_entry_too_long_to_print_raises_algebra_error():
     with pytest.raises(AlgebraError, match="^exact value too long to print"):
         str(Multivector.blade(M13, (0,), 10 ** 5000))
     assert str(MvMatrix(M13, 1, 1, {((0,), (1,)): 3})) == "<MvMatrix (1,3) grades (1,1): w[0;1]*3>"
+    with pytest.raises(AlgebraError, match=r"^bad matrix key <tuple too large to print>"):
+        MvMatrix(M13, 1, 1, {(10 ** 5000,): 1})
+
+
+def test_reprs_print_values_too_long_to_print():
+    # both used to raise a plain ValueError from the int-to-text limit
+    assert repr(MaxwellConfig(M13, 2, mass=10 ** 5000)) == (
+        "MaxwellConfig(metric=Metric(k=1, n=3), r=2, mass=<int too large to print>, xi=None)")
+    with pytest.raises(AlgebraError, match="^exact value too long to print"):
+        repr(LagrangianDensity([(10 ** 5000, (DerivOp.ID, A), (DerivOp.ID, A))]))
+    # a value that prints keeps its old text
+    assert repr(MaxwellConfig(M13, 2, xi=Fraction(1, 2))) == (
+        "MaxwellConfig(metric=Metric(k=1, n=3), r=2, mass=0, xi=Fraction(1, 2))")
+    assert repr(L) == "<LagrangianDensity 1*(id A . id A) + 1*(ext A . ext A)>"

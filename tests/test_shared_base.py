@@ -5,6 +5,10 @@ with its one merge loop, ``-``, negation, scaling and ``==`` for
 ``PolyScalar``, ``Multivector``, ``MvMatrix``, ``FormalExpr`` and
 ``LagrangianDensity``; each class says how it differs only through the
 hooks (``_make``, ``_shape``, ``_like``, ``_operand``, ``_scalar``).
+The base's ``_like`` builds every result of ``+``, ``-``, negation and
+scaling through ``_make`` and ``_shape()``; only ``PolyScalar``, whose
+operand may be a bare rational, has its own.  ``blades._Sparse`` alone
+says where a flat key's monomial starts (``_shift``).
 ``PolyScalar`` alone compares and hashes like a rational, and
 ``LagrangianDensity`` alone adds its symbol checks to ``+``.  One helper,
 ``blades.require_same_metric``, raises "mixed metrics", and one,
@@ -65,7 +69,9 @@ def test_the_base_lives_in_poly_and_holds_the_linear_rules():
 @pytest.mark.parametrize("names, owners", [
     (SHARED, set()),
     ({"__eq__", "__hash__"}, {"PolyScalar"}),
-], ids=["linear-rules", "equality"])
+    ({"_like"}, {"PolyScalar"}),
+    ({"_shift"}, {"_Sparse"}),
+], ids=["linear-rules", "equality", "like", "shift"])
 def test_no_class_but_the_base_defines_the_shared_rules(names, owners):
     found = {name for name, cls in classes().items() if name != BASE and body_names(cls) & names}
     assert found == owners
@@ -82,7 +88,8 @@ def test_one_merge_loop_defines_add():
                                           ("matrices.py", "MvMatrix")])
 def test_value_classes_inherit_the_shared_rules(module, name):
     names = class_body_names(module, name)
-    assert not names & (SHARED | {"__eq__", "_operand", "_scalar", "_require_same_space"})
+    assert not names & (SHARED | {"__eq__", "_operand", "_scalar", "_require_same_space",
+                                  "_like", "_shift"})
 
 
 @pytest.mark.parametrize("name, own", [("FormalExpr", set()), ("LagrangianDensity", {"__add__"})])

@@ -143,9 +143,9 @@ def test_generators_build_through_no_validating_constructor(monkeypatch):
 
 
 def test_adopted_terms_are_canonical_as_built(monkeypatch):
-    # blades._adopt skips _make's coefficient scan, so every dict it is handed must
-    # already hold only nonzero ints and Fractions with a denominator above 1, keyed
-    # by blades of the stated grade
+    # blades._adopt writes every trusted Multivector and scans no coefficient, so every
+    # dict it is handed must already hold only nonzero ints and Fractions with a
+    # denominator above 1, keyed by blades of the stated grade
     real, adopted = blades._adopt, []
 
     def guard(metric, grade, terms, poly):
@@ -163,14 +163,15 @@ def test_adopted_terms_are_canonical_as_built(monkeypatch):
 
 
 def test_only_the_product_step_and_the_duals_adopt():
-    # _adopt is sound only where the result is canonical by construction
+    # _adopt is sound only where the result is canonical by construction; _make
+    # hands it only what _exact_terms returns
     callers = set()
     for module in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(module.read_text())):
             if isinstance(node, ast.FunctionDef):
                 callers |= {(module.name, node.name) for call in ast.walk(node)
                             if isinstance(call, ast.Call) and "_adopt" in ast.unparse(call.func)}
-    assert callers == {("blades.py", "_product"), ("blades.py", "_dual")}
+    assert callers == {("blades.py", "_product"), ("blades.py", "_dual"), ("blades.py", "_make")}
 
 
 def test_poly_results_are_canonical():

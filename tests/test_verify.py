@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import string
 from fractions import Fraction
@@ -77,6 +78,16 @@ GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_seed42_trials50.txt"
 def test_seed42_report_is_byte_identical_to_golden(full_run):
     report = format_report(full_run(42, 50))
     assert (report + "\n").encode() == GOLDEN_REPORT.read_bytes()
+
+
+def test_the_benchmark_pins_the_golden_summary():
+    # bench/workloads.py marks a seed-42 verify pass incorrect unless its summary is
+    # SEED42_SUMMARY, so a change to the case or property counts must fail here first;
+    # the file is read with ``ast``, so the benchmark is neither imported nor changed
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "workloads.py").read_text())
+    pinned = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and any(getattr(target, "id", None) == "SEED42_SUMMARY" for target in node.targets)]
+    assert pinned == [GOLDEN_REPORT.read_text().splitlines()[-1]]
 
 
 def test_raising_property_is_reported_as_fail(monkeypatch):
