@@ -66,7 +66,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .indexes import (_BLADE, _FORMS, _SUBSETS, MAX_DIM, AlgebraError, Record, _check_ints,
-                      _left_rule, _mask, _wedge_rule, as_tuple, integer, term_items)
+                      _left_rule, _mask, _shown, _wedge_rule, as_tuple, integer, term_items)
 from .poly import (_GUARD, PolyScalar, _exact_terms, _factor, _guarded, _Linear, _place,
                    _put_terms, _split, coefficient, exact, poly_text, signed_sum)
 
@@ -82,18 +82,13 @@ class Metric(Record):
     n: int
 
     def __post_init__(self):
-        if integer(self.k, "k") < 0 or integer(self.n, "n") < 0:
-            raise AlgebraError("k and n must be nonnegative")
-        if not 1 <= self.k + self.n <= MAX_DIM:
-            raise AlgebraError(f"dimension k+n must lie in [1, {MAX_DIM}]")
-        self.__dict__["dim"] = self.k + self.n  # read, not computed; not a field of ==/hash/repr
+        dim = integer(self.k, "k", 0) + integer(self.n, "n", 0)
+        self.__dict__["dim"] = integer(dim, "dimension k+n", 1, MAX_DIM)  # not a field of ==/hash
 
     def sign(self, index: int) -> int:
         """Metric sign of one axis: -1 time-like, +1 space-like."""
-        if type(index) is not int:
-            integer(index, "index")
-        if not 0 <= index < self.dim:
-            raise AlgebraError(f"index {index} out of range for dimension {self.dim}")
+        if type(index) is not int or not 0 <= index < self.dim:
+            _mask((index,), self.dim)  # raises the index-list check's messages
         return -1 if index < self.k else 1
 
     def sign_of(self, indices: tuple) -> int:
@@ -215,8 +210,7 @@ class Multivector(_Sparse):
         for indices, coeff in term_items(terms):
             poly |= _place(clean, _mask(indices, dim), coefficient(coeff, dim), dim)
         if clean:
-            if not 0 <= grade <= dim:
-                raise GradeError(f"grade {grade} out of range for dimension {dim}")
+            integer(grade, "grade", 0, dim, GradeError)
             for key in clean:
                 if (mask := key & (1 << dim) - 1).bit_count() != grade:
                     raise GradeError(f"index list {_BLADE[mask]!r} has grade "
@@ -276,7 +270,8 @@ class Multivector(_Sparse):
         """Scalar product sum(D_II a_I b_I) over shared index lists; requires equal grades."""
         require(other, Multivector, self.metric)
         if self.grade != other.grade:
-            raise GradeError(f"dot needs equal grades, got {self.grade} and {other.grade}")
+            raise GradeError(f"dot needs equal grades, got {_shown(self.grade)} and "
+                             f"{_shown(other.grade)}")
         return self._dot(other, (1 << self.metric.k) - 1)
 
     def _product(self, rule, lhs: "Multivector", rhs: "Multivector", grade, flip=0):
@@ -357,7 +352,7 @@ class Multivector(_Sparse):
         return signed_sum(_blade_term_text(indices, text) for indices, text in self._texts())
 
     def __repr__(self) -> str:
-        return f"<Multivector ({self.metric.k},{self.metric.n}) grade {self.grade}: {self}>"
+        return f"<Multivector ({self.metric.k},{self.metric.n}) grade {_shown(self.grade)}: {self}>"
 
 
 _put_metric, _put_poly, _put_grade = (_Sparse.metric.__set__, _Sparse._poly.__set__,
@@ -387,7 +382,7 @@ def require(value, kind=Multivector, metric: Metric | None = None, grade: int | 
     if metric is not None and value.metric is not metric:  # the common case skips a call
         require_same_metric(metric, value.metric)
     if grade is not None and value.grade != grade and value._terms:
-        raise GradeError(f"{what} has grade {value.grade}, expected {grade}")
+        raise GradeError(f"{what} has grade {_shown(value.grade)}, expected {_shown(grade)}")
     return value
 
 

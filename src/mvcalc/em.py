@@ -30,7 +30,7 @@ from fractions import Fraction
 from .blades import AlgebraError, GradeError, Metric, Multivector, require
 from .calculus import check_laplacian_splitting, ext_deriv, int_deriv, tensor_deriv
 from .indexes import Record, integer
-from .poly import exact
+from .poly import exact, number_text
 from .variational import (
     DerivOp,
     FieldEquation,
@@ -57,15 +57,14 @@ class MaxwellConfig(Record):
     xi: int | Fraction | None = None
 
     def __post_init__(self):
-        if not 1 <= integer(self.r, "field grade r") <= require(self.metric, Metric).dim:
-            raise GradeError(f"field grade r={self.r} not in [1, {self.metric.dim}]")
+        integer(self.r, "field grade r", 1, require(self.metric, Metric).dim, GradeError)
         object.__setattr__(self, "mass", exact(self.mass))
         if self.mass < 0:
-            raise AlgebraError(f"mass must be nonnegative, got {self.mass}")
+            raise AlgebraError(f"mass must be nonnegative, got {number_text(self.mass)}")
         if self.xi is not None:
             object.__setattr__(self, "xi", exact(self.xi))
             if self.xi <= 0:
-                raise AlgebraError(f"xi must be positive, got {self.xi}")
+                raise AlgebraError(f"xi must be positive, got {number_text(self.xi)}")
             if self.r == 1:
                 raise GradeError("gauge fixing needs a potential of grade >= 1 (r >= 2)")
 
@@ -186,8 +185,7 @@ def homogeneous_check(F: Multivector) -> bool:
 def build_dual_lagrangian(s: int, potential_name: str = "Abar",
                           source_name: str = "Jbar") -> LagrangianDensity:
     """Density of the dual theory for a grade-s potential."""
-    if integer(s, "dual potential grade s") < 1:
-        raise GradeError(f"dual potential grade must be >= 1, got {s}")
+    integer(s, "dual potential grade s", 1, error=GradeError)
     Abar = FieldSymbol(potential_name, s, "dynamical")
     Jbar = FieldSymbol(source_name, s, "source")
     return _density([
@@ -204,8 +202,7 @@ def dual_theory(metric: Metric, s: int, potential_name: str = "Abar",
     gives Jbar = d^ ( d_| Abar ) = d^ Fbar, and d_| Fbar = 0 holds
     identically because the interior derivative is nilpotent.
     """
-    if not 1 <= integer(s, "dual potential grade s") <= require(metric, Metric).dim:
-        raise GradeError(f"dual potential grade s={s} not in [1, {metric.dim}]")
+    integer(s, "dual potential grade s", 1, require(metric, Metric).dim, GradeError)
     L = build_dual_lagrangian(s, potential_name, source_name)
     nonhomog = euler_lagrange_exterior(L)
     Fbar = FieldSymbol(field_name, s - 1, "source")
@@ -225,8 +222,5 @@ def dual_gauge_check(Abar: Multivector) -> bool:
 
 def polarization_count(k: int, n: int, r: int) -> int:
     """Independent polarizations of a grade-r field in (k,n) space-time."""
-    if integer(k, "k") < 1 or integer(n, "n") < 1:
-        raise AlgebraError("polarization counting needs k >= 1 and n >= 1")
-    if not 1 <= integer(r, "field grade r") <= k + n:
-        raise GradeError(f"field grade r={r} not in [1, {k + n}]")
+    integer(r, "field grade r", 1, integer(k, "k", 1) + integer(n, "n", 1), GradeError)
     return math.comb(k + n - 2, r - 1)

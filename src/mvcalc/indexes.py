@@ -101,10 +101,20 @@ def _shown(value) -> str:
         return f"<{type(value).__name__} too large to print>"
 
 
-def integer(value, what: str) -> int:
-    """``value`` if a plain int, else AlgebraError (hot loops test the type first)."""
+def integer(value, what: str, low: int | None = None, high: int | None = None,
+            error: type = AlgebraError) -> int:
+    """``value`` if a plain int in [low, high] (each bound if given): the one int rule.
+
+    Not an int raises AlgebraError("bad <what>: integers only, got <value>"); an int
+    out of range raises ``error``, "<what> must be in [<low>, <high>], got <value>"
+    or, with no ``high``, "<what> must be at least <low>, got <value>".  Values print
+    through ``_shown``.  Hot sites test the type and range inline and call this to raise.
+    """
     if type(value) is not int:
         raise AlgebraError(f"bad {what}: integers only, got {_shown(value)}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in [{low}, {_shown(high)}]"
+        raise error(f"{what} must be {bound}, got {_shown(value)}")
     return value
 
 
@@ -138,17 +148,11 @@ def _out_of_range(indices: tuple, dim: int) -> AlgebraError:
     return AlgebraError(f"index {_shown(bad)} out of range for dimension {dim}")
 
 
-def _dimension(dim) -> int:
-    if not 0 <= integer(dim, "dimension") <= MAX_DIM:
-        raise AlgebraError(f"dimension {dim} out of range [0, {MAX_DIM}]")
-    return dim
-
-
 def check_canonical(indices: tuple, dim: int | None = None) -> None:
     """AlgebraError unless the tuple is strictly increasing ints, in [0, dim) if given."""
     _check_ints(indices)  # before the order: an int against a str raises TypeError
     if not all(a < b for a, b in zip(indices, indices[1:])):
-        raise AlgebraError(f"index list {indices!r} is not strictly increasing")
+        raise AlgebraError(f"index list {_shown(indices)} is not strictly increasing")
     # increasing, so only the ends can leave the range
     if dim is not None and indices and (indices[0] < 0 or indices[-1] >= dim):
         raise _out_of_range(indices, dim)
@@ -170,7 +174,7 @@ def sort_signature(raw, dim: int | None = None) -> tuple[int, tuple]:
     """
     indices = as_tuple(raw, "index list")
     _check_ints(indices)
-    limit = MAX_DIM if dim is None else _dimension(dim)
+    limit = MAX_DIM if dim is None else integer(dim, "dimension", 0, MAX_DIM)
     if not all(0 <= i < limit for i in indices):
         raise _out_of_range(indices, limit)
     # prepending index i to the sorted suffix passes it over every smaller one;
@@ -196,7 +200,7 @@ def merge_signature(lhs, rhs) -> tuple[int, tuple]:
 
 def complement(indices, dim: int) -> tuple:
     """The increasing list of dimension indices not in ``indices``."""
-    dim = _dimension(dim)
+    dim = integer(dim, "dimension", 0, MAX_DIM)
     return _BLADE[_mask(indices, dim) ^ ((1 << dim) - 1)]
 
 

@@ -48,9 +48,8 @@ class MvMatrix(_Sparse):
                     | _mask(key[1], dim, "column index list") << dim)
             poly |= _place(clean, part, coefficient(coeff, dim), 2 * dim)
         if clean:
-            for grade in (row_grade, col_grade):
-                if not 0 <= grade <= dim:
-                    raise GradeError(f"grade {grade} out of range")
+            integer(row_grade, "row grade", 0, dim, GradeError)
+            integer(col_grade, "column grade", 0, dim, GradeError)
             for key in clean:
                 rows, cols = key & (1 << dim) - 1, key >> dim & (1 << dim) - 1
                 if rows.bit_count() != row_grade or cols.bit_count() != col_grade:
@@ -126,8 +125,8 @@ class MvMatrix(_Sparse):
         """Matrix product; contracts self's columns with other's rows."""
         require(other, MvMatrix, self.metric)
         if self.col_grade != other.row_grade:
-            raise GradeError(f"cannot contract column grade {self.col_grade} "
-                             f"with row grade {other.row_grade}")
+            raise GradeError(f"cannot contract column grade {_shown(self.col_grade)} "
+                             f"with row grade {_shown(other.row_grade)}")
         poly = self._poly or other._poly
         out = _contract(self.metric, self._terms, other._terms, poly)
         return MvMatrix._make(self.metric, self.row_grade, other.col_grade, out, poly)
@@ -136,8 +135,8 @@ class MvMatrix(_Sparse):
         pairs = sorted(self._entries())
         entries = ", ".join(f"w[{','.join(map(str, r))};{','.join(map(str, c))}]*{number_text(v)}"
                             for (r, c), v in pairs)
-        return (f"<MvMatrix ({self.metric.k},{self.metric.n}) "
-                f"grades ({self.row_grade},{self.col_grade}): {entries or '0'}>")
+        return (f"<MvMatrix ({self.metric.k},{self.metric.n}) grades "
+                f"({_shown(self.row_grade)},{_shown(self.col_grade)}): {entries or '0'}>")
 
 
 _put_rows, _put_cols = MvMatrix.row_grade.__set__, MvMatrix.col_grade.__set__

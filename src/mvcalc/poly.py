@@ -274,16 +274,15 @@ class PolyScalar(_Linear):
     _poly = True
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
-        if type(nvars) is not int:
-            integer(nvars, "nvars")
-        if nvars < 0:
-            raise AlgebraError("nvars must be nonnegative")
+        if type(nvars) is not int or nvars < 0:
+            integer(nvars, "nvars", 0)
         clean: dict[int, int | Fraction] = {}
         for exps, coeff in term_items(terms):
             exps = exps if type(exps) is tuple else as_tuple(exps, "exponent vector")
             # exponents are plain nonnegative ints: no bool, no float
             if len(exps) != nvars or not all(type(e) is int and e >= 0 for e in exps):
-                raise AlgebraError(f"bad exponent vector {exps!r} for {nvars} variables")
+                raise AlgebraError(f"bad exponent vector {_shown(exps)} for {_shown(nvars)} "
+                                   "variables")
             c = exact(coeff)
             if c:
                 clean[pack(exps)] = c
@@ -315,11 +314,9 @@ class PolyScalar(_Linear):
 
     @classmethod
     def variable(cls, nvars: int, index: int, power: int = 1) -> "PolyScalar":
-        integer(nvars, "nvars")
-        if not 0 <= integer(index, "variable index") < nvars:
-            raise AlgebraError(f"variable index {index} out of range for {nvars} variables")
-        if integer(power, "power") < 0:
-            raise AlgebraError("negative powers are not polynomials")
+        integer(nvars, "nvars", 0)
+        integer(index, "variable index", 0, nvars - 1)
+        integer(power, "power", 0)
         exps = tuple(power if i == index else 0 for i in range(nvars))
         return cls(nvars, {exps: 1})
 
@@ -384,10 +381,8 @@ class PolyScalar(_Linear):
 
     def partial(self, index: int) -> "PolyScalar":
         """Exact partial derivative with respect to x(index)."""
-        if type(index) is not int:
-            integer(index, "variable index")
-        if not 0 <= index < self.nvars:
-            raise AlgebraError(f"variable index {index} out of range")
+        if type(index) is not int or not 0 <= index < self.nvars:
+            integer(index, "variable index", 0, self.nvars - 1)
         off = WIDTH * index
         return PolyScalar._make(self.nvars, {mono - (1 << off): c * e for mono, c
                                              in self._terms.items() if (e := mono >> off & _FIELD)})

@@ -107,8 +107,7 @@ class FieldSymbol(Record):
             ch.isalnum() or ch == "_" for ch in self.name
         ):
             raise AlgebraError(f"bad field symbol name {_shown(self.name)}")
-        if integer(self.grade, f"grade for symbol {self.name!r}") < 0:
-            raise GradeError(f"field symbol grade must be nonnegative, got {self.grade}")
+        integer(self.grade, f"grade for symbol {self.name!r}", 0, error=GradeError)
         if self.role not in ROLES:
             raise AlgebraError(f"role must be one of {ROLES}, got {_shown(self.role)}")
 

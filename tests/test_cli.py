@@ -587,3 +587,35 @@ def test_parse_errors_match_the_golden_file():
         assert out.getvalue() == ""
         lines.append(f"{err.getvalue()}exit {code}\n")
     assert "".join(lines) == PARSE_ERRORS_GOLDEN.read_text()
+
+
+# One request per domain error the CLI reaches past the parser (an int argument out of range,
+# a bad mass, gauge term or symbol grade), in the order tests/golden/domain_errors_cli.txt holds
+# their stderr line and exit code; the tier-1 workflow runs the same requests as processes.
+DOMAIN_ERRORS = [
+    ["derive", "--k", "-1", "--n", "3", "--r", "1"],
+    ["derive", "--k", "9", "--n", "9", "--r", "1"],
+    ["derive", "--k", "1", "--n", "3", "--r", "9"],
+    ["derive", "--k", "1", "--n", "3", "--r", "0"],
+    ["derive", "--k", "1", "--n", "3", "--preset", "dual", "--r", "9"],
+    ["derive", "--k", "1", "--n", "3", "--preset", "dual", "--r", "-1"],
+    ["derive", "--k", "1", "--n", "3", "--r", "2", "--m=-1/2"],
+    ["derive", "--k", "1", "--n", "3", "--r", "2", "--xi", "0"],
+    ["derive", "--k", "1", "--n", "3", "--r", "1", "--xi", "1"],
+    ["derive", "--k", "1", "--n", "3", "--lagrangian", "(A . A)", "--symbols", "A:-1:dynamical"],
+    ["derive", "--k", "1", "--n", "3", "--lagrangian", "(A . A)", "--symbols", "A:5:dynamical"],
+    ["eval", "e[0]", "--k", "-1", "--n", "3"],
+    ["verify", "--trials", "0"],
+]
+DOMAIN_ERRORS_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "domain_errors_cli.txt"
+
+
+def test_domain_errors_match_the_golden_file():
+    lines = []
+    for argv in DOMAIN_ERRORS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert out.getvalue() == ""
+        lines.append(f"{err.getvalue()}exit {code}\n")
+    assert "".join(lines) == DOMAIN_ERRORS_GOLDEN.read_text()

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from mvcalc import indexes
+from mvcalc import GradeError, Metric, indexes
+from mvcalc.em import MaxwellConfig
 from mvcalc.indexes import (
     MAX_DIM,
     AlgebraError,
@@ -146,3 +150,45 @@ def test_helpers_accept_lists_and_the_full_range():
     assert complement((), 0) == ()
     assert subtract([0, top], [top]) == (0,)
     assert sort_signature([top, 0], dim=MAX_DIM) == (-1, (0, top))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mvcalc"
+
+
+def test_integer_is_the_one_int_rule():
+    integer = indexes.integer
+    assert integer(3, "x") == integer(3, "x", 3) == integer(3, "x", 0, 3) == 3
+    with pytest.raises(AlgebraError, match=r"^bad x: integers only, got True$"):
+        integer(True, "x", 0, 3, GradeError)
+    with pytest.raises(GradeError, match=r"^x must be in \[0, 3\], got 4$"):
+        integer(4, "x", 0, 3, GradeError)
+    with pytest.raises(AlgebraError, match=r"^x must be at least 1, got 0$"):
+        integer(0, "x", 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Metric(-1, 3), AlgebraError, "k must be at least 0, got -1"),
+    (lambda: MaxwellConfig(Metric(1, 3), 9), GradeError, "field grade r must be in [1, 4], got 9"),
+    # an axis index keeps the index-list check's messages
+    (lambda: Metric(1, 3).sign(4), AlgebraError, "index 4 out of range for dimension 4"),
+    (lambda: Metric(1, 3).sign(1.0), AlgebraError, "bad index: integers only, got 1.0"),
+], ids=["at-least", "in-range", "sign-range", "sign-type"])
+def test_an_int_argument_out_of_range_raises_one_message_form(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def _calls_integer(node) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "integer"
+               for n in ast.walk(node))
+
+
+def test_no_int_range_is_checked_by_hand():
+    # `if <test calling integer(...)>: raise ...` restates the range rule of integer(); an `if`
+    # whose body only returns (Metric.blades, an empty iterator past the grades) is no check
+    by_hand = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               if path.name != "indexes.py" for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.If) and _calls_integer(node.test)
+               and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))]
+    assert by_hand == []

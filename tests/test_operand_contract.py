@@ -17,10 +17,11 @@ from mvcalc import (AlgebraError, DerivOp, FieldEquation, FieldSymbol, FormalExp
                     LagrangianDensity, Metric, Multivector, MvMatrix, PolyScalar, doc_to_equation)
 from mvcalc.calculus import check_laplacian_splitting, directional_deriv, divergence_scalar
 from mvcalc.em import (MaxwellConfig, build_dual_lagrangian, build_lagrangian, derive_equations,
-                       dual_theory, gauge_transform, wave_form)
+                       dual_theory, gauge_transform, polarization_count, wave_form)
+from mvcalc.indexes import complement, sort_signature
 from mvcalc.matrices import mat_vec, vec_mat
 from mvcalc.parser import parse_expr, parse_lagrangian
-from mvcalc.randgen import random_field, rng_for
+from mvcalc.randgen import random_field, random_poly, rng_for
 from mvcalc.variational import (euler_lagrange_exterior, first_variation, tensor_slot_matrix,
                                 vderiv, verify_tensor_exterior_identity)
 
@@ -195,27 +196,60 @@ def doc_with(where: str, bad) -> dict:
     return doc
 
 
+VALUE_CALLS = {
+    "blade-coefficient": lambda bad: Multivector(M13, 1, {(0,): bad}),
+    "poly-coefficient": lambda bad: PolyScalar(1, {(0,): bad}),
+    "symbol-name": lambda bad: FieldSymbol(bad, 1),
+    "symbol-role": lambda bad: FieldSymbol("A", 1, bad),
+    "density-slot": lambda bad: LagrangianDensity([(1, bad, (DerivOp.ID, A))]),
+    "density-slot-operator": lambda bad: LagrangianDensity([(1, (bad, A), (DerivOp.ID, A))]),
+    "density-term": lambda bad: LagrangianDensity([bad]),
+    "formal-term": lambda bad: FormalExpr([bad]),
+    "formal-operator": lambda bad: FormalExpr([((bad,), A, 1)]),
+    "apply": lambda bad: FormalExpr.single((), A).apply(bad),
+    "doc-k": lambda bad: doc_to_equation(doc_with("k", bad)),
+    "doc-symbols": lambda bad: doc_to_equation(doc_with("symbols", bad)),
+    "doc-role": lambda bad: doc_to_equation(doc_with("role", bad)),
+    "doc-term-symbol": lambda bad: doc_to_equation(doc_with("symbol", bad)),
+    "doc-ops": lambda bad: doc_to_equation(doc_with("ops", bad)),
+    "doc-coeff": lambda bad: doc_to_equation(doc_with("coeff", bad)),
+}
+BIG = 10 ** 5000
+# an int past the int-to-text limit where a bounded int belongs, or a grade, index or exponent
+# a message prints: each used to raise a plain ValueError while the message was built
+BIG_INT_CALLS = {
+    "MaxwellConfig-r": lambda: MaxwellConfig(M13, BIG),
+    "Multivector-grade": lambda: Multivector(M13, BIG, {(0,): 1}),
+    "MvMatrix-grade": lambda: MvMatrix(M13, BIG, 1, {((0,), (1,)): 1}),
+    "FieldSymbol-grade": lambda: FieldSymbol("A", -BIG),
+    "variable-index": lambda: PolyScalar.variable(1, BIG),
+    "partial-index": lambda: PolyScalar(2).partial(BIG),
+    "random_poly-nvars": lambda: random_poly(rng_for(1, "big"), -BIG),
+    "dual_theory-s": lambda: dual_theory(M13, BIG),
+    "build_dual_lagrangian-s": lambda: build_dual_lagrangian(-BIG),
+    "Metric.sign": lambda: M13.sign(BIG),
+    "polarization_count-r": lambda: polarization_count(1, 3, BIG),
+    "sort_signature-dim": lambda: sort_signature((0,), BIG),
+    "complement-dim": lambda: complement((0,), -BIG),
+    "poly-exponent": lambda: PolyScalar(1, {(-BIG,): 1}),
+    "blade-order": lambda: Multivector.blade(M13, (BIG, 0)),
+    "FieldEquation-grade": lambda: FieldEquation(FormalExpr.single((), A), FormalExpr.zero(), BIG),
+    "laplacian-splitting-grade": lambda: check_laplacian_splitting(M13, BIG, [V]),
+    "dot-zero-grade": lambda: Multivector.zero(M13, BIG).dot(V),
+    "matmul-zero-grade":
+        lambda: MvMatrix.zero(M13, 1, BIG).matmul(MvMatrix.identity(M13, 1)),
+}
+
+
 @pytest.mark.parametrize("call", [
-    lambda bad: Multivector(M13, 1, {(0,): bad}),
-    lambda bad: PolyScalar(1, {(0,): bad}),
-    lambda bad: FieldSymbol(bad, 1),
-    lambda bad: FieldSymbol("A", 1, bad),
-    lambda bad: LagrangianDensity([(1, bad, (DerivOp.ID, A))]),
-    lambda bad: LagrangianDensity([(1, (bad, A), (DerivOp.ID, A))]),
-    lambda bad: LagrangianDensity([bad]),
-    lambda bad: FormalExpr([bad]),
-    lambda bad: FormalExpr([((bad,), A, 1)]),
-    lambda bad: FormalExpr.single((), A).apply(bad),
-    *(lambda bad, where=where: doc_to_equation(doc_with(where, bad))
-      for where in ("k", "symbols", "role", "symbol", "ops", "coeff")),
-], ids=["blade-coefficient", "poly-coefficient", "symbol-name", "symbol-role", "density-slot",
-        "density-slot-operator", "density-term", "formal-term", "formal-operator", "apply",
-        "doc-k", "doc-symbols", "doc-role", "doc-term-symbol", "doc-ops", "doc-coeff"])
-@pytest.mark.parametrize("bad", [nested_list(3000), [10 ** 5000]], ids=["deep", "long"])
-def test_a_value_too_large_to_print_raises_algebra_error(call, bad):
+    *(pytest.param(lambda call=call, bad=bad: call(bad), id=f"{kind}-{name}")
+      for kind, bad in (("deep", nested_list(3000)), ("long", [BIG]))
+      for name, call in VALUE_CALLS.items()),
+    *(pytest.param(call, id=f"int-{name}") for name, call in BIG_INT_CALLS.items())])
+def test_a_value_too_large_to_print_raises_algebra_error(call):
     # its repr used to raise RecursionError or ValueError while the message was built
     with pytest.raises(AlgebraError, match="too large to print>"):
-        call(bad)
+        call()
 
 
 def test_a_matrix_entry_too_long_to_print_raises_algebra_error():
@@ -240,3 +274,16 @@ def test_reprs_print_values_too_long_to_print():
     assert repr(MaxwellConfig(M13, 2, xi=Fraction(1, 2))) == (
         "MaxwellConfig(metric=Metric(k=1, n=3), r=2, mass=0, xi=Fraction(1, 2))")
     assert repr(L) == "<LagrangianDensity 1*(id A . id A) + 1*(ext A . ext A)>"
+    # a zero value may carry any int grade
+    assert repr(Multivector.zero(M13, BIG)) == (
+        "<Multivector (1,3) grade <int too large to print>: 0>")
+    assert repr(MvMatrix.zero(M13, BIG, 1)) == (
+        "<MvMatrix (1,3) grades (<int too large to print>,1): 0>")
+    assert repr(MvMatrix.identity(M13, BIG)) == (
+        "<MvMatrix (1,3) grades (<int too large to print>,<int too large to print>): 0>")
+    # a MaxwellConfig's parameter messages print the exact value's text
+    for params in ({"mass": -BIG}, {"xi": -BIG}):
+        with pytest.raises(AlgebraError, match="^exact value too long to print"):
+            MaxwellConfig(M13, 2, **params)
+    with pytest.raises(AlgebraError, match="^mass must be nonnegative, got -1/2$"):
+        MaxwellConfig(M13, 2, mass=Fraction(-1, 2))
