@@ -40,6 +40,7 @@ from fractions import Fraction
 from . import eqdoc
 from .blades import AlgebraError, GradeError, Metric
 from .em import MaxwellConfig, derive_equations, dual_theory
+from .indexes import integer
 from .parser import ExprError, parse_expr, parse_lagrangian
 from .poly import digit_limit
 from .variational import FieldSymbol, euler_lagrange
@@ -158,8 +159,8 @@ def _cmd_derive(args) -> int:
         symbols = _parse_symbol_decls(args.symbols or "")
         density = parse_lagrangian(args.lagrangian, symbols)
         dynamical = density.dynamical
-        if dynamical is not None and dynamical.grade > metric.dim:
-            raise GradeError(f"dynamical grade {dynamical.grade} exceeds dimension {metric.dim}")
+        if dynamical is not None:
+            integer(dynamical.grade, "dynamical grade", 0, metric.dim, GradeError)
         eq = euler_lagrange(density)
     else:
         if args.r is None:

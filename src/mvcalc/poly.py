@@ -40,7 +40,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from numbers import Rational
 
-from .indexes import AlgebraError, _Memo, _shown, as_tuple, integer, term_items
+from .indexes import MAX_DIM, AlgebraError, _Memo, _shown, as_tuple, integer, term_items
 
 WIDTH = 16  # bits per exponent field, its guard bit included: a little-endian "H"
 MAX_EXPONENT = (1 << WIDTH - 1) - 1
@@ -274,8 +274,8 @@ class PolyScalar(_Linear):
     _poly = True
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
-        if type(nvars) is not int or nvars < 0:
-            integer(nvars, "nvars", 0)
+        if type(nvars) is not int or not 0 <= nvars <= MAX_DIM:
+            integer(nvars, "nvars", 0, MAX_DIM)
         clean: dict[int, int | Fraction] = {}
         for exps, coeff in term_items(terms):
             exps = exps if type(exps) is tuple else as_tuple(exps, "exponent vector")
@@ -310,11 +310,11 @@ class PolyScalar(_Linear):
 
     @classmethod
     def constant(cls, nvars: int, value) -> "PolyScalar":
-        return cls(nvars, {(0,) * integer(nvars, "nvars"): value})
+        return cls(nvars, {(0,) * integer(nvars, "nvars", 0, MAX_DIM): value})
 
     @classmethod
     def variable(cls, nvars: int, index: int, power: int = 1) -> "PolyScalar":
-        integer(nvars, "nvars", 0)
+        integer(nvars, "nvars", 0, MAX_DIM)
         integer(index, "variable index", 0, nvars - 1)
         integer(power, "power", 0)
         exps = tuple(power if i == index else 0 for i in range(nvars))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from .blades import Metric, Multivector
-from .indexes import _MASK, integer
+from .indexes import _MASK, MAX_DIM, integer
 from .matrices import MvMatrix
 from .poly import _AXES, MAX_EXPONENT, PolyScalar, _too_high
 
@@ -41,7 +41,7 @@ def rng_for(seed: int, name: str) -> random.Random:
 def random_poly(rng: random.Random, nvars: int, max_terms: int = 3,
                 max_degree: int = 3) -> PolyScalar:
     """Sparse random polynomial; may be zero.  ``max_degree`` is at most MAX_EXPONENT."""
-    integer(nvars, "nvars", 0)
+    integer(nvars, "nvars", 0, MAX_DIM)
     return PolyScalar._make(nvars, _draw(rng, {}, 0, _AXES[0, nvars], max_terms, max_degree))
 
 

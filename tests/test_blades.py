@@ -212,6 +212,15 @@ def test_integer_arguments_are_not_coerced(call):
         call()
 
 
+@pytest.mark.parametrize("nvars", [17, 10**6])
+@pytest.mark.parametrize("build", [PolyScalar.variable, PolyScalar.constant],
+                         ids=["variable", "constant"])
+def test_variable_count_past_max_dim_is_refused(build, nvars):
+    # no coefficient has more variables than a space-time has axes, so a huge count is refused
+    with pytest.raises(AlgebraError, match=rf"^nvars must be in \[0, 16\], got {nvars}$"):
+        build(nvars, 0)
+
+
 def test_terms_is_a_view_that_cannot_change_the_value():
     b = Multivector.blade(M13, (0,))
     view = b.terms

@@ -121,9 +121,12 @@ def test_text_is_graded_lex_descending():
     assert str(-x1) == "-x1"
 
 
-@pytest.mark.parametrize("nvars", [1.5, True, "2"])
-def test_variable_count_must_be_an_int(nvars):
-    with pytest.raises(AlgebraError, match="nvars"):
+@pytest.mark.parametrize("nvars, message", [
+    (1.5, "integers only"), (True, "integers only"), ("2", "integers only"),
+    (17, r"nvars must be in \[0, 16\], got 17"), (10**6, r"nvars must be in \[0, 16\]"),
+])
+def test_variable_count_must_be_an_int(nvars, message):
+    with pytest.raises(AlgebraError, match=message):
         PolyScalar(nvars, {})
 
 

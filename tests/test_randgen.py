@@ -54,7 +54,7 @@ def test_field_cases_lead_with_degenerate_inputs():
     assert len(cases[2].terms) <= 1
 
 
-@pytest.mark.parametrize("nvars", [-1, True, 1.0, "3"])
+@pytest.mark.parametrize("nvars", [-1, True, 1.0, "3", 17, 10**6])
 def test_random_poly_refuses_a_bad_variable_count(nvars):
     # max_degree=0 draws no variable index, so only the check can refuse it
     with pytest.raises(AlgebraError, match="nvars"):

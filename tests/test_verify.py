@@ -43,6 +43,10 @@ def test_unknown_suite_and_bad_trials_rejected():
         run_suites("algebraic")
     with pytest.raises(AlgebraError, match="trials"):
         run_suites("algebra", trials=0)
+    # only a name or a tuple or list of names: not a nested list, an int or bytes
+    for suites in ([[0]], 42, b"algebra"):
+        with pytest.raises(AlgebraError, match=r"^bad suites: expected a name or a list of names, got "):
+            run_suites(suites)
 
 
 @pytest.mark.parametrize("kwargs", [{"trials": 2.5}, {"trials": True}, {"seed": 1.5}, {"seed": "42"}])
@@ -65,8 +69,10 @@ def test_report_formatting_of_failures():
     ]
 
 
-def test_small_full_run_is_green():
-    outcomes = run_suites("all", seed=9, trials=2)
+@pytest.mark.parametrize("trials", [1, 2])
+def test_small_full_run_is_green(trials):
+    # the smallest trials drive every floor the sweeps keep: max(2, ...), max(4, ...), max(1, ...)
+    outcomes = run_suites("all", seed=9, trials=trials)
     assert outcomes and all(item.ok for item in outcomes)
 
 
