@@ -240,9 +240,11 @@ class LagrangianDensity(_Linear):
         """Evaluate the density on concrete fields; a scalar, exact."""
         require(assignment, Mapping)
         total = None  # the first term starts the sum: 0 + a polynomial would copy it
-        for ((lop, lsym), (rop, rsym)), coeff in self._terms.items():
-            left = _chain_value(lop.chain, lsym, assignment)
-            term = coeff * left.dot(_chain_value(rop.chain, rsym, assignment))
+        for (lslot, rslot), coeff in self._terms.items():
+            left = _chain_value(lslot[0].chain, lslot[1], assignment)
+            # a squared slot, as in (dX a . dX a), is evaluated once
+            right = left if rslot == lslot else _chain_value(rslot[0].chain, rslot[1], assignment)
+            term = coeff * left.dot(right)
             total = term if total is None else total + term
         return 0 if total is None else total
 

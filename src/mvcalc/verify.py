@@ -60,6 +60,7 @@ from .indexes import Record, _shown, complement, integer, merge_signature, sort_
 from .matrices import MvMatrix, mat_vec, vec_mat
 from .poly import PolyScalar, partial
 from .randgen import (
+    _below,
     field_cases,
     random_constant_field,
     random_field,
@@ -166,6 +167,13 @@ def _scalar_eq(left, right) -> bool:
     return not (left - right)
 
 
+def _symmetric_difference(L: LagrangianDensity, assignment: dict, name: str, step):
+    """(L(a + step) - L(a - step)) / 2 with a = ``assignment[name]``: exact for a quadratic L."""
+    value = assignment[name]
+    return (L.value(dict(assignment, **{name: value + step}))
+            - L.value(dict(assignment, **{name: value - step}))) * Fraction(1, 2)
+
+
 def _rand_fraction(rng) -> Fraction:
     return Fraction(rng.choice(_SMALL), rng.choice((1, 2, 3)))
 
@@ -174,9 +182,10 @@ def _rand_fraction(rng) -> Fraction:
 
 
 def _prop_signature_matches_swap_count(rng, trials):
+    bits = rng.getrandbits  # _below(bits, n) draws as rng.randrange(n) does
     for case in range(250 * trials):
-        length = rng.randint(0, 8)
-        raw = [rng.randrange(16) for _ in range(length)]
+        length = _below(bits, 9)
+        raw = [_below(bits, 16) for _ in range(length)]
         yield ("raw={}", raw), sort_signature(raw) == transposition_parity(raw)
 
 
@@ -469,9 +478,7 @@ def _prop_first_variation_exact(rng, trials):
             if name != dyn.name
         }
         bulk, boundary = first_variation(L, a_value, eps, sources)
-        plus = dict(sources, **{dyn.name: a_value + eps})
-        minus = dict(sources, **{dyn.name: a_value - eps})
-        target = (L.value(plus) - L.value(minus)) * Fraction(1, 2)
+        target = _symmetric_difference(L, dict(sources, **{dyn.name: a_value}), dyn.name, eps)
         ok = _scalar_eq(bulk + divergence_scalar(boundary), target)
         yield ("({},{}) {} case={}", metric.k, metric.n, label, case), ok
 
@@ -558,18 +565,13 @@ def _prop_equation_components_match_difference_oracle(rng, trials):
                     residual = route(L).residual(assignment, metric)
                     for I in metric.blades(grade):
                         bump = Multivector.blade(metric, I)
-                        d_field = (
-                            L.value(dict(assignment, a=a_value + bump))
-                            - L.value(dict(assignment, a=a_value - bump))
-                        ) * Fraction(1, 2)
+                        d_field = _symmetric_difference(L, assignment, "a", bump)
                         acc = d_field
                         for i in range(metric.dim):
                             ramp = PolyScalar.variable(metric.dim, i)
                             slope = Multivector.blade(metric, I, ramp)
-                            d_slot = (
-                                L.value(dict(assignment, a=a_value + slope))
-                                - L.value(dict(assignment, a=a_value - slope))
-                            ) * Fraction(1, 2) - ramp * d_field
+                            d_slot = (_symmetric_difference(L, assignment, "a", slope)
+                                      - ramp * d_field)
                             acc = acc - partial(d_slot, i)
                         got = metric.sign_of(I) * residual.coefficient(I)
                         ok = _scalar_eq(got, acc)

@@ -1,11 +1,14 @@
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
 from mvcalc.blades import AlgebraError, Metric
-from mvcalc.poly import PolyScalar
+from mvcalc.poly import MAX_EXPONENT, PolyScalar
 from mvcalc.randgen import (
+    SEED_PREFIX,
+    _below,
     field_cases,
     random_constant_field,
     random_field,
@@ -13,6 +16,7 @@ from mvcalc.randgen import (
     random_poly,
     rng_for,
 )
+from mvcalc.verify import SUITES
 
 M13 = Metric(1, 3)
 
@@ -104,3 +108,117 @@ def test_generator_streams_match_golden_hash():
                     digest.update(f"{_describe(value)}\n".encode())
                     values += 1
     assert f"sha256={digest.hexdigest()} values={values}\n" == STREAMS.read_text()
+
+
+# -- the getrandbits sampler -------------------------------------------------------
+
+SAMPLER_BOUNDS = sorted({1, 2, 3, 6, 9, 16, *(2**k + d for k in range(1, 12) for d in (-1, 1)),
+                         2**64 + 13})
+
+
+def test_below_draws_as_randrange_does():
+    for seed in range(40):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in SAMPLER_BOUNDS:
+            for _ in range(5):
+                assert _below(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_the_randint_choice_and_shuffle_rewrites_match_the_stdlib():
+    seq = tuple(range(11))
+    for seed in range(40):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        bits = ours.getrandbits
+        for a, b in ((0, 0), (0, 8), (1, 3), (-3, 5), (2, 2**70)):
+            assert a + _below(bits, b - a + 1) == theirs.randint(a, b)
+        for s in (seq[:1], seq[:2], seq[:6], seq):
+            assert s[_below(bits, len(s))] == theirs.choice(s)
+        for length in (0, 1, 2, 5, 11):
+            mine, stdlib = list(seq[:length]), list(seq[:length])
+            for i in range(length - 1, 0, -1):
+                j = _below(bits, i + 1)
+                mine[i], mine[j] = mine[j], mine[i]
+            theirs.shuffle(stdlib)
+            assert mine == stdlib
+        assert ours.getstate() == theirs.getstate()
+
+
+class _NoShortcuts(random.Random):
+    """A generator whose derived draws raise: only getrandbits and random() are left."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a generator went through a random.Random draw method")
+
+    randrange = randint = choice = shuffle = _refuse
+
+
+def _every_generator(rng, metric):
+    for grade in range(metric.dim + 1):
+        yield random_poly(rng, metric.dim)
+        yield random_poly(rng, 0, max_degree=0)
+        yield random_field(rng, metric, grade)
+        yield random_constant_field(rng, metric, grade)
+        yield random_matrix_field(rng, metric, 1, grade)
+        yield from field_cases(rng, metric, grade, 5)
+
+
+@pytest.mark.parametrize("metric", STREAM_METRICS)
+def test_generators_draw_only_through_getrandbits_and_random(metric):
+    for seed in range(4):
+        key = f"{SEED_PREFIX}:{seed}:spy"
+        spy, plain = _NoShortcuts(key), random.Random(key)
+        assert list(_every_generator(spy, metric)) == list(_every_generator(plain, metric))
+        assert spy.getstate() == plain.getstate()
+
+
+def test_the_swap_count_property_draws_only_through_getrandbits():
+    prop = SUITES["algebra"]["signature_matches_swap_count"]
+    key = f"{SEED_PREFIX}:42:spy"
+    assert list(prop(_NoShortcuts(key), 2)) == list(prop(random.Random(key), 2))
+
+
+# each bound leaves a draw nothing to draw from: [0, 0) has no value, and the
+# sampler's rejection loop would never end on it
+BAD_BOUNDS = [
+    (dict(max_terms=0), "max_terms must be at least 1, got 0"),
+    (dict(max_terms=-2), "max_terms must be at least 1, got -2"),
+    (dict(max_terms=True), "bad max_terms: integers only, got True"),
+    (dict(max_terms=2.0), "bad max_terms: integers only, got 2.0"),
+    (dict(max_degree=-1), "max_degree must be at least 0, got -1"),
+    (dict(max_degree=False), "bad max_degree: integers only, got False"),
+    (dict(max_degree=MAX_EXPONENT + 1), f"exponent above {MAX_EXPONENT}"),
+]
+GENERATORS = {
+    "random_poly": lambda rng, **bounds: random_poly(rng, 3, **bounds),
+    "random_field": lambda rng, **bounds: random_field(rng, M13, 1, **bounds),
+    "random_matrix_field": lambda rng, **bounds: random_matrix_field(rng, M13, 1, 2, **bounds),
+}
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+@pytest.mark.parametrize("bounds, message", BAD_BOUNDS)
+def test_generators_refuse_an_empty_draw_range_before_drawing(name, bounds, message):
+    rng = rng_for(1, "bad")
+    state = rng.getstate()
+    with pytest.raises(AlgebraError) as caught:
+        GENERATORS[name](rng, **bounds)
+    assert str(caught.value).startswith(message)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("max_degree", [1, 3, MAX_EXPONENT])
+def test_random_poly_refuses_a_degree_with_no_variables(max_degree):
+    rng = rng_for(1, "bad")
+    state = rng.getstate()
+    with pytest.raises(AlgebraError, match=f"max_degree must be 0 with no variables, "
+                                           f"got {max_degree}"):
+        random_poly(rng, 0, max_degree=max_degree)
+    assert rng.getstate() == state
+
+
+def test_random_poly_with_no_variables_draws_constants():
+    rng = rng_for(1, "constant")
+    for _ in range(20):
+        value = random_poly(rng, 0, max_degree=0)
+        assert value.nvars == 0 and value.is_constant()
