@@ -42,6 +42,7 @@ right dict for them when they are fewer than its terms; others (polynomial
 ones always) test every pair.  Rational operands with some denominator above
 1 (in ``dot`` too) run on integers (``_lift``): numerators over the lcm of
 each one's denominators, D_l and D_r, and each sum one Fraction over D_l D_r.
+A value's numerators and D are computed on its first lift and kept (``_lifted``).
 
 ``Multivector`` and ``matrices.MvMatrix`` take their linear rules, copy,
 pickle and equality (every zero of a metric is equal) from ``poly._Linear``,
@@ -52,10 +53,13 @@ value, the grade.  Public constructors validate; results of valid
 operands, and copies, go through the trusted builder ``_make``, which
 cleans the new dict (``poly._exact_terms``) and hands it to ``_adopt``, the
 one writer of a trusted Multivector's slots (through their descriptors'
-``__set__``, ``_put_*``, bound once).  Results canonical as built (the
-inline step, empty results, Hodge duals) go to ``_adopt`` with no
-coefficient scan.  A product runs one chain: the method, ``_product``, then
-``_adopt`` or the kernel and ``_make``.  ``dot`` runs no kernel, only ``_Sparse._dot``.
+``__set__``, ``_put_*``, bound once).  The one slot written after that is
+``_ints``, the lifted form ``_lifted`` caches: a value and its adopted dict
+never change, so it cannot go stale, and copy, pickle and ``==`` never read
+it.  Results canonical as built (the inline step, empty results, Hodge
+duals) go to ``_adopt`` with no coefficient scan.  A product runs one chain:
+the method, ``_product``, then ``_adopt`` or the kernel and ``_make``.
+``dot`` runs no kernel, only ``_Sparse._dot``.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ class _Sparse(_Linear):
     subclass adds its constructor, ``_make``, ``_shape`` and its products.
     """
 
-    __slots__ = ("metric", "_poly")
+    __slots__ = ("metric", "_poly", "_ints")
 
     def _operand(self, other):
         require(other, type(self), self.metric)
@@ -174,7 +178,7 @@ class _Sparse(_Linear):
                         term, acc = -a * b if odd else a * b, out.get(mono := ma + mb)
                         out[mono] = term if acc is None else acc + term
             return PolyScalar._make(dim, _guarded(out, _GUARD[dim])) or 0  # a zero is falsy
-        left, right, den = len(left) > 1 < len(right) and _lift(left, right) or (left, right, 1)
+        left, right, den = len(left) > 1 < len(right) and _lift(self, other) or (left, right, 1)
         if len(right) < len(left):
             left, right = right, left
         total = None
@@ -296,7 +300,7 @@ class Multivector(_Sparse):
         m = rhs.grade - (lhs.grade & form[1])  # |S| of each B = (A & x) | S a term can meet
         if not 0 <= m <= dim - lhs.grade:
             return _adopt(self.metric, grade, {}, poly)
-        left, right, den = not poly and _lift(left, right) or (left, right, 1)
+        left, right, den = not poly and _lift(lhs, rhs) or (left, right, 1)
         probe = None if poly or comb(dim - lhs.grade, m) >= len(right) else m
         sums = _accumulate_forms(form, t, left, right, flip, (1 << dim) - 1, probe)
         if poly:
@@ -357,11 +361,16 @@ class Multivector(_Sparse):
 
 _put_metric, _put_poly, _put_grade = (_Sparse.metric.__set__, _Sparse._poly.__set__,
                                      Multivector.grade.__set__)
+_put_ints = _Sparse._ints.__set__
 
 
 def _adopt(metric: Metric, grade: int, terms: dict, poly: bool) -> Multivector:
     """The one writer of a trusted Multivector's slots: ``Multivector._make`` with no
-    coefficient scan, for a new dict canonical as built."""
+    coefficient scan, for a new dict canonical as built.
+
+    ``_ints`` stays unset until ``_lifted`` writes it on the value's first lift; the
+    value and ``terms`` never change afterwards, so that write cannot go stale.
+    """
     mv = object.__new__(Multivector)
     _put_metric(mv, metric)
     _put_grade(mv, grade)
@@ -451,19 +460,31 @@ def _accumulate_forms(form, t: int, left: dict, right: dict, flip: int, full: in
     return out
 
 
-def _lift(left: dict, right: dict):
-    """(left, right, D_l D_r), each operand as {key: integer numerator}, or None to stay as given.
+def _lift(lhs: _Sparse, rhs: _Sparse):
+    """(left, right, D_l D_r), each value's terms as {key: integer numerator}, or None to
+    stay as given.
 
-    Taken when some denominator exceeds 1; each operand is scaled by the lcm
-    of its own denominators.  Asked only for two rational operands, not both single terms.
+    Taken when some denominator exceeds 1; each value is scaled by the lcm of its
+    own denominators (``_lifted``).  Asked only for two rational values, not both
+    single terms.
     """
-    # one call per term: Fraction's numerator and denominator are each a call
-    ratios_l = [c.as_integer_ratio() for c in left.values()]
-    ratios_r = [c.as_integer_ratio() for c in right.values()]
-    den_l = lcm(*{d for _, d in ratios_l})
-    den_r = lcm(*{d for _, d in ratios_r})
+    (left, den_l), (right, den_r) = _lifted(lhs), _lifted(rhs)
     if den_l == den_r == 1:
         return None
-    return ({m: n * (den_l // d) for m, (n, d) in zip(left, ratios_l)},
-            {m: n * (den_r // d) for m, (n, d) in zip(right, ratios_r)},
-            den_l * den_r)
+    return left, right, den_l * den_r
+
+
+def _lifted(value: _Sparse) -> tuple:
+    """(numerators, D) of a rational value, D the lcm of its denominators and the
+    numerators ``_terms`` itself when D == 1; computed once, then kept in ``_ints``."""
+    try:
+        return value._ints
+    except AttributeError:
+        terms = value._terms
+        # one call per term: Fraction's numerator and denominator are each a call
+        ratios = [c.as_integer_ratio() for c in terms.values()]
+        den = lcm(*{d for _, d in ratios})
+        ints = (terms if den == 1 else
+                {m: n * (den // d) for m, (n, d) in zip(terms, ratios)}, den)
+        _put_ints(value, ints)
+        return ints

@@ -10,8 +10,9 @@ Three subcommands:
     eval    evaluate a multivector expression over a chosen metric
 
 Exit codes: 0 on success, 1 when verification finds a failing property,
-2 on usage or parse errors (diagnostics go to stderr).  Output for a
-fixed invocation is byte-identical across runs.
+2 on usage or parse errors and on a request that runs out of memory
+(diagnostics go to stderr).  Output for a fixed invocation is
+byte-identical across runs.
 
 How ``run`` parses a request: the parsers are built from one table of
 each subcommand's arguments (``_SUBCOMMANDS``), once per process, and
@@ -272,6 +273,9 @@ def run(argv=None) -> int:
         return 2
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a backstop: no traceback, and exit 1 stays a failed property's
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

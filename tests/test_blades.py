@@ -336,3 +336,9 @@ def test_equal_but_distinct_metrics_still_match():
     field = Multivector.blade(M13, (1,), x0)
     assert directional_deriv(Multivector.blade(other, (0,)), field) == Multivector.blade(M13, (1,))
     assert Multivector.blade(M13, (0,)) != Multivector.blade(Metric(0, 4), (0,))
+
+
+def test_scalar_value_needs_grade_zero():
+    for value in (Multivector.blade(M13, (0,), 3), Multivector.zero(M13, 2)):
+        with pytest.raises(GradeError, match="^scalar_value needs a grade-0 multivector$"):
+            value.scalar_value()

@@ -544,6 +544,47 @@ def test_polynomial_eval_output_matches_the_golden_file():
     assert out.getvalue() == POLY_GOLDEN.read_text()
 
 
+# The ``mvcalc eval`` requests whose output tests/golden/rational_eval_cli.txt holds, in its
+# order, and which the tier-1 workflow runs as processes: products of multi-term rational
+# sums, which run on integer numerators over each operand's common denominator, with an
+# integral operand, a sum that cancels to zero and a Hodge dual, in text and JSON.  The
+# golden file predates the per-value cache of those numerators.
+RATIONAL_EVAL = [
+    ["(1/2 ^ e[0] + 2/3 ^ e[1]) ^ (3/4 ^ e[2] - 5/6 ^ e[3])", "--k", "1", "--n", "3"],
+    ["(1/2 ^ e[0] + 2/3 ^ e[1]) ^ (3/4 ^ e[2] - 5/6 ^ e[3])", "--k", "1", "--n", "3",
+     "--format", "json"],
+    ["(1/2 ^ e[0] - 1/3 ^ e[2]) _| (2/5 ^ e[0,1] + 3/7 ^ e[0,2] - 1/4 ^ e[1,2])",
+     "--k", "1", "--n", "3"],
+    ["(2/3 ^ e[0,1] + 1/5 ^ e[1,2] - 7/2 ^ e[0,3]) |_ (3/4 ^ e[0] + 1/2 ^ e[1])",
+     "--k", "1", "--n", "3", "--format", "json"],
+    ["(e[0] + 2 ^ e[1]) _| (1/2 ^ e[0,1] + 1/3 ^ e[1,2])", "--k", "2", "--n", "1"],
+    ["(1/2 ^ e[0] + 2/3 ^ e[1] - 3/4 ^ e[2]) . (5/6 ^ e[0] - 7/8 ^ e[1] + 1/9 ^ e[2])",
+     "--k", "1", "--n", "3"],
+    ["(1/3 ^ e[0,1] + 1/6 ^ e[2,3]) ^ (1/3 ^ e[0,1] - 1/6 ^ e[2,3])", "--k", "0", "--n", "4",
+     "--format", "json"],
+    ["hodge(1/2 ^ e[0] - 2/3 ^ e[1] + 5/4 ^ e[3])", "--k", "1", "--n", "3"],
+]
+RATIONAL_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "rational_eval_cli.txt"
+
+
+def test_rational_eval_output_matches_the_golden_file():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for argv in RATIONAL_EVAL:
+            assert cli.run(["eval", *argv]) == 0, argv
+    assert out.getvalue() == RATIONAL_GOLDEN.read_text()
+
+
+def test_running_out_of_memory_exits_2_with_one_error_line(monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_eval", exhausted)
+    assert call(["eval", "e[0] ^ e[1]", "--k", "1", "--n", "3"]) == (
+        2, "", "error: out of memory\n")
+    assert call(["derive", "--k", "1", "--n", "3", "--r", "2"]) == (0, "d_| ( d^ A ) = J\n", "")
+
+
 # One request per ExprError raise site in mvcalc.parser that the CLI reaches, in the order
 # tests/golden/parse_errors_cli.txt holds their stderr line and exit code; the tier-1
 # workflow runs the same requests as processes.  The golden file predates the parser's

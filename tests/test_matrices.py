@@ -168,3 +168,11 @@ def test_contractions_match_sums_over_the_public_terms(k, n):
     assert vec_mat(w, A) == Multivector(metric, 2, left)
     frob = sum(sign(I) * sign(J) * a * A2.entry(I, J) for (I, J), a in A.terms.items())
     assert not (A.dot(A2) - frob)
+
+
+def test_entries_must_have_the_stated_grades():
+    with pytest.raises(GradeError, match=r"^entry \(\(0,\),\(1,\)\) does not have grades \(1,2\)$"):
+        MvMatrix(M13, 1, 2, {((0,), (1,)): 1})
+    with pytest.raises(GradeError,
+                       match=r"^entry \(\(0,\),\(1, 2\)\) does not have grades \(2,2\)$"):
+        MvMatrix(M13, 2, 2, {((0, 1), (1, 2)): 1, ((0,), (1, 2)): Fraction(1, 2)})

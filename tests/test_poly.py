@@ -180,3 +180,11 @@ def test_exact_terms_normalises_each_pair_into_a_new_dict():
         if c not in out.values():
             given = {(2, 0): -7, key: c}
             assert _exact_terms(given) is not given and given == {(2, 0): -7, key: c}
+
+
+@pytest.mark.parametrize("point", [[], [1, 2, 3], (1, 2, 3, 4, 5)])
+def test_evaluate_needs_one_value_per_variable(point):
+    p = PolyScalar.variable(4, 0) * PolyScalar.variable(4, 3) + 1
+    with pytest.raises(AlgebraError, match="^point has wrong length$"):
+        p.evaluate(point)
+    assert p.evaluate([2, 0, 0, Fraction(1, 2)]) == 2

@@ -16,15 +16,22 @@ operands go through ``_lift`` there too.  Each product is checked against
 the sum of its single-term products, which take the inline step, and every
 coefficient must come out in canonical form: an int when integral, a
 Fraction otherwise, never zero.  A spy on the two kernel functions checks
-the route itself.
+the route itself.  Each value's integer numerators are computed on its first
+lift and kept in its ``_ints`` slot (``_lifted``); a spy on ``lcm``, taken
+once per value lifted, counts that work, and the results of reused values
+must equal those of fresh equal ones and the model in ``bench/oracle.py``.
 """
 
+import copy
 from fractions import Fraction
 from functools import reduce
 import itertools
 import math
 import operator
+import pathlib
+import pickle
 import random
+import types
 
 import pytest
 
@@ -175,7 +182,7 @@ def test_lifted_products_in_dimensions_seven_and_eight(route, k, n, kind, ga, gb
     metric = Metric(k, n)
     rng = random.Random(f"rational-kernel:{metric.dim}:{kind}:{ga}")
     a, b = _operand(rng, metric, ga, "large"), _operand(rng, metric, gb, "mixed")
-    assert _lift(a._terms, b._terms) is not None
+    assert _lift(a, b) is not None
     route.clear()
     _check(kind, a, b)  # the termwise products are single terms, which call no kernel
     assert route == _expected_route(kind, a, b) == ["lifted"] + ["probe"] * (kind != "dot")
@@ -188,7 +195,7 @@ HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
 def test_cancelled_sums_leave_no_terms():
     a = Multivector(M13, 1, {(0,): HALF, (1,): THIRD})
-    assert _lift(a._terms, a._terms) is not None
+    assert _lift(a, a) is not None
     wedge = _check("wedge", a, a)
     assert wedge.is_zero() and wedge.grade == 2
     b = Multivector(E4, 1, {(0,): Fraction(2, 3), (1,): -1})
@@ -235,7 +242,7 @@ def test_operands_outside_the_rule_decline_the_lift(route):
             assert route[:1] == ([] if kind == "dot" else ["lifted"])
             assert got == _termwise(kind, a, b)
     assert fractions.wedge(poly).coefficient((0, 1)) == -(x0 * THIRD)
-    assert _lift(ints._terms, fractions._terms) is not None
+    assert _lift(ints, fractions) is not None
 
 
 def test_hodge_duals_run_no_product_kernel(route):
@@ -446,3 +453,126 @@ def test_one_by_n_products_match_termwise_sums(route, k, n, kind):
             assert route == _expected_route(kind, a, b), (ga, gb, sizes)
             seen.add(tuple(route[1:]))
     assert seen == {(), ("probe",), ("scan",)}
+
+
+# -- each value's lifted form: computed on its first lift, then read from ``_ints``
+
+ORACLE_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+
+
+def _oracle():
+    """``bench/oracle.py``, the benchmark's reference model, which imports nothing from mvcalc;
+    run from its text, so that no bytecode is written next to it."""
+    module = types.ModuleType("bench_oracle")
+    exec(compile(ORACLE_PATH.read_text(), str(ORACLE_PATH), "exec"), module.__dict__)
+    return module
+
+
+def _oracle_result(oracle, kind, a, b):
+    k, dim = a.metric.k, a.metric.dim
+    if kind == "dot":
+        return oracle.dot(k, a.terms, b.terms)
+    if kind == "wedge":
+        return oracle.wedge(a.terms, b.terms)
+    if kind in ("hodge", "inv_hodge"):
+        return getattr(oracle, kind)(k, dim, a.terms)
+    return getattr(oracle, kind)(k, a.terms, b.terms)
+
+
+@pytest.fixture
+def lifts(monkeypatch):
+    """The number of lifted forms computed: ``_lifted`` takes one lcm per value it lifts."""
+    count = [0]
+    real = blades.lcm
+
+    def spy(*args):
+        count[0] += 1
+        return real(*args)
+    monkeypatch.setattr(blades, "lcm", spy)
+    return count
+
+
+ALL_PRODUCTS = ("wedge", "left_contract", "right_contract", "hodge", "inv_hodge", "dot")
+
+
+def _apply(kind, x, y):
+    return getattr(x, kind)() if kind in ("hodge", "inv_hodge") else getattr(x, kind)(y)
+
+
+def _fresh(value):
+    return Multivector(value.metric, value.grade, value.terms)
+
+
+@pytest.mark.parametrize("k, n", [(0, 4), (1, 3), (2, 5)])
+def test_a_reused_value_is_lifted_once(lifts, k, n):
+    metric = Metric(k, n)
+    rng = random.Random(f"lift-cache:{k}:{n}")
+    a = _operand(rng, metric, 2, "small")
+    partners = [_operand(rng, metric, grade, style)
+                for grade in (1, 2, 3) for style in ("small", "int", "mixed")]
+    calls = [(kind, x, y) for b in partners for kind in ALL_PRODUCTS
+             if kind != "dot" or b.grade == a.grade for x, y in ((a, b), (b, a))]
+    results = [[_apply(*call) for call in calls] for _ in range(3)]
+    # a once and each partner once, however often each is used
+    assert lifts[0] == 1 + len(partners)
+    assert a._ints[1] > 1 and all(hasattr(b, "_ints") for b in partners)
+    oracle = _oracle()
+    for (kind, x, y), *got in zip(calls, *results):
+        assert got[0] == got[1] == got[2] == _apply(kind, _fresh(x), _fresh(y)), (kind, x, y)
+        want = _oracle_result(oracle, kind, x, y)
+        assert (got[0] if kind == "dot" else got[0].terms) == want, (kind, x, y)
+        _assert_canonical(got[0])
+
+
+def test_a_reused_matrix_is_lifted_once(lifts):
+    rng = random.Random("lift-cache:matrix")
+    blocks = [((I,), (J,)) for I in range(4) for J in range(4)]
+
+    def matrix(style):
+        return MvMatrix(M13, 1, 1, {key: STYLES[style](rng, pos) for pos, key in enumerate(blocks)})
+    a = matrix("small")
+    partners = [matrix(style) for style in ("small", "int", "mixed", "large")]
+    calls = [(x, y) for b in partners for x, y in ((a, b), (b, a))]
+    results = [[x.dot(y) for x, y in calls] for _ in range(3)]
+    assert lifts[0] == 1 + len(partners)
+    for (x, y), *got in zip(calls, *results):
+        want = sum((Fraction(c) * y.terms.get(key, 0) * M13.sign_of(key[0]) * M13.sign_of(key[1])
+                    for key, c in x.terms.items()), Fraction(0))
+        fresh = MvMatrix(M13, 1, 1, x.terms).dot(MvMatrix(M13, 1, 1, y.terms))
+        assert got[0] == got[1] == got[2] == fresh == want
+        _assert_canonical(got[0])
+
+
+def test_an_integral_value_keeps_its_own_terms_as_numerators():
+    ints = Multivector(M13, 1, {(0,): 2, (3,): -5})
+    fractions = Multivector(M13, 1, {(0,): HALF, (1,): THIRD})
+    assert _lift(ints, fractions) is not None
+    numerators, den = blades._lifted(ints)
+    assert numerators is ints._terms and den == 1
+    numerators, den = blades._lifted(fractions)
+    assert den == 6 and numerators == {0b0001: 3, 0b0010: 2}
+
+
+def test_new_values_carry_no_lifted_form():
+    a = Multivector(E4, 1, {(0,): HALF, (1,): THIRD})
+    b = Multivector(E4, 1, {(0,): Fraction(2, 3), (2,): Fraction(5, 7)})
+    a.wedge(b)
+    assert hasattr(a, "_ints") and hasattr(b, "_ints")
+    for value in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)), -a, a * 2,
+                  2 * a, a + b, a - b, a.wedge(b), a.hodge()):
+        assert not hasattr(value, "_ints"), value
+    assert a == _fresh(a) and a != b  # equality reads no cached form
+
+
+def test_the_lifted_slot_is_immutable():
+    a = Multivector(E4, 1, {(0,): HALF, (1,): THIRD})
+    m = MvMatrix(E4, 1, 1, {((0,), (1,)): HALF, ((1,), (2,)): THIRD})
+    for value in (a, m):
+        for lifted in (False, True):
+            if lifted:
+                value.dot(value)
+            with pytest.raises(AttributeError, match="is immutable"):
+                value._ints = ({}, 1)
+            with pytest.raises(AttributeError, match="is immutable"):
+                del value._ints
+            assert hasattr(value, "_ints") is lifted

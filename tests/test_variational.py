@@ -1,3 +1,5 @@
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -424,3 +426,32 @@ def test_routes_build_no_formal_value_through_a_validating_constructor(monkeypat
         "J - 4 * A = d_| ( d^ A ) - 2 * d^ ( d_| A )", "rho - 2 * a = lap a",
         "-lap A + A = J + d^ ( d_| A )", "d_| ( d^ A ) + A = J + 2 * d^ ( d_| A )",
         "Jbar = d^ ( d_| Abar )", "d_| Fbar = 0"]
+
+
+def test_vderiv_of_the_right_slot_of_a_pair():
+    # a pair keeps its slots in symbol-name order, so the source a comes before the dynamical b
+    from mvcalc.cli import run
+    from mvcalc.parser import parse_lagrangian
+
+    b, a = FieldSymbol("b", 1, "dynamical"), FieldSymbol("a", 1, "source")
+    L = parse_lagrangian("1/2*(d^b . d^b) + (a . b)", [b, a])
+    assert (1, (DerivOp.ID, a), (DerivOp.ID, b)) in L.terms
+    assert vderiv(L, (DerivOp.ID, b)) == FormalExpr.single((), a)
+    assert vderiv(L, (DerivOp.EXT, b)) == FormalExpr.single(DerivOp.EXT.chain, b)
+    assert str(euler_lagrange(L)) == "a = -d_| ( d^ b )"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["derive", "--k", "1", "--n", "3", "--lagrangian", "1/2*(d^b . d^b) + (a . b)",
+                    "--symbols", "b:1:dynamical,a:1:source"]) == 0
+    assert out.getvalue() == "a = -d_| ( d^ b )\n"
+
+
+def test_evaluation_needs_every_symbol_bound():
+    a = random_field(rng_for(3, "unbound"), M13, 1)
+    L = maxwell_density()
+    with pytest.raises(AlgebraError, match="^no field value bound to symbol 'J'$"):
+        L.value({"A": a})
+    with pytest.raises(AlgebraError, match="^no field value bound to symbol 'A'$"):
+        FormalExpr.single(DerivOp.EXT.chain, A).evaluate({"J": a})
+    with pytest.raises(AlgebraError, match="^no field value bound to symbol 'J'$"):
+        first_variation(L, a, a)
